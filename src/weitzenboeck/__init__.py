@@ -27,17 +27,15 @@ from .kernel import (
     PieceReport,
     Product,
     completeness_check,
-    compositions,
     evaluate_combination,
     express_in_generators,
     generator_products,
     graded_monomials,
     kernel_basis,
     kernel_census,
+    kernel_dim,
     kernel_piece_basis,
-    nullspace,
     piece_keys,
-    rref,
     span_dimension,
 )
 from .poly import (
@@ -46,7 +44,6 @@ from .poly import (
     Ambient,
     Polynomial,
     Variable,
-    format_poly,
     parse,
     ring_var,
     x,
@@ -79,23 +76,20 @@ __all__ = [
     "Variable",
     "WeitzenboeckDerivation",
     "completeness_check",
-    "compositions",
     "evaluate_combination",
     "express_in_generators",
-    "format_poly",
     "generator_products",
     "generators",
     "graded_monomials",
     "jacobian",
     "kernel_basis",
     "kernel_census",
+    "kernel_dim",
     "kernel_piece_basis",
     "linear_form",
-    "nullspace",
     "parse",
     "piece_keys",
     "ring_var",
-    "rref",
     "span_dimension",
     "tau",
     "transvectant",

@@ -34,7 +34,7 @@ class Covariant:
 
     def __post_init__(self):
         amb = self.value.ambient
-        for exps in dict(self.value.items()):
+        for exps, _ in self.value.items():
             if amb.cov_degree(exps) != self.order:
                 raise NonHomogeneousOrder(
                     f"term of covariant degree {amb.cov_degree(exps)} in a covariant of order {self.order}"

@@ -5,8 +5,11 @@ lowers its weight (sum of level * exponent) by exactly 1.  The space of
 degree-d ring monomials therefore splits into graded pieces keyed by
 (block_degrees, weight), D maps the piece (b, w) into (b, w-1), and the
 kernel in degree d is the direct sum of the per-piece nullspaces.  All
-linear algebra is exact Gauss-Jordan over Fraction with first-nonzero
-pivoting, so bases and dimensions are deterministic and reproducible.
+linear algebra goes through one sparse Gauss-Jordan routine over
+Fraction (`rref`, first-nonzero pivoting) on matrices whose columns are
+polynomials (`matrix_rows`); its reduced echelon form is unique, so
+bases and dimensions are deterministic and reproducible.  Dimensions are
+taken as columns minus rank, without building a basis.
 
 A completeness certificate for a degree d compares, piece by piece, the
 kernel dimension against the dimension spanned by all degree-d products
@@ -143,94 +146,121 @@ def piece_keys(n: int, k: int, degree: int) -> list[GradedPieceKey]:
 
 # -- exact linear algebra ----------------------------------------------------
 
-RationalMatrix = list[list[Fraction]]
+SparseRow = dict[int, Fraction]
 
 
-def rref(rows: Sequence[Sequence[Fraction]], ncols: int) -> tuple[RationalMatrix, list[int]]:
-    """Reduced row echelon form with first-nonzero pivoting.
+def matrix_rows(polys: Sequence[Polynomial]) -> list[SparseRow]:
+    """Sparse rows of the matrix whose j-th column holds the coefficients of polys[j].
 
-    Returns the reduced matrix and the pivot column list; pivots are
-    normalized to 1 and cleared everywhere else.
+    One row per monomial occurring in some polynomial, mapping column
+    index to nonzero coefficient.
     """
-    m = [list(map(Fraction, row)) for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
+    by_monomial: dict[Exponents, SparseRow] = {}
+    for j, p in enumerate(polys):
+        for exps, c in p.items():
+            by_monomial.setdefault(exps, {})[j] = c
+    return list(by_monomial.values())
 
 
-def rank(rows: Sequence[Sequence[Fraction]], ncols: int) -> int:
-    return len(rref(rows, ncols)[1])
+def _subtract(row: SparseRow, f: Fraction, other: SparseRow) -> None:
+    """row -= f * other, in place, keeping only nonzero entries."""
+    for c, v in other.items():
+        nv = row.get(c, 0) - f * v
+        if nv:
+            row[c] = nv
+        else:
+            del row[c]
 
 
-def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[tuple[Fraction, ...]]:
-    """Canonical basis of {v : M v = 0}, exact.
+def rref(rows: Sequence[SparseRow], ncols: int) -> tuple[list[SparseRow], list[int]]:
+    """Sparse reduced row echelon form over Fraction.
 
-    The basis itself is returned in reduced echelon form (each vector's
-    leading entry is 1 and is the only nonzero entry of its column across
-    the basis), which makes the output unique and order-deterministic.
+    Pivots only on columns < ncols; later columns are carried along as an
+    augmented right-hand side.  Each row is reduced against the pivots so
+    far and pivots on its first nonzero column, which is then cleared from
+    every earlier pivot row, so the pivot rows stay fully reduced.  Returns
+    the pivot rows (pivot entry 1, the only nonzero of its column among
+    them) in pivot order followed by the rows left nonzero only in the
+    augmented columns, and the ascending pivot column list.  The reduced
+    echelon form of a matrix is unique, so the result does not depend on
+    the order of `rows`.
     """
-    reduced, pivots = rref(rows, ncols)
-    pivot_set = set(pivots)
-    raw: list[list[Fraction]] = []
-    for free in range(ncols):
-        if free in pivot_set:
+    pivot_rows: dict[int, SparseRow] = {}
+    leftover: list[SparseRow] = []
+    for source in rows:
+        row = dict(source)
+        # pivot rows are zero in every other pivot column, so one pass clears them all
+        for c in [c for c in row if c in pivot_rows]:
+            _subtract(row, row[c], pivot_rows[c])
+        lead = min((c for c in row if c < ncols), default=None)
+        if lead is None:
+            if row:
+                leftover.append(row)
             continue
-        v = [Fraction(0)] * ncols
+        inv = 1 / row[lead]
+        row = {c: v * inv for c, v in row.items()}
+        for prow in pivot_rows.values():
+            if lead in prow:
+                _subtract(prow, prow[lead], row)
+        pivot_rows[lead] = row
+    pivots = sorted(pivot_rows)
+    return [pivot_rows[c] for c in pivots] + leftover, pivots
+
+
+def nullspace(rows: Sequence[SparseRow], ncols: int) -> list[tuple[Fraction, ...]]:
+    """Canonical basis of {v : M v = 0}, exact, for the sparse rows of M.
+
+    The basis itself is in reduced echelon form (each vector's leading
+    entry is 1 and is the only nonzero entry of its column across the
+    basis), which makes the output unique and order-deterministic.  It
+    comes from one elimination of M with its columns reversed: pivots
+    then sit as far right as possible, so every free column leads the
+    null vector it defines.
+    """
+    last = ncols - 1
+    reduced, pivots = rref([{last - c: v for c, v in row.items()} for row in rows], ncols)
+    pivot_set = {last - p for p in pivots}
+    basis = {free: [Fraction(0)] * ncols for free in range(ncols) if free not in pivot_set}
+    for free, v in basis.items():
         v[free] = Fraction(1)
-        for row_idx, p in enumerate(pivots):
-            v[p] = -reduced[row_idx][free]
-        raw.append(v)
-    canonical, _ = rref(raw, ncols)
-    return [tuple(row) for row in canonical]
+    for row, p in zip(reduced, pivots):
+        for c, value in row.items():
+            if c != p:
+                basis[last - c][last - p] = -value
+    return [tuple(v) for v in basis.values()]
 
 
 # -- kernel bases ------------------------------------------------------------
 
 
-def derivation_matrix(n: int, k: int, key: GradedPieceKey) -> tuple[RationalMatrix, list[Exponents], list[Exponents]]:
-    """Matrix of D from piece `key` to the piece one weight lower.
-
-    Returns (matrix, column monomials, row monomials); for weight 0 the
-    target space is empty and the matrix has no rows.
-    """
+def _derivation_rows(n: int, k: int, key: GradedPieceKey) -> tuple[list[Exponents], list[SparseRow]]:
+    """The monomials of piece `key` and the sparse matrix of D on them (column j is D(m_j))."""
     cols = graded_monomials(n, k, key)
-    rows_monos = (
-        graded_monomials(n, k, GradedPieceKey(key.block_degrees, key.weight - 1)) if key.weight else []
-    )
-    row_index = {m: i for i, m in enumerate(rows_monos)}
     amb = Ambient(n, k)
     deriv = WeitzenboeckDerivation(n, k)
-    matrix = [[Fraction(0)] * len(cols) for _ in rows_monos]
-    for j, mono in enumerate(cols):
-        image = deriv.apply(Polynomial(amb, {mono: 1}))
-        for exps, coeff in image.items():
-            matrix[row_index[exps]][j] = coeff
-    return matrix, cols, rows_monos
+    return cols, matrix_rows([deriv.apply(Polynomial(amb, {mono: 1})) for mono in cols])
 
 
 def kernel_piece_basis(n: int, k: int, key: GradedPieceKey) -> list[Polynomial]:
     """Echelon basis of ker D within a single graded piece."""
-    matrix, cols, _ = derivation_matrix(n, k, key)
+    cols, rows = _derivation_rows(n, k, key)
     amb = Ambient(n, k)
-    basis = []
-    for vec in nullspace(matrix, len(cols)):
-        basis.append(Polynomial(amb, {mono: c for mono, c in zip(cols, vec) if c}))
-    return basis
+    return [Polynomial(amb, {mono: c for mono, c in zip(cols, vec) if c}) for vec in nullspace(rows, len(cols))]
+
+
+def _piece_kernel_dim(n: int, k: int, key: GradedPieceKey) -> int:
+    cols, rows = _derivation_rows(n, k, key)
+    return len(cols) - len(rref(rows, len(cols))[1])
+
+
+def kernel_dim(n: int, k: int, degree: int) -> int:
+    """Dimension of the degree-d homogeneous component of ker D.
+
+    Sums columns minus rank over the graded pieces; builds no basis.
+    """
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
+    return sum(_piece_kernel_dim(n, k, key) for key in piece_keys(n, k, degree))
 
 
 def kernel_basis(n: int, k: int, degree: int) -> list[Polynomial]:
@@ -249,7 +279,7 @@ def kernel_basis(n: int, k: int, degree: int) -> list[Polynomial]:
 
 def kernel_census(n: int, k: int, max_degree: int) -> dict[int, int]:
     """Per-degree kernel dimensions for 0..max_degree; makes no claim of generation."""
-    return {d: len(kernel_basis(n, k, d)) for d in range(max_degree + 1)}
+    return {d: kernel_dim(n, k, d) for d in range(max_degree + 1)}
 
 
 # -- generator products and spans ---------------------------------------------
@@ -290,8 +320,6 @@ def span_dimension(polys: Sequence[Polynomial], where: int | GradedPieceKey | No
     check to a total degree (int) or to a single graded piece key.
     Raises NonHomogeneous on violations.
     """
-    rows = []
-    monos: set[Exponents] = set()
     nonzero = []
     for p in polys:
         if p.is_zero:
@@ -305,17 +333,7 @@ def span_dimension(polys: Sequence[Polynomial], where: int | GradedPieceKey | No
         elif where is not None and d != where:
             raise NonHomogeneous(f"expected degree {where}, got {d}: {p}")
         nonzero.append(p)
-        monos.update(exps for exps, _ in p.items())
-    if not nonzero:
-        return 0
-    columns = sorted(monos, key=monomial_sort_key, reverse=True)
-    col_index = {m: i for i, m in enumerate(columns)}
-    for p in nonzero:
-        row = [Fraction(0)] * len(columns)
-        for exps, c in p.items():
-            row[col_index[exps]] = c
-        rows.append(row)
-    return rank(rows, len(columns))
+    return len(rref(matrix_rows(nonzero), len(nonzero))[1])
 
 
 def _product_key(product: Product) -> GradedPieceKey:
@@ -326,7 +344,7 @@ def _product_key(product: Product) -> GradedPieceKey:
 
 def completeness_check(n: int, k: int, degree: int, exclude: Sequence[str] = ()) -> CompletenessReport:
     """Compare kernel dimension with the generator-product span, piece by piece."""
-    gens = generators_for(n, k, exclude)
+    gens = generators(n, k).without(*exclude)
     products = generator_products(gens, degree)
     by_piece: dict[GradedPieceKey, list[Polynomial]] = defaultdict(list)
     for product in products:
@@ -336,7 +354,7 @@ def completeness_check(n: int, k: int, degree: int, exclude: Sequence[str] = ())
     kernel_total = 0
     span_total = 0
     for key in piece_keys(n, k, degree):
-        kdim = len(kernel_piece_basis(n, k, key))
+        kdim = _piece_kernel_dim(n, k, key)
         sdim = span_dimension(by_piece.get(key, ()), key)
         if kdim or sdim:
             pieces.append(PieceReport(key, kdim, sdim))
@@ -351,11 +369,6 @@ def completeness_check(n: int, k: int, degree: int, exclude: Sequence[str] = ())
         complete=span_total == kernel_total,
         per_piece=tuple(pieces),
     )
-
-
-def generators_for(n: int, k: int, exclude: Sequence[str] = ()) -> GeneratorSet:
-    gens = generators(n, k)
-    return gens.without(*exclude) if exclude else gens
 
 
 Combination = dict[tuple[str, ...], Fraction]
@@ -390,29 +403,12 @@ def express_in_generators(p: Polynomial, gens: GeneratorSet) -> Combination:
     # coefficients of the free-variables-zero solution are exactly 0
     products = [pr for pr in generator_products(gens, degree) if _product_key(pr) in target_keys]
 
-    monos: set[Exponents] = {exps for exps, _ in p.items()}
-    for pr in products:
-        monos.update(exps for exps, _ in pr.value.items())
-    columns = sorted(monos, key=monomial_sort_key, reverse=True)
-    col_index = {m: i for i, m in enumerate(columns)}
-
-    width = len(products) + 1
-    augmented = [[Fraction(0)] * width for _ in columns]
-    for j, pr in enumerate(products):
-        for exps, c in pr.value.items():
-            augmented[col_index[exps]][j] = c
-    for exps, c in p.items():
-        augmented[col_index[exps]][-1] = c
-
-    reduced, pivots = rref(augmented, len(products))
-    for row in reduced:
-        if row[-1] and not any(row[:-1]):
-            raise NotInSpan(f"{p} is not spanned by generator products of degree {degree}")
-    combination: Combination = {}
-    for row_idx, col in enumerate(pivots):
-        if reduced[row_idx][-1]:
-            combination[products[col].labels] = reduced[row_idx][-1]
-    return combination
+    # column j holds product j; p rides along as the augmented column `rhs`
+    rhs = len(products)
+    reduced, pivots = rref(matrix_rows([pr.value for pr in products] + [p]), rhs)
+    if len(reduced) > len(pivots):
+        raise NotInSpan(f"{p} is not spanned by generator products of degree {degree}")
+    return {products[col].labels: row[rhs] for row, col in zip(reduced, pivots) if rhs in row}
 
 
 def evaluate_combination(combination: Combination, gens: GeneratorSet, ambient: Ambient | None = None) -> Polynomial:

@@ -158,7 +158,7 @@ class Polynomial:
         clean: dict[Exponents, Fraction] = {}
         width = ambient.width
         for exps, coeff in items:
-            if len(exps) != width or any(e < 0 for e in exps):
+            if len(exps) != width or any(type(e) is not int or e < 0 for e in exps):
                 raise AmbientMismatch(f"exponent tuple {exps} does not fit ambient (n={ambient.n}, k={ambient.k})")
             c = Fraction(coeff)
             if c:
@@ -506,8 +506,3 @@ def parse(text: str, ambient: Ambient) -> Polynomial:
     a leading sign.  Whitespace is insignificant.
     """
     return _Parser(text, ambient).parse()
-
-
-def format_poly(p: Polynomial) -> str:
-    """Canonical text form; `parse(format_poly(p), p.ambient) == p`."""
-    return str(p)

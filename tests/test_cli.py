@@ -90,6 +90,11 @@ class TestVerify:
         assert code == 2
         assert "max-degree" in err
 
+    def test_empty_degree_range(self, capsys):
+        code, out, err = run(capsys, "verify", "--n", "2", "--k", "1", "--max-degree", "-1")
+        assert code == 2
+        assert out == "" and "max-degree" in err
+
 
 class TestCensus:
     def test_single_block(self, capsys):
@@ -115,6 +120,11 @@ class TestCensus:
         assert [r["result"]["kernel_dim"] for r in records] == [1, 2, 8, 20]
         assert all(set(r) == {"command", "params", "result"} for r in records)
         assert all("complete" not in json.dumps(r) for r in records)
+
+    def test_empty_degree_range(self, capsys):
+        code, out, err = run(capsys, "census", "--n", "2", "--k", "1", "--max-degree", "-1")
+        assert code == 2
+        assert out == "" and "max-degree" in err
 
 
 class TestExpressionCommands:

@@ -4,8 +4,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import ungraded_kernel_dimension
+from conftest import sparse_rank, ungraded_kernel_dimension
 from weitzenboeck import (
     Ambient,
     GradedPieceKey,
@@ -17,7 +19,6 @@ from weitzenboeck import (
     UnsupportedK,
     WeitzenboeckDerivation,
     completeness_check,
-    compositions,
     evaluate_combination,
     express_in_generators,
     generator_products,
@@ -25,11 +26,13 @@ from weitzenboeck import (
     graded_monomials,
     kernel_basis,
     kernel_census,
-    nullspace,
+    kernel_dim,
+    kernel_piece_basis,
     parse,
     piece_keys,
     span_dimension,
 )
+from weitzenboeck.kernel import compositions, nullspace, rref
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -81,10 +84,10 @@ def test_compositions():
 
 class TestNullspace:
     def test_identity(self):
-        assert nullspace([[1, 0], [0, 1]], 2) == []
+        assert nullspace([{0: 1}, {1: 1}], 2) == []
 
     def test_zero_matrix(self):
-        vecs = nullspace([[0, 0, 0], [0, 0, 0]], 3)
+        vecs = nullspace([{}, {}], 3)
         assert vecs == [
             (1, 0, 0),
             (0, 1, 0),
@@ -92,7 +95,7 @@ class TestNullspace:
         ]
 
     def test_single_relation(self):
-        assert nullspace([[1, 1]], 2) == [(1, -1)]
+        assert nullspace([{0: 1, 1: 1}], 2) == [(1, -1)]
 
     def test_no_rows(self):
         assert nullspace([], 2) == [(1, 0), (0, 1)]
@@ -103,7 +106,7 @@ class TestNullspace:
             rows = rng.randint(0, 4)
             cols = rng.randint(1, 5)
             m = [[Fraction(rng.randint(-3, 3)) for _ in range(cols)] for _ in range(rows)]
-            basis = nullspace(m, cols)
+            basis = nullspace([{j: c for j, c in enumerate(row) if c} for row in m], cols)
             for v in basis:
                 # M v = 0 exactly
                 for row in m:
@@ -114,6 +117,54 @@ class TestNullspace:
                 for w in basis:
                     if w is not v:
                         assert w[lead] == 0
+            assert len(basis) == cols - sparse_rank({j: c for j, c in enumerate(row) if c} for row in m)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Small sparse rational matrices with some trailing augmented columns: (rows, ncols)."""
+    width = draw(st.integers(1, 6))
+    ncols = draw(st.integers(0, width))
+    entry = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    dense = draw(st.lists(st.lists(entry, min_size=width, max_size=width), max_size=6))
+    return [{j: c for j, c in enumerate(row) if c} for row in dense], ncols
+
+
+class TestRref:
+    @given(sparse_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_reduced_echelon_form(self, matrix):
+        rows, ncols = matrix
+        reduced, pivots = rref(rows, ncols)
+        assert len(pivots) == sparse_rank({c: v for c, v in row.items() if c < ncols} for row in rows)
+        assert pivots == sorted(pivots) and all(p < ncols for p in pivots)
+        for row, p in zip(reduced, pivots):
+            assert row[p] == 1
+            assert all(p not in other for other in reduced if other is not row)
+            assert min(row) == p
+        leftover = reduced[len(pivots):]
+        assert all(row and min(row) >= ncols for row in leftover)
+        # every input row reduces to zero against the pivot rows, up to the leftover rows
+        for source in rows:
+            rest = dict(source)
+            for row, p in zip(reduced, pivots):
+                f = rest.get(p)
+                if f:
+                    for c, v in row.items():
+                        rest[c] = rest.get(c, 0) - f * v
+            rest = {c: v for c, v in rest.items() if v}
+            assert sparse_rank(leftover + [rest]) == sparse_rank(leftover)
+
+    def test_augmented_column_carried(self):
+        # x + y = 3, x - y = 1  ->  x = 2, y = 1
+        reduced, pivots = rref([{0: 1, 1: 1, 2: 3}, {0: 1, 1: -1, 2: 1}], 2)
+        assert pivots == [0, 1]
+        assert reduced == [{0: 1, 2: 2}, {1: 1, 2: 1}]
+
+    def test_inconsistent_row_left_over(self):
+        reduced, pivots = rref([{0: 1, 1: 1}, {0: 2, 1: 5}], 1)
+        assert pivots == [0]
+        assert reduced == [{0: 1, 1: 1}, {1: 3}]
 
 
 class TestKernelBasis:
@@ -140,6 +191,31 @@ class TestKernelBasis:
             basis = kernel_basis(n, k, d)
             assert all(deriv.is_in_kernel(b) for b in basis)
             assert basis == kernel_basis(n, k, d)
+
+    def test_piece_bases_in_reduced_echelon_form(self):
+        # a subspace has exactly one reduced echelon basis, so this pins the bases
+        pieces = (
+            (3, 1, GradedPieceKey((1, 1, 2), 1)),
+            (2, 2, GradedPieceKey((2, 2), 2)),
+            (3, 2, GradedPieceKey((1, 1, 1), 2)),
+            (2, 3, GradedPieceKey((2, 2), 4)),
+            (1, 3, GradedPieceKey((6,), 6)),
+        )
+        for n, k, key in pieces:
+            amb = Ambient(n, k)
+            deriv = WeitzenboeckDerivation(n, k)
+            cols = graded_monomials(n, k, key)
+            basis = kernel_piece_basis(n, k, key)
+            vecs = [[b.coefficient(m) for m in cols] for b in basis]
+            assert [len(b) for b in basis] == [sum(1 for c in v if c) for v in vecs]
+            leads = [next(j for j, c in enumerate(v) if c) for v in vecs]
+            assert leads == sorted(set(leads))
+            for v, lead in zip(vecs, leads):
+                assert v[lead] == 1
+                assert [w[lead] for w in vecs].count(0) == len(vecs) - 1
+            assert all(deriv.is_in_kernel(b) for b in basis)
+            images = [dict(deriv.apply(Polynomial(amb, {m: 1})).items()) for m in cols]
+            assert len(basis) == len(cols) - sparse_rank(images) > 1
 
     def test_oracle_self_consistency_spot_check(self):
         assert len(kernel_basis(2, 2, 3)) == ungraded_kernel_dimension(2, 2, 3)

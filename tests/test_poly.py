@@ -187,3 +187,12 @@ def test_immutability():
     p = parse("x1", A21)
     with pytest.raises(AttributeError):
         p.ambient = A12
+
+
+def test_exponents_must_be_non_negative_ints():
+    # A21 has width 6: x1, y1, x2, y2, CX, CY
+    for exps in ((1, 0, 0, 0, 0), (-1, 0, 0, 0, 0, 0), (1.5, 0, 0, 0, 0, 0), (True, 0, 0, 0, 0, 0), (1.0, 0, 0, 0, 0, 0)):
+        with pytest.raises(AmbientMismatch):
+            Polynomial(A21, {exps: 1})
+    p = Polynomial(A21, {(2, 0, 0, 1, 0, 0): 3})
+    assert parse(str(p), A21) == p
