@@ -24,8 +24,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--n", type=int, required=True, help="number of chain blocks (>= 1)")
     common.add_argument("--k", type=int, default=1, help="chain length minus one (default 1)")
-    common.add_argument("--max-degree", type=int, default=None, help="largest total degree to process")
-    common.add_argument("--degree", type=int, default=None, help="process a single total degree")
+    degrees = common.add_mutually_exclusive_group()
+    degrees.add_argument("--max-degree", type=int, default=None, help="largest total degree to process")
+    degrees.add_argument("--degree", type=int, default=None, help="process a single total degree")
     common.add_argument("--output", choices=("text", "machine"), default="text", help="output format")
     common.add_argument("--seed", type=int, default=0, help="accepted for interface stability; no shipped command is randomized")
 
@@ -159,9 +160,8 @@ def _format_combination(combination) -> str:
         return "0"
     parts = []
     for labels, coeff in combination.items():
-        body = "*".join(labels)
-        if abs(coeff) != 1:
-            body = f"{abs(coeff)}*{body}"
+        # the coefficient prints unless it is +-1 on a nonempty product
+        body = "*".join(labels if labels and abs(coeff) == 1 else (str(abs(coeff)),) + labels)
         if not parts:
             parts.append(f"-{body}" if coeff < 0 else body)
         else:

@@ -13,8 +13,10 @@ taken as columns minus rank, without building a basis.
 
 A completeness certificate for a degree d compares, piece by piece, the
 kernel dimension against the dimension spanned by all degree-d products
-of the known generators.  Equality certifies that the generators span
-the kernel in that degree.
+of the known generators; equality certifies that they span the kernel
+in that degree.  A product's piece is the sum of its factors' pieces, so
+products are grouped by piece from their labels alone, and each is
+expanded once (`evaluate_combination`), only where it is used.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
 from .derivation import GeneratorSet, WeitzenboeckDerivation, generators
-from .errors import InvalidKey, NonHomogeneous, NotInKernel, NotInSpan
+from .errors import AmbientMismatch, InvalidKey, NonHomogeneous, NotInKernel, NotInSpan
 from .poly import Ambient, Exponents, Polynomial, monomial_sort_key
 
 
@@ -73,10 +75,10 @@ class CompletenessReport:
 
 
 class Product(NamedTuple):
-    """A product of generators: the label multiset and its expanded value."""
+    """A product of generators: the label multiset and the graded piece it lies in."""
 
     labels: tuple[str, ...]
-    value: Polynomial
+    key: GradedPieceKey
 
 
 # -- monomial enumeration ----------------------------------------------------
@@ -288,28 +290,28 @@ def kernel_census(n: int, k: int, max_degree: int) -> dict[int, int]:
 def generator_products(gens: GeneratorSet, degree: int) -> list[Product]:
     """All monomials in the generators of total ring degree exactly `degree`.
 
-    Enumerated as label multisets in label order (higher multiplicity of
-    earlier generators first); linear dependence among the values is
-    allowed and handled downstream by rank computations.
+    Label multisets in label order (higher multiplicity of earlier
+    generators first), each keyed by the sum of its factors' graded
+    pieces; nothing is expanded, and the values may be linearly dependent.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    items = list(gens.items)
-    degrees = [p.total_degree() for _, p in items]
+    items = [(label, *g.gradings()) for label, g in gens.items]  # each generator lies in one piece
     out: list[Product] = []
 
-    def rec(idx: int, remaining: int, labels: tuple[str, ...], value: Polynomial):
+    def rec(idx: int, remaining: int, labels: tuple[str, ...], bd: tuple[int, ...], w: int):
         if remaining == 0:
-            out.append(Product(labels, value))
+            out.append(Product(labels, GradedPieceKey(bd, w)))
             return
         if idx == len(items):
             return
-        label, g = items[idx]
-        d = degrees[idx]
+        label, (g_bd, g_w, _) = items[idx]
+        d = sum(g_bd)
         for mult in range(remaining // d, -1, -1):
-            rec(idx + 1, remaining - mult * d, labels + (label,) * mult, value * g**mult)
+            m_bd = tuple(a + mult * b for a, b in zip(bd, g_bd))
+            rec(idx + 1, remaining - mult * d, labels + (label,) * mult, m_bd, w + mult * g_w)
 
-    rec(0, degree, (), Polynomial.one(Ambient(gens.n, gens.k)))
+    rec(0, degree, (), (0,) * gens.n, 0)
     return out
 
 
@@ -318,12 +320,14 @@ def span_dimension(polys: Sequence[Polynomial], where: int | GradedPieceKey | No
 
     Every nonzero polynomial must be homogeneous; `where` narrows the
     check to a total degree (int) or to a single graded piece key.
-    Raises NonHomogeneous on violations.
+    Raises NonHomogeneous on violations, AmbientMismatch on mixed ambients.
     """
     nonzero = []
     for p in polys:
         if p.is_zero:
             continue
+        if nonzero and p.ambient != nonzero[0].ambient:
+            raise AmbientMismatch(f"span of polynomials from different ambients: {nonzero[0].ambient} vs {p.ambient}")
         d = p.homogeneous_degree()
         if d is None:
             raise NonHomogeneous(f"polynomial mixes total degrees: {p}")
@@ -336,25 +340,19 @@ def span_dimension(polys: Sequence[Polynomial], where: int | GradedPieceKey | No
     return len(rref(matrix_rows(nonzero), len(nonzero))[1])
 
 
-def _product_key(product: Product) -> GradedPieceKey:
-    # generator products are concentrated in a single graded piece
-    (bd, w, _), = product.value.gradings()
-    return GradedPieceKey(bd, w)
-
-
 def completeness_check(n: int, k: int, degree: int, exclude: Sequence[str] = ()) -> CompletenessReport:
     """Compare kernel dimension with the generator-product span, piece by piece."""
     gens = generators(n, k).without(*exclude)
-    products = generator_products(gens, degree)
     by_piece: dict[GradedPieceKey, list[Polynomial]] = defaultdict(list)
-    for product in products:
-        by_piece[_product_key(product)].append(product.value)
+    for product in generator_products(gens, degree):
+        by_piece[product.key].append(evaluate_combination({product.labels: 1}, gens))
 
     pieces: list[PieceReport] = []
     kernel_total = 0
     span_total = 0
     for key in piece_keys(n, k, degree):
         kdim = _piece_kernel_dim(n, k, key)
+        # the piece check also cross-checks each label-arithmetic key against its expanded value
         sdim = span_dimension(by_piece.get(key, ()), key)
         if kdim or sdim:
             pieces.append(PieceReport(key, kdim, sdim))
@@ -401,19 +399,19 @@ def express_in_generators(p: Polynomial, gens: GeneratorSet) -> Combination:
     # restricting to products in p's pieces reproduces the full echelon
     # solution: pieces have disjoint monomial support, so out-of-piece
     # coefficients of the free-variables-zero solution are exactly 0
-    products = [pr for pr in generator_products(gens, degree) if _product_key(pr) in target_keys]
+    products = [pr.labels for pr in generator_products(gens, degree) if pr.key in target_keys]
 
     # column j holds product j; p rides along as the augmented column `rhs`
     rhs = len(products)
-    reduced, pivots = rref(matrix_rows([pr.value for pr in products] + [p]), rhs)
+    reduced, pivots = rref(matrix_rows([evaluate_combination({labels: 1}, gens) for labels in products] + [p]), rhs)
     if len(reduced) > len(pivots):
         raise NotInSpan(f"{p} is not spanned by generator products of degree {degree}")
-    return {products[col].labels: row[rhs] for row, col in zip(reduced, pivots) if rhs in row}
+    return {products[col]: row[rhs] for row, col in zip(reduced, pivots) if rhs in row}
 
 
-def evaluate_combination(combination: Combination, gens: GeneratorSet, ambient: Ambient | None = None) -> Polynomial:
-    """Expand a label-multiset combination back into a polynomial."""
-    amb = ambient or Ambient(gens.n, gens.k)
+def evaluate_combination(combination: Combination, gens: GeneratorSet) -> Polynomial:
+    """Expand a label-multiset combination; the one routine that expands generator products."""
+    amb = Ambient(gens.n, gens.k)
     total = Polynomial.zero(amb)
     for labels, coeff in combination.items():
         term = Polynomial.constant(amb, coeff)

@@ -95,6 +95,13 @@ class TestVerify:
         assert code == 2
         assert out == "" and "max-degree" in err
 
+    def test_degree_flags_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--n", "2", "--k", "1", "--degree", "2", "--max-degree", "5"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not allowed with" in captured.err
+
 
 class TestCensus:
     def test_single_block(self, capsys):
@@ -125,6 +132,13 @@ class TestCensus:
         code, out, err = run(capsys, "census", "--n", "2", "--k", "1", "--max-degree", "-1")
         assert code == 2
         assert out == "" and "max-degree" in err
+
+    def test_degree_flags_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["census", "--n", "2", "--k", "1", "--degree", "2", "--max-degree", "5"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not allowed with" in captured.err
 
 
 class TestExpressionCommands:
@@ -157,6 +171,15 @@ class TestExpressionCommands:
             capsys, "express", "--n", "2", "--k", "1", "--poly", "x1^2 + x1*y2 - x2*y1"
         )
         assert code == 0 and out.strip() == "x1*x1 + J1,2"
+
+    def test_express_constant(self, capsys):
+        # the degree-0 product has no labels: the constant prints bare
+        for poly, text in (("3", "3"), ("1", "1"), ("-2/3", "-2/3"), ("0", "0")):
+            code, out, _ = run(capsys, "express", "--n", "2", "--k", "1", f"--poly={poly}")
+            assert code == 0 and out == text + "\n"
+        code, out, _ = run(capsys, "express", "--n", "2", "--poly", "3", "--output", "machine")
+        assert code == 0
+        assert json.loads(out)["result"] == {"in_span": True, "combination": [{"labels": [], "coeff": "3"}]}
 
     def test_express_not_in_kernel(self, capsys):
         code, _, err = run(capsys, "express", "--n", "2", "--k", "1", "--poly", "y1")

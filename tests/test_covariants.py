@@ -11,6 +11,7 @@ from weitzenboeck import (
     NegativeOrder,
     NonHomogeneousOrder,
     WeitzenboeckDerivation,
+    evaluate_combination,
     generator_products,
     generators,
     jacobian,
@@ -218,7 +219,8 @@ def test_closure_of_transvection_with_linear_forms():
                     degree = image.homogeneous_degree()
                     if degree not in span_pivots:
                         span_pivots[degree] = _sparse_pivots(
-                            pr.value for pr in generator_products(gens, degree)
+                            evaluate_combination({pr.labels: 1}, gens)
+                            for pr in generator_products(gens, degree)
                         )
                     assert not _sparse_reduce(dict(image.items()), span_pivots[degree])
                     checked += 1

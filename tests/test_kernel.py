@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import sparse_rank, ungraded_kernel_dimension
 from weitzenboeck import (
     Ambient,
+    AmbientMismatch,
     GradedPieceKey,
     InvalidKey,
     NonHomogeneous,
@@ -32,7 +33,7 @@ from weitzenboeck import (
     piece_keys,
     span_dimension,
 )
-from weitzenboeck.kernel import compositions, nullspace, rref
+from weitzenboeck.kernel import compositions, matrix_rows, nullspace, rref
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -221,15 +222,38 @@ class TestKernelBasis:
         assert len(kernel_basis(2, 2, 3)) == ungraded_kernel_dimension(2, 2, 3)
 
 
+def _expand(product, gens):
+    return evaluate_combination({product.labels: 1}, gens)
+
+
 class TestGeneratorProducts:
     def test_degree_two_products(self):
-        prods = generator_products(generators(2, 1), 2)
+        gens = generators(2, 1)
+        prods = generator_products(gens, 2)
         assert [p.labels for p in prods] == [("x1", "x1"), ("x1", "x2"), ("x2", "x2"), ("J1,2",)]
-        assert [str(p.value) for p in prods] == ["x1^2", "x1*x2", "x2^2", "x1*y2 - x2*y1"]
+        assert [str(_expand(p, gens)) for p in prods] == ["x1^2", "x1*x2", "x2^2", "x1*y2 - x2*y1"]
+        assert [p.key for p in prods] == [
+            GradedPieceKey((2, 0), 0),
+            GradedPieceKey((1, 1), 0),
+            GradedPieceKey((0, 2), 0),
+            GradedPieceKey((1, 1), 1),
+        ]
 
     def test_degree_one_products(self):
-        prods = generator_products(generators(2, 1), 1)
-        assert [str(p.value) for p in prods] == ["x1", "x2"]
+        gens = generators(2, 1)
+        prods = generator_products(gens, 1)
+        assert [str(_expand(p, gens)) for p in prods] == ["x1", "x2"]
+
+    def test_key_is_the_piece_of_the_expanded_product(self):
+        # the key comes from label arithmetic alone; it must name the one
+        # graded piece the expanded product lies in
+        for n, k in ((1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2)):
+            full = generators(n, k)
+            for gens in (full, full.without(full.labels()[0]), full.without(full.labels()[-1])):
+                for d in range(5):
+                    for pr in generator_products(gens, d):
+                        ((bd, w, cov),) = _expand(pr, gens).gradings()
+                        assert (GradedPieceKey(bd, w), cov) == (pr.key, 0)
 
     def test_degree_four_multisets(self):
         prods = generator_products(generators(1, 2), 4)
@@ -240,18 +264,45 @@ class TestGeneratorProducts:
         ]
 
     def test_degree_zero(self):
-        prods = generator_products(generators(2, 1), 0)
-        assert len(prods) == 1 and prods[0].labels == () and prods[0].value == 1
+        gens = generators(2, 1)
+        prods = generator_products(gens, 0)
+        assert len(prods) == 1 and prods[0].labels == () and _expand(prods[0], gens) == 1
+        assert prods[0].key == GradedPieceKey((0, 0), 0)
 
     def test_monotone_consistency(self):
         gens = generators(2, 2)
         linear = [p for _, p in gens.items if p.total_degree() == 1]
         for d in (2, 3, 4):
             smaller = generator_products(gens, d - 1)
-            larger = {pr.value for pr in generator_products(gens, d)}
+            larger = {_expand(pr, gens) for pr in generator_products(gens, d)}
             for pr in smaller:
                 for g in linear:
-                    assert pr.value * g in larger
+                    assert _expand(pr, gens) * g in larger
+
+
+class TestEvaluateCombination:
+    def test_matches_plain_polynomial_products(self):
+        # express builds its columns with this function, so check it against
+        # products written out with Polynomial arithmetic directly
+        rng = random.Random(7)
+        for n, k in ((2, 1), (3, 1), (2, 2), (3, 2)):
+            gens = generators(n, k)
+            labels = gens.labels()
+            amb = Ambient(n, k)
+            for _ in range(20):
+                combination = {}
+                expected = Polynomial.zero(amb)
+                for _ in range(rng.randint(0, 4)):
+                    factors = tuple(sorted(rng.choices(labels, k=rng.randint(0, 3)), key=labels.index))
+                    coeff = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                    if factors in combination or not coeff:
+                        continue
+                    combination[factors] = coeff
+                    term = Polynomial.constant(amb, coeff)
+                    for label in factors:
+                        term = term * gens.value(label)
+                    expected = expected + term
+                assert evaluate_combination(combination, gens) == expected
 
 
 class TestSpanDimension:
@@ -278,6 +329,13 @@ class TestSpanDimension:
     def test_zero_polys_ignored(self):
         amb = Ambient(2, 1)
         assert span_dimension([Polynomial.zero(amb)]) == 0
+
+    def test_mixed_ambients_rejected(self):
+        polys = [parse("x1", Ambient(1, 1)), parse("x1", Ambient(2, 1))]
+        with pytest.raises(AmbientMismatch):
+            span_dimension(polys)
+        # zero polynomials take no part, whatever their ambient
+        assert span_dimension([Polynomial.zero(Ambient(2, 1)), parse("x1", Ambient(1, 1))]) == 1
 
     def test_piece_key_scope(self):
         amb = Ambient(2, 1)
@@ -354,6 +412,22 @@ class TestExpress:
         gens = generators(1, 2).without("H1,1")
         with pytest.raises(NotInSpan):
             express_in_generators(parse("2*x1*z1 - y1^2", Ambient(1, 2)), gens)
+
+    def test_piece_filter_matches_solve_over_all_products(self):
+        # express solves only over the products in p's graded pieces; pieces
+        # have disjoint monomial support, so an echelon solve over every
+        # degree-d product must give exactly the same combination
+        for n, k, top in ((2, 1, 4), (1, 2, 4), (3, 1, 3)):
+            gens = generators(n, k)
+            for d in range(top + 1):
+                products = [pr.labels for pr in generator_products(gens, d)]
+                columns = [evaluate_combination({labels: 1}, gens) for labels in products]
+                rhs = len(products)
+                for b in kernel_basis(n, k, d):
+                    reduced, pivots = rref(matrix_rows(columns + [b]), rhs)
+                    assert len(reduced) == len(pivots)
+                    full = {products[c]: row[rhs] for row, c in zip(reduced, pivots) if rhs in row}
+                    assert express_in_generators(b, gens) == full
 
     def test_round_trip_reconstruction(self):
         for n, k in ((2, 1), (1, 2)):
