@@ -32,7 +32,6 @@ from .kernel import (
     generator_products,
     graded_monomials,
     kernel_basis,
-    kernel_census,
     kernel_dim,
     kernel_piece_basis,
     piece_keys,
@@ -83,7 +82,6 @@ __all__ = [
     "graded_monomials",
     "jacobian",
     "kernel_basis",
-    "kernel_census",
     "kernel_dim",
     "kernel_piece_basis",
     "linear_form",

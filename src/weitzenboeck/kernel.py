@@ -4,12 +4,12 @@ The derivation preserves the per-block multidegree of a monomial and
 lowers its weight (sum of level * exponent) by exactly 1.  The space of
 degree-d ring monomials therefore splits into graded pieces keyed by
 (block_degrees, weight), D maps the piece (b, w) into (b, w-1), and the
-kernel in degree d is the direct sum of the per-piece nullspaces.  All
-linear algebra goes through one sparse Gauss-Jordan routine over
-Fraction (`rref`, first-nonzero pivoting) on matrices whose columns are
-polynomials (`matrix_rows`); its reduced echelon form is unique, so
-bases and dimensions are deterministic and reproducible.  Dimensions are
-taken as columns minus rank, without building a basis.
+kernel in degree d is the direct sum of the per-piece kernels.  Their
+dimensions are counted from numbers of monomials (`_piece_kernel_dim`),
+with no matrix.  Bases, span ranks and `express` go through one sparse
+Gauss-Jordan routine over Fraction (`rref`, first-nonzero pivoting) on
+matrices whose columns are polynomials (`matrix_rows`); its reduced
+echelon form is unique, so bases are deterministic and reproducible.
 
 A completeness certificate for a degree d compares, piece by piece, the
 kernel dimension against the dimension spanned by all degree-d products
@@ -235,31 +235,37 @@ def nullspace(rows: Sequence[SparseRow], ncols: int) -> list[tuple[Fraction, ...
 # -- kernel bases ------------------------------------------------------------
 
 
-def _derivation_rows(n: int, k: int, key: GradedPieceKey) -> tuple[list[Exponents], list[SparseRow]]:
-    """The monomials of piece `key` and the sparse matrix of D on them (column j is D(m_j))."""
+def kernel_piece_basis(n: int, k: int, key: GradedPieceKey) -> list[Polynomial]:
+    """Echelon basis of ker D within a single graded piece, by elimination of D's matrix."""
     cols = graded_monomials(n, k, key)
     amb = Ambient(n, k)
     deriv = WeitzenboeckDerivation(n, k)
-    return cols, matrix_rows([deriv.apply(Polynomial(amb, {mono: 1})) for mono in cols])
-
-
-def kernel_piece_basis(n: int, k: int, key: GradedPieceKey) -> list[Polynomial]:
-    """Echelon basis of ker D within a single graded piece."""
-    cols, rows = _derivation_rows(n, k, key)
-    amb = Ambient(n, k)
+    rows = matrix_rows([deriv.apply(Polynomial(amb, {mono: 1})) for mono in cols])
     return [Polynomial(amb, {mono: c for mono, c in zip(cols, vec) if c}) for vec in nullspace(rows, len(cols))]
 
 
 def _piece_kernel_dim(n: int, k: int, key: GradedPieceKey) -> int:
-    cols, rows = _derivation_rows(n, k, key)
-    return len(cols) - len(rref(rows, len(cols))[1])
+    """dim ker D on piece (b, w): N(b, w) - N(b, w-1) if 2w <= k|b|, else 0; N counts monomials.
+
+    D is the lowering element of an sl2-triple (Jacobson-Morozov); each b
+    gives a finite-dimensional module in which weight w has h-eigenvalue
+    2w - k|b|, so D maps weight w onto w-1 when 2w <= k|b| and injectively
+    when 2w > k|b| (Cayley-Sylvester).  Certificates rest on span_dim <=
+    kernel_dim, which holds because generator products lie in ker D.
+    """
+    block_degrees, weight = key
+    if 2 * weight > k * sum(block_degrees):
+        return 0
+    below = len(graded_monomials(n, k, GradedPieceKey(block_degrees, weight - 1))) if weight else 0
+    return len(graded_monomials(n, k, key)) - below
 
 
 def kernel_dim(n: int, k: int, degree: int) -> int:
     """Dimension of the degree-d homogeneous component of ker D.
 
-    Sums columns minus rank over the graded pieces; builds no basis.
+    Sums the per-piece count of `_piece_kernel_dim`; builds no matrix.
     """
+    Ambient(n, k)  # validates n and k
     if degree < 0:
         raise ValueError("degree must be >= 0")
     return sum(_piece_kernel_dim(n, k, key) for key in piece_keys(n, k, degree))
@@ -271,17 +277,13 @@ def kernel_basis(n: int, k: int, degree: int) -> list[Polynomial]:
     Direct sum of per-piece nullspaces, concatenated over sorted piece
     keys; every element is annihilated by D exactly.
     """
+    Ambient(n, k)  # validates n and k
     if degree < 0:
         raise ValueError("degree must be >= 0")
     basis: list[Polynomial] = []
     for key in piece_keys(n, k, degree):
         basis.extend(kernel_piece_basis(n, k, key))
     return basis
-
-
-def kernel_census(n: int, k: int, max_degree: int) -> dict[int, int]:
-    """Per-degree kernel dimensions for 0..max_degree; makes no claim of generation."""
-    return {d: kernel_dim(n, k, d) for d in range(max_degree + 1)}
 
 
 # -- generator products and spans ---------------------------------------------
