@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .covariants import Covariant, tau, transvectant
 from .derivation import WeitzenboeckDerivation, generators
@@ -20,7 +21,13 @@ from .kernel import completeness_check, express_in_generators, kernel_dim
 from .poly import Ambient, parse
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process and shared by every `main` call.
+
+    Parsing does not change it: argparse copies the `--exclude` default list
+    before appending, so calls share no state.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--n", type=int, required=True, help="number of chain blocks (>= 1)")
     common.add_argument("--k", type=int, default=1, help="chain length minus one (default 1)")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 from .errors import AmbientMismatch, UnsupportedK
@@ -87,6 +88,9 @@ class GeneratorSet:
     k: int
     items: tuple[tuple[str, Polynomial], ...]
 
+    def __post_init__(self):
+        object.__setattr__(self, "_by_label", dict(self.items))
+
     def __iter__(self):
         return iter(self.items)
 
@@ -97,10 +101,7 @@ class GeneratorSet:
         return [label for label, _ in self.items]
 
     def value(self, label: str) -> Polynomial:
-        for lab, p in self.items:
-            if lab == label:
-                return p
-        raise KeyError(label)
+        return self._by_label[label]
 
     def without(self, *labels: str) -> "GeneratorSet":
         """A copy with the given generators removed (KeyError if a label is unknown)."""
@@ -112,12 +113,14 @@ class GeneratorSet:
         return GeneratorSet(self.n, self.k, tuple(it for it in self.items if it[0] not in dropped))
 
 
+@cache
 def generators(n: int, k: int) -> GeneratorSet:
     """The known kernel generator family for k = 1 or k = 2.
 
     Counts: n + C(n,2) for k = 1; additionally C(n+1,2) H's and C(n,3)
     determinants for k = 2.  Raises UnsupportedK for k >= 3, where finding
-    a generating family is an open problem.
+    a generating family is an open problem.  Built once per (n, k) and
+    shared: the set and its polynomials are immutable.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")

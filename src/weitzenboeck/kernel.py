@@ -6,17 +6,24 @@ degree-d ring monomials therefore splits into graded pieces keyed by
 (block_degrees, weight), D maps the piece (b, w) into (b, w-1), and the
 kernel in degree d is the direct sum of the per-piece kernels.  Their
 dimensions are counted from numbers of monomials (`_piece_kernel_dim`),
-with no matrix.  Bases, span ranks and `express` go through one sparse
-Gauss-Jordan routine over Fraction (`rref`, first-nonzero pivoting) on
-matrices whose columns are polynomials (`matrix_rows`); its reduced
-echelon form is unique, so bases are deterministic and reproducible.
+with no matrix: the number N(b, w) of monomials in piece (b, w) is read
+from a cached table of weight counts per (b, k), the convolution over
+the blocks of one cached table per (block degree, k).  Bases, exact span
+ranks and `express` go through one sparse Gauss-Jordan routine over
+Fraction (`rref`, first-nonzero pivoting) on matrices whose columns are
+polynomials (`matrix_rows`); its reduced echelon form is unique, so bases
+are deterministic and reproducible.
 
 A completeness certificate for a degree d compares, piece by piece, the
 kernel dimension against the dimension spanned by all degree-d products
 of the known generators; equality certifies that they span the kernel
 in that degree.  A product's piece is the sum of its factors' pieces, so
 products are grouped by piece from their labels alone, and each is
-expanded once (`evaluate_combination`), only where it is used.
+expanded once, only where it is used, by one expander that multiplies a
+memoised prefix by a single generator (`_product_expander`).  Products
+have integer coefficients, so each piece is first ranked modulo a prime
+(`_piece_rank_mod_p`); a rank that reaches the kernel dimension certifies
+the piece, and only pieces that fall short are ranked exactly.
 """
 
 from __future__ import annotations
@@ -24,7 +31,9 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence
+from functools import cache
+from operator import add
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .derivation import GeneratorSet, WeitzenboeckDerivation, generators
 from .errors import AmbientMismatch, InvalidKey, NonHomogeneous, NotInKernel, NotInSpan
@@ -146,16 +155,46 @@ def piece_keys(n: int, k: int, degree: int) -> list[GradedPieceKey]:
     return keys
 
 
+@cache
+def _block_weight_counts(degree: int, k: int) -> tuple[int, ...]:
+    """Monomials of the given degree in one block (levels 0..k), counted by weight 0..k*degree.
+
+    A monomial either has no level-k factor, or is a monomial of degree - 1
+    times one (weight + k); the counts are Gaussian binomial coefficients.
+    """
+    if degree == 0 or k == 0:
+        return (1,)
+    counts = list(_block_weight_counts(degree, k - 1)) + [0] * degree
+    for w, c in enumerate(_block_weight_counts(degree - 1, k)):
+        counts[w + k] += c
+    return tuple(counts)
+
+
+@cache
+def _weight_counts(block_degrees: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """N(b, w) for w = 0..k|b|: the block counts convolved over the blocks of b."""
+    if not block_degrees:
+        return (1,)
+    head = _weight_counts(block_degrees[:-1], k)
+    last = _block_weight_counts(block_degrees[-1], k)
+    counts = [0] * (len(head) + len(last) - 1)
+    for i, a in enumerate(head):
+        for j, c in enumerate(last):
+            counts[i + j] += a * c
+    return tuple(counts)
+
+
 # -- exact linear algebra ----------------------------------------------------
 
 SparseRow = dict[int, Fraction]
+Terms = dict[Exponents, int | Fraction]  # an expanded product: exponents -> nonzero coefficient
 
 
-def matrix_rows(polys: Sequence[Polynomial]) -> list[SparseRow]:
+def matrix_rows(polys: Sequence[Polynomial | Terms]) -> list[SparseRow]:
     """Sparse rows of the matrix whose j-th column holds the coefficients of polys[j].
 
-    One row per monomial occurring in some polynomial, mapping column
-    index to nonzero coefficient.
+    One row per monomial occurring in some polynomial (or term map),
+    mapping column index to nonzero coefficient.
     """
     by_monomial: dict[Exponents, SparseRow] = {}
     for j, p in enumerate(polys):
@@ -175,7 +214,7 @@ def _subtract(row: SparseRow, f: Fraction, other: SparseRow) -> None:
 
 
 def rref(rows: Sequence[SparseRow], ncols: int) -> tuple[list[SparseRow], list[int]]:
-    """Sparse reduced row echelon form over Fraction.
+    """Sparse reduced row echelon form over Fraction (entries may be int or Fraction).
 
     Pivots only on columns < ncols; later columns are carried along as an
     augmented right-hand side.  Each row is reduced against the pivots so
@@ -199,7 +238,7 @@ def rref(rows: Sequence[SparseRow], ncols: int) -> tuple[list[SparseRow], list[i
             if row:
                 leftover.append(row)
             continue
-        inv = 1 / row[lead]
+        inv = 1 / Fraction(row[lead])
         row = {c: v * inv for c, v in row.items()}
         for prow in pivot_rows.values():
             if lead in prow:
@@ -252,12 +291,16 @@ def _piece_kernel_dim(n: int, k: int, key: GradedPieceKey) -> int:
     2w - k|b|, so D maps weight w onto w-1 when 2w <= k|b| and injectively
     when 2w > k|b| (Cayley-Sylvester).  Certificates rest on span_dim <=
     kernel_dim, which holds because generator products lie in ker D.
+
+    N(b, w) and N(b, w-1) are read from the cached table `_weight_counts(b, k)`,
+    so no monomial is listed; `graded_monomials` enumerates the same
+    numbers independently (the tests compare the two).
     """
     block_degrees, weight = key
     if 2 * weight > k * sum(block_degrees):
         return 0
-    below = len(graded_monomials(n, k, GradedPieceKey(block_degrees, weight - 1))) if weight else 0
-    return len(graded_monomials(n, k, key)) - below
+    counts = _weight_counts(tuple(block_degrees), k)
+    return counts[weight] - (counts[weight - 1] if weight else 0)
 
 
 def kernel_dim(n: int, k: int, degree: int) -> int:
@@ -342,20 +385,113 @@ def span_dimension(polys: Sequence[Polynomial], where: int | GradedPieceKey | No
     return len(rref(matrix_rows(nonzero), len(nonzero))[1])
 
 
+def _mul_terms(a: Terms, b: Terms) -> Terms:
+    """a * b for term maps, keeping only nonzero coefficients."""
+    out: Terms = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = tuple(map(add, ea, eb))
+            acc = out.get(key, 0) + ca * cb
+            if acc:
+                out[key] = acc
+            else:
+                out.pop(key, None)
+    return out
+
+
+def _product_expander(gens: GeneratorSet) -> Callable[[tuple[str, ...]], Terms]:
+    """The one expander of generator products: label multiset -> term map.
+
+    A multiset's terms are those of its prefix labels[:-1], memoised for
+    the expander's lifetime, times one generator.  Coefficients with
+    denominator 1 are kept as `int`, so products of integer generators
+    are expanded in integer arithmetic.  Raises KeyError on an unknown label.
+    """
+    values = {label: {e: c.numerator if c.denominator == 1 else c for e, c in p.items()} for label, p in gens}
+    one = (0,) * Ambient(gens.n, gens.k).width
+    prefixes: dict[tuple[str, ...], Terms] = {}
+
+    def expand(labels: tuple[str, ...]) -> Terms:
+        if not labels:
+            return {one: 1}
+        head = labels[:-1]
+        terms = prefixes.get(head)
+        if terms is None:
+            terms = prefixes[head] = expand(head)
+        return _mul_terms(terms, values[labels[-1]])
+
+    return expand
+
+
+_PRIME = (1 << 61) - 1
+
+
+def _piece_rank_mod_p(amb: Ambient, key: GradedPieceKey, products: Sequence[Terms], limit: int) -> int:
+    """Rank modulo the prime 2^61 - 1 of integer term maps that must lie in piece `key`.
+
+    Every coefficient must be an integer (ValueError otherwise), and every
+    monomial must lie in the piece (NonHomogeneous otherwise), which
+    cross-checks each product's label-arithmetic key against its expanded
+    value.  Elimination stops once the rank reaches `limit`; the checks
+    still run over every product.
+    """
+    piece = (tuple(key.block_degrees), key.weight, 0)
+    column: dict[Exponents, int] = {}
+    pivots: dict[int, dict[int, int]] = {}
+    for terms in products:
+        row: dict[int, int] = {}
+        for exps, c in terms.items():
+            if c.denominator != 1:
+                raise ValueError(f"modular rank needs integer coefficients, got {c}")
+            j = column.get(exps)
+            if j is None:
+                if (amb.block_degrees(exps), amb.weight(exps), amb.cov_degree(exps)) != piece:
+                    raise NonHomogeneous(f"product lies outside piece {key}: monomial {exps}")
+                j = column[exps] = len(column)
+            row[j] = c % _PRIME
+        while row and len(pivots) < limit:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inv = pow(row[lead], -1, _PRIME)
+                pivots[lead] = {col: v * inv % _PRIME for col, v in row.items()}
+                break
+            f = row[lead]
+            for col, v in pivot.items():
+                nv = (row.get(col, 0) - f * v) % _PRIME
+                if nv:
+                    row[col] = nv
+                else:
+                    del row[col]
+    return len(pivots)
+
+
 def completeness_check(n: int, k: int, degree: int, exclude: Sequence[str] = ()) -> CompletenessReport:
-    """Compare kernel dimension with the generator-product span, piece by piece."""
+    """Compare kernel dimension with the generator-product span, piece by piece.
+
+    Each piece is ranked modulo a prime first; only a piece whose modular
+    rank falls short of its kernel dimension is ranked exactly, so every
+    reported span_dim is the exact rank over Q.
+    """
+    amb = Ambient(n, k)
     gens = generators(n, k).without(*exclude)
-    by_piece: dict[GradedPieceKey, list[Polynomial]] = defaultdict(list)
+    expand = _product_expander(gens)
+    by_piece: dict[GradedPieceKey, list[tuple[str, ...]]] = defaultdict(list)
     for product in generator_products(gens, degree):
-        by_piece[product.key].append(evaluate_combination({product.labels: 1}, gens))
+        by_piece[product.key].append(product.labels)
 
     pieces: list[PieceReport] = []
     kernel_total = 0
     span_total = 0
     for key in piece_keys(n, k, degree):
         kdim = _piece_kernel_dim(n, k, key)
-        # the piece check also cross-checks each label-arithmetic key against its expanded value
-        sdim = span_dimension(by_piece.get(key, ()), key)
+        products = [expand(labels) for labels in by_piece.get(key, ())]
+        # rank_p <= rank_Q <= kdim: reducing an integer matrix mod p cannot raise
+        # its rank, and the products lie in ker D on this piece; so rank_p == kdim
+        # certifies rank_Q == kdim, and only a shortfall needs the exact rank
+        sdim = _piece_rank_mod_p(amb, key, products, kdim)
+        if sdim != kdim:
+            sdim = span_dimension([Polynomial(amb, terms) for terms in products], key)
         if kdim or sdim:
             pieces.append(PieceReport(key, kdim, sdim))
             kernel_total += kdim
@@ -405,19 +541,18 @@ def express_in_generators(p: Polynomial, gens: GeneratorSet) -> Combination:
 
     # column j holds product j; p rides along as the augmented column `rhs`
     rhs = len(products)
-    reduced, pivots = rref(matrix_rows([evaluate_combination({labels: 1}, gens) for labels in products] + [p]), rhs)
+    expand = _product_expander(gens)
+    reduced, pivots = rref(matrix_rows([expand(labels) for labels in products] + [p]), rhs)
     if len(reduced) > len(pivots):
         raise NotInSpan(f"{p} is not spanned by generator products of degree {degree}")
     return {products[col]: row[rhs] for row, col in zip(reduced, pivots) if rhs in row}
 
 
 def evaluate_combination(combination: Combination, gens: GeneratorSet) -> Polynomial:
-    """Expand a label-multiset combination; the one routine that expands generator products."""
-    amb = Ambient(gens.n, gens.k)
-    total = Polynomial.zero(amb)
+    """Expand a label-multiset combination: sum(coeff * prod(generators))."""
+    expand = _product_expander(gens)
+    total: dict[Exponents, Fraction] = {}
     for labels, coeff in combination.items():
-        term = Polynomial.constant(amb, coeff)
-        for label in labels:
-            term = term * gens.value(label)
-        total = total + term
-    return total
+        for exps, c in expand(labels).items():
+            total[exps] = total.get(exps, 0) + coeff * c
+    return Polynomial(Ambient(gens.n, gens.k), total)

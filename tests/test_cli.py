@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from weitzenboeck.cli import main
+from weitzenboeck.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -210,6 +210,23 @@ class TestContract:
         second = capsys.readouterr().out
         assert code1 == code2 == 0
         assert first == second
+
+    def test_successive_calls_share_no_state(self, capsys):
+        # one parser serves every call; --exclude appends to a shared default list
+        assert build_parser() is build_parser()
+        argv = ["verify", "--n", "1", "--k", "2", "--degree", "2", "--output", "machine"]
+        for _ in range(2):
+            code, out, _ = run(capsys, *argv, "--exclude", "H1,1")
+            doc = json.loads(out)
+            assert code == 1
+            assert doc["params"]["exclude"] == ["H1,1"]
+            assert doc["result"][0]["span_dim"] == 1
+            code, out, _ = run(capsys, *argv)
+            doc = json.loads(out)
+            assert code == 0
+            assert "exclude" not in doc["params"]
+            assert doc["result"][0]["span_dim"] == 2
+        assert build_parser().parse_args(argv).exclude == []
 
     def test_seed_flag_accepted(self, capsys):
         code, out, _ = run(capsys, "census", "--n", "1", "--k", "1", "--max-degree", "1", "--seed", "42")

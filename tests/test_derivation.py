@@ -161,7 +161,11 @@ class TestGenerators:
 
     def test_without(self):
         gens = generators(1, 2)
+        assert generators(1, 2) is gens  # built once per (n, k)
         assert gens.without("H1,1").labels() == ["x1"]
+        assert str(gens.without("x1").value("H1,1")) == "2*x1*z1 - y1^2"
+        with pytest.raises(KeyError):
+            gens.without("H1,1").value("H1,1")
         with pytest.raises(KeyError):
             gens.without("H9,9")
 

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import defaultdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,7 +34,7 @@ from weitzenboeck import (
     span_dimension,
 )
 from weitzenboeck import cli, kernel
-from weitzenboeck.kernel import _piece_kernel_dim, compositions, matrix_rows, nullspace, rref
+from weitzenboeck.kernel import _piece_kernel_dim, _piece_rank_mod_p, compositions, matrix_rows, nullspace, rref
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -375,6 +376,60 @@ class TestCompleteness:
         with pytest.raises(UnsupportedK):
             completeness_check(2, 3, 2)
 
+    @given(st.integers(1, 3), st.sampled_from([1, 2]), st.integers(0, 4), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_span_dim_is_the_exact_rank(self, n, k, degree, data):
+        # a piece certified mod p reports its kernel_dim as span_dim: compare every
+        # report with the exact rank of products expanded by plain Polynomial products
+        full = generators(n, k)
+        exclude = data.draw(st.lists(st.sampled_from(full.labels()), unique=True))
+        gens = full.without(*exclude)
+        amb = Ambient(n, k)
+        by_piece = defaultdict(list)
+        for pr in generator_products(gens, degree):
+            value = Polynomial.one(amb)
+            for label in pr.labels:
+                value = value * gens.value(label)
+            by_piece[pr.key].append(value)
+        rep = completeness_check(n, k, degree, exclude=exclude)
+        for piece in rep.per_piece:
+            assert piece.span_dim == span_dimension(by_piece[piece.key], piece.key)
+        reported = {piece.key for piece in rep.per_piece}
+        assert all(span_dimension(polys) == 0 for key, polys in by_piece.items() if key not in reported)
+
+    def test_complete_pieces_need_no_exact_rank(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("a piece whose modular rank reaches kernel_dim needs no exact rank")
+
+        monkeypatch.setattr(kernel, "span_dimension", boom)
+        monkeypatch.setattr(kernel, "rref", boom)
+        rep = completeness_check(3, 2, 4)
+        assert rep.complete and rep.per_piece
+        assert all(piece.span_dim == piece.kernel_dim for piece in rep.per_piece)
+
+    def test_short_piece_falls_back_to_exact_rank(self, monkeypatch):
+        exact = kernel.span_dimension
+        calls = []
+
+        def spy(polys, where=None):
+            calls.append(where)
+            return exact(polys, where)
+
+        monkeypatch.setattr(kernel, "span_dimension", spy)
+        rep = completeness_check(1, 2, 2, exclude=["H1,1"])
+        assert calls == [GradedPieceKey((2,), 2)]  # H1,1's piece, where no other product lies
+        assert (rep.kernel_dim, rep.span_dim, rep.complete) == (2, 1, False)
+
+    def test_modular_rank_checks_its_inputs(self):
+        amb = Ambient(2, 1)
+        key = GradedPieceKey((1, 1), 1)
+        x1y2, x2y1 = parse("x1*y2", amb).terms()[0][0], parse("x2*y1", amb).terms()[0][0]
+        assert _piece_rank_mod_p(amb, key, [{x1y2: 1, x2y1: -1}, {x1y2: 2, x2y1: -2}], 2) == 1
+        with pytest.raises(ValueError):
+            _piece_rank_mod_p(amb, key, [{x1y2: Fraction(1, 2)}], 1)
+        with pytest.raises(NonHomogeneous):
+            _piece_rank_mod_p(amb, key, [{x1y2: 1, parse("x1*x2", amb).terms()[0][0]: 1}], 1)
+
     def test_serialization_fields(self):
         doc = completeness_check(2, 1, 2).to_dict()
         assert set(doc) == {"n", "k", "degree", "kernel_dim", "span_dim", "complete", "per_piece"}
@@ -481,13 +536,25 @@ class TestCensus:
             assert _piece_kernel_dim(n, k, key) == len(kernel_piece_basis(n, k, key)) == len(cols) - sparse_rank(images)
         assert kernel_dim(n, k, degree) == ungraded_kernel_dimension(n, k, degree)
 
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=3), st.integers(1, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_weight_table_matches_enumeration(self, block_degrees, k):
+        # the count reads N(b, w) from the table; graded_monomials lists the
+        # monomials themselves, a path independent of the table's recurrence
+        b = tuple(block_degrees)
+        top = k * sum(b)
+        counts = kernel._weight_counts(b, k)
+        assert list(counts) == [len(graded_monomials(len(b), k, GradedPieceKey(b, w))) for w in range(top + 1)]
+
     def test_dimensions_need_no_elimination(self, monkeypatch, capsys):
         def boom(*args, **kwargs):
-            raise AssertionError("dimensions must not eliminate or apply D")
+            raise AssertionError("dimensions must not eliminate, apply D or list monomials")
 
         monkeypatch.setattr(kernel, "rref", boom)
         monkeypatch.setattr(WeitzenboeckDerivation, "apply", boom)
+        monkeypatch.setattr(kernel, "graded_monomials", boom)
         assert kernel_dim(2, 3, 4) == 50
+        assert kernel_dim(2, 3, 6) == 192
         assert cli.main(["census", "--n", "2", "--k", "3", "--max-degree", "4"]) == 0
         dims = [1, 2, 8, 20, 50]
         assert capsys.readouterr().out.splitlines() == [f"degree {d}: kernel_dim={dim}" for d, dim in enumerate(dims)]
