@@ -18,6 +18,7 @@ from .errors import (
     NotInKernel,
     NotInSpan,
     ParseError,
+    UnknownLabel,
     UnknownVariable,
     UnsupportedK,
 )
@@ -70,6 +71,7 @@ __all__ = [
     "PieceReport",
     "Polynomial",
     "Product",
+    "UnknownLabel",
     "UnknownVariable",
     "UnsupportedK",
     "Variable",

@@ -16,7 +16,7 @@ from functools import cache
 
 from .covariants import Covariant, tau, transvectant
 from .derivation import WeitzenboeckDerivation, generators
-from .errors import IndexOutOfRange, NotInKernel, NotInSpan, UnsupportedK
+from .errors import IndexOutOfRange, NotInKernel, NotInSpan, UnknownLabel, UnsupportedK
 from .kernel import completeness_check, express_in_generators, kernel_dim
 from .poly import Ambient, parse
 
@@ -223,7 +223,7 @@ def main(argv=None) -> int:
     except UnsupportedK as exc:
         print(f"error: {exc}; use 'census' for kernel dimensions when k >= 3", file=sys.stderr)
         return 2
-    except KeyError as exc:
+    except UnknownLabel as exc:
         print(f"error: unknown generator label {exc}", file=sys.stderr)
         return 2
     except (NotInKernel, NotInSpan) as exc:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 
-from .errors import AmbientMismatch, UnsupportedK
+from .errors import AmbientMismatch, UnknownLabel, UnsupportedK
 from .poly import Ambient, Exponents, Polynomial, x, y, z
 
 
@@ -104,11 +104,10 @@ class GeneratorSet:
         return self._by_label[label]
 
     def without(self, *labels: str) -> "GeneratorSet":
-        """A copy with the given generators removed (KeyError if a label is unknown)."""
-        known = set(self.labels())
+        """A copy with the given generators removed (UnknownLabel, a KeyError, if a label is unknown)."""
         for lab in labels:
-            if lab not in known:
-                raise KeyError(lab)
+            if lab not in self._by_label:
+                raise UnknownLabel(lab)
         dropped = set(labels)
         return GeneratorSet(self.n, self.k, tuple(it for it in self.items if it[0] not in dropped))
 

@@ -24,6 +24,10 @@ class ParseError(ValueError):
         self.position = position
 
 
+class UnknownLabel(KeyError):
+    """A generator label names no generator of the set."""
+
+
 class UnsupportedK(ValueError):
     """No closed generator family is implemented for this chain length."""
 

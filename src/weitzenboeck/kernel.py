@@ -20,7 +20,20 @@ of the known generators; equality certifies that they span the kernel
 in that degree.  A product's piece is the sum of its factors' pieces, so
 products are grouped by piece from their labels alone, and each is
 expanded once, only where it is used, by one expander that multiplies a
-memoised prefix by a single generator (`_product_expander`).  Products
+memoised prefix by a single generator (`_product_expander`).
+
+Products are enumerated as label multisets on packed integer keys
+(`generator_products`): a piece (b, w) is one mixed-radix int, so adding
+copies of a generator to a partial product is one integer add.  A cached
+table (`_reach`) holds, for each suffix of the generator list and each
+degree r, the packed keys of every multiset of those generators of degree
+exactly r.  A branch survives only if some wanted piece minus its partial
+key is in the table for what is left to choose, so the prune drops a
+branch only when none of its products lies in a wanted piece, and every
+branch it keeps ends in a product.  The radix exceeds twice the largest
+component a key can reach, so a difference of packed keys equals a packed
+reachable key only when the components agree.  `express` enumerates only
+the products in its input's pieces this way.  Products
 have integer coefficients, so each piece is first ranked modulo a prime
 (`_piece_rank_mod_p`); a rank that reaches the kernel dimension certifies
 the piece, and only pieces that fall short are ranked exactly.
@@ -33,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from operator import add
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Collection, Iterator, NamedTuple, Sequence
 
 from .derivation import GeneratorSet, WeitzenboeckDerivation, generators
 from .errors import AmbientMismatch, InvalidKey, NonHomogeneous, NotInKernel, NotInSpan
@@ -332,31 +345,102 @@ def kernel_basis(n: int, k: int, degree: int) -> list[Polynomial]:
 # -- generator products and spans ---------------------------------------------
 
 
-def generator_products(gens: GeneratorSet, degree: int) -> list[Product]:
+@cache
+def _reach(items: tuple[tuple[int, int], ...], degree: int) -> tuple[tuple[frozenset[int], ...], ...]:
+    """reach[idx][r]: packed keys of every multiset of generators idx.. of total degree exactly r.
+
+    `items` holds each generator's (degree, packed key), r runs over
+    0..degree.  A multiset of generators idx.. either holds no copy of
+    generator idx (reach[idx+1][r]) or is one copy of it times a multiset of
+    generators idx.. of degree r - d.  Cached on packed keys, not on the
+    GeneratorSet, so sets rebuilt by `without` share the table.
+    """
+    table = [tuple(frozenset({0} if r == 0 else ()) for r in range(degree + 1))]
+    for d, g in reversed(items):
+        later = table[-1]
+        row: list[frozenset[int]] = []
+        for r in range(degree + 1):
+            row.append(later[r] | {s + g for s in row[r - d]} if r >= d else later[r])
+        table.append(tuple(row))
+    table.reverse()
+    return tuple(table)
+
+
+def generator_products(gens: GeneratorSet, degree: int, pieces: Collection[GradedPieceKey] | None = None) -> list[Product]:
     """All monomials in the generators of total ring degree exactly `degree`.
 
     Label multisets in label order (higher multiplicity of earlier
     generators first), each keyed by the sum of its factors' graded
     pieces; nothing is expanded, and the values may be linearly dependent.
+    With `pieces`, only the products whose key lies in `pieces`, in the
+    same order: `[p for p in generator_products(gens, degree) if p.key in pieces]`.
+
+    The recursion carries a piece (b, w) as one packed int, sum_i b_i R^i +
+    w R^n, so adding `mult` copies of a generator is one integer add.  Every
+    component of a key reachable at this degree lies in 0..top, where top
+    is `degree` times the largest component of a generator (a product of
+    total degree `degree` has at most `degree` factors).  A branch at
+    partial key `key` that next chooses from generators idx.. with `r`
+    degrees left survives only if t - key is in reach[idx][r] for some
+    target t (for any reachable key, when `pieces` is None); every product
+    it drops therefore has a key outside `pieces`, and every surviving
+    branch ends in a product, so the prune is exact and wastes no branch.
+
+    The packing cannot alias.  Targets with a component outside 0..top
+    are unreachable and dropped.  For the rest, t - key has components in
+    -top..top and a reachable key s has components in 0..top, so the packed
+    difference t - key - s = sum_i c_i R^i with |c_i| <= 2 top < R; the
+    lowest nonzero c_i would leave a remainder c_i R^i != 0 modulo R^(i+1),
+    so the packed equality t - key == s holds only componentwise.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    items = [(label, *g.gradings()) for label, g in gens.items]  # each generator lies in one piece
+    n = gens.n
+    gradings = [(label, *g.gradings()) for label, g in gens.items]  # each generator lies in one piece
+    top = degree * max((max(*bd, w) for _, (bd, w, _) in gradings), default=0)
+    radix = 2 * top + 1
+
+    def pack(bd: Sequence[int], w: int) -> int:
+        return sum(c * radix**i for i, c in enumerate((*bd, w)))
+
+    items = [(label, sum(bd), pack(bd, w)) for label, (bd, w, _) in gradings]
+    reach = _reach(tuple((d, g) for _, d, g in items), degree)
+    targets = None
+    if pieces is not None:
+        targets = [pack(bd, w) for bd, w in pieces if len(bd) == n and all(0 <= c <= top for c in (*bd, w))]
+
+    def wanted(keys: frozenset[int], key: int) -> bool:
+        return bool(keys) if targets is None else any(t - key in keys for t in targets)
+
+    unpacked: dict[int, GradedPieceKey] = {}  # one key object per piece
+
+    def unpack(key: int) -> GradedPieceKey:
+        parts = []
+        for _ in range(n):
+            key, c = divmod(key, radix)
+            parts.append(c)
+        return GradedPieceKey(tuple(parts), key)
+
     out: list[Product] = []
 
-    def rec(idx: int, remaining: int, labels: tuple[str, ...], bd: tuple[int, ...], w: int):
+    def rec(idx: int, remaining: int, labels: tuple[str, ...], key: int):
         if remaining == 0:
-            out.append(Product(labels, GradedPieceKey(bd, w)))
+            piece = unpacked.get(key)
+            if piece is None:
+                piece = unpacked[key] = unpack(key)
+            out.append(Product(labels, piece))
             return
-        if idx == len(items):
-            return
-        label, (g_bd, g_w, _) = items[idx]
-        d = sum(g_bd)
+        # a live branch with degrees left has a generator left (reach[len][r > 0] is empty)
+        label, d, g = items[idx]
+        later = reach[idx + 1]
         for mult in range(remaining // d, -1, -1):
-            m_bd = tuple(a + mult * b for a, b in zip(bd, g_bd))
-            rec(idx + 1, remaining - mult * d, labels + (label,) * mult, m_bd, w + mult * g_w)
+            r = remaining - mult * d
+            m_key = key + mult * g
+            if wanted(later[r], m_key):
+                rec(idx + 1, r, labels + (label,) * mult, m_key)
 
-    rec(0, degree, (), (0,) * gens.n, 0)
+    if wanted(reach[0][degree], 0):
+        rec(0, degree, (), 0)
     return out
 
 
@@ -537,7 +621,7 @@ def express_in_generators(p: Polynomial, gens: GeneratorSet) -> Combination:
     # restricting to products in p's pieces reproduces the full echelon
     # solution: pieces have disjoint monomial support, so out-of-piece
     # coefficients of the free-variables-zero solution are exactly 0
-    products = [pr.labels for pr in generator_products(gens, degree) if pr.key in target_keys]
+    products = [pr.labels for pr in generator_products(gens, degree, target_keys)]
 
     # column j holds product j; p rides along as the augmented column `rhs`
     rhs = len(products)

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from weitzenboeck import UnknownLabel, cli, generators
 from weitzenboeck.cli import build_parser, main
 
 
@@ -64,6 +65,18 @@ class TestVerify:
         )
         assert code == 2
         assert "unknown generator label" in err
+        with pytest.raises(UnknownLabel):
+            generators(1, 2).without("Q1")
+
+    def test_internal_key_error_is_not_a_usage_error(self, monkeypatch):
+        # only an unknown --exclude label exits 2; a KeyError from inside the
+        # library is a bug and must surface as one
+        def broken(*args, **kwargs):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(cli, "completeness_check", broken)
+        with pytest.raises(KeyError, match="internal"):
+            main(["verify", "--n", "1", "--k", "2", "--max-degree", "2"])
 
     def test_unsupported_k(self, capsys):
         code, _, err = run(capsys, "verify", "--n", "2", "--k", "3", "--max-degree", "2")

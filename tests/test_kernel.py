@@ -256,6 +256,36 @@ class TestGeneratorProducts:
                         ((bd, w, cov),) = _expand(pr, gens).gradings()
                         assert (GradedPieceKey(bd, w), cov) == (pr.key, 0)
 
+    @given(st.integers(1, 4), st.sampled_from([1, 2]), st.integers(0, 6), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_pieces_prune_matches_filtered_enumeration(self, n, k, degree, data):
+        # the pruned enumeration must keep exactly the products of the plain
+        # one whose key lies in `pieces`, in the same order
+        full = generators(n, k)
+        exclude = data.draw(st.lists(st.sampled_from(full.labels()), unique=True, max_size=3))
+        gens = full.without(*exclude)
+        every = generator_products(gens, degree)
+        reachable = sorted({pr.key for pr in every})
+        candidates = piece_keys(n, k, degree) + piece_keys(n, k, degree + 1)  # reachable, unreachable and other-degree keys
+        if degree:
+            candidates += piece_keys(n, k, degree - 1)
+        pieces = data.draw(st.sets(st.sampled_from(candidates), max_size=6))
+        if reachable and data.draw(st.booleans()):
+            # keys past every reachable component: each moves m units of one
+            # component into its neighbour, which aliases a reachable key
+            # under any packing whose radix is m
+            top = max(max(*key.block_degrees, key.weight) for key in reachable)
+            base = data.draw(st.sampled_from(reachable))
+            comps = [*base.block_degrees, base.weight]
+            for i in range(n):
+                for m in range(1, 4 * top + 5):
+                    for lo, hi in ((m, -1), (-m, 1)):
+                        shifted = comps[:i] + [comps[i] + lo, comps[i + 1] + hi] + comps[i + 2 :]
+                        pieces.add(GradedPieceKey(tuple(shifted[:n]), shifted[n]))
+        assert generator_products(gens, degree, pieces) == [pr for pr in every if pr.key in pieces]
+        assert generator_products(gens, degree, set()) == []
+        assert generator_products(gens, degree, set(reachable)) == every
+
     def test_degree_four_multisets(self):
         prods = generator_products(generators(1, 2), 4)
         assert [p.labels for p in prods] == [
@@ -561,3 +591,62 @@ class TestCensus:
         # with span ranks stubbed out, what remains of the certificate is the count
         monkeypatch.setattr(kernel, "span_dimension", lambda polys, where=None: 0)
         assert completeness_check(2, 2, 3).kernel_dim == kernel_dim(2, 2, 3) == 12
+
+
+def _series(numerator, denominator, top):
+    """Coefficients up to t^top of numerator / prod(1 - t^a s^b), as {(a, b): c}.
+
+    `numerator` maps (t exponent, s exponent) to a coefficient, and
+    `denominator` lists the (a, b) of each factor, a >= 1.
+    """
+    coeffs = dict(numerator)
+    for a, b in denominator:
+        out = defaultdict(int)
+        for (i, j), c in coeffs.items():
+            for r in range((top - i) // a + 1):
+                out[i + r * a, j + r * b] += c
+        coeffs = out
+    return coeffs
+
+
+def _degree_series(numerator, denominator, top):
+    """Coefficients of t^0..t^top of a univariate series given as in `_series` with s unused."""
+    coeffs = _series({(a, 0): c for a, c in numerator.items()}, [(a, 0) for a in denominator], top)
+    return [coeffs.get((d, 0), 0) for d in range(top + 1)]
+
+
+class TestClassicalHilbertSeries:
+    """Kernel dimensions against Hilbert series from classical invariant theory.
+
+    By Roberts' isomorphism, ker D for n chains of length k + 1 is the
+    algebra of joint covariants of n binary forms of degree k, graded by
+    degree; the piece (b, w) holds the covariants of order k|b| - 2w.  The
+    series below are classical (Grace and Young, The Algebra of Invariants,
+    1903; Sturmfels, Algorithms in Invariant Theory, 2nd ed., 2008) and no
+    code in this package produced them.
+    """
+
+    TOP = 14
+
+    def test_binary_cubic(self):
+        # f, H, T, Delta in degrees 1, 2, 3, 4, with the one syzygy T^2 in degree 6
+        expected = _degree_series({0: 1, 3: 1}, [1, 2, 4], self.TOP)
+        assert [kernel_dim(1, 3, d) for d in range(self.TOP + 1)] == expected
+
+    def test_binary_quartic(self):
+        # f, H, i, T, j in degrees 1, 2, 2, 3, 3, with the one syzygy T^2 in degree 6
+        expected = _degree_series({0: 1, 3: 1}, [1, 2, 2, 3], self.TOP)
+        assert [kernel_dim(1, 4, d) for d in range(self.TOP + 1)] == expected
+
+    def test_two_linear_forms(self):
+        # the two forms in degree 1 and their joint invariant in degree 2
+        expected = _degree_series({0: 1}, [1, 1, 2], self.TOP)
+        assert [kernel_dim(2, 1, d) for d in range(self.TOP + 1)] == expected
+
+    def test_binary_cubic_by_degree_and_order(self):
+        # f = t s^3, H = t^2 s^2, Delta = t^4, and T = t^3 s^3 at most once (T^2 lies in the others)
+        series = _series({(0, 0): 1, (3, 3): 1}, [(1, 3), (2, 2), (4, 0)], self.TOP)
+        for d in range(self.TOP + 1):
+            for w in range(3 * d + 1):
+                order = 3 * d - 2 * w
+                assert _piece_kernel_dim(1, 3, GradedPieceKey((d,), w)) == series.get((d, order), 0), (d, w)
