@@ -17,10 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from itertools import combinations
+from typing import NamedTuple
 
-from .errors import AmbientMismatch, UnknownLabel, UnsupportedK
+from .errors import AmbientMismatch, NonHomogeneous, UnknownLabel, UnsupportedK
 from .poly import Ambient, Exponents, Polynomial, x, y, z
 
 
@@ -80,6 +81,37 @@ class WeitzenboeckDerivation:
         return r
 
 
+class GeneratorRow(NamedTuple):
+    """One generator as products use it: its graded piece and its terms.
+
+    Coefficients with denominator 1 are `int`, so products of integer
+    generators are expanded in integer arithmetic.  The term map is shared
+    by every user of the set and must not be mutated.
+    """
+
+    label: str
+    degree: int
+    block_degrees: tuple[int, ...]
+    weight: int
+    terms: dict[Exponents, int | Fraction]
+
+
+def _generator_row(label: str, p: Polynomial) -> GeneratorRow:
+    """The table row of one generator; NonHomogeneous unless p is a nonzero ring polynomial in one piece."""
+    if p.is_zero:
+        raise NonHomogeneous(f"generator {label} is zero")
+    if p.homogeneous_degree() is None:
+        raise NonHomogeneous(f"generator {label} mixes total degrees: {p}")
+    gradings = p.gradings()
+    if any(cov for _, _, cov in gradings):
+        raise NonHomogeneous(f"generator {label} involves covariant variables: {p}")
+    if len(gradings) > 1:
+        raise NonHomogeneous(f"generator {label} spans several graded pieces: {p}")
+    ((block_degrees, weight, _),) = gradings
+    terms = {e: c.numerator if c.denominator == 1 else c for e, c in p.items()}
+    return GeneratorRow(label, sum(block_degrees), block_degrees, weight, terms)
+
+
 @dataclass(frozen=True)
 class GeneratorSet:
     """Labeled kernel generators for D on (n, k), in deterministic order."""
@@ -103,13 +135,25 @@ class GeneratorSet:
     def value(self, label: str) -> Polynomial:
         return self._by_label[label]
 
+    @cached_property
+    def table(self) -> tuple[GeneratorRow, ...]:
+        """Each generator's row (label, degree, block_degrees, weight, terms), built once per set.
+
+        Raises NonHomogeneous, naming the label, for a generator that is
+        zero, mixes degrees or graded pieces, or involves CX/CY.
+        """
+        return tuple(_generator_row(label, p) for label, p in self.items)
+
     def without(self, *labels: str) -> "GeneratorSet":
         """A copy with the given generators removed (UnknownLabel, a KeyError, if a label is unknown)."""
         for lab in labels:
             if lab not in self._by_label:
                 raise UnknownLabel(lab)
         dropped = set(labels)
-        return GeneratorSet(self.n, self.k, tuple(it for it in self.items if it[0] not in dropped))
+        subset = GeneratorSet(self.n, self.k, tuple(it for it in self.items if it[0] not in dropped))
+        # the rows of the kept generators are the parent's; cached_property reads them from __dict__
+        object.__setattr__(subset, "table", tuple(row for row in self.table if row.label not in dropped))
+        return subset
 
 
 @cache

@@ -9,10 +9,14 @@ dimensions are counted from numbers of monomials (`_piece_kernel_dim`),
 with no matrix: the number N(b, w) of monomials in piece (b, w) is read
 from a cached table of weight counts per (b, k), the convolution over
 the blocks of one cached table per (block degree, k).  Bases, exact span
-ranks and `express` go through one sparse Gauss-Jordan routine over
-Fraction (`rref`, first-nonzero pivoting) on matrices whose columns are
-polynomials (`matrix_rows`); its reduced echelon form is unique, so bases
-are deterministic and reproducible.
+ranks and `express` go through one sparse Gauss-Jordan routine (`rref`,
+first-nonzero pivoting) on matrices whose columns are polynomials
+(`matrix_rows`).  It eliminates fraction-free in Python ints: rows are
+scaled to integers by the lcm of their denominators and pivot rows are
+kept primitive, and Fractions are built only for the output.  Scaling a
+row keeps the row space and the reduced echelon form of a matrix is
+unique, so the result is the rational Gauss-Jordan result entry for
+entry, and bases are deterministic and reproducible.
 
 A completeness certificate for a degree d compares, piece by piece, the
 kernel dimension against the dimension spanned by all degree-d products
@@ -45,6 +49,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from math import gcd, lcm
 from operator import add
 from typing import Callable, Collection, Iterator, NamedTuple, Sequence
 
@@ -216,18 +221,39 @@ def matrix_rows(polys: Sequence[Polynomial | Terms]) -> list[SparseRow]:
     return list(by_monomial.values())
 
 
-def _subtract(row: SparseRow, f: Fraction, other: SparseRow) -> None:
-    """row -= f * other, in place, keeping only nonzero entries."""
-    for c, v in other.items():
-        nv = row.get(c, 0) - f * v
+def _eliminate(row: dict[int, int], pivot: dict[int, int], col: int) -> int:
+    """Clear column `col` of an integer row in place: row = a*row - b*pivot; returns a.
+
+    With p = pivot[col] > 0, r = row[col] and g = gcd(p, r), a = p/g > 0
+    and b = r/g.  Only nonzero entries are kept.
+    """
+    p, r = pivot[col], row[col]
+    g = gcd(p, r)
+    a, b = p // g, r // g
+    if a != 1:
+        for c in row:
+            row[c] *= a
+    for c, v in pivot.items():
+        nv = row.get(c, 0) - b * v
         if nv:
             row[c] = nv
         else:
             del row[c]
+    return a
+
+
+def _make_primitive(row: dict[int, int], lead: int) -> None:
+    """Divide a nonzero integer row by the gcd of its entries, signed so row[lead] > 0."""
+    g = gcd(*row.values())
+    if row[lead] < 0:
+        g = -g
+    if g != 1:
+        for c in row:
+            row[c] //= g
 
 
 def rref(rows: Sequence[SparseRow], ncols: int) -> tuple[list[SparseRow], list[int]]:
-    """Sparse reduced row echelon form over Fraction (entries may be int or Fraction).
+    """Sparse reduced row echelon form over Q (entries may be int or Fraction).
 
     Pivots only on columns < ncols; later columns are carried along as an
     augmented right-hand side.  Each row is reduced against the pivots so
@@ -238,27 +264,47 @@ def rref(rows: Sequence[SparseRow], ncols: int) -> tuple[list[SparseRow], list[i
     augmented columns, and the ascending pivot column list.  The reduced
     echelon form of a matrix is unique, so the result does not depend on
     the order of `rows`.
+
+    The elimination is fraction-free, in Python ints.  Each input row is
+    scaled by the lcm of its denominators, a row is reduced against a
+    pivot row by row = a*row - b*pivot_row with a > 0, and every pivot row
+    is kept primitive (its entries divided by their gcd, pivot entry
+    positive).  Fractions are built only for the output, where a pivot
+    row's entries are divided by its pivot entry.  The output is the
+    rational Gauss-Jordan result entry for entry.  Every row here is a
+    nonzero multiple of the row the same steps give over Q: it has the same
+    support, so the same lead columns are chosen, and scaling rows keeps
+    the space the pivot rows span at every step.  The reduced echelon
+    form of a row space is unique, so the pivot rows divided by their
+    pivot entries are the rational pivot rows.  A row left nonzero only
+    in augmented columns equals scale*source plus a combination of pivot
+    rows, where `scale` is its lcm times every factor a; divided by
+    `scale` it is the one vector of source + span(pivot rows so far) that
+    is zero in every column < ncols, which is the row the rational
+    elimination leaves.
     """
-    pivot_rows: dict[int, SparseRow] = {}
+    pivot_rows: dict[int, dict[int, int]] = {}
     leftover: list[SparseRow] = []
     for source in rows:
-        row = dict(source)
+        scale = lcm(*(v.denominator for v in source.values()))
+        row = {c: v.numerator * (scale // v.denominator) for c, v in source.items() if v}
         # pivot rows are zero in every other pivot column, so one pass clears them all
         for c in [c for c in row if c in pivot_rows]:
-            _subtract(row, row[c], pivot_rows[c])
+            scale *= _eliminate(row, pivot_rows[c], c)
         lead = min((c for c in row if c < ncols), default=None)
         if lead is None:
             if row:
-                leftover.append(row)
+                leftover.append({c: Fraction(v, scale) for c, v in row.items()})
             continue
-        inv = 1 / Fraction(row[lead])
-        row = {c: v * inv for c, v in row.items()}
-        for prow in pivot_rows.values():
+        _make_primitive(row, lead)
+        for pc, prow in pivot_rows.items():
             if lead in prow:
-                _subtract(prow, prow[lead], row)
+                # row is zero in column pc and a > 0, so prow[pc] stays positive
+                _eliminate(prow, row, lead)
+                _make_primitive(prow, pc)
         pivot_rows[lead] = row
-    pivots = sorted(pivot_rows)
-    return [pivot_rows[c] for c in pivots] + leftover, pivots
+    reduced = [{c: Fraction(v, row[p]) for c, v in row.items()} for p, row in sorted(pivot_rows.items())]
+    return reduced + leftover, sorted(pivot_rows)
 
 
 def nullspace(rows: Sequence[SparseRow], ncols: int) -> list[tuple[Fraction, ...]]:
@@ -396,14 +442,14 @@ def generator_products(gens: GeneratorSet, degree: int, pieces: Collection[Grade
     if degree < 0:
         raise ValueError("degree must be >= 0")
     n = gens.n
-    gradings = [(label, *g.gradings()) for label, g in gens.items]  # each generator lies in one piece
-    top = degree * max((max(*bd, w) for _, (bd, w, _) in gradings), default=0)
+    table = gens.table  # each generator lies in one piece
+    top = degree * max((max(*row.block_degrees, row.weight) for row in table), default=0)
     radix = 2 * top + 1
 
     def pack(bd: Sequence[int], w: int) -> int:
         return sum(c * radix**i for i, c in enumerate((*bd, w)))
 
-    items = [(label, sum(bd), pack(bd, w)) for label, (bd, w, _) in gradings]
+    items = [(row.label, row.degree, pack(row.block_degrees, row.weight)) for row in table]
     reach = _reach(tuple((d, g) for _, d, g in items), degree)
     targets = None
     if pieces is not None:
@@ -487,11 +533,12 @@ def _product_expander(gens: GeneratorSet) -> Callable[[tuple[str, ...]], Terms]:
     """The one expander of generator products: label multiset -> term map.
 
     A multiset's terms are those of its prefix labels[:-1], memoised for
-    the expander's lifetime, times one generator.  Coefficients with
-    denominator 1 are kept as `int`, so products of integer generators
-    are expanded in integer arithmetic.  Raises KeyError on an unknown label.
+    the expander's lifetime, times one generator's term map from
+    `gens.table`, whose coefficients with denominator 1 are `int`, so
+    products of integer generators are expanded in integer arithmetic.
+    Raises KeyError on an unknown label.
     """
-    values = {label: {e: c.numerator if c.denominator == 1 else c for e, c in p.items()} for label, p in gens}
+    values = {row.label: row.terms for row in gens.table}
     one = (0,) * Ambient(gens.n, gens.k).width
     prefixes: dict[tuple[str, ...], Terms] = {}
 

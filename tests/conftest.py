@@ -1,9 +1,11 @@
-"""Shared helpers: random value generators and the independent kernel oracle.
+"""Shared helpers: random value generators and the independent oracles.
 
-The oracle deliberately avoids the library's graded decomposition: it
-enumerates all degree-d ring monomials with itertools and row-reduces the
-full (ungraded) matrix of the derivation by sparse elimination, so a bug
-in the piece bookkeeping cannot hide in both paths.
+The kernel oracle deliberately avoids the library's graded decomposition:
+it enumerates all degree-d ring monomials with itertools and row-reduces
+the full (ungraded) matrix of the derivation by sparse elimination, so a
+bug in the piece bookkeeping cannot hide in both paths.  The elimination
+oracle (`fraction_rref`) is plain Gauss-Jordan over Fraction, against
+which the library's fraction-free `rref` is compared entry for entry.
 """
 
 import itertools
@@ -85,3 +87,40 @@ def ungraded_kernel_dimension(n, k, degree):
         for exps, coeff in image.items():
             rows.setdefault(exps, {})[j] = coeff
     return len(monomials) - sparse_rank(rows.values())
+
+
+def fraction_rref(rows, ncols):
+    """Sparse reduced row echelon form by Gauss-Jordan over Fraction: the reference for `kernel.rref`.
+
+    Same contract as the library routine: pivots only on columns < ncols,
+    returns the pivot rows (pivot entry 1) in pivot order followed by the
+    rows left nonzero only in columns >= ncols, and the pivot columns.
+    """
+
+    def subtract(row, f, other):
+        for c, v in other.items():
+            nv = row.get(c, 0) - f * v
+            if nv:
+                row[c] = nv
+            else:
+                del row[c]
+
+    pivot_rows = {}
+    leftover = []
+    for source in rows:
+        row = {c: Fraction(v) for c, v in source.items() if v}
+        for c in [c for c in row if c in pivot_rows]:
+            subtract(row, row[c], pivot_rows[c])
+        lead = min((c for c in row if c < ncols), default=None)
+        if lead is None:
+            if row:
+                leftover.append(row)
+            continue
+        inv = 1 / row[lead]
+        row = {c: v * inv for c, v in row.items()}
+        for prow in pivot_rows.values():
+            if lead in prow:
+                subtract(prow, prow[lead], row)
+        pivot_rows[lead] = row
+    pivots = sorted(pivot_rows)
+    return [pivot_rows[c] for c in pivots] + leftover, pivots

@@ -185,6 +185,17 @@ class TestExpressionCommands:
         )
         assert code == 0 and out.strip() == "x1*x1 + J1,2"
 
+    def test_express_rational(self, capsys):
+        poly = "1/2*x1*y2 - 1/2*x2*y1 + 2/3*x1^2"
+        code, out, _ = run(capsys, "express", "--n", "2", "--k", "1", "--poly", poly)
+        assert code == 0 and out == "2/3*x1*x1 + 1/2*J1,2\n"
+        code, out, _ = run(capsys, "express", "--n", "2", "--k", "1", "--poly", poly, "--output", "machine")
+        assert code == 0
+        assert json.loads(out)["result"] == {
+            "in_span": True,
+            "combination": [{"labels": ["x1", "x1"], "coeff": "2/3"}, {"labels": ["J1,2"], "coeff": "1/2"}],
+        }
+
     def test_express_constant(self, capsys):
         # the degree-0 product has no labels: the constant prints bare
         for poly, text in (("3", "3"), ("1", "1"), ("-2/3", "-2/3"), ("0", "0")):

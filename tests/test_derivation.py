@@ -7,9 +7,12 @@ from conftest import random_polynomial, random_rational
 from weitzenboeck import (
     Ambient,
     AmbientMismatch,
+    GeneratorSet,
+    NonHomogeneous,
     Polynomial,
     UnsupportedK,
     WeitzenboeckDerivation,
+    generator_products,
     generators,
     parse,
     ring_var,
@@ -168,6 +171,34 @@ class TestGenerators:
             gens.without("H1,1").value("H1,1")
         with pytest.raises(KeyError):
             gens.without("H9,9")
+
+    def test_table(self):
+        gens = generators(2, 2)
+        assert [row.label for row in gens.table] == gens.labels()
+        for row, (_, p) in zip(gens.table, gens):
+            assert p.gradings() == {(row.block_degrees, row.weight, 0)}
+            assert row.degree == p.homogeneous_degree()
+            assert Polynomial(p.ambient, row.terms) == p
+            assert all(type(c) is int for c in row.terms.values())
+        assert gens.table is gens.table  # built once per set
+        subset = gens.without("x2", "H1,1")
+        assert [row.label for row in subset.table] == subset.labels()
+        # a subset reuses its parent's rows
+        assert all(any(row is parent_row for parent_row in gens.table) for row in subset.table)
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("0", "is zero"),
+            ("x1 + y1", "spans several graded pieces"),
+            ("x1 + x1*x2", "mixes total degrees"),
+            ("x1*CX", "involves covariant variables"),
+        ],
+    )
+    def test_invalid_generator_is_named(self, text, reason):
+        gens = GeneratorSet(2, 1, (("x1", parse("x1", A21)), ("bad", parse(text, A21))))
+        with pytest.raises(NonHomogeneous, match=f"generator bad {reason}"):
+            generator_products(gens, 2)
 
 
 def test_kernel_is_a_subalgebra():

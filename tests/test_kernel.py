@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import sparse_rank, ungraded_kernel_dimension
+from conftest import fraction_rref, sparse_rank, ungraded_kernel_dimension
 from weitzenboeck import (
     Ambient,
     AmbientMismatch,
@@ -132,7 +132,46 @@ def sparse_matrices(draw):
     return [{j: c for j, c in enumerate(row) if c} for row in dense], ncols
 
 
+@st.composite
+def dependent_matrices(draw):
+    """Sparse matrices with augmented columns whose later rows may combine earlier ones: (rows, ncols).
+
+    Entries are small rationals, or ints of up to about 70 bits.  A combined
+    row may be shifted in one augmented column, so that it is left over.
+    """
+    width = draw(st.integers(1, 8))
+    ncols = draw(st.integers(0, width))
+    if draw(st.booleans()):
+        entry = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
+    else:
+        entry = st.integers(-(2**70), 2**70)
+    cell = st.one_of(st.just(0), entry)
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        if rows and draw(st.booleans()):
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            f, g = draw(entry), draw(st.integers(-3, 3))
+            row = {c: f * a.get(c, 0) + g * b.get(c, 0) for c in range(width)}
+            if ncols < width and draw(st.booleans()):
+                row[width - 1] += draw(entry)
+        else:
+            row = {c: draw(cell) for c in range(width)}
+        rows.append({c: v for c, v in row.items() if v})
+    return rows, ncols
+
+
 class TestRref:
+    @given(st.one_of(sparse_matrices(), dependent_matrices()))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_fraction_gauss_jordan(self, matrix):
+        # the fraction-free elimination returns the rational Gauss-Jordan result
+        # entry for entry: pivot list, pivot rows and leftover rows
+        rows, ncols = matrix
+        reduced, pivots = rref(rows, ncols)
+        expected, expected_pivots = fraction_rref(rows, ncols)
+        assert pivots == expected_pivots
+        assert reduced == expected
+
     @given(sparse_matrices())
     @settings(max_examples=200, deadline=None)
     def test_reduced_echelon_form(self, matrix):
@@ -497,6 +536,13 @@ class TestExpress:
         gens = generators(1, 2).without("H1,1")
         with pytest.raises(NotInSpan):
             express_in_generators(parse("2*x1*z1 - y1^2", Ambient(1, 2)), gens)
+
+    def test_rational_input(self):
+        # rows with denominators are scaled to integers before elimination
+        p = parse("1/2*x1*y2 - 1/2*x2*y1 + 2/3*x1^2", Ambient(2, 1))
+        assert express_in_generators(p, generators(2, 1)) == {("x1", "x1"): Fraction(2, 3), ("J1,2",): Fraction(1, 2)}
+        with pytest.raises(NotInSpan):
+            express_in_generators(parse("1/2*x1*y2 - 1/2*x2*y1", Ambient(2, 1)), generators(2, 1).without("J1,2"))
 
     def test_piece_filter_matches_solve_over_all_products(self):
         # express solves only over the products in p's graded pieces; pieces
