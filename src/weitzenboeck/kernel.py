@@ -8,15 +8,13 @@ kernel in degree d is the direct sum of the per-piece kernels.  Their
 dimensions are counted from numbers of monomials (`_piece_kernel_dim`),
 with no matrix: the number N(b, w) of monomials in piece (b, w) is read
 from a cached table of weight counts per (b, k), the convolution over
-the blocks of one cached table per (block degree, k).  Bases, exact span
-ranks and `express` go through one sparse Gauss-Jordan routine (`rref`,
+the blocks of one cached table per (block degree, k).  Bases and
+`express` go through one sparse Gauss-Jordan routine (`rref`,
 first-nonzero pivoting) on matrices whose columns are polynomials
-(`matrix_rows`).  It eliminates fraction-free in Python ints: rows are
-scaled to integers by the lcm of their denominators and pivot rows are
-kept primitive, and Fractions are built only for the output.  Scaling a
-row keeps the row space and the reduced echelon form of a matrix is
-unique, so the result is the rational Gauss-Jordan result entry for
-entry, and bases are deterministic and reproducible.
+(`matrix_rows`).  It eliminates fraction-free in Python ints and returns
+the rational reduced echelon form entry for entry, so bases are
+deterministic and reproducible.  Ranks need no reduced form: they are
+counted exactly by the forward half of the same elimination (`_rank`).
 
 A completeness certificate for a degree d compares, piece by piece, the
 kernel dimension against the dimension spanned by all degree-d products
@@ -37,10 +35,9 @@ branch only when none of its products lies in a wanted piece, and every
 branch it keeps ends in a product.  The radix exceeds twice the largest
 component a key can reach, so a difference of packed keys equals a packed
 reachable key only when the components agree.  `express` enumerates only
-the products in its input's pieces this way.  Products
-have integer coefficients, so each piece is first ranked modulo a prime
-(`_piece_rank_mod_p`); a rank that reaches the kernel dimension certifies
-the piece, and only pieces that fall short are ranked exactly.
+the products in its input's pieces this way.  Each piece's products are
+ranked exactly by `_rank`, which stops at the piece's kernel dimension:
+products lie in ker D, so their rank cannot exceed it.
 """
 
 from __future__ import annotations
@@ -252,6 +249,37 @@ def _make_primitive(row: dict[int, int], lead: int) -> None:
             row[c] //= g
 
 
+def _integer_row(source: SparseRow) -> tuple[dict[int, int], int]:
+    """A row scaled to integers by the lcm of its denominators, zeros dropped, and that lcm."""
+    scale = lcm(*(v.denominator for v in source.values()))
+    return {c: v.numerator * (scale // v.denominator) for c, v in source.items() if v}, scale
+
+
+def _rank(rows: Sequence[SparseRow], limit: int | None = None) -> int:
+    """Exact rank over Q of sparse rows (int or Fraction entries), or `limit` if it reaches it.
+
+    The forward half of `rref`, with its row scaling and row operations: a
+    row is reduced against the pivot row of its first nonzero column until
+    it is zero or is kept as a new primitive pivot row.  The pivot rows
+    span the rows read so far and have distinct lead columns, so they
+    count the rank; no reduced echelon form is built.
+    """
+    pivot_rows: dict[int, dict[int, int]] = {}
+    for source in rows:
+        if len(pivot_rows) == limit:
+            break
+        row = _integer_row(source)[0]
+        while row:
+            lead = min(row)
+            pivot = pivot_rows.get(lead)
+            if pivot is None:
+                _make_primitive(row, lead)
+                pivot_rows[lead] = row
+                break
+            _eliminate(row, pivot, lead)
+    return len(pivot_rows)
+
+
 def rref(rows: Sequence[SparseRow], ncols: int) -> tuple[list[SparseRow], list[int]]:
     """Sparse reduced row echelon form over Q (entries may be int or Fraction).
 
@@ -286,8 +314,7 @@ def rref(rows: Sequence[SparseRow], ncols: int) -> tuple[list[SparseRow], list[i
     pivot_rows: dict[int, dict[int, int]] = {}
     leftover: list[SparseRow] = []
     for source in rows:
-        scale = lcm(*(v.denominator for v in source.values()))
-        row = {c: v.numerator * (scale // v.denominator) for c, v in source.items() if v}
+        row, scale = _integer_row(source)
         # pivot rows are zero in every other pivot column, so one pass clears them all
         for c in [c for c in row if c in pivot_rows]:
             scale *= _eliminate(row, pivot_rows[c], c)
@@ -491,7 +518,7 @@ def generator_products(gens: GeneratorSet, degree: int, pieces: Collection[Grade
 
 
 def span_dimension(polys: Sequence[Polynomial], where: int | GradedPieceKey | None = None) -> int:
-    """Rank of the coefficient matrix of the polynomials, exact.
+    """Rank of the coefficient matrix of the polynomials, exact (`_rank`).
 
     Every nonzero polynomial must be homogeneous; `where` narrows the
     check to a total degree (int) or to a single graded piece key.
@@ -512,7 +539,7 @@ def span_dimension(polys: Sequence[Polynomial], where: int | GradedPieceKey | No
         elif where is not None and d != where:
             raise NonHomogeneous(f"expected degree {where}, got {d}: {p}")
         nonzero.append(p)
-    return len(rref(matrix_rows(nonzero), len(nonzero))[1])
+    return _rank(matrix_rows(nonzero))
 
 
 def _mul_terms(a: Terms, b: Terms) -> Terms:
@@ -554,55 +581,12 @@ def _product_expander(gens: GeneratorSet) -> Callable[[tuple[str, ...]], Terms]:
     return expand
 
 
-_PRIME = (1 << 61) - 1
-
-
-def _piece_rank_mod_p(amb: Ambient, key: GradedPieceKey, products: Sequence[Terms], limit: int) -> int:
-    """Rank modulo the prime 2^61 - 1 of integer term maps that must lie in piece `key`.
-
-    Every coefficient must be an integer (ValueError otherwise), and every
-    monomial must lie in the piece (NonHomogeneous otherwise), which
-    cross-checks each product's label-arithmetic key against its expanded
-    value.  Elimination stops once the rank reaches `limit`; the checks
-    still run over every product.
-    """
-    piece = (tuple(key.block_degrees), key.weight, 0)
-    column: dict[Exponents, int] = {}
-    pivots: dict[int, dict[int, int]] = {}
-    for terms in products:
-        row: dict[int, int] = {}
-        for exps, c in terms.items():
-            if c.denominator != 1:
-                raise ValueError(f"modular rank needs integer coefficients, got {c}")
-            j = column.get(exps)
-            if j is None:
-                if (amb.block_degrees(exps), amb.weight(exps), amb.cov_degree(exps)) != piece:
-                    raise NonHomogeneous(f"product lies outside piece {key}: monomial {exps}")
-                j = column[exps] = len(column)
-            row[j] = c % _PRIME
-        while row and len(pivots) < limit:
-            lead = min(row)
-            pivot = pivots.get(lead)
-            if pivot is None:
-                inv = pow(row[lead], -1, _PRIME)
-                pivots[lead] = {col: v * inv % _PRIME for col, v in row.items()}
-                break
-            f = row[lead]
-            for col, v in pivot.items():
-                nv = (row.get(col, 0) - f * v) % _PRIME
-                if nv:
-                    row[col] = nv
-                else:
-                    del row[col]
-    return len(pivots)
-
-
 def completeness_check(n: int, k: int, degree: int, exclude: Sequence[str] = ()) -> CompletenessReport:
     """Compare kernel dimension with the generator-product span, piece by piece.
 
-    Each piece is ranked modulo a prime first; only a piece whose modular
-    rank falls short of its kernel dimension is ranked exactly, so every
-    reported span_dim is the exact rank over Q.
+    Every reported span_dim is the exact rank over Q of the piece's
+    products (`_rank`), each of whose monomials is checked to lie in the
+    piece.
     """
     amb = Ambient(n, k)
     gens = generators(n, k).without(*exclude)
@@ -616,14 +600,25 @@ def completeness_check(n: int, k: int, degree: int, exclude: Sequence[str] = ())
     span_total = 0
     for key in piece_keys(n, k, degree):
         kdim = _piece_kernel_dim(n, k, key)
-        products = [expand(labels) for labels in by_piece.get(key, ())]
-        # rank_p <= rank_Q <= kdim: reducing an integer matrix mod p cannot raise
-        # its rank, and the products lie in ker D on this piece; so rank_p == kdim
-        # certifies rank_Q == kdim, and only a shortfall needs the exact rank
-        sdim = _piece_rank_mod_p(amb, key, products, kdim)
-        if sdim != kdim:
-            sdim = span_dimension([Polynomial(amb, terms) for terms in products], key)
-        if kdim or sdim:
+        # number each distinct monomial as a column, checking that it lies in the
+        # piece the labels name: label arithmetic is cross-checked against values
+        piece = (key.block_degrees, key.weight, 0)
+        column: dict[Exponents, int] = {}
+        rows: list[SparseRow] = []
+        for labels in by_piece.get(key, ()):
+            row: SparseRow = {}
+            for exps, c in expand(labels).items():
+                j = column.get(exps)
+                if j is None:
+                    if (amb.block_degrees(exps), amb.weight(exps), amb.cov_degree(exps)) != piece:
+                        raise NonHomogeneous(f"product {labels} lies outside piece {key}: monomial {exps}")
+                    j = column[exps] = len(column)
+                row[j] = c
+            rows.append(row)
+        # products lie in ker D on this piece, so their rank is at most kdim and
+        # stopping the elimination there still gives the exact rank
+        sdim = _rank(rows, kdim)
+        if kdim:
             pieces.append(PieceReport(key, kdim, sdim))
             kernel_total += kdim
             span_total += sdim

@@ -160,6 +160,8 @@ class Polynomial:
         for exps, coeff in items:
             if len(exps) != width or any(type(e) is not int or e < 0 for e in exps):
                 raise AmbientMismatch(f"exponent tuple {exps} does not fit ambient (n={ambient.n}, k={ambient.k})")
+            if type(coeff) is bool or not isinstance(coeff, (int, Fraction)):
+                raise TypeError(f"coefficient {coeff!r} is not an int or a Fraction")
             c = Fraction(coeff)
             if c:
                 acc = clean.get(exps, 0) + c
@@ -185,7 +187,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, ambient: Ambient, value: Scalar) -> "Polynomial":
-        return cls(ambient, {(0,) * ambient.width: Fraction(value)})
+        return cls(ambient, {(0,) * ambient.width: value})
 
     @classmethod
     def variable(cls, ambient: Ambient, v: Variable) -> "Polynomial":
@@ -198,7 +200,7 @@ class Polynomial:
         exps = [0] * ambient.width
         for v, e in powers.items():
             exps[ambient.index(v)] += e
-        return cls(ambient, {tuple(exps): Fraction(coeff)})
+        return cls(ambient, {tuple(exps): coeff})
 
     # -- inspection --------------------------------------------------------
 
@@ -253,8 +255,8 @@ class Polynomial:
             )
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.ambient, other)
+        if isinstance(other, (int, Fraction)):  # a bool operand acts as an int, as in Python arithmetic
+            other = Polynomial.constant(self.ambient, Fraction(other))
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_ambient(other)
@@ -274,7 +276,7 @@ class Polynomial:
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.ambient, other)
+            other = Polynomial.constant(self.ambient, Fraction(other))
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self + (-other)
@@ -334,12 +336,14 @@ class Polynomial:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.ambient, other)
+            other = Polynomial.constant(self.ambient, Fraction(other))
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self.ambient == other.ambient and self._terms == other._terms
 
     def __hash__(self):
+        if not any(map(any, self._terms)):  # zero or a constant: hash as the scalar it equals
+            return hash(self._terms.get((0,) * self.ambient.width, 0))
         return hash((self.ambient, frozenset(self._terms.items())))
 
     def __str__(self):

@@ -56,10 +56,10 @@ def all_ring_monomials(ambient, degree):
 
 
 def sparse_rank(rows):
-    """Rank of sparse rows (dict col -> coeff) by incremental elimination."""
+    """Rank of sparse rows (dict col -> coeff) by incremental elimination over Fraction."""
     pivots = {}
     for row in rows:
-        row = dict(row)
+        row = {c: Fraction(v) for c, v in row.items()}
         while row:
             c = min(row)
             if c not in pivots:

@@ -5,7 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import fraction_rref, sparse_rank, ungraded_kernel_dimension
@@ -34,7 +34,7 @@ from weitzenboeck import (
     span_dimension,
 )
 from weitzenboeck import cli, kernel
-from weitzenboeck.kernel import _piece_kernel_dim, _piece_rank_mod_p, compositions, matrix_rows, nullspace, rref
+from weitzenboeck.kernel import _piece_kernel_dim, _rank, compositions, matrix_rows, nullspace, rref
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -206,6 +206,29 @@ class TestRref:
         reduced, pivots = rref([{0: 1, 1: 1}, {0: 2, 1: 5}], 1)
         assert pivots == [0]
         assert reduced == [{0: 1, 1: 1}, {1: 3}]
+
+
+PRIME = (1 << 61) - 1
+
+
+class TestRank:
+    @given(st.one_of(sparse_matrices(), dependent_matrices()), st.integers(0, 8))
+    @example(([{0: PRIME, 2: -3 * PRIME}], 3), 2)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_fraction_rank(self, matrix, limit):
+        rows, _ = matrix
+        rank = sparse_rank(rows)
+        assert _rank(rows) == rank
+        # the elimination stops at its limit, so a limit below the rank is returned
+        assert _rank(rows, limit) == min(rank, limit)
+        # rows scaled by multiples of the prime 2^61 - 1 keep their rank over Q,
+        # which a rank modulo that prime would lose
+        assert _rank([{c: v * PRIME * (i + 1) for c, v in row.items()} for i, row in enumerate(rows)]) == rank
+
+    def test_fractional_rows(self):
+        # a row is scaled by the lcm of its denominators: Fraction entries are ranked exactly
+        assert _rank([{0: Fraction(1, 2), 1: Fraction(-1, 3)}, {0: 3, 1: -2}], 2) == 1
+        assert _rank([{0: Fraction(1, 2)}, {1: Fraction(2, 3)}, {0: 1, 1: 1}]) == 2
 
 
 class TestKernelBasis:
@@ -448,8 +471,8 @@ class TestCompleteness:
     @given(st.integers(1, 3), st.sampled_from([1, 2]), st.integers(0, 4), st.data())
     @settings(max_examples=25, deadline=None)
     def test_span_dim_is_the_exact_rank(self, n, k, degree, data):
-        # a piece certified mod p reports its kernel_dim as span_dim: compare every
-        # report with the exact rank of products expanded by plain Polynomial products
+        # compare every report with the rank, by the Fraction oracle, of the
+        # products expanded by plain Polynomial products
         full = generators(n, k)
         exclude = data.draw(st.lists(st.sampled_from(full.labels()), unique=True))
         gens = full.without(*exclude)
@@ -462,42 +485,44 @@ class TestCompleteness:
             by_piece[pr.key].append(value)
         rep = completeness_check(n, k, degree, exclude=exclude)
         for piece in rep.per_piece:
-            assert piece.span_dim == span_dimension(by_piece[piece.key], piece.key)
+            assert piece.span_dim == sparse_rank(dict(p.items()) for p in by_piece[piece.key])
         reported = {piece.key for piece in rep.per_piece}
-        assert all(span_dimension(polys) == 0 for key, polys in by_piece.items() if key not in reported)
+        assert all(sparse_rank(dict(p.items()) for p in polys) == 0 for key, polys in by_piece.items() if key not in reported)
 
-    def test_complete_pieces_need_no_exact_rank(self, monkeypatch):
+    def test_builds_no_reduced_echelon_form(self, monkeypatch):
         def boom(*args, **kwargs):
-            raise AssertionError("a piece whose modular rank reaches kernel_dim needs no exact rank")
+            raise AssertionError("a certificate counts ranks and needs no reduced echelon form")
 
         monkeypatch.setattr(kernel, "span_dimension", boom)
         monkeypatch.setattr(kernel, "rref", boom)
         rep = completeness_check(3, 2, 4)
         assert rep.complete and rep.per_piece
         assert all(piece.span_dim == piece.kernel_dim for piece in rep.per_piece)
+        assert not completeness_check(1, 2, 2, exclude=["H1,1"]).complete
 
-    def test_short_piece_falls_back_to_exact_rank(self, monkeypatch):
-        exact = kernel.span_dimension
-        calls = []
-
-        def spy(polys, where=None):
-            calls.append(where)
-            return exact(polys, where)
-
-        monkeypatch.setattr(kernel, "span_dimension", spy)
+    def test_short_piece_reports_its_exact_rank(self):
         rep = completeness_check(1, 2, 2, exclude=["H1,1"])
-        assert calls == [GradedPieceKey((2,), 2)]  # H1,1's piece, where no other product lies
+        # H1,1's piece, where no other product lies, has rank 0 < kernel_dim 1
+        assert [(piece.key, piece.kernel_dim, piece.span_dim) for piece in rep.per_piece] == [
+            (GradedPieceKey((2,), 0), 1, 1),
+            (GradedPieceKey((2,), 2), 1, 0),
+        ]
         assert (rep.kernel_dim, rep.span_dim, rep.complete) == (2, 1, False)
 
-    def test_modular_rank_checks_its_inputs(self):
-        amb = Ambient(2, 1)
-        key = GradedPieceKey((1, 1), 1)
-        x1y2, x2y1 = parse("x1*y2", amb).terms()[0][0], parse("x2*y1", amb).terms()[0][0]
-        assert _piece_rank_mod_p(amb, key, [{x1y2: 1, x2y1: -1}, {x1y2: 2, x2y1: -2}], 2) == 1
-        with pytest.raises(ValueError):
-            _piece_rank_mod_p(amb, key, [{x1y2: Fraction(1, 2)}], 1)
-        with pytest.raises(NonHomogeneous):
-            _piece_rank_mod_p(amb, key, [{x1y2: 1, parse("x1*x2", amb).terms()[0][0]: 1}], 1)
+    def test_products_are_checked_against_their_piece(self, monkeypatch):
+        # an expansion that leaves the piece its labels name is an error, not a rank
+        real = kernel._product_expander
+        stray = parse("x1*x2", Ambient(2, 1)).terms()[0][0]
+
+        def skewed(gens):
+            expand = real(gens)
+            return lambda labels: {**expand(labels), stray: 1} if labels == ("J1,2",) else expand(labels)
+
+        monkeypatch.setattr(kernel, "_product_expander", skewed)
+        with pytest.raises(NonHomogeneous, match=r"\('J1,2',\) lies outside piece"):
+            completeness_check(2, 1, 2)
+        monkeypatch.setattr(kernel, "_product_expander", real)
+        assert completeness_check(2, 1, 2).complete
 
     def test_serialization_fields(self):
         doc = completeness_check(2, 1, 2).to_dict()
@@ -635,7 +660,7 @@ class TestCensus:
         dims = [1, 2, 8, 20, 50]
         assert capsys.readouterr().out.splitlines() == [f"degree {d}: kernel_dim={dim}" for d, dim in enumerate(dims)]
         # with span ranks stubbed out, what remains of the certificate is the count
-        monkeypatch.setattr(kernel, "span_dimension", lambda polys, where=None: 0)
+        monkeypatch.setattr(kernel, "_rank", lambda rows, limit=None: 0)
         assert completeness_check(2, 2, 3).kernel_dim == kernel_dim(2, 2, 3) == 12
 
 

@@ -196,3 +196,28 @@ def test_exponents_must_be_non_negative_ints():
             Polynomial(A21, {exps: 1})
     p = Polynomial(A21, {(2, 0, 0, 1, 0, 0): 3})
     assert parse(str(p), A21) == p
+
+
+def test_coefficients_must_be_int_or_fraction():
+    one = (1, 0, 0, 0)  # Ambient(1, 1) has width 4: x1, y1, CX, CY
+    for bad in (0.1, 0.5, "1/3", True, False, 1.0, None):
+        with pytest.raises(TypeError, match="coefficient"):
+            Polynomial(Ambient(1, 1), {one: bad})
+        with pytest.raises(TypeError, match="coefficient"):
+            Polynomial.constant(Ambient(1, 1), bad)
+        with pytest.raises(TypeError, match="coefficient"):
+            Polynomial.monomial(A21, {x(1): 1}, bad)
+    assert Polynomial(Ambient(1, 1), {one: Fraction(1, 10)}).coefficient(one) == Fraction(1, 10)
+    assert Polynomial.constant(A21, -2) == -2
+    assert Polynomial.monomial(A21, {x(1): 2}, Fraction(2, 3)) == parse("2/3*x1^2", A21)
+    # arithmetic keeps Python's numeric treatment of bool
+    assert Polynomial.one(A21) + True == 2
+
+
+def test_scalar_polynomials_hash_as_their_scalar():
+    for c in (0, 3, Fraction(1, 2)):
+        p = Polynomial.constant(A21, c)
+        assert p == c and hash(p) == hash(c)
+        assert len({p, c}) == 1
+    assert hash(Polynomial.zero(A12)) == hash(0)
+    assert len({Polynomial.constant(A21, 3), Polynomial.constant(A12, 3)}) == 2  # equal hashes, unequal values
