@@ -16,13 +16,12 @@ implemented for k >= 3; use the kernel census for that open case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache, cached_property
 from itertools import combinations
 from typing import NamedTuple
 
 from .errors import AmbientMismatch, NonHomogeneous, UnknownLabel, UnsupportedK
-from .poly import Ambient, Exponents, Polynomial, x, y, z
+from .poly import Ambient, Polynomial, Terms, x, y, z
 
 
 @dataclass(frozen=True)
@@ -53,7 +52,7 @@ class WeitzenboeckDerivation:
         self._check(p)
         step = self.k + 1
         ring_width = self.n * step
-        out: dict[Exponents, Fraction] = {}
+        out: Terms = {}
         for exps, c in p.items():
             for i in range(ring_width):
                 e = exps[i]
@@ -82,18 +81,12 @@ class WeitzenboeckDerivation:
 
 
 class GeneratorRow(NamedTuple):
-    """One generator as products use it: its graded piece and its terms.
-
-    Coefficients with denominator 1 are `int`, so products of integer
-    generators are expanded in integer arithmetic.  The term map is shared
-    by every user of the set and must not be mutated.
-    """
+    """One generator's label, total degree and graded piece (block degrees, weight)."""
 
     label: str
     degree: int
     block_degrees: tuple[int, ...]
     weight: int
-    terms: dict[Exponents, int | Fraction]
 
 
 def _generator_row(label: str, p: Polynomial) -> GeneratorRow:
@@ -108,8 +101,7 @@ def _generator_row(label: str, p: Polynomial) -> GeneratorRow:
     if len(gradings) > 1:
         raise NonHomogeneous(f"generator {label} spans several graded pieces: {p}")
     ((block_degrees, weight, _),) = gradings
-    terms = {e: c.numerator if c.denominator == 1 else c for e, c in p.items()}
-    return GeneratorRow(label, sum(block_degrees), block_degrees, weight, terms)
+    return GeneratorRow(label, sum(block_degrees), block_degrees, weight)
 
 
 @dataclass(frozen=True)
@@ -137,7 +129,7 @@ class GeneratorSet:
 
     @cached_property
     def table(self) -> tuple[GeneratorRow, ...]:
-        """Each generator's row (label, degree, block_degrees, weight, terms), built once per set.
+        """Each generator's row (label, degree, block_degrees, weight), built once per set.
 
         Raises NonHomogeneous, naming the label, for a generator that is
         zero, mixes degrees or graded pieces, or involves CX/CY.

@@ -47,12 +47,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
-from operator import add
 from typing import Callable, Collection, Iterator, NamedTuple, Sequence
 
 from .derivation import GeneratorSet, WeitzenboeckDerivation, generators
 from .errors import AmbientMismatch, InvalidKey, NonHomogeneous, NotInKernel, NotInSpan
-from .poly import Ambient, Exponents, Polynomial, monomial_sort_key
+from .poly import Ambient, Exponents, Polynomial, Terms, monomial_sort_key, mul_terms
 
 
 class GradedPieceKey(NamedTuple):
@@ -126,8 +125,9 @@ def graded_monomials(n: int, k: int, key: GradedPieceKey) -> list[Exponents]:
     """All ring monomials with the given block multidegree and weight.
 
     Returned as full-width exponent tuples (covariant slots zero) in
-    canonical order, highest first.
+    canonical order, highest first.  ValueError for n < 1 or k < 1.
     """
+    Ambient(n, k)  # validates n and k
     block_degrees = tuple(key.block_degrees)
     weight = key.weight
     if len(block_degrees) != n or any(d < 0 for d in block_degrees):
@@ -160,7 +160,10 @@ def graded_monomials(n: int, k: int, key: GradedPieceKey) -> list[Exponents]:
 
 
 def piece_keys(n: int, k: int, degree: int) -> list[GradedPieceKey]:
-    """Every graded piece key of total degree `degree`, sorted."""
+    """Every graded piece key of total degree `degree`, sorted; ValueError for invalid n, k or degree."""
+    Ambient(n, k)  # validates n and k
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
     keys = [
         GradedPieceKey(bd, w)
         for bd in compositions(degree, n)
@@ -202,7 +205,6 @@ def _weight_counts(block_degrees: tuple[int, ...], k: int) -> tuple[int, ...]:
 # -- exact linear algebra ----------------------------------------------------
 
 SparseRow = dict[int, Fraction]
-Terms = dict[Exponents, int | Fraction]  # an expanded product: exponents -> nonzero coefficient
 
 
 def matrix_rows(polys: Sequence[Polynomial | Terms]) -> list[SparseRow]:
@@ -394,9 +396,6 @@ def kernel_dim(n: int, k: int, degree: int) -> int:
 
     Sums the per-piece count of `_piece_kernel_dim`; builds no matrix.
     """
-    Ambient(n, k)  # validates n and k
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
     return sum(_piece_kernel_dim(n, k, key) for key in piece_keys(n, k, degree))
 
 
@@ -406,9 +405,6 @@ def kernel_basis(n: int, k: int, degree: int) -> list[Polynomial]:
     Direct sum of per-piece nullspaces, concatenated over sorted piece
     keys; every element is annihilated by D exactly.
     """
-    Ambient(n, k)  # validates n and k
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
     basis: list[Polynomial] = []
     for key in piece_keys(n, k, degree):
         basis.extend(kernel_piece_basis(n, k, key))
@@ -542,30 +538,17 @@ def span_dimension(polys: Sequence[Polynomial], where: int | GradedPieceKey | No
     return _rank(matrix_rows(nonzero))
 
 
-def _mul_terms(a: Terms, b: Terms) -> Terms:
-    """a * b for term maps, keeping only nonzero coefficients."""
-    out: Terms = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            key = tuple(map(add, ea, eb))
-            acc = out.get(key, 0) + ca * cb
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-    return out
-
-
 def _product_expander(gens: GeneratorSet) -> Callable[[tuple[str, ...]], Terms]:
     """The one expander of generator products: label multiset -> term map.
 
     A multiset's terms are those of its prefix labels[:-1], memoised for
-    the expander's lifetime, times one generator's term map from
-    `gens.table`, whose coefficients with denominator 1 are `int`, so
-    products of integer generators are expanded in integer arithmetic.
-    Raises KeyError on an unknown label.
+    the expander's lifetime, times one generator's terms, read from `gens`
+    once per expander and multiplied by `mul_terms` on raw term maps.  The
+    generators' integral coefficients are `int`, so products of integer
+    generators are expanded in integer arithmetic.  Raises KeyError on an
+    unknown label.
     """
-    values = {row.label: row.terms for row in gens.table}
+    values = {label: dict(p.items()) for label, p in gens}
     one = (0,) * Ambient(gens.n, gens.k).width
     prefixes: dict[tuple[str, ...], Terms] = {}
 
@@ -576,7 +559,7 @@ def _product_expander(gens: GeneratorSet) -> Callable[[tuple[str, ...]], Terms]:
         terms = prefixes.get(head)
         if terms is None:
             terms = prefixes[head] = expand(head)
-        return _mul_terms(terms, values[labels[-1]])
+        return mul_terms(terms, values[labels[-1]])
 
     return expand
 
@@ -677,7 +660,7 @@ def express_in_generators(p: Polynomial, gens: GeneratorSet) -> Combination:
 def evaluate_combination(combination: Combination, gens: GeneratorSet) -> Polynomial:
     """Expand a label-multiset combination: sum(coeff * prod(generators))."""
     expand = _product_expander(gens)
-    total: dict[Exponents, Fraction] = {}
+    total: Terms = {}
     for labels, coeff in combination.items():
         for exps, c in expand(labels).items():
             total[exps] = total.get(exps, 0) + coeff * c

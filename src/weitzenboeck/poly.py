@@ -2,8 +2,11 @@
 
 The ambient ring is K[x_1..x_n, y_1..y_n, ..., CX, CY]: n chains of k+1
 variables each ("block" i, "level" j), plus the two covariant variables
-CX and CY.  Coefficients are `fractions.Fraction`, so every computation
-is exact; floating point is never used.
+CX and CY.  Every computation is exact; floating point is never used.
+This module owns the coefficient format: a coefficient is an `int` when
+it is integral and a `fractions.Fraction` only when it is not, so the
+integer polynomials of the generators and their products are computed
+in integer arithmetic.
 
 A monomial is a dense exponent tuple with one slot per variable, laid out
 block-major and level-minor, covariant slots last:
@@ -22,12 +25,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import AmbientMismatch, ParseError, UnknownVariable
 
 Scalar = Union[int, Fraction]
 Exponents = tuple[int, ...]
+Terms = dict[Exponents, Scalar]  # exponents -> nonzero coefficient
 
 
 @dataclass(frozen=True)
@@ -143,6 +148,31 @@ def monomial_sort_key(exps: Exponents):
     return (sum(exps), exps)
 
 
+def _integral(terms: Terms) -> Terms:
+    """Store every integral coefficient as an `int`, in place; returns `terms`."""
+    for exps, c in terms.items():
+        if type(c) is not int and c.denominator == 1:
+            terms[exps] = c.numerator
+    return terms
+
+
+def mul_terms(a: Terms, b: Terms) -> Terms:
+    """a * b for term maps, the one polynomial product; int inputs give int coefficients.
+
+    Coefficients are multiplied as they are: an integral `Fraction` result is left to the caller.
+    """
+    out: Terms = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = tuple(map(add, ea, eb))
+            acc = out.get(key, 0) + ca * cb
+            if acc:
+                out[key] = acc
+            else:
+                out.pop(key, None)
+    return out
+
+
 class Polynomial:
     """Immutable sparse polynomial over an `Ambient`.
 
@@ -155,22 +185,21 @@ class Polynomial:
 
     def __init__(self, ambient: Ambient, terms: Mapping[Exponents, Scalar] | Iterable[tuple[Exponents, Scalar]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        clean: dict[Exponents, Fraction] = {}
+        clean: Terms = {}
         width = ambient.width
         for exps, coeff in items:
             if len(exps) != width or any(type(e) is not int or e < 0 for e in exps):
                 raise AmbientMismatch(f"exponent tuple {exps} does not fit ambient (n={ambient.n}, k={ambient.k})")
             if type(coeff) is bool or not isinstance(coeff, (int, Fraction)):
                 raise TypeError(f"coefficient {coeff!r} is not an int or a Fraction")
-            c = Fraction(coeff)
-            if c:
-                acc = clean.get(exps, 0) + c
+            if coeff:
+                acc = clean.get(exps, 0) + coeff
                 if acc:
                     clean[exps] = acc
                 else:
                     clean.pop(exps, None)
         object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "_terms", _integral(clean))
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -193,7 +222,7 @@ class Polynomial:
     def variable(cls, ambient: Ambient, v: Variable) -> "Polynomial":
         exps = [0] * ambient.width
         exps[ambient.index(v)] = 1
-        return cls(ambient, {tuple(exps): Fraction(1)})
+        return cls(ambient, {tuple(exps): 1})
 
     @classmethod
     def monomial(cls, ambient: Ambient, powers: Mapping[Variable, int], coeff: Scalar = 1) -> "Polynomial":
@@ -214,16 +243,16 @@ class Polynomial:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def items(self) -> Iterator[tuple[Exponents, Fraction]]:
+    def items(self) -> Iterator[tuple[Exponents, Scalar]]:
         """Unordered term iteration (fast path for internal computation)."""
         return iter(self._terms.items())
 
-    def terms(self) -> list[tuple[Exponents, Fraction]]:
+    def terms(self) -> list[tuple[Exponents, Scalar]]:
         """Terms in canonical order: graded lex, highest first."""
         return sorted(self._terms.items(), key=lambda kv: monomial_sort_key(kv[0]), reverse=True)
 
-    def coefficient(self, exps: Exponents) -> Fraction:
-        return self._terms.get(tuple(exps), Fraction(0))
+    def coefficient(self, exps: Exponents) -> Scalar:
+        return self._terms.get(tuple(exps), 0)
 
     def total_degree(self) -> int:
         """Largest total degree over all terms; 0 for the zero polynomial."""
@@ -275,9 +304,7 @@ class Polynomial:
         return self._wrap({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.ambient, Fraction(other))
-        if not isinstance(other, Polynomial):
+        if not isinstance(other, (int, Fraction, Polynomial)):
             return NotImplemented
         return self + (-other)
 
@@ -286,23 +313,13 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
+            if not other:
                 return Polynomial.zero(self.ambient)
-            return self._wrap({e: cc * c for e, cc in self._terms.items()})
+            return self._wrap({e: c * other for e, c in self._terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_ambient(other)
-        out: dict[Exponents, Fraction] = {}
-        for ea, ca in self._terms.items():
-            for eb, cb in other._terms.items():
-                key = tuple(a + b for a, b in zip(ea, eb))
-                acc = out.get(key, 0) + ca * cb
-                if acc:
-                    out[key] = acc
-                else:
-                    out.pop(key, None)
-        return self._wrap(out)
+        return self._wrap(mul_terms(self._terms, other._terms))
 
     __rmul__ = __mul__
 
@@ -317,19 +334,18 @@ class Polynomial:
     def partial(self, v: Variable) -> "Polynomial":
         """Formal partial derivative with respect to one variable."""
         idx = self.ambient.index(v)
-        out: dict[Exponents, Fraction] = {}
+        out: Terms = {}
         for exps, c in self._terms.items():
             e = exps[idx]
             if e:
-                key = exps[:idx] + (e - 1,) + exps[idx + 1 :]
-                out[key] = out.get(key, Fraction(0)) + c * e
+                out[exps[:idx] + (e - 1,) + exps[idx + 1 :]] = c * e  # distinct terms give distinct keys
         return self._wrap(out)
 
-    def _wrap(self, terms: dict[Exponents, Fraction]) -> "Polynomial":
-        # internal fast path: terms already canonical (no zeros, right width)
+    def _wrap(self, terms: Terms) -> "Polynomial":
+        # internal fast path: terms already have no zeros and the right width
         p = Polynomial.__new__(Polynomial)
         object.__setattr__(p, "ambient", self.ambient)
-        object.__setattr__(p, "_terms", terms)
+        object.__setattr__(p, "_terms", _integral(terms))
         return p
 
     # -- equality and display ----------------------------------------------
@@ -403,14 +419,15 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 def _variable_from_name(name: str) -> Variable:
+    """The variable a name token denotes; UnknownVariable for a chain block below 1."""
     if name == "CX":
         return COV_X
     if name == "CY":
         return COV_Y
     if name[0] == "v":
         block, level = name[1:].split(".")
-        return Variable(int(block), int(level))
-    return Variable(int(name[1:]), _LEVEL_BY_LETTER[name[0]])
+        return ring_var(int(block), int(level))
+    return ring_var(int(name[1:]), _LEVEL_BY_LETTER[name[0]])
 
 
 class _Parser:
@@ -428,7 +445,7 @@ class _Parser:
         return tok
 
     def parse(self) -> Polynomial:
-        terms: dict[Exponents, Fraction] = {}
+        terms: Terms = {}
         sign = 1
         kind, value, pos = self.peek()
         if kind == "op" and value in "+-":
@@ -436,7 +453,7 @@ class _Parser:
             sign = -1 if value == "-" else 1
         while True:
             exps, coeff = self.term()
-            acc = terms.get(exps, Fraction(0)) + sign * coeff
+            acc = terms.get(exps, 0) + sign * coeff
             if acc:
                 terms[exps] = acc
             else:
@@ -450,17 +467,17 @@ class _Parser:
                 continue
             raise ParseError(f"expected '+' or '-', got {value!r}", pos)
 
-    def term(self) -> tuple[Exponents, Fraction]:
-        coeff = Fraction(1)
+    def term(self) -> tuple[Exponents, Scalar]:
+        coeff: Scalar = 1
         exps = [0] * self.ambient.width
         kind, value, pos = self.peek()
         if kind == "int":
             self.advance()
-            coeff = Fraction(int(value))
+            coeff = int(value)
             kind, value, pos = self.peek()
             if kind == "op" and value == "/":
                 self.advance()
-                coeff /= self.posint("denominator")
+                coeff = Fraction(coeff, self.posint("denominator"))
                 kind, value, pos = self.peek()
             if not (kind == "op" and value == "*"):
                 return tuple(exps), coeff  # bare constant term
@@ -478,7 +495,10 @@ class _Parser:
         kind, value, pos = self.advance()
         if kind != "name":
             raise ParseError(f"expected a variable, got {value!r}" if value else "expected a variable", pos)
-        var = _variable_from_name(value)
+        try:
+            var = _variable_from_name(value)
+        except UnknownVariable:
+            raise ParseError(f"no variable named {value!r}", pos) from None
         try:
             idx = self.ambient.index(var)
         except UnknownVariable:

@@ -219,6 +219,12 @@ class TestExpressionCommands:
         assert code == 2
         assert "z1" in err
 
+    @pytest.mark.parametrize("name", ["x0", "y0", "v0.0", "v0.1"])
+    def test_block_zero_name_exits_2(self, capsys, name):
+        code, out, err = run(capsys, "apply", "--n", "2", "--k", "1", "--poly", f"{name}*x1")
+        assert (code, out) == (2, "")
+        assert err == f"error: no variable named '{name}' (position 0)\n"
+
 
 class TestContract:
     def test_usage_error_exits_2(self, capsys):

@@ -65,6 +65,8 @@ class TestGradedMonomials:
             graded_monomials(2, 1, GradedPieceKey((1,), 0))  # wrong number of blocks
         with pytest.raises(InvalidKey):
             graded_monomials(1, 1, GradedPieceKey((1,), -1))
+        with pytest.raises(ValueError, match="n >= 1 and k >= 1"):
+            graded_monomials(2, 0, GradedPieceKey((1, 1), 0))  # no ring with k = 0
 
     def test_partition_of_degree_space(self):
         # pieces of a fixed degree tile the monomial space without overlap
@@ -82,6 +84,14 @@ def test_compositions():
     assert list(compositions(2, 2)) == [(0, 2), (1, 1), (2, 0)]
     assert list(compositions(0, 3)) == [(0, 0, 0)]
     assert list(compositions(3, 1)) == [(3,)]
+
+
+def test_piece_keys_validate_their_input():
+    # n and k are checked by Ambient, a negative degree as in kernel_dim
+    for n, k, degree in ((0, 1, 2), (2, 0, 2), (2, -1, 3), (2, 1, -1)):
+        with pytest.raises(ValueError):
+            piece_keys(n, k, degree)
+    assert piece_keys(2, 1, 0) == [GradedPieceKey((0, 0), 0)]
 
 
 class TestNullspace:
@@ -371,6 +381,31 @@ class TestGeneratorProducts:
             for pr in smaller:
                 for g in linear:
                     assert _expand(pr, gens) * g in larger
+
+
+class TestProductExpander:
+    @given(st.sampled_from([(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2)]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_polynomial_products(self, nk, data):
+        # the expander multiplies raw term maps; Polynomial.__mul__ is the reference
+        n, k = nk
+        gens = generators(n, k)
+        expand = kernel._product_expander(gens)
+        amb = Ambient(n, k)
+        for _ in range(3):
+            labels = tuple(data.draw(st.lists(st.sampled_from(gens.labels()), max_size=4)))
+            expected = Polynomial.one(amb)
+            for label in labels:
+                expected = expected * gens.value(label)
+            terms = expand(labels)
+            assert Polynomial(amb, terms) == expected
+            assert dict(terms) == dict(expected.items())
+            assert all(type(c) is int for c in terms.values())
+            assert expand(labels) == terms  # again, from the memoised prefix
+
+    def test_unknown_label(self):
+        with pytest.raises(KeyError):
+            kernel._product_expander(generators(2, 1))(("x1", "H1,1"))
 
 
 class TestEvaluateCombination:

@@ -28,6 +28,7 @@ GOLDEN = [
     (2, 1, "x2*y1 - y2*x1", "-x1*y2 + x2*y1"),
     (1, 1, "1/2*y1^2 - 3*x1*y1 + x1^2", "x1^2 - 3*x1*y1 + 1/2*y1^2"),
     (2, 1, "v1.1 + x2", "y1 + x2"),
+    (2, 1, "v1.0*v2.1", "x1*y2"),
 ]
 
 
@@ -90,6 +91,15 @@ def test_out_of_ambient_variables(n, k, text):
     assert err.value.position is not None
 
 
+@pytest.mark.parametrize("name", ["x0", "y0", "v0.0", "v0.1"])
+def test_block_zero_names_are_rejected(name):
+    # block 0 holds CX and CY, which have no chain names
+    for text, position in ((name, 0), (f"x1*{name}", 3)):
+        with pytest.raises(ParseError, match=f"'{name}'") as err:
+            parse(text, Ambient(2, 1))
+        assert err.value.position == position
+
+
 def test_whitespace_insignificant():
     amb = Ambient(2, 1)
     assert parse("x1*y2-x2*y1", amb) == parse("  x1 * y2  -  x2 * y1 ", amb)
@@ -104,7 +114,8 @@ def _polynomials(draw):
         for _ in range(draw(st.integers(0, 5))):
             exps[draw(st.integers(0, amb.width - 1))] += 1
         key = tuple(exps)
-        coeff = Fraction(draw(st.integers(-99, 99)), draw(st.integers(1, 12)))
+        # an int, or a Fraction that may be integral
+        coeff = draw(st.integers(-99, 99) | st.builds(Fraction, st.integers(-99, 99), st.integers(1, 12)))
         terms[key] = terms.get(key, 0) + coeff
     return Polynomial(amb, terms)
 
@@ -113,3 +124,15 @@ def _polynomials(draw):
 @settings(max_examples=150, deadline=None)
 def test_parse_format_round_trip_random(p):
     assert parse(str(p), p.ambient) == p
+
+
+@given(_polynomials())
+@settings(max_examples=100, deadline=None)
+def test_coefficient_format_random(p):
+    # integral coefficients are stored as int whatever their input type
+    assert all(type(c) is int or (type(c) is Fraction and c.denominator != 1) for _, c in p.items())
+    reparsed = parse(str(p), p.ambient)
+    assert dict(reparsed.items()) == dict(p.items())
+    assert [type(c) for _, c in reparsed.terms()] == [type(c) for _, c in p.terms()]
+    as_fractions = Polynomial(p.ambient, {e: Fraction(c) for e, c in p.items()})
+    assert as_fractions == p and hash(as_fractions) == hash(p)

@@ -220,4 +220,43 @@ def test_scalar_polynomials_hash_as_their_scalar():
         assert p == c and hash(p) == hash(c)
         assert len({p, c}) == 1
     assert hash(Polynomial.zero(A12)) == hash(0)
+    assert len({Polynomial.constant(A21, 3), Polynomial.constant(A21, Fraction(6, 2)), 3}) == 1
     assert len({Polynomial.constant(A21, 3), Polynomial.constant(A12, 3)}) == 2  # equal hashes, unequal values
+
+
+def _canonical(p):
+    """Every coefficient is an int, or a Fraction that is not integral."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1) for _, c in p.items())
+
+
+class TestCoefficientFormat:
+    """Integral coefficients are stored as int, the rest as Fraction."""
+
+    def test_integral_inputs_give_int(self):
+        one = (1, 0, 0, 0, 0, 0)  # x1 in A21
+        assert type(parse("4/2*x1", A21).coefficient(one)) is int
+        assert type(Polynomial(A21, {one: Fraction(6, 3)}).coefficient(one)) is int
+        assert type(Polynomial.variable(A21, x(1)).coefficient(one)) is int
+        assert type(Polynomial.constant(A21, Fraction(4, 2)).coefficient((0,) * 6)) is int
+        # duplicate terms are accumulated before the format is decided
+        assert type(Polynomial(A21, [(one, Fraction(1, 2)), (one, Fraction(1, 2))]).coefficient(one)) is int
+
+    def test_non_integral_stay_fraction(self):
+        p = parse("1/2*x1*y2 - 1/2*x2*y1 + 3*x1^2", A21)
+        assert _canonical(p)
+        assert sorted(type(c).__name__ for _, c in p.items()) == ["Fraction", "Fraction", "int"]
+        assert parse("-2/3", A21).coefficient((0,) * 6) == Fraction(-2, 3)
+
+    def test_arithmetic_with_integral_results_gives_int(self):
+        half = parse("1/2*x1 + 1/3*y2", A21)
+        results = [
+            half + half + half,
+            half * 6,
+            6 * half,
+            half * parse("2*x1 + 3*y2", A21),
+            parse("1/2*x1^2", A21).partial(x(1)),
+            half - parse("-1/2*x1", A21),
+        ]
+        for p in results:
+            assert _canonical(p)
+        assert str(half * 6) == "3*x1 + 2*y2"
