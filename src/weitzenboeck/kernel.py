@@ -22,7 +22,11 @@ of the known generators; equality certifies that they span the kernel
 in that degree.  A product's piece is the sum of its factors' pieces, so
 products are grouped by piece from their labels alone, and each is
 expanded once, only where it is used, by one expander that multiplies a
-memoised prefix by a single generator (`_product_expander`).
+memoised prefix by a single generator (`_product_expander`).  Expansion
+runs on packed monomials (`poly.Packing`), one int per monomial whose
+high digits are its grading, so a term product is one int addition and
+the check that every monomial of a product lies in the piece its labels
+name is one shift and one comparison per distinct monomial.
 
 Products are enumerated as label multisets on packed integer keys
 (`generator_products`): a piece (b, w) is one mixed-radix int, so adding
@@ -51,7 +55,7 @@ from typing import Callable, Collection, Iterator, NamedTuple, Sequence
 
 from .derivation import GeneratorSet, WeitzenboeckDerivation, generators
 from .errors import AmbientMismatch, InvalidKey, NonHomogeneous, NotInKernel, NotInSpan
-from .poly import Ambient, Exponents, Polynomial, Terms, monomial_sort_key, mul_terms
+from .poly import Ambient, Exponents, PackedTerms, Polynomial, monomial_sort_key, mul_terms, packing_for
 
 
 class GradedPieceKey(NamedTuple):
@@ -207,13 +211,13 @@ def _weight_counts(block_degrees: tuple[int, ...], k: int) -> tuple[int, ...]:
 SparseRow = dict[int, Fraction]
 
 
-def matrix_rows(polys: Sequence[Polynomial | Terms]) -> list[SparseRow]:
+def matrix_rows(polys: Sequence[Polynomial | PackedTerms]) -> list[SparseRow]:
     """Sparse rows of the matrix whose j-th column holds the coefficients of polys[j].
 
-    One row per monomial occurring in some polynomial (or term map),
+    One row per monomial occurring in some polynomial (or packed term map),
     mapping column index to nonzero coefficient.
     """
-    by_monomial: dict[Exponents, SparseRow] = {}
+    by_monomial: dict[Exponents | int, SparseRow] = {}
     for j, p in enumerate(polys):
         for exps, c in p.items():
             by_monomial.setdefault(exps, {})[j] = c
@@ -479,7 +483,7 @@ def generator_products(gens: GeneratorSet, degree: int, pieces: Collection[Grade
         targets = [pack(bd, w) for bd, w in pieces if len(bd) == n and all(0 <= c <= top for c in (*bd, w))]
 
     def wanted(keys: frozenset[int], key: int) -> bool:
-        return bool(keys) if targets is None else any(t - key in keys for t in targets)
+        return bool(keys) if targets is None else not keys.isdisjoint([t - key for t in targets])
 
     unpacked: dict[int, GradedPieceKey] = {}  # one key object per piece
 
@@ -538,28 +542,46 @@ def span_dimension(polys: Sequence[Polynomial], where: int | GradedPieceKey | No
     return _rank(matrix_rows(nonzero))
 
 
-def _product_expander(gens: GeneratorSet) -> Callable[[tuple[str, ...]], Terms]:
-    """The one expander of generator products: label multiset -> term map.
+def _label_degree(gens: GeneratorSet) -> Callable[[tuple[str, ...]], int]:
+    """Total degree of a label multiset of `gens`; KeyError on an unknown label."""
+    degrees = {row.label: row.degree for row in gens.table}
+    return lambda labels: sum(map(degrees.__getitem__, labels))
 
-    A multiset's terms are those of its prefix labels[:-1], memoised for
-    the expander's lifetime, times one generator's terms, read from `gens`
-    once per expander and multiplied by `mul_terms` on raw term maps.  The
-    generators' integral coefficients are `int`, so products of integer
-    generators are expanded in integer arithmetic.  Raises KeyError on an
-    unknown label.
+
+def _product_expander(gens: GeneratorSet, degree: int) -> Callable[[tuple[str, ...]], PackedTerms]:
+    """The one expander of generator products of total degree <= `degree`: label multiset -> packed term map.
+
+    Monomials are packed by `packing_for(Ambient(gens.n, gens.k), degree)`.  A
+    multiset's terms are those of its prefix labels[:-1], memoised for the
+    expander's lifetime, times one generator's terms, packed once per
+    expander when first used and multiplied by `mul_terms`.  Every
+    monomial of a product of total degree <= `degree` has total degree
+    <= `degree`, so no digit carries (see `Packing`); a multiset above the
+    bound raises ValueError instead of carrying.  The generators' integral
+    coefficients are `int`, so products of integer generators are expanded
+    in integer arithmetic.  Raises KeyError on an unknown label.
     """
-    values = {label: dict(p.items()) for label, p in gens}
-    one = (0,) * Ambient(gens.n, gens.k).width
-    prefixes: dict[tuple[str, ...], Terms] = {}
+    packing = packing_for(Ambient(gens.n, gens.k), degree)
+    label_degree = _label_degree(gens)
+    values: dict[str, PackedTerms] = {}
+    prefixes: dict[tuple[str, ...], PackedTerms] = {}
 
-    def expand(labels: tuple[str, ...]) -> Terms:
+    def times(labels: tuple[str, ...]) -> PackedTerms:
         if not labels:
-            return {one: 1}
-        head = labels[:-1]
+            return {0: 1}
+        head, last = labels[:-1], labels[-1]
         terms = prefixes.get(head)
         if terms is None:
-            terms = prefixes[head] = expand(head)
-        return mul_terms(terms, values[labels[-1]])
+            terms = prefixes[head] = times(head)
+        factor = values.get(last)
+        if factor is None:
+            factor = values[last] = packing.pack_terms(gens.value(last))
+        return mul_terms(terms, factor)
+
+    def expand(labels: tuple[str, ...]) -> PackedTerms:
+        if label_degree(labels) > degree:
+            raise ValueError(f"product {labels} exceeds the expander's degree bound {degree}")
+        return times(labels)
 
     return expand
 
@@ -573,10 +595,12 @@ def completeness_check(n: int, k: int, degree: int, exclude: Sequence[str] = ())
     """
     amb = Ambient(n, k)
     gens = generators(n, k).without(*exclude)
-    expand = _product_expander(gens)
     by_piece: dict[GradedPieceKey, list[tuple[str, ...]]] = defaultdict(list)
     for product in generator_products(gens, degree):
         by_piece[product.key].append(product.labels)
+    expand = _product_expander(gens, degree)
+    packing = packing_for(amb, degree)  # the expander's packing
+    shift = packing.shift
 
     pieces: list[PieceReport] = []
     kernel_total = 0
@@ -584,18 +608,22 @@ def completeness_check(n: int, k: int, degree: int, exclude: Sequence[str] = ())
     for key in piece_keys(n, k, degree):
         kdim = _piece_kernel_dim(n, k, key)
         # number each distinct monomial as a column, checking that it lies in the
-        # piece the labels name: label arithmetic is cross-checked against values
-        piece = (key.block_degrees, key.weight, 0)
-        column: dict[Exponents, int] = {}
+        # piece the labels name: label arithmetic is cross-checked against values.
+        # A packed monomial's high digits are exactly its grading (no field carries),
+        # so `mono >> shift != piece` is (block_degrees, weight, cov_degree) != (b, w, 0)
+        piece = packing.grading(key.block_degrees, key.weight)
+        column: dict[int, int] = {}
         rows: list[SparseRow] = []
         for labels in by_piece.get(key, ()):
             row: SparseRow = {}
-            for exps, c in expand(labels).items():
-                j = column.get(exps)
+            for mono, c in expand(labels).items():
+                j = column.get(mono)
                 if j is None:
-                    if (amb.block_degrees(exps), amb.weight(exps), amb.cov_degree(exps)) != piece:
-                        raise NonHomogeneous(f"product {labels} lies outside piece {key}: monomial {exps}")
-                    j = column[exps] = len(column)
+                    if mono >> shift != piece:
+                        raise NonHomogeneous(
+                            f"product {labels} lies outside piece {key}: monomial {packing.unpack(mono)}"
+                        )
+                    j = column[mono] = len(column)
                 row[j] = c
             rows.append(row)
         # products lie in ker D on this piece, so their rank is at most kdim and
@@ -648,10 +676,11 @@ def express_in_generators(p: Polynomial, gens: GeneratorSet) -> Combination:
     # coefficients of the free-variables-zero solution are exactly 0
     products = [pr.labels for pr in generator_products(gens, degree, target_keys)]
 
-    # column j holds product j; p rides along as the augmented column `rhs`
+    # column j holds product j; p, packed like the products, rides along as the augmented column `rhs`
     rhs = len(products)
-    expand = _product_expander(gens)
-    reduced, pivots = rref(matrix_rows([expand(labels) for labels in products] + [p]), rhs)
+    expand = _product_expander(gens, degree)
+    packed = packing_for(p.ambient, degree).pack_terms(p)
+    reduced, pivots = rref(matrix_rows([expand(labels) for labels in products] + [packed]), rhs)
     if len(reduced) > len(pivots):
         raise NotInSpan(f"{p} is not spanned by generator products of degree {degree}")
     return {products[col]: row[rhs] for row, col in zip(reduced, pivots) if rhs in row}
@@ -659,9 +688,11 @@ def express_in_generators(p: Polynomial, gens: GeneratorSet) -> Combination:
 
 def evaluate_combination(combination: Combination, gens: GeneratorSet) -> Polynomial:
     """Expand a label-multiset combination: sum(coeff * prod(generators))."""
-    expand = _product_expander(gens)
-    total: Terms = {}
+    degree = max(map(_label_degree(gens), combination), default=0)
+    packing = packing_for(Ambient(gens.n, gens.k), degree)
+    expand = _product_expander(gens, degree)
+    total: PackedTerms = {}
     for labels, coeff in combination.items():
-        for exps, c in expand(labels).items():
-            total[exps] = total.get(exps, 0) + coeff * c
-    return Polynomial(Ambient(gens.n, gens.k), total)
+        for mono, c in expand(labels).items():
+            total[mono] = total.get(mono, 0) + coeff * c
+    return Polynomial(packing.ambient, packing.unpack_terms(total))

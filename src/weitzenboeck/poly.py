@@ -18,6 +18,14 @@ polynomial is the empty map.  Term iteration and printing use graded
 lexicographic order (higher total degree first, ties broken by the
 exponent tuple, earlier variables dominating), which makes output and
 downstream pivot selection deterministic.
+
+Products are computed on packed monomials (`Packing`): an exponent tuple
+of total degree <= D becomes one int whose low bit fields are the
+exponents and whose high fields are the monomial's grading (block
+degrees, weight, covariant degree).  Packing is linear, so multiplying
+two monomials is one int addition, and the grading of a packed monomial
+is one right shift.  `mul_terms` is the one polynomial product;
+`Polynomial.__mul__` packs its operands, multiplies and unpacks.
 """
 
 from __future__ import annotations
@@ -25,14 +33,16 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
-from typing import Iterable, Iterator, Mapping, Union
+from functools import cache
+from operator import lshift, mul
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import AmbientMismatch, ParseError, UnknownVariable
 
 Scalar = Union[int, Fraction]
 Exponents = tuple[int, ...]
 Terms = dict[Exponents, Scalar]  # exponents -> nonzero coefficient
+PackedTerms = dict[int, Scalar]  # packed monomial -> nonzero coefficient
 
 
 @dataclass(frozen=True)
@@ -93,6 +103,9 @@ class Ambient:
     k: int
 
     def __post_init__(self):
+        for name, value in (("n", self.n), ("k", self.k)):
+            if type(value) is not int:
+                raise TypeError(f"ambient {name} must be an int, got {value!r}")
         if self.n < 1 or self.k < 1:
             raise ValueError(f"ambient requires n >= 1 and k >= 1, got ({self.n}, {self.k})")
 
@@ -156,15 +169,86 @@ def _integral(terms: Terms) -> Terms:
     return terms
 
 
-def mul_terms(a: Terms, b: Terms) -> Terms:
-    """a * b for term maps, the one polynomial product; int inputs give int coefficients.
+class Packing:
+    """Monomials of total degree <= `degree` packed into ints, grading in the high digits.
 
-    Coefficients are multiplied as they are: an integral `Fraction` result is left to the caller.
+    An exponent tuple packs as the dot product sum(e_i * slot_i) into
+    disjoint fields of `bits` bits: the `width` exponent digits, then the
+    n block degrees, then the weight, then the covariant degree.  Slot i
+    holds a 1 in exponent digit i plus the slot's contribution to the
+    grading (a 1 in its block's digit and its level in the weight digit
+    for a ring slot, a 1 in the covariant digit for CX and CY).  Packing
+    is linear, so the packed product of two monomials is the sum of their
+    packings, and `key >> shift` is the packed grading (`grading`).
+
+    No field carries into the next: a monomial of total degree <= D has
+    every exponent, block degree and the covariant degree <= D and weight
+    <= k*D, and bits = max(1, (k*D).bit_length()) makes each field hold
+    values up to 2^bits - 1 >= k*D.  So every digit reads back exactly,
+    packing is injective, and the high field is exactly the grading.
+    `pack` raises ValueError for a monomial above the degree bound; a
+    product of packed monomials whose total degree exceeds it would carry.
     """
-    out: Terms = {}
+
+    __slots__ = ("ambient", "degree", "bits", "shift", "slots", "_digits", "_fields", "_mask")
+
+    def __init__(self, ambient: Ambient, degree: int):
+        if type(degree) is not int or degree < 0:
+            raise ValueError(f"packing degree must be a non-negative int, got {degree!r}")
+        n, k, width = ambient.n, ambient.k, ambient.width
+        bits = max(1, (k * degree).bit_length())
+        shift = bits * width
+        slots = [1 << bits * i for i in range(width)]
+        for i in range(ambient.ring_width):
+            slots[i] += (1 << shift + bits * (i // (k + 1))) + (i % (k + 1) << shift + bits * n)
+        for i in range(ambient.ring_width, width):
+            slots[i] += 1 << shift + bits * (n + 1)
+        self.ambient = ambient
+        self.degree = degree
+        self.bits = bits
+        self.shift = shift
+        self.slots = tuple(slots)
+        self._digits = tuple(range(0, shift, bits))
+        self._fields = tuple(range(0, bits * (n + 2), bits))
+        self._mask = (1 << bits) - 1
+
+    def pack(self, exps: Exponents) -> int:
+        if sum(exps) > self.degree:
+            raise ValueError(f"monomial {exps} exceeds the packing degree {self.degree}")
+        return sum(map(mul, exps, self.slots))
+
+    def unpack(self, key: int) -> Exponents:
+        mask = self._mask
+        return tuple([key >> s & mask for s in self._digits])
+
+    def grading(self, block_degrees: Sequence[int], weight: int, cov_degree: int = 0) -> int:
+        """The packed grading that `key >> shift` gives for monomials of this grading."""
+        return sum(map(lshift, (*block_degrees, weight, cov_degree), self._fields))
+
+    def pack_terms(self, terms: "Polynomial | Terms") -> PackedTerms:
+        return {self.pack(exps): c for exps, c in terms.items()}
+
+    def unpack_terms(self, terms: PackedTerms) -> Terms:
+        return {self.unpack(key): c for key, c in terms.items()}
+
+
+@cache
+def packing_for(ambient: Ambient, degree: int) -> Packing:
+    """The `Packing` of `ambient` for total degree <= `degree`, built once per pair and shared."""
+    return Packing(ambient, degree)
+
+
+def mul_terms(a: PackedTerms, b: PackedTerms) -> PackedTerms:
+    """a * b for packed term maps, the one polynomial product; int inputs give int coefficients.
+
+    Both maps must be packed by one `Packing` whose degree bound covers
+    the product.  Coefficients are multiplied as they are: an integral
+    `Fraction` result is left to the caller.
+    """
+    out: PackedTerms = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            key = tuple(map(add, ea, eb))
+            key = ea + eb
             acc = out.get(key, 0) + ca * cb
             if acc:
                 out[key] = acc
@@ -319,7 +403,9 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_ambient(other)
-        return self._wrap(mul_terms(self._terms, other._terms))
+        packing = packing_for(self.ambient, self.total_degree() + other.total_degree())
+        product = mul_terms(packing.pack_terms(self._terms), packing.pack_terms(other._terms))
+        return self._wrap(packing.unpack_terms(product))
 
     __rmul__ = __mul__
 

@@ -6,6 +6,8 @@ the full (ungraded) matrix of the derivation by sparse elimination, so a
 bug in the piece bookkeeping cannot hide in both paths.  The elimination
 oracle (`fraction_rref`) is plain Gauss-Jordan over Fraction, against
 which the library's fraction-free `rref` is compared entry for entry.
+The product oracle (`naive_mul`) multiplies on exponent tuples, with none
+of the library's monomial packing.
 """
 
 import itertools
@@ -44,6 +46,16 @@ def random_covariant_polynomial(rng, ambient, order, max_terms=3, max_ring_degre
         key = tuple(exps)
         terms[key] = terms.get(key, 0) + rng.randint(-9, 9)
     return Polynomial(ambient, terms)
+
+
+def naive_mul(p, q):
+    """p * q by the schoolbook product on exponent tuples: the reference for the packed product."""
+    terms = {}
+    for ea, ca in p.items():
+        for eb, cb in q.items():
+            key = tuple(a + b for a, b in zip(ea, eb))
+            terms[key] = terms.get(key, 0) + ca * cb
+    return Polynomial(p.ambient, terms)
 
 
 def all_ring_monomials(ambient, degree):

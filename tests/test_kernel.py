@@ -35,6 +35,7 @@ from weitzenboeck import (
 )
 from weitzenboeck import cli, kernel
 from weitzenboeck.kernel import _piece_kernel_dim, _rank, compositions, matrix_rows, nullspace, rref
+from weitzenboeck.poly import packing_for
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -387,25 +388,60 @@ class TestProductExpander:
     @given(st.sampled_from([(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2)]), st.data())
     @settings(max_examples=60, deadline=None)
     def test_equals_polynomial_products(self, nk, data):
-        # the expander multiplies raw term maps; Polynomial.__mul__ is the reference
+        # the expander multiplies packed term maps; Polynomial.__mul__ is the reference
         n, k = nk
         gens = generators(n, k)
-        expand = kernel._product_expander(gens)
+        rows = {row.label: row for row in gens.table}
         amb = Ambient(n, k)
+        # k*D = 2^bits - 1 at D = 1, 3, 7, 15 for k = 1; at D >= 12 every multiset of up to 4 labels fits
+        degree = data.draw(st.sampled_from([1, 3, 7, 12, 15]))
+        packing = packing_for(amb, degree)
+        expand = kernel._product_expander(gens, degree)
         for _ in range(3):
-            labels = tuple(data.draw(st.lists(st.sampled_from(gens.labels()), max_size=4)))
+            labels = []
+            for label in data.draw(st.lists(st.sampled_from(gens.labels()), max_size=4)):
+                if sum(rows[lab].degree for lab in labels) + rows[label].degree <= degree:
+                    labels.append(label)
+            if data.draw(st.booleans()):  # fill up to the bound with x1
+                labels += ["x1"] * (degree - sum(rows[lab].degree for lab in labels))
+            labels = tuple(labels)
+            # the piece the labels name, packed: factors' pieces add up
+            blocks = [sum(rows[lab].block_degrees[i] for lab in labels) for i in range(n)]
+            piece = packing.grading(blocks, sum(rows[lab].weight for lab in labels))
             expected = Polynomial.one(amb)
             for label in labels:
                 expected = expected * gens.value(label)
             terms = expand(labels)
-            assert Polynomial(amb, terms) == expected
-            assert dict(terms) == dict(expected.items())
+            assert Polynomial(amb, packing.unpack_terms(terms)) == expected
+            assert packing.unpack_terms(terms) == dict(expected.items())
             assert all(type(c) is int for c in terms.values())
             assert expand(labels) == terms  # again, from the memoised prefix
+            for mono in terms:
+                exps = packing.unpack(mono)
+                assert mono >> packing.shift == packing.grading(amb.block_degrees(exps), amb.weight(exps)) == piece
+
+    def test_products_at_the_degree_bound(self):
+        # D = 7 gives 3-bit fields: x1^7 fills its exponent field, the others reach D with J factors
+        gens = generators(2, 1)
+        expand = kernel._product_expander(gens, 7)
+        packing = packing_for(Ambient(2, 1), 7)
+        for labels in (("x1",) * 7, ("x1", "J1,2", "J1,2", "J1,2"), ("x2",) * 3 + ("J1,2",) * 2):
+            expected = Polynomial.one(Ambient(2, 1))
+            for label in labels:
+                expected = expected * gens.value(label)
+            assert packing.unpack_terms(expand(labels)) == dict(expected.items())
+
+    def test_over_the_bound_raises(self):
+        expand = kernel._product_expander(generators(2, 1), 3)
+        assert expand(("x1", "J1,2"))
+        with pytest.raises(ValueError, match="exceeds the expander's degree bound 3"):
+            expand(("x1", "x1", "J1,2"))
+        with pytest.raises(ValueError):
+            kernel._product_expander(generators(2, 2), 1)(("H1,1",))
 
     def test_unknown_label(self):
         with pytest.raises(KeyError):
-            kernel._product_expander(generators(2, 1))(("x1", "H1,1"))
+            kernel._product_expander(generators(2, 1), 3)(("x1", "H1,1"))
 
 
 class TestEvaluateCombination:
@@ -547,10 +583,10 @@ class TestCompleteness:
     def test_products_are_checked_against_their_piece(self, monkeypatch):
         # an expansion that leaves the piece its labels name is an error, not a rank
         real = kernel._product_expander
-        stray = parse("x1*x2", Ambient(2, 1)).terms()[0][0]
+        stray = packing_for(Ambient(2, 1), 2).pack(parse("x1*x2", Ambient(2, 1)).terms()[0][0])
 
-        def skewed(gens):
-            expand = real(gens)
+        def skewed(gens, degree):
+            expand = real(gens, degree)
             return lambda labels: {**expand(labels), stray: 1} if labels == ("J1,2",) else expand(labels)
 
         monkeypatch.setattr(kernel, "_product_expander", skewed)

@@ -1,9 +1,12 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_polynomial
+from conftest import naive_mul, random_polynomial
 from weitzenboeck import (
     COV_X,
     COV_Y,
@@ -11,12 +14,14 @@ from weitzenboeck import (
     AmbientMismatch,
     Polynomial,
     UnknownVariable,
+    kernel_dim,
     parse,
     ring_var,
     x,
     y,
     z,
 )
+from weitzenboeck.poly import Packing
 
 A21 = Ambient(2, 1)
 A12 = Ambient(1, 2)
@@ -80,6 +85,24 @@ class TestMul:
     def test_ambient_mismatch(self):
         with pytest.raises(AmbientMismatch):
             parse("x1", A21) * parse("x1", A12)
+
+    def test_matches_naive_reference(self):
+        # the packed product against the schoolbook product on exponent tuples,
+        # with covariant factors and exponents past any small field width
+        rng = random.Random(11)
+        for amb in (A21, A12, Ambient(1, 1), Ambient(3, 2), Ambient(2, 3)):
+            for _ in range(40):
+                p = random_polynomial(rng, amb, max_degree=6, covariants=True)
+                q = random_polynomial(rng, amb, max_degree=6, covariants=True)
+                if rng.random() < 0.5:
+                    big = [0] * amb.width
+                    big[rng.randrange(amb.width)] = rng.randint(32, 70)
+                    big[-rng.randint(1, 2)] += rng.randint(0, 40)
+                    p = p + Polynomial(amb, {tuple(big): rng.randint(-9, 9)})
+                assert p * q == naive_mul(p, q)
+                assert dict((p * q).items()) == dict(naive_mul(p, q).items())
+        cx, cy = Polynomial.variable(A21, COV_X), Polynomial.variable(A21, COV_Y)
+        assert str(cx**33 * (cy + parse("y2", A21)) ** 2) == "y2^2*CX^33 + 2*y2*CX^33*CY + CX^33*CY^2"
 
 
 class TestPartialDerivative:
@@ -260,3 +283,68 @@ class TestCoefficientFormat:
         for p in results:
             assert _canonical(p)
         assert str(half * 6) == "3*x1 + 2*y2"
+
+
+def _monomials_up_to(draw, amb, degree):
+    """A monomial of total degree <= degree, its mass piled on few slots so digits reach the bound."""
+    exps = [0] * amb.width
+    left = draw(st.integers(0, degree))
+    for _ in range(draw(st.integers(1, 3))):
+        e = draw(st.integers(0, left))
+        exps[draw(st.integers(0, amb.width - 1))] += e
+        left -= e
+    return tuple(exps)
+
+
+# (n, k, degree) with k*degree = 2^bits - 1 fill every weight field, plus some that do not
+PACKINGS = [(1, 1, 7), (2, 1, 3), (2, 3, 5), (3, 1, 31), (1, 3, 1), (2, 2, 4), (3, 2, 6), (1, 1, 0)]
+
+
+class TestPacking:
+    """Monomials pack into disjoint bit fields: exponents low, grading high."""
+
+    @given(st.sampled_from(PACKINGS), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_pack_is_linear_injective_and_graded(self, nkd, data):
+        n, k, degree = nkd
+        amb = Ambient(n, k)
+        packing = Packing(amb, degree)
+        a = _monomials_up_to(data.draw, amb, degree)
+        b = _monomials_up_to(data.draw, amb, degree - sum(a))
+        s = tuple(i + j for i, j in zip(a, b))
+        for e in (a, b, s):
+            assert packing.unpack(packing.pack(e)) == e
+            grading = packing.grading(amb.block_degrees(e), amb.weight(e), amb.cov_degree(e))
+            assert packing.pack(e) >> packing.shift == grading
+        assert packing.pack(a) + packing.pack(b) == packing.pack(s)
+
+    def test_top_digits_fill_their_fields(self):
+        # weight k*D and an exponent D reach 2^bits - 1 and still read back exactly
+        amb = Ambient(2, 3)
+        packing = Packing(amb, 5)
+        assert packing.bits == 4 and amb.k * 5 == 2**packing.bits - 1
+        top = (0, 0, 0, 5, 0, 0, 0, 0, 0, 0)  # v1.3^5: weight 15
+        assert packing.unpack(packing.pack(top)) == top
+        assert packing.pack(top) >> packing.shift == packing.grading((5, 0), 15)
+
+    def test_bits_grow_with_the_bound(self):
+        assert [Packing(A21, d).bits for d in (0, 1, 2, 3, 4, 7, 8)] == [1, 1, 2, 2, 3, 3, 4]
+        assert Packing(A12, 3).bits == 3  # k*D = 6
+
+    def test_monomial_over_the_bound_raises(self):
+        with pytest.raises(ValueError, match="exceeds the packing degree 2"):
+            Packing(A21, 2).pack((1, 1, 1, 0, 0, 0))
+        with pytest.raises(ValueError):
+            Packing(A21, -1)
+
+
+def test_ambient_requires_int_shape():
+    for n, k in ((2.0, 1), (2, 1.5), (True, 1), (2, True), (Fraction(2), 1), ("2", 1)):
+        name, bad = ("k", k) if type(n) is int else ("n", n)
+        with pytest.raises(TypeError, match=re.escape(f"ambient {name} must be an int, got {bad!r}")):
+            Ambient(n, k)
+    with pytest.raises(TypeError):
+        kernel_dim(2.0, 1, 2)
+    with pytest.raises(TypeError):
+        kernel_dim(2, 1.5, 2)
+    assert Ambient(2, 1).width == 6
