@@ -36,7 +36,6 @@ from .kernel import (
     kernel_dim,
     kernel_piece_basis,
     piece_keys,
-    span_dimension,
 )
 from .poly import (
     COV_X,
@@ -90,7 +89,6 @@ __all__ = [
     "parse",
     "piece_keys",
     "ring_var",
-    "span_dimension",
     "tau",
     "transvectant",
     "x",

@@ -28,20 +28,23 @@ high digits are its grading, so a term product is one int addition and
 the check that every monomial of a product lies in the piece its labels
 name is one shift and one comparison per distinct monomial.
 
-Products are enumerated as label multisets on packed integer keys
-(`generator_products`): a piece (b, w) is one mixed-radix int, so adding
-copies of a generator to a partial product is one integer add.  A cached
-table (`_reach`) holds, for each suffix of the generator list and each
-degree r, the packed keys of every multiset of those generators of degree
+Products are enumerated as label multisets on packed gradings
+(`generator_products`): a piece (b, w) is one int, the grading that
+`poly.Packing` puts in a packed monomial's high digits, so adding copies
+of a generator to a partial product is one integer add, and the same int
+is what the expanded monomials are checked against.  A cached table
+(`_reach`) holds, for each suffix of the generator list and each degree
+r, the packed keys of every multiset of those generators of degree
 exactly r.  A branch survives only if some wanted piece minus its partial
 key is in the table for what is left to choose, so the prune drops a
 branch only when none of its products lies in a wanted piece, and every
-branch it keeps ends in a product.  The radix exceeds twice the largest
-component a key can reach, so a difference of packed keys equals a packed
-reachable key only when the components agree.  `express` enumerates only
-the products in its input's pieces this way.  Each piece's products are
-ranked exactly by `_rank`, which stops at the piece's kernel dimension:
-products lie in ker D, so their rank cannot exceed it.
+branch it keeps ends in a product.  Wanted pieces and complete products
+are gradings of degree-d monomials, whose fields do not carry, so packed
+keys agree only when their components do.  `express` enumerates only the
+products in its input's pieces this way.  A certificate ranks only the
+pieces that hold products, each exactly by `_rank` on integer rows, which
+stops at the piece's kernel dimension: products lie in ker D, so their
+rank cannot exceed it.  A piece without products spans nothing.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from math import gcd, lcm
 from typing import Callable, Collection, Iterator, NamedTuple, Sequence
 
 from .derivation import GeneratorSet, WeitzenboeckDerivation, generators
-from .errors import AmbientMismatch, InvalidKey, NonHomogeneous, NotInKernel, NotInSpan
+from .errors import InvalidKey, NonHomogeneous, NotInKernel, NotInSpan
 from .poly import Ambient, Exponents, PackedTerms, Polynomial, monomial_sort_key, mul_terms, packing_for
 
 
@@ -261,20 +264,20 @@ def _integer_row(source: SparseRow) -> tuple[dict[int, int], int]:
     return {c: v.numerator * (scale // v.denominator) for c, v in source.items() if v}, scale
 
 
-def _rank(rows: Sequence[SparseRow], limit: int | None = None) -> int:
-    """Exact rank over Q of sparse rows (int or Fraction entries), or `limit` if it reaches it.
+def _rank(rows: Sequence[dict[int, int]], limit: int | None = None) -> int:
+    """Exact rank over Q of sparse integer rows (nonzero int entries), or `limit` if it reaches it.
 
-    The forward half of `rref`, with its row scaling and row operations: a
-    row is reduced against the pivot row of its first nonzero column until
-    it is zero or is kept as a new primitive pivot row.  The pivot rows
-    span the rows read so far and have distinct lead columns, so they
+    The forward half of `rref`, with its row operations on a copy of each
+    row: a row is reduced against the pivot row of its first nonzero column
+    until it is zero or is kept as a new primitive pivot row.  The pivot
+    rows span the rows read so far and have distinct lead columns, so they
     count the rank; no reduced echelon form is built.
     """
     pivot_rows: dict[int, dict[int, int]] = {}
     for source in rows:
         if len(pivot_rows) == limit:
             break
-        row = _integer_row(source)[0]
+        row = dict(source)
         while row:
             lead = min(row)
             pivot = pivot_rows.get(lead)
@@ -448,59 +451,46 @@ def generator_products(gens: GeneratorSet, degree: int, pieces: Collection[Grade
     With `pieces`, only the products whose key lies in `pieces`, in the
     same order: `[p for p in generator_products(gens, degree) if p.key in pieces]`.
 
-    The recursion carries a piece (b, w) as one packed int, sum_i b_i R^i +
-    w R^n, so adding `mult` copies of a generator is one integer add.  Every
-    component of a key reachable at this degree lies in 0..top, where top
-    is `degree` times the largest component of a generator (a product of
-    total degree `degree` has at most `degree` factors).  A branch at
-    partial key `key` that next chooses from generators idx.. with `r`
-    degrees left survives only if t - key is in reach[idx][r] for some
-    target t (for any reachable key, when `pieces` is None); every product
-    it drops therefore has a key outside `pieces`, and every surviving
-    branch ends in a product, so the prune is exact and wastes no branch.
-
-    The packing cannot alias.  Targets with a component outside 0..top
-    are unreachable and dropped.  For the rest, t - key has components in
-    -top..top and a reachable key s has components in 0..top, so the packed
-    difference t - key - s = sum_i c_i R^i with |c_i| <= 2 top < R; the
-    lowest nonzero c_i would leave a remainder c_i R^i != 0 modulo R^(i+1),
-    so the packed equality t - key == s holds only componentwise.
+    The recursion carries a piece (b, w) as its packed grading
+    (`Packing.grading` of the degree's packing, the one
+    `completeness_check` checks monomials against), so adding `mult`
+    copies of a generator is one integer add: a product's grading is the
+    sum of its factors'.  A branch at partial key `key` that next chooses
+    from generators idx.. with `r` degrees left survives only if t - key is
+    in reach[idx][r] for some target t (for any reachable key, when
+    `pieces` is None); every product it drops therefore has a key outside
+    `pieces`, and every surviving branch ends in a product, so the prune is
+    exact and wastes no branch.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    n = gens.n
-    table = gens.table  # each generator lies in one piece
-    top = degree * max((max(*row.block_degrees, row.weight) for row in table), default=0)
-    radix = 2 * top + 1
-
-    def pack(bd: Sequence[int], w: int) -> int:
-        return sum(c * radix**i for i, c in enumerate((*bd, w)))
-
-    items = [(row.label, row.degree, pack(row.block_degrees, row.weight)) for row in table]
+    n, k = gens.n, gens.k
+    packing = packing_for(Ambient(n, k), degree)
+    # each generator lies in one piece
+    items = [(row.label, row.degree, packing.grading(row.block_degrees, row.weight)) for row in gens.table]
     reach = _reach(tuple((d, g) for _, d, g in items), degree)
     targets = None
     if pieces is not None:
-        targets = [pack(bd, w) for bd, w in pieces if len(bd) == n and all(0 <= c <= top for c in (*bd, w))]
+        # a kept target and every key + s (s in reach) are gradings of degree-`degree` monomials,
+        # so each field is at most k*degree < 2^bits and packed equality is componentwise equality
+        targets = [
+            packing.grading(bd, w)
+            for bd, w in pieces
+            if len(bd) == n and sum(bd) == degree and min(bd) >= 0 and 0 <= w <= k * degree
+        ]
 
     def wanted(keys: frozenset[int], key: int) -> bool:
         return bool(keys) if targets is None else not keys.isdisjoint([t - key for t in targets])
 
-    unpacked: dict[int, GradedPieceKey] = {}  # one key object per piece
-
-    def unpack(key: int) -> GradedPieceKey:
-        parts = []
-        for _ in range(n):
-            key, c = divmod(key, radix)
-            parts.append(c)
-        return GradedPieceKey(tuple(parts), key)
-
+    read: dict[int, GradedPieceKey] = {}  # one key object per piece
     out: list[Product] = []
 
     def rec(idx: int, remaining: int, labels: tuple[str, ...], key: int):
         if remaining == 0:
-            piece = unpacked.get(key)
+            piece = read.get(key)
             if piece is None:
-                piece = unpacked[key] = unpack(key)
+                bd, w, _ = packing.read_grading(key)
+                piece = read[key] = GradedPieceKey(bd, w)
             out.append(Product(labels, piece))
             return
         # a live branch with degrees left has a generator left (reach[len][r > 0] is empty)
@@ -515,31 +505,6 @@ def generator_products(gens: GeneratorSet, degree: int, pieces: Collection[Grade
     if wanted(reach[0][degree], 0):
         rec(0, degree, (), 0)
     return out
-
-
-def span_dimension(polys: Sequence[Polynomial], where: int | GradedPieceKey | None = None) -> int:
-    """Rank of the coefficient matrix of the polynomials, exact (`_rank`).
-
-    Every nonzero polynomial must be homogeneous; `where` narrows the
-    check to a total degree (int) or to a single graded piece key.
-    Raises NonHomogeneous on violations, AmbientMismatch on mixed ambients.
-    """
-    nonzero = []
-    for p in polys:
-        if p.is_zero:
-            continue
-        if nonzero and p.ambient != nonzero[0].ambient:
-            raise AmbientMismatch(f"span of polynomials from different ambients: {nonzero[0].ambient} vs {p.ambient}")
-        d = p.homogeneous_degree()
-        if d is None:
-            raise NonHomogeneous(f"polynomial mixes total degrees: {p}")
-        if isinstance(where, GradedPieceKey):
-            if p.gradings() != {(tuple(where.block_degrees), where.weight, 0)}:
-                raise NonHomogeneous(f"polynomial lies outside piece {where}: {p}")
-        elif where is not None and d != where:
-            raise NonHomogeneous(f"expected degree {where}, got {d}: {p}")
-        nonzero.append(p)
-    return _rank(matrix_rows(nonzero))
 
 
 def _label_degree(gens: GeneratorSet) -> Callable[[tuple[str, ...]], int]:
@@ -589,11 +554,16 @@ def _product_expander(gens: GeneratorSet, degree: int) -> Callable[[tuple[str, .
 def completeness_check(n: int, k: int, degree: int, exclude: Sequence[str] = ()) -> CompletenessReport:
     """Compare kernel dimension with the generator-product span, piece by piece.
 
-    Every reported span_dim is the exact rank over Q of the piece's
-    products (`_rank`), each of whose monomials is checked to lie in the
-    piece.
+    Every piece with a nonzero kernel is reported, in `piece_keys` order.
+    Its span_dim is the exact rank over Q of the piece's products
+    (`_rank`, one call per piece that holds products, each of whose
+    monomials is checked to lie in the piece), or 0 if it holds none.
+    Raises TypeError if `exclude` is a bare string rather than a sequence
+    of labels.
     """
     amb = Ambient(n, k)
+    if isinstance(exclude, str):
+        raise TypeError(f"exclude must be a sequence of labels, not the string {exclude!r}")
     gens = generators(n, k).without(*exclude)
     by_piece: dict[GradedPieceKey, list[tuple[str, ...]]] = defaultdict(list)
     for product in generator_products(gens, degree):
@@ -602,20 +572,18 @@ def completeness_check(n: int, k: int, degree: int, exclude: Sequence[str] = ())
     packing = packing_for(amb, degree)  # the expander's packing
     shift = packing.shift
 
-    pieces: list[PieceReport] = []
-    kernel_total = 0
-    span_total = 0
-    for key in piece_keys(n, k, degree):
-        kdim = _piece_kernel_dim(n, k, key)
+    kernel_dims = {key: kdim for key in piece_keys(n, k, degree) if (kdim := _piece_kernel_dim(n, k, key))}
+    span: dict[GradedPieceKey, int] = {}
+    for key, products in by_piece.items():
         # number each distinct monomial as a column, checking that it lies in the
         # piece the labels name: label arithmetic is cross-checked against values.
         # A packed monomial's high digits are exactly its grading (no field carries),
         # so `mono >> shift != piece` is (block_degrees, weight, cov_degree) != (b, w, 0)
         piece = packing.grading(key.block_degrees, key.weight)
         column: dict[int, int] = {}
-        rows: list[SparseRow] = []
-        for labels in by_piece.get(key, ()):
-            row: SparseRow = {}
+        rows: list[dict[int, int]] = []
+        for labels in products:
+            row: dict[int, int] = {}
             for mono, c in expand(labels).items():
                 j = column.get(mono)
                 if j is None:
@@ -626,13 +594,13 @@ def completeness_check(n: int, k: int, degree: int, exclude: Sequence[str] = ())
                     j = column[mono] = len(column)
                 row[j] = c
             rows.append(row)
-        # products lie in ker D on this piece, so their rank is at most kdim and
-        # stopping the elimination there still gives the exact rank
-        sdim = _rank(rows, kdim)
-        if kdim:
-            pieces.append(PieceReport(key, kdim, sdim))
-            kernel_total += kdim
-            span_total += sdim
+        # products lie in ker D on this piece, so their rank is at most its kernel
+        # dimension and stopping the elimination there still gives the exact rank
+        span[key] = _rank(rows, kernel_dims.get(key, 0))
+    # a piece that holds no product spans nothing
+    pieces = [PieceReport(key, kdim, span.get(key, 0)) for key, kdim in kernel_dims.items()]
+    kernel_total = sum(kernel_dims.values())
+    span_total = sum(span.values())
     return CompletenessReport(
         n=n,
         k=k,

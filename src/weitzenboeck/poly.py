@@ -179,7 +179,8 @@ class Packing:
     grading (a 1 in its block's digit and its level in the weight digit
     for a ring slot, a 1 in the covariant digit for CX and CY).  Packing
     is linear, so the packed product of two monomials is the sum of their
-    packings, and `key >> shift` is the packed grading (`grading`).
+    packings, and `key >> shift` is the packed grading (`grading`, read
+    back by `read_grading`).
 
     No field carries into the next: a monomial of total degree <= D has
     every exponent, block degree and the covariant degree <= D and weight
@@ -224,6 +225,12 @@ class Packing:
     def grading(self, block_degrees: Sequence[int], weight: int, cov_degree: int = 0) -> int:
         """The packed grading that `key >> shift` gives for monomials of this grading."""
         return sum(map(lshift, (*block_degrees, weight, cov_degree), self._fields))
+
+    def read_grading(self, packed: int) -> tuple[tuple[int, ...], int, int]:
+        """(block_degrees, weight, cov_degree) of a packed grading whose fields fit: the inverse of `grading`."""
+        mask = self._mask
+        *blocks, weight, cov_degree = [packed >> s & mask for s in self._fields]
+        return tuple(blocks), weight, cov_degree
 
     def pack_terms(self, terms: "Polynomial | Terms") -> PackedTerms:
         return {self.pack(exps): c for exps, c in terms.items()}

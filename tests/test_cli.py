@@ -1,11 +1,15 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from weitzenboeck import UnknownLabel, cli, generators
 from weitzenboeck.cli import build_parser, main
+
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -92,6 +96,15 @@ class TestVerify:
         assert [r["degree"] for r in reports] == [0, 1, 2]
         assert reports[2]["kernel_dim"] == 2 and reports[2]["complete"] is True
         assert {"block_degrees", "weight", "kernel_dim", "span_dim"} == set(reports[2]["per_piece"][0])
+
+    @pytest.mark.parametrize(
+        "golden, exclude, code",
+        [("verify_n3_k2_d3.txt", [], 0), ("verify_n3_k2_d3_exclude_H11.txt", ["--exclude", "H1,1"], 1)],
+    )
+    def test_machine_output_matches_golden(self, capsys, golden, exclude, code):
+        # the per-piece report byte for byte, pieces without products included
+        argv = ["verify", "--n", "3", "--k", "2", "--max-degree", "3", *exclude, "--output", "machine"]
+        assert run(capsys, *argv) == (code, (GOLDEN_DIR / golden).read_text(), "")
 
     def test_single_degree_flag(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "2", "--k", "1", "--degree", "2")

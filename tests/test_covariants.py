@@ -17,7 +17,6 @@ from weitzenboeck import (
     jacobian,
     linear_form,
     parse,
-    span_dimension,
     tau,
     transvectant,
 )

@@ -2,6 +2,7 @@ import json
 import random
 from collections import defaultdict
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 from conftest import fraction_rref, sparse_rank, ungraded_kernel_dimension
 from weitzenboeck import (
     Ambient,
-    AmbientMismatch,
     GradedPieceKey,
     InvalidKey,
     NonHomogeneous,
@@ -31,7 +31,6 @@ from weitzenboeck import (
     kernel_piece_basis,
     parse,
     piece_keys,
-    span_dimension,
 )
 from weitzenboeck import cli, kernel
 from weitzenboeck.kernel import _piece_kernel_dim, _rank, compositions, matrix_rows, nullspace, rref
@@ -222,12 +221,21 @@ class TestRref:
 PRIME = (1 << 61) - 1
 
 
+def _integer_rows(rows):
+    """Each row scaled by the lcm of its denominators: the integer rows `_rank` takes."""
+    out = []
+    for row in rows:
+        scale = lcm(*(Fraction(v).denominator for v in row.values()))
+        out.append({c: int(v * scale) for c, v in row.items()})
+    return out
+
+
 class TestRank:
     @given(st.one_of(sparse_matrices(), dependent_matrices()), st.integers(0, 8))
     @example(([{0: PRIME, 2: -3 * PRIME}], 3), 2)
     @settings(max_examples=300, deadline=None)
     def test_equals_fraction_rank(self, matrix, limit):
-        rows, _ = matrix
+        rows = _integer_rows(matrix[0])
         rank = sparse_rank(rows)
         assert _rank(rows) == rank
         # the elimination stops at its limit, so a limit below the rank is returned
@@ -235,11 +243,6 @@ class TestRank:
         # rows scaled by multiples of the prime 2^61 - 1 keep their rank over Q,
         # which a rank modulo that prime would lose
         assert _rank([{c: v * PRIME * (i + 1) for c, v in row.items()} for i, row in enumerate(rows)]) == rank
-
-    def test_fractional_rows(self):
-        # a row is scaled by the lcm of its denominators: Fraction entries are ranked exactly
-        assert _rank([{0: Fraction(1, 2), 1: Fraction(-1, 3)}, {0: 3, 1: -2}], 2) == 1
-        assert _rank([{0: Fraction(1, 2)}, {1: Fraction(2, 3)}, {0: 1, 1: 1}]) == 2
 
 
 class TestKernelBasis:
@@ -252,13 +255,13 @@ class TestKernelBasis:
         basis = kernel_basis(2, 1, 2)
         assert len(basis) == 4
         expected = [parse(s, Ambient(2, 1)) for s in ("x1^2", "x1*x2", "x2^2", "x1*y2 - x2*y1")]
-        assert span_dimension(basis + expected, 2) == 4
+        assert sparse_rank(dict(p.items()) for p in basis + expected) == 4
 
     def test_degree_two_quadratic_chain(self):
         basis = kernel_basis(1, 2, 2)
         assert len(basis) == 2
         expected = [parse(s, Ambient(1, 2)) for s in ("x1^2", "2*x1*z1 - y1^2")]
-        assert span_dimension(basis + expected, 2) == 2
+        assert sparse_rank(dict(p.items()) for p in basis + expected) == 2
 
     def test_elements_annihilated_and_deterministic(self):
         for n, k, d in ((2, 1, 3), (2, 2, 3), (3, 1, 2)):
@@ -346,7 +349,7 @@ class TestGeneratorProducts:
         if reachable and data.draw(st.booleans()):
             # keys past every reachable component: each moves m units of one
             # component into its neighbour, which aliases a reachable key
-            # under any packing whose radix is m
+            # under any packing whose fields hold m = 2^bits values
             top = max(max(*key.block_degrees, key.weight) for key in reachable)
             base = data.draw(st.sampled_from(reachable))
             comps = [*base.block_degrees, base.weight]
@@ -358,6 +361,16 @@ class TestGeneratorProducts:
         assert generator_products(gens, degree, pieces) == [pr for pr in every if pr.key in pieces]
         assert generator_products(gens, degree, set()) == []
         assert generator_products(gens, degree, set(reachable)) == every
+
+    def test_targets_that_pack_like_a_reachable_piece(self):
+        # at k*degree = 3 the fields hold 2 bits, so (18, -15) with weight 3 packs
+        # like the reachable (2, 1) with weight 0; its block sum is the degree
+        # too, and only the sign of its blocks marks it unreachable
+        packing = packing_for(Ambient(2, 1), 3)
+        assert packing.grading((18, -15), 3) == packing.grading((2, 1), 0)
+        gens = generators(2, 1)
+        assert generator_products(gens, 3, {GradedPieceKey((18, -15), 3)}) == []
+        assert [pr.labels for pr in generator_products(gens, 3, {GradedPieceKey((2, 1), 0)})] == [("x1", "x1", "x2")]
 
     def test_degree_four_multisets(self):
         prods = generator_products(generators(1, 2), 4)
@@ -469,47 +482,6 @@ class TestEvaluateCombination:
                 assert evaluate_combination(combination, gens) == expected
 
 
-class TestSpanDimension:
-    def test_proportional(self):
-        amb = Ambient(2, 1)
-        assert span_dimension([parse("x1", amb), parse("2*x1", amb)]) == 1
-
-    def test_independent(self):
-        amb = Ambient(2, 1)
-        assert span_dimension([parse("x1", amb), parse("x2", amb)]) == 2
-
-    def test_dependent_triple(self):
-        amb = Ambient(2, 1)
-        polys = [parse("x1*y2", amb), parse("x2*y1", amb), parse("x1*y2 - x2*y1", amb)]
-        assert span_dimension(polys) == 2
-
-    def test_non_homogeneous(self):
-        amb = Ambient(2, 1)
-        with pytest.raises(NonHomogeneous):
-            span_dimension([parse("x1 + x1^2", amb)])
-        with pytest.raises(NonHomogeneous):
-            span_dimension([parse("x1", amb)], 2)
-
-    def test_zero_polys_ignored(self):
-        amb = Ambient(2, 1)
-        assert span_dimension([Polynomial.zero(amb)]) == 0
-
-    def test_mixed_ambients_rejected(self):
-        polys = [parse("x1", Ambient(1, 1)), parse("x1", Ambient(2, 1))]
-        with pytest.raises(AmbientMismatch):
-            span_dimension(polys)
-        # zero polynomials take no part, whatever their ambient
-        assert span_dimension([Polynomial.zero(Ambient(2, 1)), parse("x1", Ambient(1, 1))]) == 1
-
-    def test_piece_key_scope(self):
-        amb = Ambient(2, 1)
-        key = GradedPieceKey((1, 1), 1)
-        polys = [parse("x1*y2", amb), parse("x1*y2 - x2*y1", amb)]
-        assert span_dimension(polys, key) == 2
-        with pytest.raises(NonHomogeneous):
-            span_dimension([parse("x1*x2", amb)], key)  # weight 0, not 1
-
-
 class TestCompleteness:
     def test_linear_degree_two(self):
         rep = completeness_check(2, 1, 2)
@@ -564,12 +536,33 @@ class TestCompleteness:
         def boom(*args, **kwargs):
             raise AssertionError("a certificate counts ranks and needs no reduced echelon form")
 
-        monkeypatch.setattr(kernel, "span_dimension", boom)
         monkeypatch.setattr(kernel, "rref", boom)
         rep = completeness_check(3, 2, 4)
         assert rep.complete and rep.per_piece
         assert all(piece.span_dim == piece.kernel_dim for piece in rep.per_piece)
         assert not completeness_check(1, 2, 2, exclude=["H1,1"]).complete
+
+    @pytest.mark.parametrize("n, k, degree, exclude", [(3, 2, 4, ()), (4, 1, 5, ("J1,2",))])
+    def test_ranks_each_piece_that_holds_products_once(self, monkeypatch, n, k, degree, exclude):
+        # pieces without products report span_dim 0 with no elimination
+        calls = []
+        real = kernel._rank
+
+        def counting(rows, limit=None):
+            calls.append(len(rows))
+            return real(rows, limit)
+
+        monkeypatch.setattr(kernel, "_rank", counting)
+        rep = completeness_check(n, k, degree, exclude=exclude)
+        keys = {pr.key for pr in generator_products(generators(n, k).without(*exclude), degree)}
+        assert len(calls) == len(keys) and 0 not in calls
+        assert {piece.key for piece in rep.per_piece if piece.span_dim} <= keys
+
+    def test_exclude_must_not_be_a_bare_string(self):
+        # a string would be split into one-character labels
+        with pytest.raises(TypeError, match="'x1'"):
+            completeness_check(2, 1, 2, exclude="x1")
+        assert not completeness_check(2, 1, 2, exclude=["x1"]).complete
 
     def test_short_piece_reports_its_exact_rank(self):
         rep = completeness_check(1, 2, 2, exclude=["H1,1"])

@@ -314,8 +314,10 @@ class TestPacking:
         s = tuple(i + j for i, j in zip(a, b))
         for e in (a, b, s):
             assert packing.unpack(packing.pack(e)) == e
-            grading = packing.grading(amb.block_degrees(e), amb.weight(e), amb.cov_degree(e))
+            fields = (amb.block_degrees(e), amb.weight(e), amb.cov_degree(e))
+            grading = packing.grading(*fields)
             assert packing.pack(e) >> packing.shift == grading
+            assert packing.read_grading(grading) == fields
         assert packing.pack(a) + packing.pack(b) == packing.pack(s)
 
     def test_top_digits_fill_their_fields(self):
@@ -326,6 +328,7 @@ class TestPacking:
         top = (0, 0, 0, 5, 0, 0, 0, 0, 0, 0)  # v1.3^5: weight 15
         assert packing.unpack(packing.pack(top)) == top
         assert packing.pack(top) >> packing.shift == packing.grading((5, 0), 15)
+        assert packing.read_grading(packing.grading((5, 0), 15, 5)) == ((5, 0), 15, 5)
 
     def test_bits_grow_with_the_bound(self):
         assert [Packing(A21, d).bits for d in (0, 1, 2, 3, 4, 7, 8)] == [1, 1, 2, 2, 3, 3, 4]
