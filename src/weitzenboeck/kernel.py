@@ -41,10 +41,22 @@ branch only when none of its products lies in a wanted piece, and every
 branch it keeps ends in a product.  Wanted pieces and complete products
 are gradings of degree-d monomials, whose fields do not carry, so packed
 keys agree only when their components do.  `express` enumerates only the
-products in its input's pieces this way.  A certificate ranks only the
-pieces that hold products, each exactly by `_rank` on integer rows, which
-stops at the piece's kernel dimension: products lie in ker D, so their
-rank cannot exceed it.  A piece without products spans nothing.
+products in its input's pieces this way.
+
+A certificate ranks one piece per orbit of the generators' block
+symmetry.  A block permutation that maps every generator to plus or minus
+a generator commutes with D and carries the products and the kernel of
+piece (b, w) onto those of (s b, w), so both have the same dimensions
+there (the argument is at `completeness_check`).  The swaps of adjacent
+blocks that keep the set stable are found by permuting every generator
+(`_symmetry_runs`), once per label set; runs of consecutive stable swaps
+generate a Young subgroup, and the representative of an orbit is the b
+that is non-increasing within each run (`_orbits`).  A set with no stable
+swap has orbits of one piece each.  Only representative pieces that hold
+products are expanded and ranked, each exactly by `_rank` on integer
+rows, which stops at the piece's kernel dimension: products lie in ker D,
+so their rank cannot exceed it.  A piece without products spans nothing.
+Every other member of an orbit reports its representative's dimensions.
 """
 
 from __future__ import annotations
@@ -551,28 +563,93 @@ def _product_expander(gens: GeneratorSet, degree: int) -> Callable[[tuple[str, .
     return expand
 
 
+# -- block-permutation orbits -------------------------------------------------
+
+
+def _swap_blocks(p: Polynomial, i: int) -> Polynomial:
+    """p with blocks i and i+1 (0-based) exchanged: v_{i,j} <-> v_{i+1,j} at every level j."""
+    step = p.ambient.k + 1
+    a, b, c = i * step, (i + 1) * step, (i + 2) * step
+    return Polynomial(p.ambient, {e[:a] + e[b:c] + e[a:b] + e[c:]: v for e, v in p.items()})
+
+
+@cache
+def _symmetry_runs(n: int, k: int, labels: tuple[str, ...]) -> tuple[tuple[int, int], ...]:
+    """Runs [start, stop) of blocks that the swaps keeping the generators `labels` stable join.
+
+    The swap of blocks i and i+1 is stable when it maps every generator of
+    `generators(n, k)` named in `labels` to plus or minus one of them.
+    Consecutive stable swaps join their blocks into one run; a block that no
+    stable swap touches is a run of its own.  The runs' symmetric groups
+    generate the Young subgroup of block permutations that map the set onto
+    itself up to sign.  Cached on the label tuple, not on a GeneratorSet,
+    because `without` builds a new set for every call.
+    """
+    gens = generators(n, k)
+    values = {gens.value(label) for label in labels}
+    runs = [[0, 1]]
+    for i in range(n - 1):
+        if all(q in values or -q in values for q in (_swap_blocks(p, i) for p in values)):
+            runs[-1][1] = i + 2
+        else:
+            runs.append([i + 1, i + 2])
+    return tuple((start, stop) for start, stop in runs)
+
+
+@cache
+def _orbits(
+    n: int, degree: int, runs: tuple[tuple[int, int], ...]
+) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Block degrees of total `degree` grouped into orbits of the Young subgroup of `runs`.
+
+    Maps each orbit's representative, its one member that is non-increasing
+    within every run, to the members, which are the distinct permutations
+    of the representative within runs.
+    """
+    orbits: dict[tuple[int, ...], list[tuple[int, ...]]] = defaultdict(list)
+    for b in compositions(degree, n):
+        orbits[tuple(v for start, stop in runs for v in sorted(b[start:stop], reverse=True))].append(b)
+    return {rep: tuple(members) for rep, members in orbits.items()}
+
+
 def completeness_check(n: int, k: int, degree: int, exclude: Sequence[str] = ()) -> CompletenessReport:
     """Compare kernel dimension with the generator-product span, piece by piece.
 
     Every piece with a nonzero kernel is reported, in `piece_keys` order.
-    Its span_dim is the exact rank over Q of the piece's products
-    (`_rank`, one call per piece that holds products, each of whose
-    monomials is checked to lie in the piece), or 0 if it holds none.
-    Raises TypeError if `exclude` is a bare string rather than a sequence
-    of labels.
+    Its span_dim is the exact rank over Q of the piece's products, or 0 if
+    it holds none.  Only the pieces whose block degrees represent an orbit
+    of the generator set's block symmetry (`_symmetry_runs`, `_orbits`)
+    are expanded and ranked (`_rank`, one call per representative piece
+    that holds products, each of whose monomials is checked to lie in the
+    piece); every other member of the orbit reports the same kernel_dim
+    and span_dim.  Raises TypeError if `exclude` is a bare string rather
+    than a sequence of labels.
+
+    The copy is exact.  A block permutation s that maps every generator to
+    plus or minus a generator is a ring automorphism that commutes with D
+    and maps piece (b, w) onto (s b, w).  It sends the label multisets of
+    (b, w) bijectively onto those of (s b, w), each product to plus or
+    minus the image multiset's product, so it maps the span of the first
+    piece's products linearly and bijectively onto the second's, and the
+    span dimensions agree.  N(b, w) is a convolution of one table per
+    block degree, which does not depend on the blocks' order, so
+    `_piece_kernel_dim` agrees too.
     """
     amb = Ambient(n, k)
     if isinstance(exclude, str):
         raise TypeError(f"exclude must be a sequence of labels, not the string {exclude!r}")
     gens = generators(n, k).without(*exclude)
+    orbits = _orbits(n, degree, _symmetry_runs(n, k, tuple(gens.labels())))
     by_piece: dict[GradedPieceKey, list[tuple[str, ...]]] = defaultdict(list)
     for product in generator_products(gens, degree):
-        by_piece[product.key].append(product.labels)
+        if product.key.block_degrees in orbits:  # a representative piece
+            by_piece[product.key].append(product.labels)
     expand = _product_expander(gens, degree)
     packing = packing_for(amb, degree)  # the expander's packing
     shift = packing.shift
 
-    kernel_dims = {key: kdim for key in piece_keys(n, k, degree) if (kdim := _piece_kernel_dim(n, k, key))}
+    representatives = (GradedPieceKey(rep, w) for rep in orbits for w in range(k * degree + 1))
+    kernel_dims = {key: kdim for key in representatives if (kdim := _piece_kernel_dim(n, k, key))}
     span: dict[GradedPieceKey, int] = {}
     for key, products in by_piece.items():
         # number each distinct monomial as a column, checking that it lies in the
@@ -597,10 +674,15 @@ def completeness_check(n: int, k: int, degree: int, exclude: Sequence[str] = ())
         # products lie in ker D on this piece, so their rank is at most its kernel
         # dimension and stopping the elimination there still gives the exact rank
         span[key] = _rank(rows, kernel_dims.get(key, 0))
-    # a piece that holds no product spans nothing
-    pieces = [PieceReport(key, kdim, span.get(key, 0)) for key, kdim in kernel_dims.items()]
-    kernel_total = sum(kernel_dims.values())
-    span_total = sum(span.values())
+    # a piece that holds no product spans nothing; each orbit member reports its representative's dims
+    pieces = [
+        PieceReport(GradedPieceKey(b, key.weight), kdim, span.get(key, 0))
+        for key, kdim in kernel_dims.items()
+        for b in orbits[key.block_degrees]
+    ]
+    pieces.sort()
+    kernel_total = sum(piece.kernel_dim for piece in pieces)
+    span_total = sum(piece.span_dim for piece in pieces)
     return CompletenessReport(
         n=n,
         k=k,

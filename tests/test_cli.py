@@ -106,6 +106,12 @@ class TestVerify:
         argv = ["verify", "--n", "3", "--k", "2", "--max-degree", "3", *exclude, "--output", "machine"]
         assert run(capsys, *argv) == (code, (GOLDEN_DIR / golden).read_text(), "")
 
+    def test_partly_symmetric_output_matches_golden(self, capsys):
+        # without J1,2 only the block swaps (1 2) and (3 4) keep the generators, so
+        # each orbit's report is copied within those two pairs of blocks only
+        argv = ["verify", "--n", "4", "--k", "1", "--max-degree", "4", "--exclude", "J1,2", "--output", "machine"]
+        assert run(capsys, *argv) == (1, (GOLDEN_DIR / "verify_n4_k1_d4_exclude_J12.txt").read_text(), "")
+
     def test_single_degree_flag(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "2", "--k", "1", "--degree", "2")
         assert code == 0

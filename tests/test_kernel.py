@@ -19,6 +19,7 @@ from weitzenboeck import (
     NotInSpan,
     Polynomial,
     UnsupportedK,
+    Variable,
     WeitzenboeckDerivation,
     completeness_check,
     evaluate_combination,
@@ -37,6 +38,28 @@ from weitzenboeck.kernel import _piece_kernel_dim, _rank, compositions, matrix_r
 from weitzenboeck.poly import packing_for
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+def _stable_swaps(gens):
+    """Blocks i (0-based) whose swap with block i+1 maps the set of +-generators onto itself, by brute force."""
+    amb = Ambient(gens.n, gens.k)
+
+    def swapped(p, i):
+        def move(slot):
+            v = amb.variable_at(slot)
+            block = {i + 1: i + 2, i + 2: i + 1}.get(v.block, v.block)
+            return amb.index(Variable(block, v.level))
+
+        terms = {}
+        for exps, c in p.items():
+            image = [0] * amb.width
+            for slot, e in enumerate(exps):
+                image[move(slot) if slot < amb.ring_width else slot] += e
+            terms[tuple(image)] = c
+        return Polynomial(amb, terms)
+
+    signed = {q for _, p in gens for q in (p, -p)}
+    return {i for i in range(gens.n - 1) if {q for _, p in gens for q in (swapped(p, i), -swapped(p, i))} == signed}
 
 
 def _mono_strs(n, k, monos):
@@ -511,11 +534,12 @@ class TestCompleteness:
         with pytest.raises(UnsupportedK):
             completeness_check(2, 3, 2)
 
-    @given(st.integers(1, 3), st.sampled_from([1, 2]), st.integers(0, 4), st.data())
+    @given(st.integers(1, 4), st.sampled_from([1, 2]), st.data())
     @settings(max_examples=25, deadline=None)
-    def test_span_dim_is_the_exact_rank(self, n, k, degree, data):
-        # compare every report with the rank, by the Fraction oracle, of the
-        # products expanded by plain Polynomial products
+    def test_span_dim_is_the_exact_rank(self, n, k, data):
+        # compare every report, orbit copies included, with the rank, by the Fraction
+        # oracle, of the piece's own products expanded by plain Polynomial products
+        degree = data.draw(st.integers(0, 3 if n == 4 else 4))
         full = generators(n, k)
         exclude = data.draw(st.lists(st.sampled_from(full.labels()), unique=True))
         gens = full.without(*exclude)
@@ -527,7 +551,9 @@ class TestCompleteness:
                 value = value * gens.value(label)
             by_piece[pr.key].append(value)
         rep = completeness_check(n, k, degree, exclude=exclude)
+        assert [piece.key for piece in rep.per_piece] == [key for key in piece_keys(n, k, degree) if _piece_kernel_dim(n, k, key)]
         for piece in rep.per_piece:
+            assert piece.kernel_dim == _piece_kernel_dim(n, k, piece.key)
             assert piece.span_dim == sparse_rank(dict(p.items()) for p in by_piece[piece.key])
         reported = {piece.key for piece in rep.per_piece}
         assert all(sparse_rank(dict(p.items()) for p in polys) == 0 for key, polys in by_piece.items() if key not in reported)
@@ -542,21 +568,67 @@ class TestCompleteness:
         assert all(piece.span_dim == piece.kernel_dim for piece in rep.per_piece)
         assert not completeness_check(1, 2, 2, exclude=["H1,1"]).complete
 
-    @pytest.mark.parametrize("n, k, degree, exclude", [(3, 2, 4, ()), (4, 1, 5, ("J1,2",))])
+    @pytest.mark.parametrize("n, k, degree, exclude", [(3, 2, 4, ()), (4, 1, 5, ("J1,2",)), (3, 1, 4, ("x1", "x3"))])
     def test_ranks_each_piece_that_holds_products_once(self, monkeypatch, n, k, degree, exclude):
-        # pieces without products report span_dim 0 with no elimination
-        calls = []
-        real = kernel._rank
+        # only representative pieces (block degrees non-increasing within each run
+        # of stable swaps, found by brute force) are expanded, each ranked once;
+        # pieces without products report span_dim 0 with no elimination. With no
+        # stable swap, as for (3, 1, 4) without x1 and x3, every piece is its own
+        # representative and every piece that holds products is ranked
+        gens = generators(n, k).without(*exclude)
+        stable = _stable_swaps(gens)
+
+        def representative(block_degrees):
+            return all(block_degrees[i] >= block_degrees[i + 1] for i in stable)
+
+        label_key = {pr.labels: pr.key for pr in generator_products(gens, degree)}
+        assert bool(stable) == (exclude != ("x1", "x3"))
+        calls, expanded = [], []
+        real_rank, real_expander = kernel._rank, kernel._product_expander
 
         def counting(rows, limit=None):
             calls.append(len(rows))
-            return real(rows, limit)
+            return real_rank(rows, limit)
+
+        def recording(gens, degree):
+            expand = real_expander(gens, degree)
+            return lambda labels: expanded.append(labels) or expand(labels)
 
         monkeypatch.setattr(kernel, "_rank", counting)
+        monkeypatch.setattr(kernel, "_product_expander", recording)
         rep = completeness_check(n, k, degree, exclude=exclude)
-        keys = {pr.key for pr in generator_products(generators(n, k).without(*exclude), degree)}
+        keys = {key for key in label_key.values() if representative(key.block_degrees)}
+        if not stable:
+            assert keys == set(label_key.values())
         assert len(calls) == len(keys) and 0 not in calls
-        assert {piece.key for piece in rep.per_piece if piece.span_dim} <= keys
+        assert {label_key[labels] for labels in expanded} == keys
+        spanning = {piece.key for piece in rep.per_piece if piece.span_dim}
+        assert {key for key in spanning if representative(key.block_degrees)} <= keys
+
+    @pytest.mark.parametrize(
+        "n, k, exclude, runs",
+        [
+            (4, 2, (), ((0, 4),)),
+            (4, 1, ("J1,2",), ((0, 2), (2, 4))),
+            (4, 2, ("H2,3",), ((0, 1), (1, 3), (3, 4))),
+            (3, 1, ("x1", "x3"), ((0, 1), (1, 2), (2, 3))),
+            (1, 2, (), ((0, 1),)),
+        ],
+    )
+    def test_symmetry_runs(self, n, k, exclude, runs):
+        # dropping J1,2 keeps the swaps (1 2) and (3 4); dropping H2,3 keeps only (2 3)
+        assert kernel._symmetry_runs(n, k, tuple(generators(n, k).without(*exclude).labels())) == runs
+
+    @given(st.integers(1, 4), st.sampled_from([1, 2]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_symmetry_runs_match_brute_force(self, n, k, data):
+        full = generators(n, k)
+        exclude = data.draw(st.lists(st.sampled_from(full.labels()), unique=True))
+        gens = full.without(*exclude)
+        runs = kernel._symmetry_runs(n, k, tuple(gens.labels()))
+        assert [start for start, _ in runs] == [0] + [stop for _, stop in runs[:-1]] and runs[-1][1] == n
+        detected = {i for start, stop in runs for i in range(start, stop - 1)}
+        assert detected == _stable_swaps(gens)
 
     def test_exclude_must_not_be_a_bare_string(self):
         # a string would be split into one-character labels
