@@ -2,8 +2,10 @@
 
 Core pieces: sparse rational polynomials (`poly`), the down-shift
 derivation and its known kernel generators (`derivation`), exact graded
-nullspace computation and completeness certificates (`kernel`), and the
-classical covariant calculus of linear binary forms (`covariants`).
+kernel dimensions, bases and completeness certificates, whose ranks,
+bases and `express` combinations come from one fraction-free forward
+elimination (`kernel`), and the classical covariant calculus of linear
+binary forms (`covariants`).
 """
 
 from .covariants import Covariant, jacobian, linear_form, tau, transvectant

@@ -31,21 +31,22 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--n", type=int, required=True, help="number of chain blocks (>= 1)")
     common.add_argument("--k", type=int, default=1, help="chain length minus one (default 1)")
-    degrees = common.add_mutually_exclusive_group()
-    degrees.add_argument("--max-degree", type=int, default=None, help="largest total degree to process")
-    degrees.add_argument("--degree", type=int, default=None, help="process a single total degree")
     common.add_argument("--output", choices=("text", "machine"), default="text", help="output format")
     common.add_argument("--seed", type=int, default=0, help="accepted for interface stability; no shipped command is randomized")
+    ranged = argparse.ArgumentParser(add_help=False)  # verify and census, the commands that read degrees
+    degrees = ranged.add_mutually_exclusive_group()
+    degrees.add_argument("--max-degree", type=int, default=None, help="largest total degree to process")
+    degrees.add_argument("--degree", type=int, default=None, help="process a single total degree")
 
     parser = argparse.ArgumentParser(prog="weitzenboeck", description="exact kernel computations for chain derivations")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("gens", parents=[common], help="emit the known kernel generators (k = 1 or 2)")
 
-    p_verify = sub.add_parser("verify", parents=[common], help="certify generators span the kernel, degree by degree")
+    p_verify = sub.add_parser("verify", parents=[common, ranged], help="certify generators span the kernel, degree by degree")
     p_verify.add_argument("--exclude", action="append", default=[], metavar="LABEL", help="drop a generator by label (repeatable)")
 
-    sub.add_parser("census", parents=[common], help="kernel dimensions per degree (any k; no generation claim)")
+    sub.add_parser("census", parents=[common, ranged], help="kernel dimensions per degree (any k; no generation claim)")
 
     p_apply = sub.add_parser("apply", parents=[common], help="apply the derivation to a polynomial")
     p_apply.add_argument("--poly", required=True, help="polynomial text")

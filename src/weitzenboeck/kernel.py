@@ -8,13 +8,15 @@ kernel in degree d is the direct sum of the per-piece kernels.  Their
 dimensions are counted from numbers of monomials (`_piece_kernel_dim`),
 with no matrix: the number N(b, w) of monomials in piece (b, w) is read
 from a cached table of weight counts per (b, k), the convolution over
-the blocks of one cached table per (block degree, k).  Bases and
-`express` go through one sparse Gauss-Jordan routine (`rref`,
-first-nonzero pivoting) on matrices whose columns are polynomials
-(`matrix_rows`).  It eliminates fraction-free in Python ints and returns
-the rational reduced echelon form entry for entry, so bases are
-deterministic and reproducible.  Ranks need no reduced form: they are
-counted exactly by the forward half of the same elimination (`_rank`).
+the blocks of one cached table per (block degree, k).  Ranks, bases and
+`express` all go through one sparse forward elimination (`_echelon`,
+first-nonzero pivoting), fraction-free in Python ints, which returns
+primitive pivot rows keyed by lead column.  A rank is their number
+(`_rank`).  A kernel basis reduces them bottom up into the unique reduced
+echelon basis (`nullspace`), so bases are deterministic and
+reproducible.  `express` tags each product row with a column of its own
+past every monomial and reads the combination off the tag columns of
+the input's reduced row.
 
 A completeness certificate for a degree d compares, piece by piece, the
 kernel dimension against the dimension spanned by all degree-d products
@@ -66,7 +68,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
-from typing import Callable, Collection, Iterator, NamedTuple, Sequence
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .derivation import GeneratorSet, WeitzenboeckDerivation, generators
 from .errors import InvalidKey, NonHomogeneous, NotInKernel, NotInSpan
@@ -127,7 +129,9 @@ class Product(NamedTuple):
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of `parts` non-negative integers summing to `total`, ascending lex."""
+    """All tuples of `parts` non-negative integers summing to `total`, ascending lex; none if total < 0."""
+    if total < 0:
+        return
     if parts == 0:
         if total == 0:
             yield ()
@@ -226,21 +230,21 @@ def _weight_counts(block_degrees: tuple[int, ...], k: int) -> tuple[int, ...]:
 SparseRow = dict[int, Fraction]
 
 
-def matrix_rows(polys: Sequence[Polynomial | PackedTerms]) -> list[SparseRow]:
+def matrix_rows(polys: Sequence[Polynomial]) -> list[SparseRow]:
     """Sparse rows of the matrix whose j-th column holds the coefficients of polys[j].
 
-    One row per monomial occurring in some polynomial (or packed term map),
-    mapping column index to nonzero coefficient.
+    One row per monomial occurring in some polynomial, mapping column index
+    to nonzero coefficient.
     """
-    by_monomial: dict[Exponents | int, SparseRow] = {}
+    by_monomial: dict[Exponents, SparseRow] = {}
     for j, p in enumerate(polys):
         for exps, c in p.items():
             by_monomial.setdefault(exps, {})[j] = c
     return list(by_monomial.values())
 
 
-def _eliminate(row: dict[int, int], pivot: dict[int, int], col: int) -> int:
-    """Clear column `col` of an integer row in place: row = a*row - b*pivot; returns a.
+def _eliminate(row: dict[int, int], pivot: dict[int, int], col: int) -> None:
+    """Clear column `col` of an integer row in place: row = a*row - b*pivot.
 
     With p = pivot[col] > 0, r = row[col] and g = gcd(p, r), a = p/g > 0
     and b = r/g.  Only nonzero entries are kept.
@@ -257,7 +261,6 @@ def _eliminate(row: dict[int, int], pivot: dict[int, int], col: int) -> int:
             row[c] = nv
         else:
             del row[c]
-    return a
 
 
 def _make_primitive(row: dict[int, int], lead: int) -> None:
@@ -276,14 +279,20 @@ def _integer_row(source: SparseRow) -> tuple[dict[int, int], int]:
     return {c: v.numerator * (scale // v.denominator) for c, v in source.items() if v}, scale
 
 
-def _rank(rows: Sequence[dict[int, int]], limit: int | None = None) -> int:
-    """Exact rank over Q of sparse integer rows (nonzero int entries), or `limit` if it reaches it.
+def _echelon(
+    rows: Iterable[dict[int, int]], bound: int | None = None, limit: int | None = None
+) -> dict[int, dict[int, int]]:
+    """Primitive pivot rows of sparse integer rows (nonzero int entries), keyed by their lead column.
 
-    The forward half of `rref`, with its row operations on a copy of each
-    row: a row is reduced against the pivot row of its first nonzero column
-    until it is zero or is kept as a new primitive pivot row.  The pivot
-    rows span the rows read so far and have distinct lead columns, so they
-    count the rank; no reduced echelon form is built.
+    The one elimination, fraction-free: each row is copied and reduced
+    against the pivot row of its first nonzero column (`_eliminate`) until
+    it is zero or its lead has no pivot row, when it becomes one, made
+    primitive.  A row whose lead is at or past `bound` is dropped instead,
+    and reading stops at `limit` pivot rows.  Every row is a positive
+    multiple of the row the same steps give over Q, so the same leads are
+    chosen.  Each row read is a combination of pivot rows plus what is left
+    of it when it is zero or dropped, so with no bound the pivot rows span
+    the rows read and count their rank; no reduced echelon form is built.
     """
     pivot_rows: dict[int, dict[int, int]] = {}
     for source in rows:
@@ -294,87 +303,46 @@ def _rank(rows: Sequence[dict[int, int]], limit: int | None = None) -> int:
             lead = min(row)
             pivot = pivot_rows.get(lead)
             if pivot is None:
-                _make_primitive(row, lead)
-                pivot_rows[lead] = row
+                if bound is None or lead < bound:
+                    _make_primitive(row, lead)
+                    pivot_rows[lead] = row
                 break
             _eliminate(row, pivot, lead)
-    return len(pivot_rows)
+    return pivot_rows
 
 
-def rref(rows: Sequence[SparseRow], ncols: int) -> tuple[list[SparseRow], list[int]]:
-    """Sparse reduced row echelon form over Q (entries may be int or Fraction).
-
-    Pivots only on columns < ncols; later columns are carried along as an
-    augmented right-hand side.  Each row is reduced against the pivots so
-    far and pivots on its first nonzero column, which is then cleared from
-    every earlier pivot row, so the pivot rows stay fully reduced.  Returns
-    the pivot rows (pivot entry 1, the only nonzero of its column among
-    them) in pivot order followed by the rows left nonzero only in the
-    augmented columns, and the ascending pivot column list.  The reduced
-    echelon form of a matrix is unique, so the result does not depend on
-    the order of `rows`.
-
-    The elimination is fraction-free, in Python ints.  Each input row is
-    scaled by the lcm of its denominators, a row is reduced against a
-    pivot row by row = a*row - b*pivot_row with a > 0, and every pivot row
-    is kept primitive (its entries divided by their gcd, pivot entry
-    positive).  Fractions are built only for the output, where a pivot
-    row's entries are divided by its pivot entry.  The output is the
-    rational Gauss-Jordan result entry for entry.  Every row here is a
-    nonzero multiple of the row the same steps give over Q: it has the same
-    support, so the same lead columns are chosen, and scaling rows keeps
-    the space the pivot rows span at every step.  The reduced echelon
-    form of a row space is unique, so the pivot rows divided by their
-    pivot entries are the rational pivot rows.  A row left nonzero only
-    in augmented columns equals scale*source plus a combination of pivot
-    rows, where `scale` is its lcm times every factor a; divided by
-    `scale` it is the one vector of source + span(pivot rows so far) that
-    is zero in every column < ncols, which is the row the rational
-    elimination leaves.
-    """
-    pivot_rows: dict[int, dict[int, int]] = {}
-    leftover: list[SparseRow] = []
-    for source in rows:
-        row, scale = _integer_row(source)
-        # pivot rows are zero in every other pivot column, so one pass clears them all
-        for c in [c for c in row if c in pivot_rows]:
-            scale *= _eliminate(row, pivot_rows[c], c)
-        lead = min((c for c in row if c < ncols), default=None)
-        if lead is None:
-            if row:
-                leftover.append({c: Fraction(v, scale) for c, v in row.items()})
-            continue
-        _make_primitive(row, lead)
-        for pc, prow in pivot_rows.items():
-            if lead in prow:
-                # row is zero in column pc and a > 0, so prow[pc] stays positive
-                _eliminate(prow, row, lead)
-                _make_primitive(prow, pc)
-        pivot_rows[lead] = row
-    reduced = [{c: Fraction(v, row[p]) for c, v in row.items()} for p, row in sorted(pivot_rows.items())]
-    return reduced + leftover, sorted(pivot_rows)
+def _rank(rows: Iterable[dict[int, int]], limit: int | None = None) -> int:
+    """Exact rank over Q of sparse integer rows, or `limit` if it reaches it: the number of pivot rows."""
+    return len(_echelon(rows, limit=limit))
 
 
 def nullspace(rows: Sequence[SparseRow], ncols: int) -> list[tuple[Fraction, ...]]:
-    """Canonical basis of {v : M v = 0}, exact, for the sparse rows of M.
+    """Canonical basis of {v : M v = 0}, exact, for the sparse rows of M (int or Fraction entries).
 
     The basis itself is in reduced echelon form (each vector's leading
     entry is 1 and is the only nonzero entry of its column across the
     basis), which makes the output unique and order-deterministic.  It
-    comes from one elimination of M with its columns reversed: pivots
-    then sit as far right as possible, so every free column leads the
-    null vector it defines.
+    comes from one forward elimination (`_echelon`) of M with its columns
+    reversed and its rows scaled to integers: pivots then sit as far right
+    as possible, so every free column leads the null vector it defines.
+    The pivot rows are then reduced bottom up.  The rows below a pivot row
+    are already reduced, zero in every pivot column but their own, so one
+    pass over the row's columns clears every later pivot column, and
+    dividing each row by its pivot entry gives the reduced echelon form,
+    which is unique: the same basis whatever the order of `rows`.
     """
     last = ncols - 1
-    reduced, pivots = rref([{last - c: v for c, v in row.items()} for row in rows], ncols)
-    pivot_set = {last - p for p in pivots}
-    basis = {free: [Fraction(0)] * ncols for free in range(ncols) if free not in pivot_set}
+    pivot_rows = _echelon(_integer_row({last - c: v for c, v in row.items()})[0] for row in rows)
+    basis = {free: [Fraction(0)] * ncols for free in range(ncols) if last - free not in pivot_rows}
     for free, v in basis.items():
         v[free] = Fraction(1)
-    for row, p in zip(reduced, pivots):
+    for p in sorted(pivot_rows, reverse=True):
+        row = pivot_rows[p]
+        for c in [c for c in row if c != p and c in pivot_rows]:
+            _eliminate(row, pivot_rows[c], c)
         for c, value in row.items():
             if c != p:
-                basis[last - c][last - p] = -value
+                basis[last - c][last - p] = Fraction(-value, row[p])
     return [tuple(v) for v in basis.values()]
 
 
@@ -622,8 +590,9 @@ def completeness_check(n: int, k: int, degree: int, exclude: Sequence[str] = ())
     are expanded and ranked (`_rank`, one call per representative piece
     that holds products, each of whose monomials is checked to lie in the
     piece); every other member of the orbit reports the same kernel_dim
-    and span_dim.  Raises TypeError if `exclude` is a bare string rather
-    than a sequence of labels.
+    and span_dim.  Raises ValueError for a negative degree, before any
+    orbit table is built, and TypeError if `exclude` is a bare string
+    rather than a sequence of labels.
 
     The copy is exact.  A block permutation s that maps every generator to
     plus or minus a generator is a ring automorphism that commutes with D
@@ -636,6 +605,8 @@ def completeness_check(n: int, k: int, degree: int, exclude: Sequence[str] = ())
     `_piece_kernel_dim` agrees too.
     """
     amb = Ambient(n, k)
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
     if isinstance(exclude, str):
         raise TypeError(f"exclude must be a sequence of labels, not the string {exclude!r}")
     gens = generators(n, k).without(*exclude)
@@ -701,12 +672,13 @@ def express_in_generators(p: Polynomial, gens: GeneratorSet) -> Combination:
     """Write a homogeneous kernel element as a combination of generator products.
 
     Returns a map from label multisets to coefficients such that
-    sum(coeff * prod(generators)) reconstructs p exactly.  The solution is
-    the one picked by the deterministic echelon solve over the products in
-    enumeration order, with free coefficients set to zero (products satisfy
+    sum(coeff * prod(generators)) reconstructs p exactly.  Products satisfy
     relations, e.g. x_i*J_{j,l} - x_j*J_{i,l} + x_l*J_{i,j} = 0, so the
-    representation is not unique).  Raises NotInKernel if D(p) != 0 and
-    NotInSpan if the system is inconsistent.
+    representation is not unique; this one writes p in the greedy basis,
+    each product in enumeration order that is not a combination of those
+    before it, where the coefficients are unique, and gives every other
+    product 0.  Raises NotInKernel if D(p) != 0 and NotInSpan if p is not
+    in the span of the products.
     """
     deriv = WeitzenboeckDerivation(gens.n, gens.k)
     if not deriv.is_in_kernel(p):
@@ -721,19 +693,29 @@ def express_in_generators(p: Polynomial, gens: GeneratorSet) -> Combination:
         raise NotInSpan("polynomial involves covariant variables")
     target_keys = {GradedPieceKey(bd, w) for bd, w, _ in gradings}
 
-    # restricting to products in p's pieces reproduces the full echelon
-    # solution: pieces have disjoint monomial support, so out-of-piece
-    # coefficients of the free-variables-zero solution are exactly 0
+    # restricting to products in p's pieces gives the combination of all degree-d
+    # products: pieces have disjoint monomial support, so the greedy basis is the
+    # union of the pieces' own, and the coefficients outside p's pieces are 0
     products = [pr.labels for pr in generator_products(gens, degree, target_keys)]
 
-    # column j holds product j; p, packed like the products, rides along as the augmented column `rhs`
-    rhs = len(products)
+    # row j holds product j's packed terms and a 1 in the tag column tag + 1 + j, the
+    # last row p's terms scaled to integers and the scale in column tag.  A packed
+    # monomial ends in the covariant field, so tag lies past every one, and a row's
+    # lead is a monomial until it has none left
+    packing = packing_for(p.ambient, degree)
+    tag = 1 << packing.shift + packing.bits * (gens.n + 2)
     expand = _product_expander(gens, degree)
-    packed = packing_for(p.ambient, degree).pack_terms(p)
-    reduced, pivots = rref(matrix_rows([expand(labels) for labels in products] + [packed]), rhs)
-    if len(reduced) > len(pivots):
+    target, scale = _integer_row(packing.pack_terms(p))
+    rows = [expand(labels) | {tag + 1 + j: 1} for j, labels in enumerate(products)]
+    pivot_rows = _echelon(rows + [target | {tag: scale}], bound=tag + 1)
+    # a product row left with tag columns only is dropped: it is a combination of the
+    # products before it, so the kept ones are the greedy basis in product order.  p's
+    # row keeps lead tag exactly when its monomials cancel, leaving
+    # row[tag]*p + sum(row[tag + 1 + j] * product j) = 0 over the basis products
+    solved = pivot_rows.get(tag)
+    if solved is None:
         raise NotInSpan(f"{p} is not spanned by generator products of degree {degree}")
-    return {products[col]: row[rhs] for row, col in zip(reduced, pivots) if rhs in row}
+    return {products[c - tag - 1]: Fraction(-v, solved[tag]) for c, v in sorted(solved.items()) if c > tag}
 
 
 def evaluate_combination(combination: Combination, gens: GeneratorSet) -> Polynomial:

@@ -5,7 +5,8 @@ it enumerates all degree-d ring monomials with itertools and row-reduces
 the full (ungraded) matrix of the derivation by sparse elimination, so a
 bug in the piece bookkeeping cannot hide in both paths.  The elimination
 oracle (`fraction_rref`) is plain Gauss-Jordan over Fraction, against
-which the library's fraction-free `rref` is compared entry for entry.
+which the library's fraction-free elimination is compared: the kernel
+bases of `nullspace` entry for entry, and the combinations of `express`.
 The product oracle (`naive_mul`) multiplies on exponent tuples, with none
 of the library's monomial packing.
 """
@@ -102,11 +103,14 @@ def ungraded_kernel_dimension(n, k, degree):
 
 
 def fraction_rref(rows, ncols):
-    """Sparse reduced row echelon form by Gauss-Jordan over Fraction: the reference for `kernel.rref`.
+    """Sparse reduced row echelon form by Gauss-Jordan over Fraction: the reference for `nullspace` and `express`.
 
-    Same contract as the library routine: pivots only on columns < ncols,
-    returns the pivot rows (pivot entry 1) in pivot order followed by the
-    rows left nonzero only in columns >= ncols, and the pivot columns.
+    Pivots only on columns < ncols, the columns >= ncols being carried as
+    augmented right-hand sides; returns the pivot rows (pivot entry 1) in
+    pivot order followed by the rows left nonzero only in columns >= ncols,
+    and the pivot columns.  A kernel basis is read off the form of the
+    matrix with reversed columns, and a combination of products off the
+    augmented column of a solve whose columns are the products.
     """
 
     def subtract(row, f, other):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from weitzenboeck import UnknownLabel, cli, generators
+from weitzenboeck import UnknownLabel, cli, generators, kernel_basis
 from weitzenboeck.cli import build_parser, main
 
 
@@ -224,6 +224,22 @@ class TestExpressionCommands:
         assert code == 0
         assert json.loads(out)["result"] == {"in_span": True, "combination": [{"labels": [], "coeff": "3"}]}
 
+    def test_express_machine_output_matches_golden(self, capsys):
+        # the README examples, every kernel basis element of (2, 1) and (1, 2) up to
+        # degree 4, a rational input and a NOT IN SPAN case, byte for byte
+        cases = [(2, 1, "x1^2 + x1*y2 - x2*y1"), (2, 1, "3")]
+        for n, k in ((2, 1), (1, 2)):
+            cases += [(n, k, str(b)) for d in range(5) for b in kernel_basis(n, k, d)]
+        cases += [(2, 1, "1/2*x1*y2 - 1/2*x2*y1 + 2/3*x1^2"), (1, 1, "x1*CX")]
+        outs, codes = [], []
+        for n, k, poly in cases:
+            code, out, err = run(capsys, "express", "--n", str(n), "--k", str(k), "--poly", poly, "--output", "machine")
+            assert err == ""
+            outs.append(out)
+            codes.append(code)
+        assert codes == [0] * (len(cases) - 1) + [1]
+        assert "".join(outs) == (GOLDEN_DIR / "express_machine.txt").read_text()
+
     def test_express_not_in_kernel(self, capsys):
         code, _, err = run(capsys, "express", "--n", "2", "--k", "1", "--poly", "y1")
         assert code == 1 and "error" in err
@@ -246,6 +262,24 @@ class TestExpressionCommands:
 
 
 class TestContract:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["express", "--n", "2", "--poly", "x1"], ["--degree", "3"]),
+            (["gens", "--n", "2"], ["--max-degree", "9"]),
+            (["apply", "--n", "1", "--poly", "y1"], ["--degree", "1"]),
+        ],
+    )
+    def test_degree_flags_only_where_read(self, capsys, argv, flag):
+        # only verify and census read a degree; elsewhere the flag is a usage error
+        with pytest.raises(SystemExit) as exc:
+            main(argv + flag)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments" in captured.err
+        code, out, _ = run(capsys, *argv, "--output", "machine")
+        assert code == 0 and not {"degree", "max_degree"} & set(json.loads(out)["params"])
+
     def test_usage_error_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["gens", "--k", "1"])  # --n is required

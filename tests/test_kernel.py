@@ -2,7 +2,7 @@ import json
 import random
 from collections import defaultdict
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -34,7 +34,7 @@ from weitzenboeck import (
     piece_keys,
 )
 from weitzenboeck import cli, kernel
-from weitzenboeck.kernel import _piece_kernel_dim, _rank, compositions, matrix_rows, nullspace, rref
+from weitzenboeck.kernel import _echelon, _piece_kernel_dim, _rank, compositions, matrix_rows, nullspace
 from weitzenboeck.poly import packing_for
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -107,6 +107,17 @@ def test_compositions():
     assert list(compositions(2, 2)) == [(0, 2), (1, 1), (2, 0)]
     assert list(compositions(0, 3)) == [(0, 0, 0)]
     assert list(compositions(3, 1)) == [(3,)]
+    # a negative total has no composition, whatever the number of parts
+    assert [list(compositions(-1, parts)) for parts in range(4)] == [[], [], [], []]
+
+
+def test_negative_degree_is_rejected_before_orbits_are_built(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("orbit tables must not be built for a negative degree")
+
+    monkeypatch.setattr(kernel, "_orbits", boom)
+    with pytest.raises(ValueError, match="degree must be >= 0"):
+        completeness_check(1, 1, -1)
 
 
 def test_piece_keys_validate_their_input():
@@ -193,52 +204,33 @@ def dependent_matrices(draw):
     return rows, ncols
 
 
-class TestRref:
-    @given(st.one_of(sparse_matrices(), dependent_matrices()))
-    @settings(max_examples=300, deadline=None)
-    def test_equals_fraction_gauss_jordan(self, matrix):
-        # the fraction-free elimination returns the rational Gauss-Jordan result
-        # entry for entry: pivot list, pivot rows and leftover rows
-        rows, ncols = matrix
-        reduced, pivots = rref(rows, ncols)
-        expected, expected_pivots = fraction_rref(rows, ncols)
-        assert pivots == expected_pivots
-        assert reduced == expected
+def _fraction_nullspace(rows, ncols):
+    """The reduced echelon basis of {v : M v = 0}, read off `fraction_rref` of M with reversed columns."""
+    last = ncols - 1
+    reduced, pivots = fraction_rref([{last - c: v for c, v in row.items()} for row in rows], ncols)
+    pivot_set = {last - p for p in pivots}
+    basis = {free: [Fraction(0)] * ncols for free in range(ncols) if free not in pivot_set}
+    for free, v in basis.items():
+        v[free] = Fraction(1)
+    for row, p in zip(reduced, pivots):
+        for c, value in row.items():
+            if c != p:
+                basis[last - c][last - p] = -value
+    return [tuple(v) for v in basis.values()]
 
-    @given(sparse_matrices())
-    @settings(max_examples=200, deadline=None)
-    def test_reduced_echelon_form(self, matrix):
-        rows, ncols = matrix
-        reduced, pivots = rref(rows, ncols)
-        assert len(pivots) == sparse_rank({c: v for c, v in row.items() if c < ncols} for row in rows)
-        assert pivots == sorted(pivots) and all(p < ncols for p in pivots)
-        for row, p in zip(reduced, pivots):
-            assert row[p] == 1
-            assert all(p not in other for other in reduced if other is not row)
-            assert min(row) == p
-        leftover = reduced[len(pivots):]
-        assert all(row and min(row) >= ncols for row in leftover)
-        # every input row reduces to zero against the pivot rows, up to the leftover rows
-        for source in rows:
-            rest = dict(source)
-            for row, p in zip(reduced, pivots):
-                f = rest.get(p)
-                if f:
-                    for c, v in row.items():
-                        rest[c] = rest.get(c, 0) - f * v
-            rest = {c: v for c, v in rest.items() if v}
-            assert sparse_rank(leftover + [rest]) == sparse_rank(leftover)
 
-    def test_augmented_column_carried(self):
-        # x + y = 3, x - y = 1  ->  x = 2, y = 1
-        reduced, pivots = rref([{0: 1, 1: 1, 2: 3}, {0: 1, 1: -1, 2: 1}], 2)
-        assert pivots == [0, 1]
-        assert reduced == [{0: 1, 2: 2}, {1: 1, 2: 1}]
-
-    def test_inconsistent_row_left_over(self):
-        reduced, pivots = rref([{0: 1, 1: 1}, {0: 2, 1: 5}], 1)
-        assert pivots == [0]
-        assert reduced == [{0: 1, 1: 1}, {1: 3}]
+@given(st.one_of(sparse_matrices(), dependent_matrices()))
+@settings(max_examples=300, deadline=None)
+def test_nullspace_equals_basis_read_off_fraction_gauss_jordan(matrix):
+    # the forward elimination and its back substitution give the basis that
+    # Gauss-Jordan over Fraction gives, entry for entry, in either row order;
+    # every column of the matrix is a column of M here, and columns past the
+    # last nonzero entry are zero columns, free in every basis
+    rows, ncols = matrix
+    width = max([ncols, *(c + 1 for row in rows for c in row)])
+    expected = _fraction_nullspace(rows, width)
+    assert nullspace(rows, width) == expected
+    assert nullspace(rows[::-1], width) == expected
 
 
 PRIME = (1 << 61) - 1
@@ -266,6 +258,19 @@ class TestRank:
         # rows scaled by multiples of the prime 2^61 - 1 keep their rank over Q,
         # which a rank modulo that prime would lose
         assert _rank([{c: v * PRIME * (i + 1) for c, v in row.items()} for i, row in enumerate(rows)]) == rank
+
+    @given(st.one_of(sparse_matrices(), dependent_matrices()), st.integers(0, 8))
+    @settings(max_examples=300, deadline=None)
+    def test_bound_drops_rows_that_vanish_before_it(self, matrix, bound):
+        # a row is dropped once it is zero in every column below the bound, so
+        # the pivot rows count the rank of the rows cut to those columns
+        rows = _integer_rows(matrix[0])
+        pivot_rows = _echelon(rows, bound=bound)
+        assert len(pivot_rows) == sparse_rank({c: v for c, v in row.items() if c < bound} for row in rows)
+        for lead, row in pivot_rows.items():
+            assert lead == min(row) < bound and row[lead] > 0
+            assert gcd(*row.values()) == 1
+        assert _echelon(rows) == _echelon(rows, bound=max((c + 1 for row in rows for c in row), default=0))
 
 
 class TestKernelBasis:
@@ -562,7 +567,7 @@ class TestCompleteness:
         def boom(*args, **kwargs):
             raise AssertionError("a certificate counts ranks and needs no reduced echelon form")
 
-        monkeypatch.setattr(kernel, "rref", boom)
+        monkeypatch.setattr(kernel, "nullspace", boom)
         rep = completeness_check(3, 2, 4)
         assert rep.complete and rep.per_piece
         assert all(piece.span_dim == piece.kernel_dim for piece in rep.per_piece)
@@ -716,10 +721,33 @@ class TestExpress:
                 columns = [evaluate_combination({labels: 1}, gens) for labels in products]
                 rhs = len(products)
                 for b in kernel_basis(n, k, d):
-                    reduced, pivots = rref(matrix_rows(columns + [b]), rhs)
+                    reduced, pivots = fraction_rref(matrix_rows(columns + [b]), rhs)
                     assert len(reduced) == len(pivots)
                     full = {products[c]: row[rhs] for row, c in zip(reduced, pivots) if rhs in row}
                     assert express_in_generators(b, gens) == full
+
+    @given(st.sampled_from([(2, 1, 4), (1, 2, 4), (3, 1, 3), (2, 2, 3)]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_fraction_solve_with_generators_left_out(self, case, data):
+        # without some generators a kernel element may lie outside the span:
+        # express raises NotInSpan exactly when Gauss-Jordan over Fraction leaves
+        # a row in the input's column, and otherwise gives the same combination
+        n, k, top = case
+        gens = generators(n, k)
+        gens = gens.without(*data.draw(st.lists(st.sampled_from(gens.labels()), unique=True, max_size=2)))
+        d = data.draw(st.integers(0, top))
+        scale = data.draw(st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9)))
+        products = [pr.labels for pr in generator_products(gens, d)]
+        columns = [evaluate_combination({labels: 1}, gens) for labels in products]
+        rhs = len(products)
+        for b in kernel_basis(n, k, d):
+            p = b * scale
+            reduced, pivots = fraction_rref(matrix_rows(columns + [p]), rhs)
+            if len(reduced) > len(pivots):
+                with pytest.raises(NotInSpan):
+                    express_in_generators(p, gens)
+            else:
+                assert express_in_generators(p, gens) == {products[c]: row[rhs] for row, c in zip(reduced, pivots) if rhs in row}
 
     def test_round_trip_reconstruction(self):
         for n, k in ((2, 1), (1, 2)):
@@ -787,7 +815,7 @@ class TestCensus:
         def boom(*args, **kwargs):
             raise AssertionError("dimensions must not eliminate, apply D or list monomials")
 
-        monkeypatch.setattr(kernel, "rref", boom)
+        monkeypatch.setattr(kernel, "_echelon", boom)
         monkeypatch.setattr(WeitzenboeckDerivation, "apply", boom)
         monkeypatch.setattr(kernel, "graded_monomials", boom)
         assert kernel_dim(2, 3, 4) == 50
