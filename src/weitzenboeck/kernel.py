@@ -32,18 +32,23 @@ name is one shift and one comparison per distinct monomial.
 
 Products are enumerated as label multisets on packed gradings
 (`generator_products`): a piece (b, w) is one int, the grading that
-`poly.Packing` puts in a packed monomial's high digits, so adding copies
-of a generator to a partial product is one integer add, and the same int
-is what the expanded monomials are checked against.  A cached table
-(`_reach`) holds, for each suffix of the generator list and each degree
-r, the packed keys of every multiset of those generators of degree
-exactly r.  A branch survives only if some wanted piece minus its partial
-key is in the table for what is left to choose, so the prune drops a
-branch only when none of its products lies in a wanted piece, and every
-branch it keeps ends in a product.  Wanted pieces and complete products
-are gradings of degree-d monomials, whose fields do not carry, so packed
-keys agree only when their components do.  `express` enumerates only the
-products in its input's pieces this way.
+`poly.Packing` puts in a packed monomial's high digits, so adding a
+generator to a partial product is one integer add, and the same int is
+what the expanded monomials are checked against.  One depth-first walk
+adds one factor per level, a generator at or after the last one, so its
+depth is the number of factors and the products come out in label order.
+A cached table (`_reach`) holds, for each suffix of the generator list
+and each degree r, the packed keys of every multiset of those generators
+of degree exactly r.  A branch carries the live targets among the wanted
+pieces, each as its need (target minus partial key), and keeps a target
+only while its need minus the next factor is in the table for what is
+left to choose; a branch with no live target is dropped.  So the prune
+drops a branch only when none of its products lies in a wanted piece,
+and every branch it keeps ends in a product.  Wanted pieces and complete
+products are gradings of degree-d monomials, whose fields do not carry,
+so packed keys agree only when their components do.  `express`
+enumerates only the products in its input's pieces this way, and a
+certificate only those in its representative pieces.
 
 A certificate ranks one piece per orbit of the generators' block
 symmetry.  A block permutation that maps every generator to plus or minus
@@ -54,11 +59,14 @@ blocks that keep the set stable are found by permuting every generator
 (`_symmetry_runs`), once per label set; runs of consecutive stable swaps
 generate a Young subgroup, and the representative of an orbit is the b
 that is non-increasing within each run (`_orbits`).  A set with no stable
-swap has orbits of one piece each.  Only representative pieces that hold
-products are expanded and ranked, each exactly by `_rank` on integer
-rows, which stops at the piece's kernel dimension: products lie in ker D,
-so their rank cannot exceed it.  A piece without products spans nothing.
-Every other member of an orbit reports its representative's dimensions.
+swap has orbits of one piece each.  Only the products in representative
+pieces with a nonzero kernel are enumerated (a product is a nonzero
+kernel element, so no other piece holds one), and only representative
+pieces that hold products are expanded and ranked, each exactly by
+`_rank` on integer rows, which stops at the piece's kernel dimension:
+products lie in ker D, so their rank cannot exceed it.  A piece without
+products spans nothing.  Every other member of an orbit reports its
+representative's dimensions.
 """
 
 from __future__ import annotations
@@ -428,19 +436,35 @@ def generator_products(gens: GeneratorSet, degree: int, pieces: Collection[Grade
     Label multisets in label order (higher multiplicity of earlier
     generators first), each keyed by the sum of its factors' graded
     pieces; nothing is expanded, and the values may be linearly dependent.
-    With `pieces`, only the products whose key lies in `pieces`, in the
-    same order: `[p for p in generator_products(gens, degree) if p.key in pieces]`.
+    With `pieces`, only the products whose key lies in `pieces`, each once
+    and in the same order: `[p for p in generator_products(gens, degree) if p.key in pieces]`.
 
-    The recursion carries a piece (b, w) as its packed grading
+    One depth-first walk adds one factor per level: a branch whose last
+    factor is generator idx adds a generator j >= idx and goes on at j, so
+    a product is its nondecreasing sequence of generator indices, its depth
+    is its number of factors, and a generator it holds no copy of costs no
+    level.  Trying j in ascending order lists the sequences in ascending
+    lex order, which is label order: where two sequences of one degree
+    first differ, the one with the smaller index holds the same number of
+    every earlier generator and more copies of that one (a sequence of
+    positive degrees is never a prefix of another of the same degree).
+
+    The walk carries a piece (b, w) as its packed grading
     (`Packing.grading` of the degree's packing, the one
-    `completeness_check` checks monomials against), so adding `mult`
-    copies of a generator is one integer add: a product's grading is the
-    sum of its factors'.  A branch at partial key `key` that next chooses
-    from generators idx.. with `r` degrees left survives only if t - key is
-    in reach[idx][r] for some target t (for any reachable key, when
-    `pieces` is None); every product it drops therefore has a key outside
-    `pieces`, and every surviving branch ends in a product, so the prune is
-    exact and wastes no branch.
+    `completeness_check` checks monomials against), so adding a factor is
+    one integer add: a product's grading is the sum of its factors'.  With
+    `pieces`, a branch also carries its live (target, need) pairs, each
+    kept as its need: the target minus the branch's grading.  Adding
+    generator j with r degrees left after it keeps a pair only if need - g_j
+    is in reach[j][r], the gradings of the multisets of generators j.. (j
+    included) of degree r, one set lookup per live pair, and a branch with
+    no live pair is dropped.  The prune is exact: the completions of the
+    new branch are exactly those multisets, so a pair is dropped only when
+    no product below the branch lands on its target, and a kept pair has
+    one, so no wanted product is lost and every branch kept ends in one.
+    Pruning removes branches but never reorders them, so the products come
+    out in the same order as with no `pieces`.  With `pieces` None a branch
+    survives when reach[j][r] is non-empty.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
@@ -449,23 +473,21 @@ def generator_products(gens: GeneratorSet, degree: int, pieces: Collection[Grade
     # each generator lies in one piece
     items = [(row.label, row.degree, packing.grading(row.block_degrees, row.weight)) for row in gens.table]
     reach = _reach(tuple((d, g) for _, d, g in items), degree)
-    targets = None
+    needs = None  # with `pieces`, a branch's live targets, each as target minus the branch's grading
     if pieces is not None:
-        # a kept target and every key + s (s in reach) are gradings of degree-`degree` monomials,
-        # so each field is at most k*degree < 2^bits and packed equality is componentwise equality
-        targets = [
+        # a kept target and every completion of a branch are gradings of degree-`degree` monomials,
+        # so each field is at most k*degree < 2^bits and packed equality is componentwise equality;
+        # the set holds a piece given twice once
+        targets = {
             packing.grading(bd, w)
             for bd, w in pieces
             if len(bd) == n and sum(bd) == degree and min(bd) >= 0 and 0 <= w <= k * degree
-        ]
-
-    def wanted(keys: frozenset[int], key: int) -> bool:
-        return bool(keys) if targets is None else not keys.isdisjoint([t - key for t in targets])
-
+        }
+        needs = [t for t in targets if t in reach[0][degree]]  # the root's grading is 0
     read: dict[int, GradedPieceKey] = {}  # one key object per piece
     out: list[Product] = []
 
-    def rec(idx: int, remaining: int, labels: tuple[str, ...], key: int):
+    def walk(idx: int, remaining: int, labels: tuple[str, ...], key: int, needs: list[int] | None):
         if remaining == 0:
             piece = read.get(key)
             if piece is None:
@@ -473,17 +495,22 @@ def generator_products(gens: GeneratorSet, degree: int, pieces: Collection[Grade
                 piece = read[key] = GradedPieceKey(bd, w)
             out.append(Product(labels, piece))
             return
-        # a live branch with degrees left has a generator left (reach[len][r > 0] is empty)
-        label, d, g = items[idx]
-        later = reach[idx + 1]
-        for mult in range(remaining // d, -1, -1):
-            r = remaining - mult * d
-            m_key = key + mult * g
-            if wanted(later[r], m_key):
-                rec(idx + 1, r, labels + (label,) * mult, m_key)
+        for j in range(idx, len(items)):
+            label, d, g = items[j]
+            r = remaining - d
+            if r < 0:
+                continue
+            keys = reach[j][r]
+            if needs is None:
+                if keys:
+                    walk(j, r, labels + (label,), key + g, None)
+            else:
+                kept = [left for need in needs if (left := need - g) in keys]
+                if kept:
+                    walk(j, r, labels + (label,), key + g, kept)
 
-    if wanted(reach[0][degree], 0):
-        rec(0, degree, (), 0)
+    if reach[0][degree] if needs is None else needs:
+        walk(0, degree, (), 0, needs)
     return out
 
 
@@ -587,9 +614,11 @@ def completeness_check(n: int, k: int, degree: int, exclude: Sequence[str] = ())
     Its span_dim is the exact rank over Q of the piece's products, or 0 if
     it holds none.  Only the pieces whose block degrees represent an orbit
     of the generator set's block symmetry (`_symmetry_runs`, `_orbits`)
-    are expanded and ranked (`_rank`, one call per representative piece
-    that holds products, each of whose monomials is checked to lie in the
-    piece); every other member of the orbit reports the same kernel_dim
+    are enumerated, expanded and ranked (`_rank`, one call per
+    representative piece that holds products, each of whose monomials is
+    checked to lie in the piece), and `generator_products` is asked for
+    the products of exactly the representative pieces with a nonzero
+    kernel; every other member of the orbit reports the same kernel_dim
     and span_dim.  Raises ValueError for a negative degree, before any
     orbit table is built, and TypeError if `exclude` is a bare string
     rather than a sequence of labels.
@@ -611,16 +640,19 @@ def completeness_check(n: int, k: int, degree: int, exclude: Sequence[str] = ())
         raise TypeError(f"exclude must be a sequence of labels, not the string {exclude!r}")
     gens = generators(n, k).without(*exclude)
     orbits = _orbits(n, degree, _symmetry_runs(n, k, tuple(gens.labels())))
+    representatives = (GradedPieceKey(rep, w) for rep in orbits for w in range(k * degree + 1))
+    kernel_dims = {key: kdim for key in representatives if (kdim := _piece_kernel_dim(n, k, key))}
+    # only the representative pieces with a nonzero kernel are enumerated.  A product
+    # of generators is a nonzero element of ker D (the ring has no zero divisors), so
+    # every piece that holds one has kernel_dim >= 1 and leaving out the pieces of
+    # kernel_dim 0 drops no product
     by_piece: dict[GradedPieceKey, list[tuple[str, ...]]] = defaultdict(list)
-    for product in generator_products(gens, degree):
-        if product.key.block_degrees in orbits:  # a representative piece
-            by_piece[product.key].append(product.labels)
+    for product in generator_products(gens, degree, kernel_dims):
+        by_piece[product.key].append(product.labels)
     expand = _product_expander(gens, degree)
     packing = packing_for(amb, degree)  # the expander's packing
     shift = packing.shift
 
-    representatives = (GradedPieceKey(rep, w) for rep in orbits for w in range(k * degree + 1))
-    kernel_dims = {key: kdim for key in representatives if (kdim := _piece_kernel_dim(n, k, key))}
     span: dict[GradedPieceKey, int] = {}
     for key, products in by_piece.items():
         # number each distinct monomial as a column, checking that it lies in the
@@ -644,7 +676,7 @@ def completeness_check(n: int, k: int, degree: int, exclude: Sequence[str] = ())
             rows.append(row)
         # products lie in ker D on this piece, so their rank is at most its kernel
         # dimension and stopping the elimination there still gives the exact rank
-        span[key] = _rank(rows, kernel_dims.get(key, 0))
+        span[key] = _rank(rows, kernel_dims[key])
     # a piece that holds no product spans nothing; each orbit member reports its representative's dims
     pieces = [
         PieceReport(GradedPieceKey(b, key.weight), kdim, span.get(key, 0))

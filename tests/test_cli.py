@@ -112,6 +112,19 @@ class TestVerify:
         argv = ["verify", "--n", "4", "--k", "1", "--max-degree", "4", "--exclude", "J1,2", "--output", "machine"]
         assert run(capsys, *argv) == (1, (GOLDEN_DIR / "verify_n4_k1_d4_exclude_J12.txt").read_text(), "")
 
+    @pytest.mark.parametrize(
+        "golden, argv, code",
+        [
+            # only (2 3) keeps the generators without H2,3, so about 100 representative
+            # pieces are wanted at once in degree 4
+            ("verify_n4_k2_d4_exclude_H23.txt", ["--k", "2", "--max-degree", "4", "--exclude", "H2,3"], 1),
+            # the full symmetric group on 4 blocks: 9 of the 84 block-degree orbits of degree 6
+            ("verify_n4_k1_d6.txt", ["--k", "1", "--max-degree", "6"], 0),
+        ],
+    )
+    def test_many_wanted_pieces_output_matches_golden(self, capsys, golden, argv, code):
+        assert run(capsys, "verify", "--n", "4", *argv, "--output", "machine") == (code, (GOLDEN_DIR / golden).read_text(), "")
+
     def test_single_degree_flag(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "2", "--k", "1", "--degree", "2")
         assert code == 0

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from collections import defaultdict
@@ -390,6 +391,50 @@ class TestGeneratorProducts:
         assert generator_products(gens, degree, set()) == []
         assert generator_products(gens, degree, set(reachable)) == every
 
+    @given(st.integers(1, 4), st.sampled_from([1, 2]), st.integers(0, 5), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_order_and_keys_match_an_itertools_oracle(self, n, k, degree, data):
+        # every multiset of the table's rows of total degree `degree`, listed by
+        # itertools and sorted by multiplicity vector, higher multiplicity of earlier
+        # generators first; each key is the sum of its rows' block degrees and weights
+        full = generators(n, k)
+        exclude = data.draw(st.lists(st.sampled_from(full.labels()), unique=True, max_size=3))
+        gens = full.without(*exclude)
+        rows = gens.table
+        multisets = [
+            combo
+            for size in range(degree + 1)
+            for combo in itertools.combinations_with_replacement(range(len(rows)), size)
+            if sum(rows[i].degree for i in combo) == degree
+        ]
+        multisets.sort(key=lambda combo: [-combo.count(i) for i in range(len(rows))])
+        expected = [
+            (
+                tuple(rows[i].label for i in combo),
+                GradedPieceKey(
+                    tuple(sum(rows[i].block_degrees[b] for i in combo) for b in range(n)),
+                    sum(rows[i].weight for i in combo),
+                ),
+            )
+            for combo in multisets
+        ]
+        assert [(pr.labels, pr.key) for pr in generator_products(gens, degree)] == expected
+
+    def test_repeated_or_list_pieces_give_each_product_once(self):
+        # a piece listed twice, or with list block degrees, selects its products once,
+        # keyed by a canonical GradedPieceKey read back from the packed grading
+        gens = generators(3, 2)
+        every = generator_products(gens, 4)
+        wanted = GradedPieceKey((2, 1, 1), 2)
+        selected = [pr for pr in every if pr.key == wanted]
+        assert len(selected) > 1
+        for pieces in ([wanted, wanted], [([2, 1, 1], 2)], [([2, 1, 1], 2), wanted, ((2, 1, 1), 2)]):
+            products = generator_products(gens, 4, pieces)
+            assert products == selected
+            for pr in products:
+                assert type(pr.key) is GradedPieceKey and type(pr.key.block_degrees) is tuple
+                assert all(pr.key is not piece and pr.key.block_degrees is not piece[0] for piece in pieces)
+
     def test_targets_that_pack_like_a_reachable_piece(self):
         # at k*degree = 3 the fields hold 2 bits, so (18, -15) with weight 3 packs
         # like the reachable (2, 1) with weight 0; its block sum is the degree
@@ -573,13 +618,19 @@ class TestCompleteness:
         assert all(piece.span_dim == piece.kernel_dim for piece in rep.per_piece)
         assert not completeness_check(1, 2, 2, exclude=["H1,1"]).complete
 
-    @pytest.mark.parametrize("n, k, degree, exclude", [(3, 2, 4, ()), (4, 1, 5, ("J1,2",)), (3, 1, 4, ("x1", "x3"))])
+    @pytest.mark.parametrize(
+        "n, k, degree, exclude",
+        [(3, 2, 4, ()), (4, 1, 5, ("J1,2",)), (3, 1, 4, ("x1", "x3")), (4, 1, 6, ()), (4, 2, 4, ("H2,3",))],
+    )
     def test_ranks_each_piece_that_holds_products_once(self, monkeypatch, n, k, degree, exclude):
         # only representative pieces (block degrees non-increasing within each run
-        # of stable swaps, found by brute force) are expanded, each ranked once;
-        # pieces without products report span_dim 0 with no elimination. With no
-        # stable swap, as for (3, 1, 4) without x1 and x3, every piece is its own
-        # representative and every piece that holds products is ranked
+        # of stable swaps, found by brute force) are enumerated and expanded, each
+        # ranked once: the products are asked for in exactly the representative
+        # pieces with a nonzero kernel, never all at once (pieces None), and each
+        # product in them is expanded once. Pieces without products report span_dim
+        # 0 with no elimination. With no stable swap, as for (3, 1, 4) without x1
+        # and x3, every piece is its own representative and every piece that holds
+        # products is ranked
         gens = generators(n, k).without(*exclude)
         stable = _stable_swaps(gens)
 
@@ -588,12 +639,17 @@ class TestCompleteness:
 
         label_key = {pr.labels: pr.key for pr in generator_products(gens, degree)}
         assert bool(stable) == (exclude != ("x1", "x3"))
-        calls, expanded = [], []
-        real_rank, real_expander = kernel._rank, kernel._product_expander
+        wanted = {key for key in piece_keys(n, k, degree) if _piece_kernel_dim(n, k, key) and representative(key.block_degrees)}
+        calls, expanded, requests = [], [], []
+        real_rank, real_expander, real_products = kernel._rank, kernel._product_expander, kernel.generator_products
 
         def counting(rows, limit=None):
             calls.append(len(rows))
             return real_rank(rows, limit)
+
+        def requesting(gens, degree, pieces=None):
+            requests.append(None if pieces is None else set(pieces))
+            return real_products(gens, degree, pieces)
 
         def recording(gens, degree):
             expand = real_expander(gens, degree)
@@ -601,12 +657,15 @@ class TestCompleteness:
 
         monkeypatch.setattr(kernel, "_rank", counting)
         monkeypatch.setattr(kernel, "_product_expander", recording)
+        monkeypatch.setattr(kernel, "generator_products", requesting)
         rep = completeness_check(n, k, degree, exclude=exclude)
         keys = {key for key in label_key.values() if representative(key.block_degrees)}
         if not stable:
             assert keys == set(label_key.values())
+        assert requests == [wanted] and keys <= wanted
         assert len(calls) == len(keys) and 0 not in calls
         assert {label_key[labels] for labels in expanded} == keys
+        assert sorted(expanded) == sorted(labels for labels, key in label_key.items() if key in keys)
         spanning = {piece.key for piece in rep.per_piece if piece.span_dim}
         assert {key for key in spanning if representative(key.block_degrees)} <= keys
 
