@@ -28,7 +28,6 @@ from .kernel import (
     CompletenessReport,
     GradedPieceKey,
     PieceReport,
-    Product,
     completeness_check,
     evaluate_combination,
     express_in_generators,
@@ -71,7 +70,6 @@ __all__ = [
     "ParseError",
     "PieceReport",
     "Polynomial",
-    "Product",
     "UnknownLabel",
     "UnknownVariable",
     "UnsupportedK",

@@ -31,24 +31,24 @@ the check that every monomial of a product lies in the piece its labels
 name is one shift and one comparison per distinct monomial.
 
 Products are enumerated as label multisets on packed gradings
-(`generator_products`): a piece (b, w) is one int, the grading that
-`poly.Packing` puts in a packed monomial's high digits, so adding a
-generator to a partial product is one integer add, and the same int is
-what the expanded monomials are checked against.  One depth-first walk
+(`generator_products`), piece by wanted piece: a piece (b, w) is one int,
+the grading that `poly.Packing` puts in a packed monomial's high digits,
+so adding a generator to a partial product is one integer subtraction
+from what the branch still needs, and the same int is what the expanded
+monomials are checked against.  One depth-first walk per wanted piece
 adds one factor per level, a generator at or after the last one, so its
 depth is the number of factors and the products come out in label order.
 A cached table (`_reach`) holds, for each suffix of the generator list
 and each degree r, the packed keys of every multiset of those generators
-of degree exactly r.  A branch carries the live targets among the wanted
-pieces, each as its need (target minus partial key), and keeps a target
-only while its need minus the next factor is in the table for what is
-left to choose; a branch with no live target is dropped.  So the prune
-drops a branch only when none of its products lies in a wanted piece,
+of degree exactly r.  A branch keeps a child only while its need minus
+the child's factor is in the table for what is left to choose, so the
+prune drops a branch only when none of its products lies in the piece,
 and every branch it keeps ends in a product.  Wanted pieces and complete
 products are gradings of degree-d monomials, whose fields do not carry,
 so packed keys agree only when their components do.  `express`
-enumerates only the products in its input's pieces this way, and a
-certificate only those in its representative pieces.
+enumerates only the products in its input's pieces this way and merges
+them back into label order, and a certificate only those in its
+representative pieces, which it ranks piece by piece as they come.
 
 A certificate ranks one piece per orbit of the generators' block
 symmetry.  A block permutation that maps every generator to plus or minus
@@ -58,15 +58,16 @@ there (the argument is at `completeness_check`).  The swaps of adjacent
 blocks that keep the set stable are found by permuting every generator
 (`_symmetry_runs`), once per label set; runs of consecutive stable swaps
 generate a Young subgroup, and the representative of an orbit is the b
-that is non-increasing within each run (`_orbits`).  A set with no stable
-swap has orbits of one piece each.  Only the products in representative
-pieces with a nonzero kernel are enumerated (a product is a nonzero
-kernel element, so no other piece holds one), and only representative
-pieces that hold products are expanded and ranked, each exactly by
-`_rank` on integer rows, which stops at the piece's kernel dimension:
-products lie in ker D, so their rank cannot exceed it.  A piece without
-products spans nothing.  Every other member of an orbit reports its
-representative's dimensions.
+that is non-increasing within each run.  A set with no stable swap has
+orbits of one piece each.  Only the products in representative pieces
+with a nonzero kernel are enumerated (a product is a nonzero kernel
+element, so no other piece holds one), and only representative pieces
+that hold products are expanded and ranked, each exactly by `_rank` on
+integer rows, which stops at the piece's kernel dimension: products lie
+in ker D, so their rank cannot exceed it.  A piece without products spans
+nothing.  The report is built in one pass over the block degrees in
+ascending order, each b reporting its representative's dimensions, so it
+comes out in piece order with no sort.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
-from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .derivation import GeneratorSet, WeitzenboeckDerivation, generators
 from .errors import InvalidKey, NonHomogeneous, NotInKernel, NotInSpan
@@ -124,13 +125,6 @@ class CompletenessReport:
                 for piece in self.per_piece
             ],
         }
-
-
-class Product(NamedTuple):
-    """A product of generators: the label multiset and the graded piece it lies in."""
-
-    labels: tuple[str, ...]
-    key: GradedPieceKey
 
 
 # -- monomial enumeration ----------------------------------------------------
@@ -430,41 +424,40 @@ def _reach(items: tuple[tuple[int, int], ...], degree: int) -> tuple[tuple[froze
     return tuple(table)
 
 
-def generator_products(gens: GeneratorSet, degree: int, pieces: Collection[GradedPieceKey] | None = None) -> list[Product]:
-    """All monomials in the generators of total ring degree exactly `degree`.
+def generator_products(
+    gens: GeneratorSet, degree: int, pieces: Iterable[GradedPieceKey]
+) -> dict[GradedPieceKey, list[tuple[str, ...]]]:
+    """The monomials in the generators of total ring degree exactly `degree` in each wanted piece.
 
-    Label multisets in label order (higher multiplicity of earlier
-    generators first), each keyed by the sum of its factors' graded
-    pieces; nothing is expanded, and the values may be linearly dependent.
-    With `pieces`, only the products whose key lies in `pieces`, each once
-    and in the same order: `[p for p in generator_products(gens, degree) if p.key in pieces]`.
+    Maps each piece of `pieces` that holds at least one such product, once
+    however often it is given and keyed by a GradedPieceKey with tuple
+    block degrees, to its label multisets in label order (higher
+    multiplicity of earlier generators first), in the order the pieces are
+    first given.  Nothing is expanded, and the values may be linearly
+    dependent.
 
-    One depth-first walk adds one factor per level: a branch whose last
-    factor is generator idx adds a generator j >= idx and goes on at j, so
-    a product is its nondecreasing sequence of generator indices, its depth
-    is its number of factors, and a generator it holds no copy of costs no
-    level.  Trying j in ascending order lists the sequences in ascending
-    lex order, which is label order: where two sequences of one degree
-    first differ, the one with the smaller index holds the same number of
-    every earlier generator and more copies of that one (a sequence of
-    positive degrees is never a prefix of another of the same degree).
+    One depth-first walk per wanted piece adds one factor per level: a
+    branch whose last factor is generator idx adds a generator j >= idx and
+    goes on at j, so a product is its nondecreasing sequence of generator
+    indices, its depth is its number of factors, and a generator it holds
+    no copy of costs no level.  Trying j in ascending order lists the
+    sequences in ascending lex order, which is label order: where two
+    sequences of one degree first differ, the one with the smaller index
+    holds the same number of every earlier generator and more copies of
+    that one (a sequence of positive degrees is never a prefix of another
+    of the same degree).
 
-    The walk carries a piece (b, w) as its packed grading
-    (`Packing.grading` of the degree's packing, the one
-    `completeness_check` checks monomials against), so adding a factor is
-    one integer add: a product's grading is the sum of its factors'.  With
-    `pieces`, a branch also carries its live (target, need) pairs, each
-    kept as its need: the target minus the branch's grading.  Adding
-    generator j with r degrees left after it keeps a pair only if need - g_j
-    is in reach[j][r], the gradings of the multisets of generators j.. (j
-    included) of degree r, one set lookup per live pair, and a branch with
-    no live pair is dropped.  The prune is exact: the completions of the
-    new branch are exactly those multisets, so a pair is dropped only when
-    no product below the branch lands on its target, and a kept pair has
-    one, so no wanted product is lost and every branch kept ends in one.
-    Pruning removes branches but never reorders them, so the products come
-    out in the same order as with no `pieces`.  With `pieces` None a branch
-    survives when reach[j][r] is non-empty.
+    The walk carries what the branch still needs, the piece's packed
+    grading (`Packing.grading` of the degree's packing, the one
+    `completeness_check` checks monomials against) minus the gradings of
+    its factors, so adding a factor is one integer subtraction.  Adding
+    generator j with r degrees left after it keeps the child only if
+    need - g_j is in reach[j][r], the gradings of the multisets of
+    generators j.. (j included) of degree r: one set lookup per child.  The
+    prune is exact: the completions of the child are exactly those
+    multisets, so a child is dropped only when no product below it lies in
+    the piece, and every child kept ends in one.  The generator table and
+    `_reach` are built once per call and shared by the walks.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
@@ -473,44 +466,29 @@ def generator_products(gens: GeneratorSet, degree: int, pieces: Collection[Grade
     # each generator lies in one piece
     items = [(row.label, row.degree, packing.grading(row.block_degrees, row.weight)) for row in gens.table]
     reach = _reach(tuple((d, g) for _, d, g in items), degree)
-    needs = None  # with `pieces`, a branch's live targets, each as target minus the branch's grading
-    if pieces is not None:
-        # a kept target and every completion of a branch are gradings of degree-`degree` monomials,
-        # so each field is at most k*degree < 2^bits and packed equality is componentwise equality;
-        # the set holds a piece given twice once
-        targets = {
-            packing.grading(bd, w)
-            for bd, w in pieces
-            if len(bd) == n and sum(bd) == degree and min(bd) >= 0 and 0 <= w <= k * degree
-        }
-        needs = [t for t in targets if t in reach[0][degree]]  # the root's grading is 0
-    read: dict[int, GradedPieceKey] = {}  # one key object per piece
-    out: list[Product] = []
+    out: dict[GradedPieceKey, list[tuple[str, ...]]] = {}
 
-    def walk(idx: int, remaining: int, labels: tuple[str, ...], key: int, needs: list[int] | None):
+    def walk(idx: int, remaining: int, labels: tuple[str, ...], need: int):
         if remaining == 0:
-            piece = read.get(key)
-            if piece is None:
-                bd, w, _ = packing.read_grading(key)
-                piece = read[key] = GradedPieceKey(bd, w)
-            out.append(Product(labels, piece))
+            found.append(labels)
             return
         for j in range(idx, len(items)):
             label, d, g = items[j]
             r = remaining - d
-            if r < 0:
-                continue
-            keys = reach[j][r]
-            if needs is None:
-                if keys:
-                    walk(j, r, labels + (label,), key + g, None)
-            else:
-                kept = [left for need in needs if (left := need - g) in keys]
-                if kept:
-                    walk(j, r, labels + (label,), key + g, kept)
+            if r >= 0 and (left := need - g) in reach[j][r]:
+                walk(j, r, labels + (label,), left)
 
-    if reach[0][degree] if needs is None else needs:
-        walk(0, degree, (), 0, needs)
+    for bd, w in pieces:
+        # a reachable grading and every completion are gradings of degree-`degree` monomials,
+        # so each field is at most k*degree < 2^bits and packed equality is componentwise
+        # equality; a key of another degree or with a negative field is not a piece of them
+        if len(bd) != n or sum(bd) != degree or min(bd) < 0 or not 0 <= w <= k * degree:
+            continue
+        key = GradedPieceKey(tuple(bd), w)
+        target = packing.grading(bd, w)
+        if key not in out and target in reach[0][degree]:
+            found = out[key] = []
+            walk(0, degree, (), target)
     return out
 
 
@@ -591,37 +569,23 @@ def _symmetry_runs(n: int, k: int, labels: tuple[str, ...]) -> tuple[tuple[int, 
     return tuple((start, stop) for start, stop in runs)
 
 
-@cache
-def _orbits(
-    n: int, degree: int, runs: tuple[tuple[int, int], ...]
-) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """Block degrees of total `degree` grouped into orbits of the Young subgroup of `runs`.
-
-    Maps each orbit's representative, its one member that is non-increasing
-    within every run, to the members, which are the distinct permutations
-    of the representative within runs.
-    """
-    orbits: dict[tuple[int, ...], list[tuple[int, ...]]] = defaultdict(list)
-    for b in compositions(degree, n):
-        orbits[tuple(v for start, stop in runs for v in sorted(b[start:stop], reverse=True))].append(b)
-    return {rep: tuple(members) for rep, members in orbits.items()}
-
-
 def completeness_check(n: int, k: int, degree: int, exclude: Sequence[str] = ()) -> CompletenessReport:
     """Compare kernel dimension with the generator-product span, piece by piece.
 
     Every piece with a nonzero kernel is reported, in `piece_keys` order.
     Its span_dim is the exact rank over Q of the piece's products, or 0 if
     it holds none.  Only the pieces whose block degrees represent an orbit
-    of the generator set's block symmetry (`_symmetry_runs`, `_orbits`)
-    are enumerated, expanded and ranked (`_rank`, one call per
-    representative piece that holds products, each of whose monomials is
-    checked to lie in the piece), and `generator_products` is asked for
-    the products of exactly the representative pieces with a nonzero
-    kernel; every other member of the orbit reports the same kernel_dim
-    and span_dim.  Raises ValueError for a negative degree, before any
-    orbit table is built, and TypeError if `exclude` is a bare string
-    rather than a sequence of labels.
+    of the generator set's block symmetry (`_symmetry_runs`; the
+    representative is non-increasing within every run) are enumerated,
+    expanded and ranked (`_rank`, one call per representative piece that
+    holds products, each of whose monomials is checked to lie in the
+    piece), and `generator_products` is asked for the products of exactly
+    the representative pieces with a nonzero kernel.  The report is one
+    pass over `compositions(degree, n)`, which is ascending, with the
+    weights ascending inside; each b reports its representative's
+    kernel_dim and span_dim.  Raises ValueError for a negative degree,
+    before any symmetry or composition is computed, and TypeError if
+    `exclude` is a bare string rather than a sequence of labels.
 
     The copy is exact.  A block permutation s that maps every generator to
     plus or minus a generator is a ring automorphism that commutes with D
@@ -639,22 +603,31 @@ def completeness_check(n: int, k: int, degree: int, exclude: Sequence[str] = ())
     if isinstance(exclude, str):
         raise TypeError(f"exclude must be a sequence of labels, not the string {exclude!r}")
     gens = generators(n, k).without(*exclude)
-    orbits = _orbits(n, degree, _symmetry_runs(n, k, tuple(gens.labels())))
-    representatives = (GradedPieceKey(rep, w) for rep in orbits for w in range(k * degree + 1))
-    kernel_dims = {key: kdim for key in representatives if (kdim := _piece_kernel_dim(n, k, key))}
-    # only the representative pieces with a nonzero kernel are enumerated.  A product
-    # of generators is a nonzero element of ker D (the ring has no zero divisors), so
-    # every piece that holds one has kernel_dim >= 1 and leaving out the pieces of
-    # kernel_dim 0 drops no product
-    by_piece: dict[GradedPieceKey, list[tuple[str, ...]]] = defaultdict(list)
-    for product in generator_products(gens, degree, kernel_dims):
-        by_piece[product.key].append(product.labels)
+    runs = _symmetry_runs(n, k, tuple(gens.labels()))
+    # each b with its orbit's representative, non-increasing within every run, in ascending
+    # order; with the weights ascending inside, that is `piece_keys` order
+    blocks = [
+        (b, tuple(v for start, stop in runs for v in sorted(b[start:stop], reverse=True)))
+        for b in compositions(degree, n)
+    ]
+    weights = range(k * degree // 2 + 1)  # a piece of weight 2w > k*degree has no kernel
+    kernel_dims = {
+        key: kdim
+        for b, rep in blocks
+        if b == rep
+        for w in weights
+        if (kdim := _piece_kernel_dim(n, k, key := GradedPieceKey(b, w)))
+    }
     expand = _product_expander(gens, degree)
     packing = packing_for(amb, degree)  # the expander's packing
     shift = packing.shift
 
+    # only the representative pieces with a nonzero kernel are enumerated.  A product
+    # of generators is a nonzero element of ker D (the ring has no zero divisors), so
+    # every piece that holds one has kernel_dim >= 1 and leaving out the pieces of
+    # kernel_dim 0 drops no product
     span: dict[GradedPieceKey, int] = {}
-    for key, products in by_piece.items():
+    for key, products in generator_products(gens, degree, kernel_dims).items():
         # number each distinct monomial as a column, checking that it lies in the
         # piece the labels name: label arithmetic is cross-checked against values.
         # A packed monomial's high digits are exactly its grading (no field carries),
@@ -679,11 +652,11 @@ def completeness_check(n: int, k: int, degree: int, exclude: Sequence[str] = ())
         span[key] = _rank(rows, kernel_dims[key])
     # a piece that holds no product spans nothing; each orbit member reports its representative's dims
     pieces = [
-        PieceReport(GradedPieceKey(b, key.weight), kdim, span.get(key, 0))
-        for key, kdim in kernel_dims.items()
-        for b in orbits[key.block_degrees]
+        PieceReport(GradedPieceKey(b, w), kdim, span.get(rep_key, 0))
+        for b, rep in blocks
+        for w in weights
+        if (kdim := kernel_dims.get(rep_key := (rep, w)))
     ]
-    pieces.sort()
     kernel_total = sum(piece.kernel_dim for piece in pieces)
     span_total = sum(piece.span_dim for piece in pieces)
     return CompletenessReport(
@@ -728,7 +701,12 @@ def express_in_generators(p: Polynomial, gens: GeneratorSet) -> Combination:
     # restricting to products in p's pieces gives the combination of all degree-d
     # products: pieces have disjoint monomial support, so the greedy basis is the
     # union of the pieces' own, and the coefficients outside p's pieces are 0
-    products = [pr.labels for pr in generator_products(gens, degree, target_keys)]
+    # merged back into label order, ascending by generator-index sequence
+    index = {label: i for i, label in enumerate(gens.labels())}
+    products = sorted(
+        (labels for found in generator_products(gens, degree, target_keys).values() for labels in found),
+        key=lambda labels: [index[label] for label in labels],
+    )
 
     # row j holds product j's packed terms and a 1 in the tag column tag + 1 + j, the
     # last row p's terms scaled to integers and the scale in column tag.  A packed

@@ -112,6 +112,12 @@ class TestVerify:
         argv = ["verify", "--n", "4", "--k", "1", "--max-degree", "4", "--exclude", "J1,2", "--output", "machine"]
         assert run(capsys, *argv) == (1, (GOLDEN_DIR / "verify_n4_k1_d4_exclude_J12.txt").read_text(), "")
 
+    def test_unequal_runs_output_matches_golden(self, capsys):
+        # without H1,2 at n = 5 the stable swaps join blocks {1, 2} and {3, 4, 5} into
+        # runs of unequal length; the report lists every piece in piece_keys order
+        argv = ["verify", "--n", "5", "--k", "2", "--max-degree", "4", "--exclude", "H1,2", "--output", "machine"]
+        assert run(capsys, *argv) == (1, (GOLDEN_DIR / "verify_n5_k2_d4_exclude_H12.txt").read_text(), "")
+
     @pytest.mark.parametrize(
         "golden, argv, code",
         [

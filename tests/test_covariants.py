@@ -17,6 +17,7 @@ from weitzenboeck import (
     jacobian,
     linear_form,
     parse,
+    piece_keys,
     tau,
     transvectant,
 )
@@ -218,8 +219,9 @@ def test_closure_of_transvection_with_linear_forms():
                     degree = image.homogeneous_degree()
                     if degree not in span_pivots:
                         span_pivots[degree] = _sparse_pivots(
-                            evaluate_combination({pr.labels: 1}, gens)
-                            for pr in generator_products(gens, degree)
+                            evaluate_combination({labels: 1}, gens)
+                            for found in generator_products(gens, degree, piece_keys(n, 1, degree)).values()
+                            for labels in found
                         )
                     assert not _sparse_reduce(dict(image.items()), span_pivots[degree])
                     checked += 1

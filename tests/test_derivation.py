@@ -16,6 +16,7 @@ from weitzenboeck import (
     generator_products,
     generators,
     parse,
+    piece_keys,
     ring_var,
 )
 
@@ -205,7 +206,7 @@ class TestGenerators:
     def test_invalid_generator_is_named(self, text, reason):
         gens = GeneratorSet(2, 1, (("x1", parse("x1", A21)), ("bad", parse(text, A21))))
         with pytest.raises(NonHomogeneous, match=f"generator bad {reason}"):
-            generator_products(gens, 2)
+            generator_products(gens, 2, piece_keys(2, 1, 2))
 
 
 def test_kernel_is_a_subalgebra():

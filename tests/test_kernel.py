@@ -114,9 +114,10 @@ def test_compositions():
 
 def test_negative_degree_is_rejected_before_orbits_are_built(monkeypatch):
     def boom(*args, **kwargs):
-        raise AssertionError("orbit tables must not be built for a negative degree")
+        raise AssertionError("no symmetry or block-degree table may be built for a negative degree")
 
-    monkeypatch.setattr(kernel, "_orbits", boom)
+    monkeypatch.setattr(kernel, "_symmetry_runs", boom)
+    monkeypatch.setattr(kernel, "compositions", boom)
     with pytest.raises(ValueError, match="degree must be >= 0"):
         completeness_check(1, 1, -1)
 
@@ -328,27 +329,42 @@ class TestKernelBasis:
         assert len(kernel_basis(2, 2, 3)) == ungraded_kernel_dimension(2, 2, 3)
 
 
-def _expand(product, gens):
-    return evaluate_combination({product.labels: 1}, gens)
+def _expand(labels, gens):
+    return evaluate_combination({labels: 1}, gens)
+
+
+def _all_products(gens, degree):
+    """Every degree-`degree` product as (labels, key): the products of every piece, in label order.
+
+    Label order is by multiplicity vector, higher multiplicity of earlier
+    generators first, as in the itertools oracle.
+    """
+    by_piece = generator_products(gens, degree, piece_keys(gens.n, gens.k, degree))
+    order = gens.labels()
+    products = [(labels, key) for key, found in by_piece.items() for labels in found]
+    return sorted(products, key=lambda pr: [-pr[0].count(label) for label in order])
 
 
 class TestGeneratorProducts:
     def test_degree_two_products(self):
         gens = generators(2, 1)
-        prods = generator_products(gens, 2)
-        assert [p.labels for p in prods] == [("x1", "x1"), ("x1", "x2"), ("x2", "x2"), ("J1,2",)]
-        assert [str(_expand(p, gens)) for p in prods] == ["x1^2", "x1*x2", "x2^2", "x1*y2 - x2*y1"]
-        assert [p.key for p in prods] == [
+        prods = _all_products(gens, 2)
+        assert [labels for labels, _ in prods] == [("x1", "x1"), ("x1", "x2"), ("x2", "x2"), ("J1,2",)]
+        assert [str(_expand(labels, gens)) for labels, _ in prods] == ["x1^2", "x1*x2", "x2^2", "x1*y2 - x2*y1"]
+        assert [key for _, key in prods] == [
             GradedPieceKey((2, 0), 0),
             GradedPieceKey((1, 1), 0),
             GradedPieceKey((0, 2), 0),
             GradedPieceKey((1, 1), 1),
         ]
+        # one entry per piece that holds products, in the order the pieces are given
+        by_piece = generator_products(gens, 2, piece_keys(2, 1, 2))
+        assert list(by_piece) == sorted(key for _, key in prods)
 
     def test_degree_one_products(self):
         gens = generators(2, 1)
-        prods = generator_products(gens, 1)
-        assert [str(_expand(p, gens)) for p in prods] == ["x1", "x2"]
+        prods = _all_products(gens, 1)
+        assert [str(_expand(labels, gens)) for labels, _ in prods] == ["x1", "x2"]
 
     def test_key_is_the_piece_of_the_expanded_product(self):
         # the key comes from label arithmetic alone; it must name the one
@@ -357,20 +373,23 @@ class TestGeneratorProducts:
             full = generators(n, k)
             for gens in (full, full.without(full.labels()[0]), full.without(full.labels()[-1])):
                 for d in range(5):
-                    for pr in generator_products(gens, d):
-                        ((bd, w, cov),) = _expand(pr, gens).gradings()
-                        assert (GradedPieceKey(bd, w), cov) == (pr.key, 0)
+                    for key, found in generator_products(gens, d, piece_keys(n, k, d)).items():
+                        assert found
+                        for labels in found:
+                            ((bd, w, cov),) = _expand(labels, gens).gradings()
+                            assert (GradedPieceKey(bd, w), cov) == (key, 0)
 
     @given(st.integers(1, 4), st.sampled_from([1, 2]), st.integers(0, 6), st.data())
     @settings(max_examples=60, deadline=None)
     def test_pieces_prune_matches_filtered_enumeration(self, n, k, degree, data):
-        # the pruned enumeration must keep exactly the products of the plain
-        # one whose key lies in `pieces`, in the same order
+        # the pruned enumeration must give exactly the pieces of the full one
+        # that lie in `pieces`, each with the same products in the same order,
+        # in the order the pieces are first given
         full = generators(n, k)
         exclude = data.draw(st.lists(st.sampled_from(full.labels()), unique=True, max_size=3))
         gens = full.without(*exclude)
-        every = generator_products(gens, degree)
-        reachable = sorted({pr.key for pr in every})
+        every = generator_products(gens, degree, piece_keys(n, k, degree))
+        reachable = sorted(every)
         candidates = piece_keys(n, k, degree) + piece_keys(n, k, degree + 1)  # reachable, unreachable and other-degree keys
         if degree:
             candidates += piece_keys(n, k, degree - 1)
@@ -387,16 +406,21 @@ class TestGeneratorProducts:
                     for lo, hi in ((m, -1), (-m, 1)):
                         shifted = comps[:i] + [comps[i] + lo, comps[i + 1] + hi] + comps[i + 2 :]
                         pieces.add(GradedPieceKey(tuple(shifted[:n]), shifted[n]))
-        assert generator_products(gens, degree, pieces) == [pr for pr in every if pr.key in pieces]
-        assert generator_products(gens, degree, set()) == []
+        selected = generator_products(gens, degree, pieces)
+        assert selected == {key: every[key] for key in pieces if key in every}
+        assert list(selected) == [key for key in pieces if key in every]
+        assert generator_products(gens, degree, set()) == {}
         assert generator_products(gens, degree, set(reachable)) == every
+        assert all(every.values())
 
     @given(st.integers(1, 4), st.sampled_from([1, 2]), st.integers(0, 5), st.data())
     @settings(max_examples=40, deadline=None)
     def test_order_and_keys_match_an_itertools_oracle(self, n, k, degree, data):
         # every multiset of the table's rows of total degree `degree`, listed by
         # itertools and sorted by multiplicity vector, higher multiplicity of earlier
-        # generators first; each key is the sum of its rows' block degrees and weights
+        # generators first; each key is the sum of its rows' block degrees and weights.
+        # Every piece holds its own products in that order, and the products of all
+        # pieces sorted by generator-index sequence (as express merges them) are in it
         full = generators(n, k)
         exclude = data.draw(st.lists(st.sampled_from(full.labels()), unique=True, max_size=3))
         gens = full.without(*exclude)
@@ -408,32 +432,31 @@ class TestGeneratorProducts:
             if sum(rows[i].degree for i in combo) == degree
         ]
         multisets.sort(key=lambda combo: [-combo.count(i) for i in range(len(rows))])
-        expected = [
-            (
-                tuple(rows[i].label for i in combo),
-                GradedPieceKey(
-                    tuple(sum(rows[i].block_degrees[b] for i in combo) for b in range(n)),
-                    sum(rows[i].weight for i in combo),
-                ),
+        expected = defaultdict(list)
+        for combo in multisets:
+            key = GradedPieceKey(
+                tuple(sum(rows[i].block_degrees[b] for i in combo) for b in range(n)),
+                sum(rows[i].weight for i in combo),
             )
-            for combo in multisets
-        ]
-        assert [(pr.labels, pr.key) for pr in generator_products(gens, degree)] == expected
+            expected[key].append(tuple(rows[i].label for i in combo))
+        by_piece = generator_products(gens, degree, piece_keys(n, k, degree))
+        assert by_piece == expected
+        index = {row.label: i for i, row in enumerate(rows)}
+        merged = sorted((labels for found in by_piece.values() for labels in found), key=lambda labels: [index[label] for label in labels])
+        assert merged == [tuple(rows[i].label for i in combo) for combo in multisets]
 
     def test_repeated_or_list_pieces_give_each_product_once(self):
         # a piece listed twice, or with list block degrees, selects its products once,
-        # keyed by a canonical GradedPieceKey read back from the packed grading
+        # in one entry keyed by a GradedPieceKey with tuple block degrees
         gens = generators(3, 2)
-        every = generator_products(gens, 4)
         wanted = GradedPieceKey((2, 1, 1), 2)
-        selected = [pr for pr in every if pr.key == wanted]
+        selected = generator_products(gens, 4, piece_keys(3, 2, 4))[wanted]
         assert len(selected) > 1
         for pieces in ([wanted, wanted], [([2, 1, 1], 2)], [([2, 1, 1], 2), wanted, ((2, 1, 1), 2)]):
             products = generator_products(gens, 4, pieces)
-            assert products == selected
-            for pr in products:
-                assert type(pr.key) is GradedPieceKey and type(pr.key.block_degrees) is tuple
-                assert all(pr.key is not piece and pr.key.block_degrees is not piece[0] for piece in pieces)
+            assert products == {wanted: selected}
+            ((key, _),) = products.items()
+            assert type(key) is GradedPieceKey and type(key.block_degrees) is tuple
 
     def test_targets_that_pack_like_a_reachable_piece(self):
         # at k*degree = 3 the fields hold 2 bits, so (18, -15) with weight 3 packs
@@ -442,32 +465,30 @@ class TestGeneratorProducts:
         packing = packing_for(Ambient(2, 1), 3)
         assert packing.grading((18, -15), 3) == packing.grading((2, 1), 0)
         gens = generators(2, 1)
-        assert generator_products(gens, 3, {GradedPieceKey((18, -15), 3)}) == []
-        assert [pr.labels for pr in generator_products(gens, 3, {GradedPieceKey((2, 1), 0)})] == [("x1", "x1", "x2")]
+        assert generator_products(gens, 3, {GradedPieceKey((18, -15), 3)}) == {}
+        assert generator_products(gens, 3, {GradedPieceKey((2, 1), 0)}) == {GradedPieceKey((2, 1), 0): [("x1", "x1", "x2")]}
 
     def test_degree_four_multisets(self):
-        prods = generator_products(generators(1, 2), 4)
-        assert [p.labels for p in prods] == [
-            ("x1", "x1", "x1", "x1"),
-            ("x1", "x1", "H1,1"),
-            ("H1,1", "H1,1"),
-        ]
+        assert generator_products(generators(1, 2), 4, piece_keys(1, 2, 4)) == {
+            GradedPieceKey((4,), 0): [("x1", "x1", "x1", "x1")],
+            GradedPieceKey((4,), 2): [("x1", "x1", "H1,1")],
+            GradedPieceKey((4,), 4): [("H1,1", "H1,1")],
+        }
 
     def test_degree_zero(self):
         gens = generators(2, 1)
-        prods = generator_products(gens, 0)
-        assert len(prods) == 1 and prods[0].labels == () and _expand(prods[0], gens) == 1
-        assert prods[0].key == GradedPieceKey((0, 0), 0)
+        assert generator_products(gens, 0, piece_keys(2, 1, 0)) == {GradedPieceKey((0, 0), 0): [()]}
+        assert _expand((), gens) == 1
 
     def test_monotone_consistency(self):
         gens = generators(2, 2)
         linear = [p for _, p in gens.items if p.total_degree() == 1]
         for d in (2, 3, 4):
-            smaller = generator_products(gens, d - 1)
-            larger = {_expand(pr, gens) for pr in generator_products(gens, d)}
-            for pr in smaller:
+            smaller = _all_products(gens, d - 1)
+            larger = {_expand(labels, gens) for labels, _ in _all_products(gens, d)}
+            for labels, _ in smaller:
                 for g in linear:
-                    assert _expand(pr, gens) * g in larger
+                    assert _expand(labels, gens) * g in larger
 
 
 class TestProductExpander:
@@ -595,11 +616,12 @@ class TestCompleteness:
         gens = full.without(*exclude)
         amb = Ambient(n, k)
         by_piece = defaultdict(list)
-        for pr in generator_products(gens, degree):
-            value = Polynomial.one(amb)
-            for label in pr.labels:
-                value = value * gens.value(label)
-            by_piece[pr.key].append(value)
+        for key, found in generator_products(gens, degree, piece_keys(n, k, degree)).items():
+            for labels in found:
+                value = Polynomial.one(amb)
+                for label in labels:
+                    value = value * gens.value(label)
+                by_piece[key].append(value)
         rep = completeness_check(n, k, degree, exclude=exclude)
         assert [piece.key for piece in rep.per_piece] == [key for key in piece_keys(n, k, degree) if _piece_kernel_dim(n, k, key)]
         for piece in rep.per_piece:
@@ -626,8 +648,8 @@ class TestCompleteness:
         # only representative pieces (block degrees non-increasing within each run
         # of stable swaps, found by brute force) are enumerated and expanded, each
         # ranked once: the products are asked for in exactly the representative
-        # pieces with a nonzero kernel, never all at once (pieces None), and each
-        # product in them is expanded once. Pieces without products report span_dim
+        # pieces with a nonzero kernel, in one request, and each product in them is
+        # expanded once. Pieces without products report span_dim
         # 0 with no elimination. With no stable swap, as for (3, 1, 4) without x1
         # and x3, every piece is its own representative and every piece that holds
         # products is ranked
@@ -637,7 +659,7 @@ class TestCompleteness:
         def representative(block_degrees):
             return all(block_degrees[i] >= block_degrees[i + 1] for i in stable)
 
-        label_key = {pr.labels: pr.key for pr in generator_products(gens, degree)}
+        label_key = {labels: key for labels, key in _all_products(gens, degree)}
         assert bool(stable) == (exclude != ("x1", "x3"))
         wanted = {key for key in piece_keys(n, k, degree) if _piece_kernel_dim(n, k, key) and representative(key.block_degrees)}
         calls, expanded, requests = [], [], []
@@ -647,8 +669,8 @@ class TestCompleteness:
             calls.append(len(rows))
             return real_rank(rows, limit)
 
-        def requesting(gens, degree, pieces=None):
-            requests.append(None if pieces is None else set(pieces))
+        def requesting(gens, degree, pieces):
+            requests.append(set(pieces))
             return real_products(gens, degree, pieces)
 
         def recording(gens, degree):
@@ -776,7 +798,7 @@ class TestExpress:
         for n, k, top in ((2, 1, 4), (1, 2, 4), (3, 1, 3)):
             gens = generators(n, k)
             for d in range(top + 1):
-                products = [pr.labels for pr in generator_products(gens, d)]
+                products = [labels for labels, _ in _all_products(gens, d)]
                 columns = [evaluate_combination({labels: 1}, gens) for labels in products]
                 rhs = len(products)
                 for b in kernel_basis(n, k, d):
@@ -796,7 +818,7 @@ class TestExpress:
         gens = gens.without(*data.draw(st.lists(st.sampled_from(gens.labels()), unique=True, max_size=2)))
         d = data.draw(st.integers(0, top))
         scale = data.draw(st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9)))
-        products = [pr.labels for pr in generator_products(gens, d)]
+        products = [labels for labels, _ in _all_products(gens, d)]
         columns = [evaluate_combination({labels: 1}, gens) for labels in products]
         rhs = len(products)
         for b in kernel_basis(n, k, d):
