@@ -10,7 +10,7 @@ with no matrix: the number N(b, w) of monomials in piece (b, w) is read
 from a cached table of weight counts per (b, k), the convolution over
 the blocks of one cached table per (block degree, k).  Ranks, bases and
 `express` all go through one sparse forward elimination (`_echelon`,
-first-nonzero pivoting), fraction-free in Python ints, which returns
+least-column pivoting), fraction-free in Python ints, which returns
 primitive pivot rows keyed by lead column.  A rank is their number
 (`_rank`).  A kernel basis reduces them bottom up into the unique reduced
 echelon basis (`nullspace`), so bases are deterministic and
@@ -28,7 +28,9 @@ memoised prefix by a single generator (`_product_expander`).  Expansion
 runs on packed monomials (`poly.Packing`), one int per monomial whose
 high digits are its grading, so a term product is one int addition and
 the check that every monomial of a product lies in the piece its labels
-name is one shift and one comparison per distinct monomial.
+name is one shift and one comparison per term.  Products are eliminated
+on their packed monomials, ints in a monomial order, so products with
+distinct least monomials need no reduction against each other.
 
 Products are enumerated as label multisets on packed gradings
 (`generator_products`), piece by wanted piece: a piece (b, w) is one int,
@@ -38,12 +40,9 @@ from what the branch still needs, and the same int is what the expanded
 monomials are checked against.  One depth-first walk per wanted piece
 adds one factor per level, a generator at or after the last one, so its
 depth is the number of factors and the products come out in label order.
-A cached table (`_reach`) holds, for each suffix of the generator list
-and each degree r, the packed keys of every multiset of those generators
-of degree exactly r.  A branch keeps a child only while its need minus
-the child's factor is in the table for what is left to choose, so the
-prune drops a branch only when none of its products lies in the piece,
-and every branch it keeps ends in a product.  Wanted pieces and complete
+A cached table (`_reach`) of the gradings each suffix of the generator
+list reaches prunes exactly the branches with no product in the piece,
+so every branch it keeps ends in a product.  Wanted pieces and complete
 products are gradings of degree-d monomials, whose fields do not carry,
 so packed keys agree only when their components do.  `express`
 enumerates only the products in its input's pieces this way and merges
@@ -287,14 +286,15 @@ def _echelon(
     """Primitive pivot rows of sparse integer rows (nonzero int entries), keyed by their lead column.
 
     The one elimination, fraction-free: each row is copied and reduced
-    against the pivot row of its first nonzero column (`_eliminate`) until
-    it is zero or its lead has no pivot row, when it becomes one, made
-    primitive.  A row whose lead is at or past `bound` is dropped instead,
-    and reading stops at `limit` pivot rows.  Every row is a positive
-    multiple of the row the same steps give over Q, so the same leads are
-    chosen.  Each row read is a combination of pivot rows plus what is left
-    of it when it is zero or dropped, so with no bound the pivot rows span
-    the rows read and count their rank; no reduced echelon form is built.
+    against the pivot row of its lead, its least column (on packed
+    monomials, its least monomial), with `_eliminate`, until it is zero or
+    its lead has no pivot row, when it becomes one, made primitive.  A row
+    whose lead is at or past `bound` is dropped instead, and reading stops
+    at `limit` pivot rows.  Every row is a positive multiple of the row the
+    same steps give over Q, so the same leads are chosen.  Each row read is
+    a combination of pivot rows plus what is left of it when it is zero or
+    dropped, so with no bound the pivot rows span the rows read and count
+    their rank; no reduced echelon form is built.
     """
     pivot_rows: dict[int, dict[int, int]] = {}
     for source in rows:
@@ -381,11 +381,15 @@ def _piece_kernel_dim(n: int, k: int, key: GradedPieceKey) -> int:
 
 
 def kernel_dim(n: int, k: int, degree: int) -> int:
-    """Dimension of the degree-d homogeneous component of ker D.
+    """Dimension of the degree-d homogeneous component of ker D; ValueError for invalid n, k or degree.
 
-    Sums the per-piece count of `_piece_kernel_dim`; builds no matrix.
+    For each b the counts of `_piece_kernel_dim` over 2w <= k|b| telescope
+    to N(b, floor(k|b|/2)), so no matrix is built and no piece is listed.
     """
-    return sum(_piece_kernel_dim(n, k, key) for key in piece_keys(n, k, degree))
+    Ambient(n, k)  # validates n and k
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
+    return sum(_weight_counts(b, k)[k * degree // 2] for b in compositions(degree, n))
 
 
 def kernel_basis(n: int, k: int, degree: int) -> list[Polynomial]:
@@ -577,10 +581,10 @@ def completeness_check(n: int, k: int, degree: int, exclude: Sequence[str] = ())
     it holds none.  Only the pieces whose block degrees represent an orbit
     of the generator set's block symmetry (`_symmetry_runs`; the
     representative is non-increasing within every run) are enumerated,
-    expanded and ranked (`_rank`, one call per representative piece that
-    holds products, each of whose monomials is checked to lie in the
-    piece), and `generator_products` is asked for the products of exactly
-    the representative pieces with a nonzero kernel.  The report is one
+    expanded and ranked (`_rank` on packed monomials, one call per
+    representative piece that holds products, each of whose monomials is
+    checked to lie in the piece), and `generator_products` is asked for
+    the products of exactly the representative pieces with a nonzero kernel.  The report is one
     pass over `compositions(degree, n)`, which is ascending, with the
     weights ascending inside; each b reports its representative's
     kernel_dim and span_dim.  Raises ValueError for a negative degree,
@@ -628,25 +632,16 @@ def completeness_check(n: int, k: int, degree: int, exclude: Sequence[str] = ())
     # kernel_dim 0 drops no product
     span: dict[GradedPieceKey, int] = {}
     for key, products in generator_products(gens, degree, kernel_dims).items():
-        # number each distinct monomial as a column, checking that it lies in the
-        # piece the labels name: label arithmetic is cross-checked against values.
-        # A packed monomial's high digits are exactly its grading (no field carries),
-        # so `mono >> shift != piece` is (block_degrees, weight, cov_degree) != (b, w, 0)
+        # the packed monomials are the columns, each checked to lie in the piece the
+        # labels name: its high digits are exactly its grading (no field carries), so
+        # `mono >> shift != piece` is (block_degrees, weight, cov_degree) != (b, w, 0)
         piece = packing.grading(key.block_degrees, key.weight)
-        column: dict[int, int] = {}
-        rows: list[dict[int, int]] = []
-        for labels in products:
-            row: dict[int, int] = {}
-            for mono, c in expand(labels).items():
-                j = column.get(mono)
-                if j is None:
-                    if mono >> shift != piece:
-                        raise NonHomogeneous(
-                            f"product {labels} lies outside piece {key}: monomial {packing.unpack(mono)}"
-                        )
-                    j = column[mono] = len(column)
-                row[j] = c
-            rows.append(row)
+        rows = [expand(labels) for labels in products]
+        for labels, row in zip(products, rows):
+            for mono in row:
+                if mono >> shift != piece:
+                    stray = packing.unpack(mono)
+                    raise NonHomogeneous(f"product {labels} lies outside piece {key}: monomial {stray}")
         # products lie in ker D on this piece, so their rank is at most its kernel
         # dimension and stopping the elimination there still gives the exact rank
         span[key] = _rank(rows, kernel_dims[key])
@@ -709,11 +704,11 @@ def express_in_generators(p: Polynomial, gens: GeneratorSet) -> Combination:
     )
 
     # row j holds product j's packed terms and a 1 in the tag column tag + 1 + j, the
-    # last row p's terms scaled to integers and the scale in column tag.  A packed
-    # monomial ends in the covariant field, so tag lies past every one, and a row's
+    # last row p's terms scaled to integers and the scale in column tag.  Every packed
+    # monomial lies below the packing's end, so tag lies past every one, and a row's
     # lead is a monomial until it has none left
     packing = packing_for(p.ambient, degree)
-    tag = 1 << packing.shift + packing.bits * (gens.n + 2)
+    tag = packing.end
     expand = _product_expander(gens, degree)
     target, scale = _integer_row(packing.pack_terms(p))
     rows = [expand(labels) | {tag + 1 + j: 1} for j, labels in enumerate(products)]

@@ -182,12 +182,15 @@ class Packing:
     every exponent, block degree and the covariant degree <= D and weight
     <= k*D, and bits = max(1, (k*D).bit_length()) makes each field hold
     values up to 2^bits - 1 >= k*D.  So every digit reads back exactly,
-    packing is injective, and the high field is exactly the grading.
+    packing is injective, the high field is exactly the grading, and every
+    key lies below `end` = 2^(shift + bits*(n + 2)).  Keys compare as ints
+    in a monomial order (grading first, then exponents), which products,
+    int sums, keep: a < b implies a + c < b + c.
     `pack` raises ValueError for a monomial above the degree bound; a
     product of packed monomials whose total degree exceeds it would carry.
     """
 
-    __slots__ = ("ambient", "degree", "bits", "shift", "slots", "_digits", "_fields", "_mask")
+    __slots__ = ("ambient", "degree", "bits", "shift", "end", "slots", "_digits", "_fields", "_mask")
 
     def __init__(self, ambient: Ambient, degree: int):
         if type(degree) is not int or degree < 0:
@@ -204,6 +207,7 @@ class Packing:
         self.degree = degree
         self.bits = bits
         self.shift = shift
+        self.end = 1 << shift + bits * (n + 2)
         self.slots = tuple(slots)
         self._digits = tuple(range(0, shift, bits))
         self._fields = tuple(range(0, bits * (n + 2), bits))

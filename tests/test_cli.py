@@ -190,6 +190,11 @@ class TestCensus:
         assert code == 2
         assert out == "" and "max-degree" in err
 
+    def test_negative_single_degree(self, capsys):
+        code, out, err = run(capsys, "census", "--n", "2", "--degree", "-1")
+        assert code == 2
+        assert out == "" and "degree must be >= 0" in err
+
     def test_degree_flags_exclusive(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["census", "--n", "2", "--k", "1", "--degree", "2", "--max-degree", "5"])

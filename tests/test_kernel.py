@@ -122,6 +122,13 @@ def test_negative_degree_is_rejected_before_orbits_are_built(monkeypatch):
         completeness_check(1, 1, -1)
 
 
+def test_kernel_dim_rejects_a_negative_degree():
+    # compositions of a negative total are empty, so the sum alone would read 0
+    with pytest.raises(ValueError, match="degree must be >= 0"):
+        kernel_dim(2, 1, -1)
+    assert kernel_dim(2, 1, 0) == 1
+
+
 def test_piece_keys_validate_their_input():
     # n and k are checked by Ambient, a negative degree as in kernel_dim
     for n, k, degree in ((0, 1, 2), (2, 0, 2), (2, -1, 3), (2, 1, -1)):
@@ -690,6 +697,34 @@ class TestCompleteness:
         assert sorted(expanded) == sorted(labels for labels, key in label_key.items() if key in keys)
         spanning = {piece.key for piece in rep.per_piece if piece.span_dim}
         assert {key for key in spanning if representative(key.block_degrees)} <= keys
+
+    @pytest.mark.parametrize("n, k, degree, exclude", [(3, 2, 4, ()), (4, 2, 4, ("H2,3",))])
+    def test_ranks_packed_monomials_of_the_piece(self, monkeypatch, n, k, degree, exclude):
+        # the columns handed to the elimination are the expander's packed monomials
+        # themselves, not renumbered, so the least-column pivot is the least monomial
+        # in the packing's monomial order; every key lies in the piece being ranked
+        packing = packing_for(Ambient(n, k), degree)
+        ranked, pieces = [], []
+        real_rank, real_products = kernel._rank, kernel.generator_products
+
+        def spying(rows, limit=None):
+            ranked.append([dict(row) for row in rows])
+            return real_rank(rows, limit)
+
+        def listing(gens, degree, wanted):
+            found = real_products(gens, degree, wanted)
+            pieces.extend(found)
+            return found
+
+        monkeypatch.setattr(kernel, "_rank", spying)
+        monkeypatch.setattr(kernel, "generator_products", listing)
+        completeness_check(n, k, degree, exclude=exclude)
+        assert len(ranked) == len(pieces) > 1
+        for (b, w), rows in zip(pieces, ranked):
+            piece = packing.grading(b, w)
+            keys = {key for row in rows for key in row}
+            assert keys and all(key >> packing.shift == piece for key in keys)
+            assert all(packing.pack(packing.unpack(key)) == key for key in keys)
 
     @pytest.mark.parametrize(
         "n, k, exclude, runs",

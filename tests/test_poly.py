@@ -324,6 +324,7 @@ class TestPacking:
             fields = (amb.block_degrees(e), amb.weight(e), amb.cov_degree(e))
             grading = packing.grading(*fields)
             assert packing.pack(e) >> packing.shift == grading
+            assert 0 <= packing.pack(e) < packing.end
             assert _fields(packing, grading) == fields
         assert packing.pack(a) + packing.pack(b) == packing.pack(s)
 
@@ -336,6 +337,8 @@ class TestPacking:
         assert packing.unpack(packing.pack(top)) == top
         assert packing.pack(top) >> packing.shift == packing.grading((5, 0), 15)
         assert _fields(packing, packing.grading((5, 0), 15, 5)) == ((5, 0), 15, 5)
+        # the end is one past every grading field full: the layout holds no larger key
+        assert (packing.grading((15, 15), 15, 15) + 1) << packing.shift == packing.end
 
     def test_bits_grow_with_the_bound(self):
         assert [Packing(A21, d).bits for d in (0, 1, 2, 3, 4, 7, 8)] == [1, 1, 2, 2, 3, 3, 4]
