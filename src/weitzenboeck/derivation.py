@@ -115,6 +115,11 @@ class GeneratorSet:
     def __post_init__(self):
         object.__setattr__(self, "_by_label", dict(self.items))
 
+    def __hash__(self):
+        # equal sets have equal labels; hashing the labels alone keeps caches keyed on a
+        # set from hashing every polynomial (equality still compares the polynomials)
+        return hash((self.n, self.k, tuple(self._by_label)))
+
     def __iter__(self):
         return iter(self.items)
 

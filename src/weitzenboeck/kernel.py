@@ -22,15 +22,30 @@ A completeness certificate for a degree d compares, piece by piece, the
 kernel dimension against the dimension spanned by all degree-d products
 of the known generators; equality certifies that they span the kernel
 in that degree.  A product's piece is the sum of its factors' pieces, so
-products are grouped by piece from their labels alone, and each is
-expanded once, only where it is used, by one expander that multiplies a
-memoised prefix by a single generator (`_product_expander`).  Expansion
-runs on packed monomials (`poly.Packing`), one int per monomial whose
-high digits are its grading, so a term product is one int addition and
-the check that every monomial of a product lies in the piece its labels
-name is one shift and one comparison per term.  Products are eliminated
-on their packed monomials, ints in a monomial order, so products with
-distinct least monomials need no reduction against each other.
+products are grouped by piece from their labels alone.  Monomials are
+packed (`poly.Packing`), one int per monomial whose high digits are its
+grading, in a monomial order that int addition keeps, and the
+generators are packed once per label set and degree
+(`_packed_generators`), each with its least packed monomial and each of
+its terms checked to lie in its piece.
+
+A piece is first certified by counting least monomials, with nothing
+expanded: the walk that lists its products carries the sum of their
+factors' least monomials and stops once it has seen kernel_dim distinct
+sums.  The least monomial of f*g is min f + min g (only the pair of
+least terms reaches that sum, so it cannot cancel), and products with
+pairwise distinct least monomials are linearly independent, so the count
+is at most the rank, itself at most kernel_dim: reaching kernel_dim
+certifies the piece exactly (the argument is at `generator_products`).
+This is the SAGBI test (Robbiano-Sweedler; Kapur-Madlener) on one graded
+piece, in the packed order `_echelon` pivots on.  Only a piece whose walk
+runs out below kernel_dim takes the exact path: each product is
+expanded once by one expander that multiplies a memoised prefix by a
+single generator (`_product_expander`), a term product being one int
+addition, every monomial is checked to lie in the piece its labels name
+(one shift and one comparison per term), and the products are ranked on
+their packed monomials, so products with distinct least monomials need
+no reduction against each other.  Only that path reports a piece short.
 
 Products are enumerated as label multisets on packed gradings
 (`generator_products`), piece by wanted piece: a piece (b, w) is one int,
@@ -47,7 +62,7 @@ products are gradings of degree-d monomials, whose fields do not carry,
 so packed keys agree only when their components do.  `express`
 enumerates only the products in its input's pieces this way and merges
 them back into label order, and a certificate only those in its
-representative pieces, which it ranks piece by piece as they come.
+representative pieces, which it decides piece by piece as they come.
 
 A certificate ranks one piece per orbit of the generators' block
 symmetry.  A block permutation that maps every generator to plus or minus
@@ -61,17 +76,18 @@ that is non-increasing within each run.  A set with no stable swap has
 orbits of one piece each.  Only the products in representative pieces
 with a nonzero kernel are enumerated (a product is a nonzero kernel
 element, so no other piece holds one), and only representative pieces
-that hold products are expanded and ranked, each exactly by `_rank` on
-integer rows, which stops at the piece's kernel dimension: products lie
-in ker D, so their rank cannot exceed it.  A piece without products spans
-nothing.  The report is built in one pass over the block degrees in
-ascending order, each b reporting its representative's dimensions, so it
-comes out in piece order with no sort.
+whose products fall short of the count are expanded and ranked, each
+exactly by `_rank` on integer rows, which stops at the piece's kernel
+dimension: products lie in ker D, so their rank cannot exceed it.  A
+piece without products spans nothing.  The report is built in one pass
+over the block degrees in ascending order, each b reporting its
+representative's dimensions, so it comes out in piece order with no sort.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -396,15 +412,57 @@ def kernel_basis(n: int, k: int, degree: int) -> list[Polynomial]:
     """Basis of the degree-d homogeneous component of ker D.
 
     Direct sum of per-piece nullspaces, concatenated over sorted piece
-    keys; every element is annihilated by D exactly.
+    keys; every element is annihilated by D exactly.  A piece of weight
+    2w > k*degree is skipped: D is injective on it (`_piece_kernel_dim`).
     """
     basis: list[Polynomial] = []
     for key in piece_keys(n, k, degree):
-        basis.extend(kernel_piece_basis(n, k, key))
+        if 2 * key.weight <= k * degree:
+            basis.extend(kernel_piece_basis(n, k, key))
     return basis
 
 
 # -- generator products and spans ---------------------------------------------
+
+
+class _PackedGenerator(NamedTuple):
+    """One generator in the packing of a degree: its grading, least monomial and terms as packed ints."""
+
+    label: str
+    degree: int
+    grading: int
+    lead: int
+    terms: PackedTerms
+
+
+@cache
+def _packed_generators(gens: GeneratorSet, degree: int) -> tuple[_PackedGenerator, ...]:
+    """The generators of total degree <= `degree`, in table order, packed by `packing_for(Ambient(n, k), degree)`.
+
+    Built once per label set and degree and shared by the walk and the
+    expander.  A row holds the generator's packed grading
+    (`Packing.grading` of its table row), its least packed monomial (the
+    min over its full packed term map, the monomial `_echelon` pivots on)
+    and its packed terms.  Every packed term is checked to have the row's
+    grading in its high digits (`>> shift`); packing is linear, so every
+    monomial of a product of these generators then lies in the piece that
+    is the sum of its factors' gradings.  Raises NonHomogeneous, naming
+    the label, for a term outside its generator's table grading.
+    """
+    packing = packing_for(Ambient(gens.n, gens.k), degree)
+    table = []
+    for row in gens.table:
+        if row.degree > degree:  # in no product of this degree, and too large to pack
+            continue
+        grading = packing.grading(row.block_degrees, row.weight)
+        terms = packing.pack_terms(gens.value(row.label))
+        for mono in terms:
+            if mono >> packing.shift != grading:
+                stray = packing.unpack(mono)
+                piece = GradedPieceKey(row.block_degrees, row.weight)
+                raise NonHomogeneous(f"generator {row.label} has monomial {stray} outside its table piece {piece}")
+        table.append(_PackedGenerator(row.label, row.degree, grading, min(terms), terms))
+    return tuple(table)
 
 
 @cache
@@ -429,8 +487,8 @@ def _reach(items: tuple[tuple[int, int], ...], degree: int) -> tuple[tuple[froze
 
 
 def generator_products(
-    gens: GeneratorSet, degree: int, pieces: Iterable[GradedPieceKey]
-) -> dict[GradedPieceKey, list[tuple[str, ...]]]:
+    gens: GeneratorSet, degree: int, pieces: Iterable[GradedPieceKey] | Mapping[GradedPieceKey, int]
+) -> dict[GradedPieceKey, list[tuple[str, ...]] | None]:
     """The monomials in the generators of total ring degree exactly `degree` in each wanted piece.
 
     Maps each piece of `pieces` that holds at least one such product, once
@@ -438,7 +496,12 @@ def generator_products(
     block degrees, to its label multisets in label order (higher
     multiplicity of earlier generators first), in the order the pieces are
     first given.  Nothing is expanded, and the values may be linearly
-    dependent.
+    dependent.  If `pieces` is a mapping, its value for a piece is a stop
+    count s: the walk of that piece ends once its products have shown s
+    distinct least monomials, and the piece maps to None instead of a
+    list.  Those s products are linearly independent, so their span has
+    dimension at least s.  A piece whose walk runs out below s maps to all
+    its products, as without a stop count.
 
     One depth-first walk per wanted piece adds one factor per level: a
     branch whose last factor is generator idx adds a generator j >= idx and
@@ -460,29 +523,49 @@ def generator_products(
     generators j.. (j included) of degree r: one set lookup per child.  The
     prune is exact: the completions of the child are exactly those
     multisets, so a child is dropped only when no product below it lies in
-    the piece, and every child kept ends in one.  The generator table and
-    `_reach` are built once per call and shared by the walks.
+    the piece, and every child kept ends in one.  The generator table
+    (`_packed_generators`) and `_reach` are cached and shared by the walks.
+
+    The walk also carries the sum of its factors' least packed monomials,
+    one int addition per level, which is the product's least monomial:
+    - packed keys are ints in a monomial order that addition keeps,
+      a < b implies a + c < b + c (see `Packing`), and no digit carries in
+      a product of degree <= `degree`;
+    - so the least monomial of f*g is min f + min g: any other pair of
+      terms has one factor above its minimum and a strictly larger sum, so
+      the pair of least terms is the only pair that reaches min f + min g
+      and its coefficient, a product of two nonzero ones, cannot cancel;
+    - products with pairwise distinct least monomials are linearly
+      independent: in a vanishing combination, of the products with a
+      nonzero coefficient the one whose least monomial is smallest is the
+      only one holding that monomial, which therefore cannot cancel.
+    Hence the number of distinct sums a walk sees is at most the rank of
+    its products.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
     n, k = gens.n, gens.k
     packing = packing_for(Ambient(n, k), degree)
-    # each generator lies in one piece
-    items = [(row.label, row.degree, packing.grading(row.block_degrees, row.weight)) for row in gens.table]
-    reach = _reach(tuple((d, g) for _, d, g in items), degree)
-    out: dict[GradedPieceKey, list[tuple[str, ...]]] = {}
+    table = _packed_generators(gens, degree)
+    reach = _reach(tuple((gen.degree, gen.grading) for gen in table), degree)
+    stops: Mapping[GradedPieceKey, int] = pieces if isinstance(pieces, Mapping) else {}
+    out: dict[GradedPieceKey, list[tuple[str, ...]] | None] = {}
 
-    def walk(idx: int, remaining: int, labels: tuple[str, ...], need: int):
+    def walk(idx: int, remaining: int, labels: tuple[str, ...], need: int, lead: int) -> bool:
+        """List the products below a branch; True, and stop, once `stop` distinct least monomials are seen."""
         if remaining == 0:
             found.append(labels)
-            return
-        for j in range(idx, len(items)):
-            label, d, g = items[j]
+            leads.add(lead)
+            return len(leads) == stop
+        for j in range(idx, len(table)):
+            label, d, g, m, _ = table[j]
             r = remaining - d
-            if r >= 0 and (left := need - g) in reach[j][r]:
-                walk(j, r, labels + (label,), left)
+            if r >= 0 and (left := need - g) in reach[j][r] and walk(j, r, labels + (label,), left, lead + m):
+                return True
+        return False
 
-    for bd, w in pieces:
+    for piece in pieces:
+        bd, w = piece
         # a reachable grading and every completion are gradings of degree-`degree` monomials,
         # so each field is at most k*degree < 2^bits and packed equality is componentwise
         # equality; a key of another degree or with a negative field is not a piece of them
@@ -491,8 +574,10 @@ def generator_products(
         key = GradedPieceKey(tuple(bd), w)
         target = packing.grading(bd, w)
         if key not in out and target in reach[0][degree]:
-            found = out[key] = []
-            walk(0, degree, (), target)
+            found: list[tuple[str, ...]] = []
+            leads: set[int] = set()
+            stop = stops[piece] if stops else None
+            out[key] = None if walk(0, degree, (), target, 0) else found
     return out
 
 
@@ -507,17 +592,16 @@ def _product_expander(gens: GeneratorSet, degree: int) -> Callable[[tuple[str, .
 
     Monomials are packed by `packing_for(Ambient(gens.n, gens.k), degree)`.  A
     multiset's terms are those of its prefix labels[:-1], memoised for the
-    expander's lifetime, times one generator's terms, packed once per
-    expander when first used and multiplied by `mul_terms`.  Every
+    expander's lifetime, times one generator's terms, read from the cached
+    `_packed_generators` table and multiplied by `mul_terms`.  Every
     monomial of a product of total degree <= `degree` has total degree
     <= `degree`, so no digit carries (see `Packing`); a multiset above the
     bound raises ValueError instead of carrying.  The generators' integral
     coefficients are `int`, so products of integer generators are expanded
     in integer arithmetic.  Raises KeyError on an unknown label.
     """
-    packing = packing_for(Ambient(gens.n, gens.k), degree)
     label_degree = _label_degree(gens)
-    values: dict[str, PackedTerms] = {}
+    values = {gen.label: gen.terms for gen in _packed_generators(gens, degree)}
     prefixes: dict[tuple[str, ...], PackedTerms] = {}
 
     def times(labels: tuple[str, ...]) -> PackedTerms:
@@ -527,10 +611,7 @@ def _product_expander(gens: GeneratorSet, degree: int) -> Callable[[tuple[str, .
         terms = prefixes.get(head)
         if terms is None:
             terms = prefixes[head] = times(head)
-        factor = values.get(last)
-        if factor is None:
-            factor = values[last] = packing.pack_terms(gens.value(last))
-        return mul_terms(terms, factor)
+        return mul_terms(terms, values[last])
 
     def expand(labels: tuple[str, ...]) -> PackedTerms:
         if label_degree(labels) > degree:
@@ -580,11 +661,14 @@ def completeness_check(n: int, k: int, degree: int, exclude: Sequence[str] = ())
     Its span_dim is the exact rank over Q of the piece's products, or 0 if
     it holds none.  Only the pieces whose block degrees represent an orbit
     of the generator set's block symmetry (`_symmetry_runs`; the
-    representative is non-increasing within every run) are enumerated,
-    expanded and ranked (`_rank` on packed monomials, one call per
-    representative piece that holds products, each of whose monomials is
-    checked to lie in the piece), and `generator_products` is asked for
-    the products of exactly the representative pieces with a nonzero kernel.  The report is one
+    representative is non-increasing within every run) are decided:
+    `generator_products` is asked once for the products of exactly the
+    representative pieces with a nonzero kernel, with each piece's
+    kernel_dim as its stop count.  A piece whose products show kernel_dim
+    distinct least monomials reports span_dim = kernel_dim with nothing
+    expanded; every other piece that holds products is expanded and
+    ranked (`_rank` on packed monomials, one call per such piece, each of
+    whose monomials is checked to lie in the piece).  The report is one
     pass over `compositions(degree, n)`, which is ascending, with the
     weights ascending inside; each b reports its representative's
     kernel_dim and span_dim.  Raises ValueError for a negative degree,
@@ -626,12 +710,17 @@ def completeness_check(n: int, k: int, degree: int, exclude: Sequence[str] = ())
     packing = packing_for(amb, degree)  # the expander's packing
     shift = packing.shift
 
-    # only the representative pieces with a nonzero kernel are enumerated.  A product
-    # of generators is a nonzero element of ker D (the ring has no zero divisors), so
-    # every piece that holds one has kernel_dim >= 1 and leaving out the pieces of
-    # kernel_dim 0 drops no product
+    # only the representative pieces with a nonzero kernel are enumerated, each with its
+    # kernel_dim as the walk's stop count.  A product of generators is a nonzero element
+    # of ker D (the ring has no zero divisors), so every piece that holds one has
+    # kernel_dim >= 1 and leaving out the pieces of kernel_dim 0 drops no product
     span: dict[GradedPieceKey, int] = {}
     for key, products in generator_products(gens, degree, kernel_dims).items():
+        if products is None:
+            # the walk saw kernel_dim distinct least monomials among the piece's products:
+            # that many are linearly independent and, lying in ker D, no more can be
+            span[key] = kernel_dims[key]
+            continue
         # the packed monomials are the columns, each checked to lie in the piece the
         # labels name: its high digits are exactly its grading (no field carries), so
         # `mono >> shift != piece` is (block_degrees, weight, cov_degree) != (b, w, 0)

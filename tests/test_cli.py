@@ -131,6 +131,12 @@ class TestVerify:
     def test_many_wanted_pieces_output_matches_golden(self, capsys, golden, argv, code):
         assert run(capsys, "verify", "--n", "4", *argv, "--output", "machine") == (code, (GOLDEN_DIR / golden).read_text(), "")
 
+    def test_deep_complete_output_matches_golden(self, capsys):
+        # with every generator the products of most pieces of degree <= 6 show kernel_dim
+        # distinct least monomials; the few that fall short are ranked exactly
+        argv = ["verify", "--n", "3", "--k", "2", "--max-degree", "6", "--output", "machine"]
+        assert run(capsys, *argv) == (0, (GOLDEN_DIR / "verify_n3_k2_d6.txt").read_text(), "")
+
     def test_deep_incomplete_output_matches_golden(self, capsys):
         # without H1,1 the pieces of degree 3..6 at k = 2 fall short by various amounts,
         # so the exact span_dim of deep pieces is where elimination does the most work

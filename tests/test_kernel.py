@@ -35,6 +35,7 @@ from weitzenboeck import (
     piece_keys,
 )
 from weitzenboeck import cli, kernel
+from weitzenboeck.derivation import GeneratorSet
 from weitzenboeck.kernel import _echelon, _piece_kernel_dim, _rank, compositions, matrix_rows, nullspace
 from weitzenboeck.poly import packing_for
 
@@ -334,6 +335,22 @@ class TestKernelBasis:
 
     def test_oracle_self_consistency_spot_check(self):
         assert len(kernel_basis(2, 2, 3)) == ungraded_kernel_dimension(2, 2, 3)
+
+    def test_skips_the_pieces_above_the_middle_weight(self, monkeypatch):
+        # D is injective on a piece of weight 2w > k|b|, so kernel_basis leaves it out;
+        # elimination confirms each skipped piece has an empty basis, and the basis is
+        # the concatenation over every piece key, as before the skip
+        real = kernel.kernel_piece_basis
+        for n, k, d in itertools.product(range(1, 4), (1, 2), range(5)):
+            keys = piece_keys(n, k, d)
+            skipped = [key for key in keys if 2 * key.weight > k * d]
+            assert all(real(n, k, key) == [] for key in skipped)
+            eliminated = []
+            monkeypatch.setattr(kernel, "kernel_piece_basis", lambda n, k, key: eliminated.append(key) or real(n, k, key))
+            basis = kernel_basis(n, k, d)
+            monkeypatch.setattr(kernel, "kernel_piece_basis", real)
+            assert eliminated == [key for key in keys if key not in skipped]
+            assert basis == [b for key in keys for b in real(n, k, key)]
 
 
 def _expand(labels, gens):
@@ -653,15 +670,19 @@ class TestCompleteness:
     )
     def test_ranks_each_piece_that_holds_products_once(self, monkeypatch, n, k, degree, exclude):
         # only representative pieces (block degrees non-increasing within each run
-        # of stable swaps, found by brute force) are enumerated and expanded, each
-        # ranked once: the products are asked for in exactly the representative
-        # pieces with a nonzero kernel, in one request, and each product in them is
-        # expanded once. Pieces without products report span_dim
-        # 0 with no elimination. With no stable swap, as for (3, 1, 4) without x1
-        # and x3, every piece is its own representative and every piece that holds
-        # products is ranked
+        # of stable swaps, found by brute force) are enumerated, each decided once:
+        # the products are asked for in exactly the representative pieces with a
+        # nonzero kernel, in one request. A piece whose products show kernel_dim
+        # distinct least monomials is certified with nothing expanded; exactly the
+        # pieces that fall short are expanded, each product once, and ranked, once
+        # each. The least monomials come from plain Polynomial products here, the
+        # least packed key of each. With no stable swap, as for (3, 1, 4) without x1
+        # and x3, every piece is its own representative. The full k = 1 family
+        # leaves no piece short
         gens = generators(n, k).without(*exclude)
         stable = _stable_swaps(gens)
+        amb = Ambient(n, k)
+        packing = packing_for(amb, degree)
 
         def representative(block_degrees):
             return all(block_degrees[i] >= block_degrees[i + 1] for i in stable)
@@ -669,11 +690,26 @@ class TestCompleteness:
         label_key = {labels: key for labels, key in _all_products(gens, degree)}
         assert bool(stable) == (exclude != ("x1", "x3"))
         wanted = {key for key in piece_keys(n, k, degree) if _piece_kernel_dim(n, k, key) and representative(key.block_degrees)}
-        calls, expanded, requests = [], [], []
+        keys = {key for key in label_key.values() if representative(key.block_degrees)}
+        if not stable:
+            assert keys == set(label_key.values())
+        leads = defaultdict(set)
+        for labels, key in label_key.items():
+            value = Polynomial.one(amb)
+            for label in labels:
+                value = value * gens.value(label)
+            leads[key].add(min(packing.pack(exps) for exps, _ in value.items()))
+        short = {key for key in keys if len(leads[key]) < _piece_kernel_dim(n, k, key)}
+        assert bool(short) == (exclude != () or k == 2)
+
+        by_grading = {packing.grading(*key): key for key in keys}
+        ranked, expanded, requests = [], [], []
         real_rank, real_expander, real_products = kernel._rank, kernel._product_expander, kernel.generator_products
 
         def counting(rows, limit=None):
-            calls.append(len(rows))
+            assert rows
+            (grading,) = {mono >> packing.shift for row in rows for mono in row}
+            ranked.append(by_grading[grading])
             return real_rank(rows, limit)
 
         def requesting(gens, degree, pieces):
@@ -688,21 +724,22 @@ class TestCompleteness:
         monkeypatch.setattr(kernel, "_product_expander", recording)
         monkeypatch.setattr(kernel, "generator_products", requesting)
         rep = completeness_check(n, k, degree, exclude=exclude)
-        keys = {key for key in label_key.values() if representative(key.block_degrees)}
-        if not stable:
-            assert keys == set(label_key.values())
         assert requests == [wanted] and keys <= wanted
-        assert len(calls) == len(keys) and 0 not in calls
-        assert {label_key[labels] for labels in expanded} == keys
-        assert sorted(expanded) == sorted(labels for labels, key in label_key.items() if key in keys)
+        assert sorted(ranked) == sorted(short)
+        assert sorted(expanded) == sorted(labels for labels, key in label_key.items() if key in short)
         spanning = {piece.key for piece in rep.per_piece if piece.span_dim}
         assert {key for key in spanning if representative(key.block_degrees)} <= keys
+        for piece in rep.per_piece:
+            if piece.key in keys - short:
+                assert piece.span_dim == piece.kernel_dim
 
     @pytest.mark.parametrize("n, k, degree, exclude", [(3, 2, 4, ()), (4, 2, 4, ("H2,3",))])
     def test_ranks_packed_monomials_of_the_piece(self, monkeypatch, n, k, degree, exclude):
         # the columns handed to the elimination are the expander's packed monomials
         # themselves, not renumbered, so the least-column pivot is the least monomial
-        # in the packing's monomial order; every key lies in the piece being ranked
+        # in the packing's monomial order; every key lies in the piece being ranked.
+        # The ranked pieces are those the walk lists in full, the ones its count of
+        # least monomials leaves short
         packing = packing_for(Ambient(n, k), degree)
         ranked, pieces = [], []
         real_rank, real_products = kernel._rank, kernel.generator_products
@@ -713,13 +750,13 @@ class TestCompleteness:
 
         def listing(gens, degree, wanted):
             found = real_products(gens, degree, wanted)
-            pieces.extend(found)
+            pieces.extend(key for key, products in found.items() if products is not None)
             return found
 
         monkeypatch.setattr(kernel, "_rank", spying)
         monkeypatch.setattr(kernel, "generator_products", listing)
         completeness_check(n, k, degree, exclude=exclude)
-        assert len(ranked) == len(pieces) > 1
+        assert len(ranked) == len(pieces) >= 1
         for (b, w), rows in zip(pieces, ranked):
             piece = packing.grading(b, w)
             keys = {key for row in rows for key in row}
@@ -767,19 +804,76 @@ class TestCompleteness:
         assert (rep.kernel_dim, rep.span_dim, rep.complete) == (2, 1, False)
 
     def test_products_are_checked_against_their_piece(self, monkeypatch):
-        # an expansion that leaves the piece its labels name is an error, not a rank
+        # an expansion that leaves the piece its labels name is an error, not a rank.
+        # Without x1 at (2, 2, 3), piece ((1, 2), 2) holds one product, x2*H1,2, so its
+        # one least monomial falls short of kernel_dim 2 and the piece is expanded
+        amb = Ambient(2, 2)
+        short = GradedPieceKey((1, 2), 2)
+        gens = generators(2, 2).without("x1")
+        assert _piece_kernel_dim(2, 2, short) == 2
+        assert generator_products(gens, 3, {short: 2})[short] == [("x2", "H1,2")]
         real = kernel._product_expander
-        stray = packing_for(Ambient(2, 1), 2).pack(parse("x1*x2", Ambient(2, 1)).terms()[0][0])
+        stray = packing_for(amb, 3).pack(parse("x1*x2^2", amb).terms()[0][0])
 
         def skewed(gens, degree):
             expand = real(gens, degree)
-            return lambda labels: {**expand(labels), stray: 1} if labels == ("J1,2",) else expand(labels)
+            return lambda labels: {**expand(labels), stray: 1} if labels == ("x2", "H1,2") else expand(labels)
 
         monkeypatch.setattr(kernel, "_product_expander", skewed)
-        with pytest.raises(NonHomogeneous, match=r"\('J1,2',\) lies outside piece"):
-            completeness_check(2, 1, 2)
+        with pytest.raises(NonHomogeneous, match=r"\('x2', 'H1,2'\) lies outside piece"):
+            completeness_check(2, 2, 3, exclude=["x1"])
         monkeypatch.setattr(kernel, "_product_expander", real)
-        assert completeness_check(2, 1, 2).complete
+        pieces = {piece.key: piece for piece in completeness_check(2, 2, 3, exclude=["x1"]).per_piece}
+        assert (pieces[short].kernel_dim, pieces[short].span_dim) == (2, 1)
+
+    @given(st.integers(1, 4), st.sampled_from([1, 2]), st.integers(0, 4), st.lists(st.integers(0, 40), unique=True, max_size=3))
+    @example(3, 2, 4, [])
+    @example(4, 2, 3, [])
+    @settings(max_examples=40, deadline=None)
+    def test_least_monomial_count_never_exceeds_the_rank(self, n, k, degree, drop):
+        # the walk's count of distinct least monomials, read off its stop count: a
+        # piece maps to None exactly when its count reaches the stop. In every piece
+        # of a random degree and exclude set, the count equals that of the least
+        # packed keys of the products expanded by plain Polynomial products, and never
+        # exceeds their exact rank by the Fraction oracle. The examples are full k = 2
+        # families in which some pieces hold products with equal least monomials
+        degree = min(degree, 3) if n == 4 else degree
+        full = generators(n, k)
+        labels = full.labels()
+        gens = full.without(*{labels[i % len(labels)] for i in drop})
+        amb = Ambient(n, k)
+        packing = packing_for(amb, degree)
+        found = generator_products(gens, degree, piece_keys(n, k, degree))
+        for key in piece_keys(n, k, degree):
+            if key not in found:
+                assert generator_products(gens, degree, {key: 1}) == {}
+                continue
+            values = []
+            for labels in found[key]:
+                value = Polynomial.one(amb)
+                for label in labels:
+                    value = value * gens.value(label)
+                values.append(value)
+            count = len({min(packing.pack(exps) for exps, _ in value.items()) for value in values})
+            rank = sparse_rank(dict(value.items()) for value in values)
+            assert 1 <= count <= rank <= _piece_kernel_dim(n, k, key)
+            assert generator_products(gens, degree, {key: count}) == {key: None}
+            assert generator_products(gens, degree, {key: count + 1}) == {key: found[key]}
+            assert generator_products(gens, degree, {key: rank + 1}) == {key: found[key]}
+
+    def test_generator_outside_its_table_piece_is_named(self):
+        # the packed generator table checks every term of a generator against its table
+        # row once, which by linearity places each product in the piece its labels name;
+        # a row naming another piece than its generator's terms is caught there
+        amb = Ambient(2, 1)
+        gens = GeneratorSet(2, 1, (("x1", parse("x1", amb)), ("skew", parse("x1*y2 - x2*y1", amb))))
+        object.__setattr__(gens, "table", (gens.table[0], gens.table[1]._replace(weight=0)))
+        with pytest.raises(NonHomogeneous, match=r"generator skew has monomial \(1, 0, 0, 1, 0, 0\) outside its table piece"):
+            generator_products(gens, 2, piece_keys(2, 1, 2))
+        with pytest.raises(NonHomogeneous, match="generator skew "):
+            kernel._product_expander(gens, 2)
+        # at degree 1 the skewed generator is in no product and is not packed
+        assert generator_products(gens, 1, piece_keys(2, 1, 1)) == {GradedPieceKey((1, 0), 0): [("x1",)]}
 
     def test_serialization_fields(self):
         doc = completeness_check(2, 1, 2).to_dict()
