@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, permutations
 from typing import NamedTuple
 
 from .errors import AmbientMismatch, NonHomogeneous, UnknownLabel, UnsupportedK
@@ -159,8 +159,11 @@ def generators(n: int, k: int) -> GeneratorSet:
 
     Counts: n + C(n,2) for k = 1; additionally C(n+1,2) H's and C(n,3)
     determinants for k = 2.  Raises UnsupportedK for k >= 3, where finding
-    a generating family is an open problem.  Built once per (n, k) and
-    shared: the set and its polynomials are immutable.
+    a generating family is an open problem.  Each generator's terms are
+    written from its closed form, with no polynomial arithmetic (D_{i,j,l}
+    is the signed sum of x_a*y_b*z_c over the permutations (a, b, c) of
+    (i, j, l)).  Built once per (n, k) and shared: the set and its
+    polynomials are immutable.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -168,25 +171,23 @@ def generators(n: int, k: int) -> GeneratorSet:
         raise UnsupportedK(f"no generator family for k = {k} (only k = 1 and k = 2)")
     amb = Ambient(n, k)
 
-    def var(v):
-        return Polynomial.variable(amb, v)
+    def mono(*variables) -> tuple[int, ...]:
+        exps = [0] * amb.width
+        for v in variables:
+            exps[amb.index(v)] += 1
+        return tuple(exps)
 
-    items: list[tuple[str, Polynomial]] = []
-    for i in range(1, n + 1):
-        items.append((f"x{i}", var(x(i))))
-    for i, j in combinations(range(1, n + 1), 2):
-        items.append((f"J{i},{j}", var(x(i)) * var(y(j)) - var(x(j)) * var(y(i))))
+    blocks = range(1, n + 1)
+    items = [(f"x{i}", Polynomial(amb, {mono(x(i)): 1})) for i in blocks]
+    for i, j in combinations(blocks, 2):
+        items.append((f"J{i},{j}", Polynomial(amb, [(mono(x(i), y(j)), 1), (mono(x(j), y(i)), -1)])))
     if k == 2:
-        for i in range(1, n + 1):
-            for j in range(i, n + 1):
-                # at i = j this collapses to 2*x_i*z_i - y_i^2
-                h = var(x(i)) * var(z(j)) - var(y(i)) * var(y(j)) + var(z(i)) * var(x(j))
-                items.append((f"H{i},{j}", h))
-        for i, j, l in combinations(range(1, n + 1), 3):
-            det = (
-                var(x(i)) * (var(y(j)) * var(z(l)) - var(y(l)) * var(z(j)))
-                - var(x(j)) * (var(y(i)) * var(z(l)) - var(y(l)) * var(z(i)))
-                + var(x(l)) * (var(y(i)) * var(z(j)) - var(y(j)) * var(z(i)))
-            )
-            items.append((f"D{i},{j},{l}", det))
+        for i, j in combinations_with_replacement(blocks, 2):
+            # at i = j the constructor adds the two x_i*z_i terms: 2*x_i*z_i - y_i^2
+            terms = [(mono(x(i), z(j)), 1), (mono(y(i), y(j)), -1), (mono(z(i), x(j)), 1)]
+            items.append((f"H{i},{j}", Polynomial(amb, terms)))
+        for i, j, l in combinations(blocks, 3):
+            # a permutation of i < j < l is odd when it has an odd number of inversions
+            terms = [(mono(x(a), y(b), z(c)), (-1) ** ((a > b) + (a > c) + (b > c))) for a, b, c in permutations((i, j, l))]
+            items.append((f"D{i},{j},{l}", Polynomial(amb, terms)))
     return GeneratorSet(n, k, tuple(items))

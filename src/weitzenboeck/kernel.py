@@ -70,18 +70,19 @@ a generator commutes with D and carries the products and the kernel of
 piece (b, w) onto those of (s b, w), so both have the same dimensions
 there (the argument is at `completeness_check`).  The swaps of adjacent
 blocks that keep the set stable are found by permuting every generator
-(`_symmetry_runs`), once per label set; runs of consecutive stable swaps
-generate a Young subgroup, and the representative of an orbit is the b
-that is non-increasing within each run.  A set with no stable swap has
-orbits of one piece each.  Only the products in representative pieces
-with a nonzero kernel are enumerated (a product is a nonzero kernel
-element, so no other piece holds one), and only representative pieces
-whose products fall short of the count are expanded and ranked, each
-exactly by `_rank` on integer rows, which stops at the piece's kernel
-dimension: products lie in ker D, so their rank cannot exceed it.  A
-piece without products spans nothing.  The report is built in one pass
-over the block degrees in ascending order, each b reporting its
-representative's dimensions, so it comes out in piece order with no sort.
+(`_symmetry_runs`, on frozen term maps), once per label set; runs of
+consecutive stable swaps generate a Young subgroup, and the representative
+of an orbit is the b that is non-increasing within each run.  A set with
+no stable swap has orbits of one piece each.  Only the representatives
+are listed (`_representatives`), and only the products in representative
+pieces with a nonzero kernel are enumerated (a product is a nonzero kernel
+element, so no other piece holds one); only those whose products fall
+short of the count are expanded and ranked, each exactly by `_rank`,
+which stops at the piece's kernel dimension: products lie in ker D, so
+their rank cannot exceed it.  A piece without products spans nothing.  The
+report keeps the representatives' dimensions and the runs; its totals
+weight each representative by its orbit's size, one multinomial per run,
+and `per_piece` lists the orbit members, in piece order, only when read.
 """
 
 from __future__ import annotations
@@ -90,8 +91,8 @@ from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from math import gcd, lcm
+from functools import cache, cached_property
+from math import factorial, gcd, lcm, prod
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .derivation import GeneratorSet, WeitzenboeckDerivation, generators
@@ -112,7 +113,10 @@ class PieceReport(NamedTuple):
 
 @dataclass(frozen=True)
 class CompletenessReport:
-    """Per-degree certificate: do generator products span the kernel?"""
+    """Per-degree certificate: do generator products span the kernel?
+
+    Holds the orbit representatives' reports, in piece order, and the runs of their orbits.
+    """
 
     n: int
     k: int
@@ -120,7 +124,20 @@ class CompletenessReport:
     kernel_dim: int
     span_dim: int
     complete: bool
-    per_piece: tuple[PieceReport, ...]
+    representatives: tuple[PieceReport, ...]
+    runs: tuple[tuple[int, int], ...]
+
+    @cached_property
+    def per_piece(self) -> tuple[PieceReport, ...]:
+        """Every piece with a nonzero kernel in `piece_keys` order, each with its representative's dims."""
+        by_rep = defaultdict(list)
+        for piece in self.representatives:
+            by_rep[piece.key.block_degrees].append(piece)
+        return tuple(
+            PieceReport(GradedPieceKey(b, w), kdim, sdim)
+            for b in compositions(self.degree, self.n)
+            for (_, w), kdim, sdim in by_rep[tuple(v for i, j in self.runs for v in sorted(b[i:j], reverse=True))]
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -624,13 +641,6 @@ def _product_expander(gens: GeneratorSet, degree: int) -> Callable[[tuple[str, .
 # -- block-permutation orbits -------------------------------------------------
 
 
-def _swap_blocks(p: Polynomial, i: int) -> Polynomial:
-    """p with blocks i and i+1 (0-based) exchanged: v_{i,j} <-> v_{i+1,j} at every level j."""
-    step = p.ambient.k + 1
-    a, b, c = i * step, (i + 1) * step, (i + 2) * step
-    return Polynomial(p.ambient, {e[:a] + e[b:c] + e[a:b] + e[c:]: v for e, v in p.items()})
-
-
 @cache
 def _symmetry_runs(n: int, k: int, labels: tuple[str, ...]) -> tuple[tuple[int, int], ...]:
     """Runs [start, stop) of blocks that the swaps keeping the generators `labels` stable join.
@@ -641,39 +651,64 @@ def _symmetry_runs(n: int, k: int, labels: tuple[str, ...]) -> tuple[tuple[int, 
     stable swap touches is a run of its own.  The runs' symmetric groups
     generate the Young subgroup of block permutations that map the set onto
     itself up to sign.  Cached on the label tuple, not on a GeneratorSet,
-    because `without` builds a new set for every call.
+    because `without` builds a new set for every call.  Generators are
+    compared as frozen term maps, swapped by slicing exponent tuples.
     """
     gens = generators(n, k)
-    values = {gens.value(label) for label in labels}
+    values = {frozenset(gens.value(label).items()) for label in labels}
     runs = [[0, 1]]
     for i in range(n - 1):
-        if all(q in values or -q in values for q in (_swap_blocks(p, i) for p in values)):
+        a, b, c = i * (k + 1), (i + 1) * (k + 1), (i + 2) * (k + 1)
+        swapped = (frozenset((e[:a] + e[b:c] + e[a:b] + e[c:], v) for e, v in p) for p in values)
+        if all(q in values or frozenset((e, -v) for e, v in q) in values for q in swapped):
             runs[-1][1] = i + 2
         else:
             runs.append([i + 1, i + 2])
     return tuple((start, stop) for start, stop in runs)
 
 
+def _representatives(total: int, runs: tuple[tuple[int, int], ...]) -> Iterator[tuple[int, ...]]:
+    """The b of `compositions(total, n)` that are non-increasing within every run, ascending."""
+    n, starts = runs[-1][1], {start for start, _ in runs}
+
+    def rec(i: int, left: int, cap: int) -> Iterator[tuple[int, ...]]:
+        top = left if i in starts else min(left, cap)
+        if i == n - 1:
+            if top == left:
+                yield (left,)
+            return
+        for v in range(top + 1):
+            for tail in rec(i + 1, left - v, v):
+                yield (v, *tail)
+
+    return rec(0, total, total)
+
+
+def _orbit_size(b: tuple[int, ...], runs: tuple[tuple[int, int], ...]) -> int:
+    """The number of rearrangements of b within its runs: per run, a multinomial coefficient."""
+    parts = [b[i:j] for i, j in runs if j - i > 1]  # a run of one block has one arrangement
+    return prod(factorial(len(part)) // prod(factorial(part.count(v)) for v in set(part)) for part in parts)
+
+
 def completeness_check(n: int, k: int, degree: int, exclude: Sequence[str] = ()) -> CompletenessReport:
     """Compare kernel dimension with the generator-product span, piece by piece.
 
-    Every piece with a nonzero kernel is reported, in `piece_keys` order.
-    Its span_dim is the exact rank over Q of the piece's products, or 0 if
-    it holds none.  Only the pieces whose block degrees represent an orbit
-    of the generator set's block symmetry (`_symmetry_runs`; the
-    representative is non-increasing within every run) are decided:
-    `generator_products` is asked once for the products of exactly the
-    representative pieces with a nonzero kernel, with each piece's
-    kernel_dim as its stop count.  A piece whose products show kernel_dim
-    distinct least monomials reports span_dim = kernel_dim with nothing
-    expanded; every other piece that holds products is expanded and
-    ranked (`_rank` on packed monomials, one call per such piece, each of
-    whose monomials is checked to lie in the piece).  The report is one
-    pass over `compositions(degree, n)`, which is ascending, with the
-    weights ascending inside; each b reports its representative's
-    kernel_dim and span_dim.  Raises ValueError for a negative degree,
-    before any symmetry or composition is computed, and TypeError if
-    `exclude` is a bare string rather than a sequence of labels.
+    Every piece with a nonzero kernel is reported in `per_piece`, in
+    `piece_keys` order.  Its span_dim is the exact rank over Q of the
+    piece's products, or 0 if it holds none.  Only the representative
+    pieces of the generator set's block symmetry (`_symmetry_runs`,
+    `_representatives`) are decided: `generator_products` is asked once
+    for the products of exactly those with a nonzero kernel, with each
+    piece's kernel_dim as its stop count.  A piece whose products show
+    kernel_dim distinct least monomials reports span_dim = kernel_dim with
+    nothing expanded; every other piece that holds products is expanded
+    and ranked (`_rank` on packed monomials, one call per such piece, each
+    of whose monomials is checked to lie in the piece).  The report keeps
+    the representatives' PieceReports and the runs; its totals count each
+    representative once per orbit member (`_orbit_size`).  Raises
+    ValueError for a negative degree, before any symmetry or composition
+    is computed, and TypeError if `exclude` is a bare string rather than a
+    sequence of labels.
 
     The copy is exact.  A block permutation s that maps every generator to
     plus or minus a generator is a ring automorphism that commutes with D
@@ -692,17 +727,13 @@ def completeness_check(n: int, k: int, degree: int, exclude: Sequence[str] = ())
         raise TypeError(f"exclude must be a sequence of labels, not the string {exclude!r}")
     gens = generators(n, k).without(*exclude)
     runs = _symmetry_runs(n, k, tuple(gens.labels()))
-    # each b with its orbit's representative, non-increasing within every run, in ascending
-    # order; with the weights ascending inside, that is `piece_keys` order
-    blocks = [
-        (b, tuple(v for start, stop in runs for v in sorted(b[start:stop], reverse=True)))
-        for b in compositions(degree, n)
-    ]
+    # the representatives in ascending order with their orbit sizes; with the weights
+    # ascending inside, that is `piece_keys` order
+    orbit = {b: _orbit_size(b, runs) for b in _representatives(degree, runs)}
     weights = range(k * degree // 2 + 1)  # a piece of weight 2w > k*degree has no kernel
     kernel_dims = {
         key: kdim
-        for b, rep in blocks
-        if b == rep
+        for b in orbit
         for w in weights
         if (kdim := _piece_kernel_dim(n, k, key := GradedPieceKey(b, w)))
     }
@@ -734,24 +765,11 @@ def completeness_check(n: int, k: int, degree: int, exclude: Sequence[str] = ())
         # products lie in ker D on this piece, so their rank is at most its kernel
         # dimension and stopping the elimination there still gives the exact rank
         span[key] = _rank(rows, kernel_dims[key])
-    # a piece that holds no product spans nothing; each orbit member reports its representative's dims
-    pieces = [
-        PieceReport(GradedPieceKey(b, w), kdim, span.get(rep_key, 0))
-        for b, rep in blocks
-        for w in weights
-        if (kdim := kernel_dims.get(rep_key := (rep, w)))
-    ]
-    kernel_total = sum(piece.kernel_dim for piece in pieces)
-    span_total = sum(piece.span_dim for piece in pieces)
-    return CompletenessReport(
-        n=n,
-        k=k,
-        degree=degree,
-        kernel_dim=kernel_total,
-        span_dim=span_total,
-        complete=span_total == kernel_total,
-        per_piece=tuple(pieces),
-    )
+    # a piece that holds no product spans nothing; each orbit member counts its representative's dims
+    pieces = tuple(PieceReport(key, kdim, span.get(key, 0)) for key, kdim in kernel_dims.items())
+    kernel_total = sum(piece.kernel_dim * orbit[piece.key.block_degrees] for piece in pieces)
+    span_total = sum(piece.span_dim * orbit[piece.key.block_degrees] for piece in pieces)
+    return CompletenessReport(n, k, degree, kernel_total, span_total, span_total == kernel_total, pieces, runs)
 
 
 Combination = dict[tuple[str, ...], Fraction]

@@ -8,13 +8,15 @@ oracle (`fraction_rref`) is plain Gauss-Jordan over Fraction, against
 which the library's fraction-free elimination is compared: the kernel
 bases of `nullspace` entry for entry, and the combinations of `express`.
 The product oracle (`naive_mul`) multiplies on exponent tuples, with none
-of the library's monomial packing.
+of the library's monomial packing.  The family oracle (`product_family`)
+builds the k = 1, 2 generators with Polynomial products and differences,
+against which the library's closed-form terms are compared.
 """
 
 import itertools
 from fractions import Fraction
 
-from weitzenboeck import Ambient, Polynomial, WeitzenboeckDerivation
+from weitzenboeck import Ambient, Polynomial, WeitzenboeckDerivation, x, y, z
 
 
 def random_rational(rng, lo=-9, hi=9, max_den=9):
@@ -57,6 +59,34 @@ def naive_mul(p, q):
             key = tuple(a + b for a, b in zip(ea, eb))
             terms[key] = terms.get(key, 0) + ca * cb
     return Polynomial(p.ambient, terms)
+
+
+def product_family(n, k):
+    """The k = 1 or k = 2 generator family as (label, polynomial) pairs, built with Polynomial arithmetic."""
+    amb = Ambient(n, k)
+
+    def var(v):
+        return Polynomial.variable(amb, v)
+
+    items = []
+    for i in range(1, n + 1):
+        items.append((f"x{i}", var(x(i))))
+    for i, j in itertools.combinations(range(1, n + 1), 2):
+        items.append((f"J{i},{j}", var(x(i)) * var(y(j)) - var(x(j)) * var(y(i))))
+    if k == 2:
+        for i in range(1, n + 1):
+            for j in range(i, n + 1):
+                # at i = j this collapses to 2*x_i*z_i - y_i^2
+                h = var(x(i)) * var(z(j)) - var(y(i)) * var(y(j)) + var(z(i)) * var(x(j))
+                items.append((f"H{i},{j}", h))
+        for i, j, l in itertools.combinations(range(1, n + 1), 3):
+            det = (
+                var(x(i)) * (var(y(j)) * var(z(l)) - var(y(l)) * var(z(j)))
+                - var(x(j)) * (var(y(i)) * var(z(l)) - var(y(l)) * var(z(i)))
+                + var(x(l)) * (var(y(i)) * var(z(j)) - var(y(j)) * var(z(i)))
+            )
+            items.append((f"D{i},{j},{l}", det))
+    return items
 
 
 def all_ring_monomials(ambient, degree):

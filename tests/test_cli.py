@@ -137,6 +137,12 @@ class TestVerify:
         argv = ["verify", "--n", "3", "--k", "2", "--max-degree", "6", "--output", "machine"]
         assert run(capsys, *argv) == (0, (GOLDEN_DIR / "verify_n3_k2_d6.txt").read_text(), "")
 
+    def test_full_orbit_output_matches_golden(self, capsys):
+        # the full family at n = 6 is stable under all of S6, so only pieces with
+        # non-increasing block degrees are decided; every rearrangement is listed
+        argv = ["verify", "--n", "6", "--k", "1", "--max-degree", "4", "--output", "machine"]
+        assert run(capsys, *argv) == (0, (GOLDEN_DIR / "verify_n6_k1_d4.txt").read_text(), "")
+
     def test_deep_incomplete_output_matches_golden(self, capsys):
         # without H1,1 the pieces of degree 3..6 at k = 2 fall short by various amounts,
         # so the exact span_dim of deep pieces is where elimination does the most work

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_polynomial, random_rational
+from conftest import product_family, random_polynomial, random_rational
 from weitzenboeck import (
     Ambient,
     AmbientMismatch,
@@ -157,6 +157,28 @@ class TestGenerators:
             "H1,1", "H1,2", "H1,3", "H2,2", "H2,3", "H3,3",
             "D1,2,3",
         ]
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_closed_forms_match_polynomial_products(self, k):
+        # the family is written term by term; the oracle builds it with Polynomial
+        # products and differences: same labels in the same order, equal polynomials,
+        # every coefficient an int
+        for n in range(1, 7):
+            family = list(generators(n, k))
+            expected = product_family(n, k)
+            assert [label for label, _ in family] == [label for label, _ in expected]
+            for (label, p), (_, q) in zip(family, expected):
+                assert p == q, label
+                assert all(type(c) is int for _, c in p.items()), label
+
+    def test_family_is_built_without_polynomial_arithmetic(self, monkeypatch):
+        calls = []
+        for name in ("__mul__", "__rmul__", "__add__", "__sub__", "__neg__"):
+            real = getattr(Polynomial, name)
+            monkeypatch.setattr(Polynomial, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+        gens = generators.__wrapped__(5, 2)  # built afresh, past the cache
+        assert len(gens) == 5 + 10 + 15 + 10 and calls == []
+        assert Polynomial.variable(A21, ring_var(1, 0)) * 2 is not None and calls == ["__mul__"]  # the spy counts
 
     def test_membership_up_to_n6(self):
         for k in (1, 2):

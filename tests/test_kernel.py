@@ -1,9 +1,11 @@
+import io
 import itertools
 import json
 import random
 from collections import defaultdict
+from contextlib import redirect_stdout
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -36,7 +38,17 @@ from weitzenboeck import (
 )
 from weitzenboeck import cli, kernel
 from weitzenboeck.derivation import GeneratorSet
-from weitzenboeck.kernel import _echelon, _piece_kernel_dim, _rank, compositions, matrix_rows, nullspace
+from weitzenboeck.kernel import (
+    PieceReport,
+    _echelon,
+    _orbit_size,
+    _piece_kernel_dim,
+    _rank,
+    _representatives,
+    compositions,
+    matrix_rows,
+    nullspace,
+)
 from weitzenboeck.poly import packing_for
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -874,6 +886,65 @@ class TestCompleteness:
             kernel._product_expander(gens, 2)
         # at degree 1 the skewed generator is in no product and is not packed
         assert generator_products(gens, 1, piece_keys(2, 1, 1)) == {GradedPieceKey((1, 0), 0): [("x1",)]}
+
+    @given(st.integers(1, 5), st.sampled_from([1, 2]), st.integers(0, 4), st.lists(st.integers(0, 60), unique=True, max_size=3))
+    @example(5, 2, 4, [])
+    @example(5, 2, 4, [16])  # without H1,2: runs of two and three blocks
+    @settings(max_examples=40, deadline=None)
+    def test_totals_count_each_orbit_member(self, n, k, degree, drop):
+        # the report holds the representatives only, the b of each orbit that is
+        # non-increasing within every run, and weights each by its orbit's size; the
+        # totals equal the sums over the expanded per_piece, and with the full family
+        # the kernel total is `kernel_dim`'s count, which lists no piece
+        labels = generators(n, k).labels()
+        exclude = sorted({labels[i % len(labels)] for i in drop})
+        rep = completeness_check(n, k, degree, exclude=exclude)
+        assert rep.kernel_dim == sum(piece.kernel_dim for piece in rep.per_piece)
+        assert rep.span_dim == sum(piece.span_dim for piece in rep.per_piece)
+        assert rep.complete == (rep.span_dim == rep.kernel_dim)
+        if not exclude:
+            assert rep.kernel_dim == kernel_dim(n, k, degree)
+        stable = _stable_swaps(generators(n, k).without(*exclude))
+        representatives = [b for b in compositions(degree, n) if all(b[i] >= b[i + 1] for i in stable)]
+        assert list(_representatives(degree, rep.runs)) == representatives
+        assert sum(_orbit_size(b, rep.runs) for b in representatives) == comb(degree + n - 1, n - 1)
+        assert rep.representatives == tuple(piece for piece in rep.per_piece if piece.key.block_degrees in representatives)
+
+    @given(st.integers(1, 5), st.sampled_from([1, 2]), st.integers(0, 4), st.lists(st.integers(0, 60), unique=True, max_size=2))
+    @settings(max_examples=15, deadline=None)
+    def test_text_verify_builds_representative_reports_only(self, n, k, max_degree, drop):
+        # text output reads the totals only, so verify builds one PieceReport per
+        # representative piece with a nonzero kernel (block degrees non-increasing
+        # within every run of stable swaps, found by brute force) and none for the
+        # other orbit members; machine output expands every orbit on top of that
+        labels = generators(n, k).labels()
+        exclude = sorted({labels[i % len(labels)] for i in drop})
+        stable = _stable_swaps(generators(n, k).without(*exclude))
+        pieces = [key for d in range(max_degree + 1) for key in piece_keys(n, k, d) if _piece_kernel_dim(n, k, key)]
+        wanted = [key for key in pieces if all(key.block_degrees[i] >= key.block_degrees[i + 1] for i in stable)]
+        argv = ["verify", "--n", str(n), "--k", str(k), "--max-degree", str(max_degree)]
+        argv += [arg for label in exclude for arg in ("--exclude", label)]
+        for output, built in (("text", len(wanted)), ("machine", len(wanted) + len(pieces))):
+            reports = []
+            with pytest.MonkeyPatch.context() as patch, redirect_stdout(io.StringIO()):
+                patch.setattr(kernel, "PieceReport", lambda *args: reports.append(args) or PieceReport(*args))
+                cli.main([*argv, "--output", output])
+            assert len(reports) == built
+
+    def test_wide_reports_are_read_from_d_blocks(self):
+        # polarization: with the full family a product in piece (b, w) has every factor
+        # in the blocks where b is nonzero, so the report of (6, k, d) at b is the one of
+        # (d, k, d) at b's nonzero parts, sorted non-increasing and padded to d blocks
+        compared = 0
+        for k in (1, 2):
+            for d in (3, 4):
+                narrow = {piece.key: piece[1:] for piece in completeness_check(d, k, d).per_piece}
+                for piece in completeness_check(6, k, d).per_piece:
+                    parts = sorted((v for v in piece.key.block_degrees if v), reverse=True)
+                    trimmed = GradedPieceKey(tuple(parts + [0] * (d - len(parts))), piece.key.weight)
+                    assert piece[1:] == narrow[trimmed], piece
+                    compared += 1
+        assert compared == 1242
 
     def test_serialization_fields(self):
         doc = completeness_check(2, 1, 2).to_dict()
