@@ -59,10 +59,12 @@ A cached table (`_reach`) of the gradings each suffix of the generator
 list reaches prunes exactly the branches with no product in the piece,
 so every branch it keeps ends in a product.  Wanted pieces and complete
 products are gradings of degree-d monomials, whose fields do not carry,
-so packed keys agree only when their components do.  `express`
-enumerates only the products in its input's pieces this way and merges
-them back into label order, and a certificate only those in its
-representative pieces, which it decides piece by piece as they come.
+so packed keys agree only when their components do.  `express` packs
+its input once and reads its pieces off the packed input, the gradings
+`key >> shift` of its monomials (`Packing.read_grading`), enumerates only
+the products in those pieces this way and merges them back into label
+order, and a certificate only those in its representative pieces, which
+it decides piece by piece as they come.
 
 A certificate ranks one piece per orbit of the generators' block
 symmetry.  A block permutation that maps every generator to plus or minus
@@ -795,10 +797,14 @@ def express_in_generators(p: Polynomial, gens: GeneratorSet) -> Combination:
     degree = p.homogeneous_degree()
     if degree is None:
         raise NonHomogeneous(f"polynomial mixes total degrees: {p}")
-    gradings = p.gradings()
+    # p is packed once: its pieces are the gradings in the high digits of its packed
+    # monomials, and the packed map is the target row of the elimination below
+    packing = packing_for(p.ambient, degree)
+    packed = packing.pack_terms(p)
+    gradings = [packing.read_grading(g) for g in {mono >> packing.shift for mono in packed}]
     if any(cov for _, _, cov in gradings):
         raise NotInSpan("polynomial involves covariant variables")
-    target_keys = {GradedPieceKey(bd, w) for bd, w, _ in gradings}
+    target_keys = [GradedPieceKey(bd, w) for bd, w, _ in gradings]
 
     # restricting to products in p's pieces gives the combination of all degree-d
     # products: pieces have disjoint monomial support, so the greedy basis is the
@@ -814,10 +820,9 @@ def express_in_generators(p: Polynomial, gens: GeneratorSet) -> Combination:
     # last row p's terms scaled to integers and the scale in column tag.  Every packed
     # monomial lies below the packing's end, so tag lies past every one, and a row's
     # lead is a monomial until it has none left
-    packing = packing_for(p.ambient, degree)
     tag = packing.end
     expand = _product_expander(gens, degree)
-    target, scale = _integer_row(packing.pack_terms(p))
+    target, scale = _integer_row(packed)
     rows = [expand(labels) | {tag + 1 + j: 1} for j, labels in enumerate(products)]
     pivot_rows = _echelon(rows + [target | {tag: scale}], bound=tag + 1)
     # a product row left with tag columns only is dropped: it is a combination of the

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from operator import lshift, mul
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import AmbientMismatch, ParseError, UnknownVariable
 
@@ -226,6 +226,12 @@ class Packing:
         """The packed grading that `key >> shift` gives for monomials of this grading."""
         return sum(map(lshift, (*block_degrees, weight, cov_degree), self._fields))
 
+    def read_grading(self, grading: int) -> tuple[tuple[int, ...], int, int]:
+        """(block_degrees, weight, cov_degree) of a packed grading, such as `key >> shift`."""
+        mask = self._mask
+        *block_degrees, weight, cov_degree = [grading >> s & mask for s in self._fields]
+        return tuple(block_degrees), weight, cov_degree
+
     def pack_terms(self, terms: "Polynomial | Terms") -> PackedTerms:
         return {self.pack(exps): c for exps, c in terms.items()}
 
@@ -381,12 +387,12 @@ class Polynomial:
                 out[exps] = acc
             else:
                 out.pop(exps, None)
-        return self._wrap(out)
+        return _wrap(self.ambient, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._wrap({e: -c for e, c in self._terms.items()})
+        return _wrap(self.ambient, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, (int, Fraction, Polynomial)):
@@ -400,13 +406,13 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return Polynomial.zero(self.ambient)
-            return self._wrap({e: c * other for e, c in self._terms.items()})
+            return _wrap(self.ambient, {e: c * other for e, c in self._terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_ambient(other)
         packing = packing_for(self.ambient, self.total_degree() + other.total_degree())
         product = mul_terms(packing.pack_terms(self._terms), packing.pack_terms(other._terms))
-        return self._wrap(packing.unpack_terms(product))
+        return _wrap(self.ambient, packing.unpack_terms(product))
 
     __rmul__ = __mul__
 
@@ -426,14 +432,7 @@ class Polynomial:
             e = exps[idx]
             if e:
                 out[exps[:idx] + (e - 1,) + exps[idx + 1 :]] = c * e  # distinct terms give distinct keys
-        return self._wrap(out)
-
-    def _wrap(self, terms: Terms) -> "Polynomial":
-        # internal fast path: terms already have no zeros and the right width
-        p = Polynomial.__new__(Polynomial)
-        object.__setattr__(p, "ambient", self.ambient)
-        object.__setattr__(p, "_terms", _integral(terms))
-        return p
+        return _wrap(self.ambient, out)
 
     # -- equality and display ----------------------------------------------
 
@@ -482,27 +481,33 @@ class Polynomial:
         return f"Polynomial(n={self.ambient.n}, k={self.ambient.k}, {str(self)!r})"
 
 
+def _wrap(ambient: Ambient, terms: Terms) -> Polynomial:
+    """Internal fast path: a Polynomial of `terms`, which have no zeros and exponent tuples of the right width."""
+    p = Polynomial.__new__(Polynomial)
+    object.__setattr__(p, "ambient", ambient)
+    object.__setattr__(p, "_terms", _integral(terms))
+    return p
+
+
 # -- parsing ----------------------------------------------------------------
 
-_TOKEN = re.compile(r"(?P<int>\d+)|(?P<name>[xyz]\d+|v\d+\.\d+|CX|CY)|(?P<op>[-+*/^])")
+# one match per token, leading whitespace skipped: an unsigned integer, a
+# variable name, an operator, or (last group) any other character, which no
+# rule of the grammar accepts
+_TOKENS = re.compile(r"\s*(?:(\d+)|([xyz]\d+|v\d+\.\d+|CX|CY)|([-+*/^])|(\S))")
+_END = ("", "", "", "")  # appended after the last token
+
+_SIGNS = {"+": 1, "-": -1}
 
 _LEVEL_BY_LETTER = {"x": 0, "y": 1, "z": 2}
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        tokens.append((m.lastgroup, m.group(), pos))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
+def _position(text: str, index: int) -> int:
+    """0-based character offset of token `index` of `text`; len(text) for the end."""
+    for i, m in enumerate(_TOKENS.finditer(text)):
+        if i == index:
+            return m.start(m.lastindex)
+    return len(text)
 
 
 def _variable_from_name(name: str) -> Variable:
@@ -517,94 +522,38 @@ def _variable_from_name(name: str) -> Variable:
     return ring_var(int(name[1:]), _LEVEL_BY_LETTER[name[0]])
 
 
-class _Parser:
-    def __init__(self, text: str, ambient: Ambient):
-        self.ambient = ambient
-        self.tokens = _tokenize(text)
-        self.i = 0
+@cache
+def _slots(ambient: Ambient) -> Callable[[str], int]:
+    """Name token -> dense slot in `ambient`, cached per name; UnknownVariable, not cached, if there is none.
 
-    def peek(self):
-        return self.tokens[self.i]
+    One table per ambient, so a parse hashes its ambient once, not once per factor.
+    """
 
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+    @cache
+    def slot(name: str) -> int:
+        return ambient.index(_variable_from_name(name))
 
-    def parse(self) -> Polynomial:
-        terms: Terms = {}
-        sign = 1
-        kind, value, pos = self.peek()
-        if kind == "op" and value in "+-":
-            self.advance()
-            sign = -1 if value == "-" else 1
-        while True:
-            exps, coeff = self.term()
-            acc = terms.get(exps, 0) + sign * coeff
-            if acc:
-                terms[exps] = acc
-            else:
-                terms.pop(exps, None)
-            kind, value, pos = self.peek()
-            if kind == "end":
-                return Polynomial(self.ambient, terms)
-            if kind == "op" and value in "+-":
-                self.advance()
-                sign = -1 if value == "-" else 1
-                continue
-            raise ParseError(f"expected '+' or '-', got {value!r}", pos)
+    return slot
 
-    def term(self) -> tuple[Exponents, Scalar]:
-        coeff: Scalar = 1
-        exps = [0] * self.ambient.width
-        kind, value, pos = self.peek()
-        if kind == "int":
-            self.advance()
-            coeff = int(value)
-            kind, value, pos = self.peek()
-            if kind == "op" and value == "/":
-                self.advance()
-                coeff = Fraction(coeff, self.posint("denominator"))
-                kind, value, pos = self.peek()
-            if not (kind == "op" and value == "*"):
-                return tuple(exps), coeff  # bare constant term
-            self.advance()
-        self.factor(exps)
-        while True:
-            kind, value, pos = self.peek()
-            if kind == "op" and value == "*":
-                self.advance()
-                self.factor(exps)
-            else:
-                return tuple(exps), coeff
 
-    def factor(self, exps: list[int]):
-        kind, value, pos = self.advance()
-        if kind != "name":
-            raise ParseError(f"expected a variable, got {value!r}" if value else "expected a variable", pos)
-        try:
-            var = _variable_from_name(value)
-        except UnknownVariable:
-            raise ParseError(f"no variable named {value!r}", pos) from None
-        try:
-            idx = self.ambient.index(var)
-        except UnknownVariable:
-            raise AmbientMismatch(
-                f"variable {value!r} exceeds ambient (n={self.ambient.n}, k={self.ambient.k}) at position {pos}",
-                position=pos,
-            ) from None
-        power = 1
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "^":
-            self.advance()
-            power = self.posint("exponent")
-        exps[idx] += power
+def _name_error(text: str, index: int, name: str, ambient: Ambient) -> ValueError:
+    """The error for name token `index`, which denotes no variable of `ambient`."""
+    pos = _position(text, index)
+    try:
+        _variable_from_name(name)
+    except UnknownVariable:
+        return ParseError(f"no variable named {name!r}", pos)
+    return AmbientMismatch(
+        f"variable {name!r} exceeds ambient (n={ambient.n}, k={ambient.k}) at position {pos}", position=pos
+    )
 
-    def posint(self, what: str) -> int:
-        kind, value, pos = self.advance()
-        if kind != "int" or int(value) < 1:
-            raise ParseError(f"expected a positive integer {what}", pos)
-        return int(value)
+
+def _posint(text: str, tokens: list[tuple[str, str, str, str]], index: int, what: str) -> int:
+    """The value of token `index`, which must be a positive integer `what`."""
+    digits = tokens[index][0]
+    if not digits or int(digits) < 1:
+        raise ParseError(f"expected a positive integer {what}", _position(text, index))
+    return int(digits)
 
 
 def parse(text: str, ambient: Ambient) -> Polynomial:
@@ -614,6 +563,65 @@ def parse(text: str, ambient: Ambient) -> Polynomial:
     coefficient followed by '*'-joined variable factors, each optionally
     raised with '^'; variables are x1../y1../z1../v1.3../CX/CY.  A bare
     rational is accepted as a constant term, and the first term may carry
-    a leading sign.  Whitespace is insignificant.
+    a leading sign.  Whitespace is insignificant.  Errors carry the 0-based
+    character offset of the offending token (len(text) at the end); an
+    unexpected character anywhere is reported before any syntax error.
+
+    The text is tokenised by one regex scan, and one loop over the tokens
+    builds each term's exponent list; a token's offset is found only when
+    an error is raised.
     """
-    return _Parser(text, ambient).parse()
+    tokens = _TOKENS.findall(text)
+    for index, token in enumerate(tokens):
+        if token[3]:
+            raise ParseError(f"unexpected character {token[3]!r}", _position(text, index))
+    tokens.append(_END)
+    width = ambient.width
+    slot_of = _slots(ambient)
+    terms: Terms = {}
+    sign = _SIGNS.get(tokens[0][2])
+    i = 0 if sign is None else 1
+    sign = sign or 1
+    while True:
+        coeff: Scalar = 1
+        exps = [0] * width
+        digits = tokens[i][0]
+        more = True
+        if digits:
+            coeff = int(digits)
+            i += 1
+            if tokens[i][2] == "/":
+                coeff = Fraction(coeff, _posint(text, tokens, i + 1, "denominator"))
+                i += 2
+            more = tokens[i][2] == "*"  # else a bare constant term
+            i += more
+        while more:
+            name = tokens[i][1]
+            if not name:
+                value = "".join(tokens[i])
+                raise ParseError(f"expected a variable, got {value!r}" if value else "expected a variable", _position(text, i))
+            try:
+                slot = slot_of(name)
+            except UnknownVariable:
+                raise _name_error(text, i, name, ambient) from None
+            i += 1
+            if tokens[i][2] == "^":
+                exps[slot] += _posint(text, tokens, i + 1, "exponent")
+                i += 2
+            else:
+                exps[slot] += 1
+            more = tokens[i][2] == "*"
+            i += more
+        key = tuple(exps)
+        acc = terms.get(key, 0) + sign * coeff
+        if acc:
+            terms[key] = acc
+        else:
+            terms.pop(key, None)
+        token = tokens[i]
+        if token is _END:  # the term map is zero-free with non-negative int exponents
+            return _wrap(ambient, terms)
+        sign = _SIGNS.get(token[2])
+        if sign is None:
+            raise ParseError(f"expected '+' or '-', got {''.join(token)!r}", _position(text, i))
+        i += 1

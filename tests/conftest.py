@@ -10,13 +10,33 @@ bases of `nullspace` entry for entry, and the combinations of `express`.
 The product oracle (`naive_mul`) multiplies on exponent tuples, with none
 of the library's monomial packing.  The family oracle (`product_family`)
 builds the k = 1, 2 generators with Polynomial products and differences,
-against which the library's closed-form terms are compared.
+against which the library's closed-form terms are compared.  The parser
+oracle (`reference_parse`) is the earlier recursive-descent parser, one
+`re.match` per token and one method call per grammar step, against which
+the library's one-scan parser is compared: the same polynomials, or the
+same exception with the same message and position.
 """
 
 import itertools
+import re
 from fractions import Fraction
 
-from weitzenboeck import Ambient, Polynomial, WeitzenboeckDerivation, x, y, z
+from weitzenboeck import (
+    COV_X,
+    COV_Y,
+    Ambient,
+    AmbientMismatch,
+    ParseError,
+    Polynomial,
+    UnknownVariable,
+    Variable,
+    WeitzenboeckDerivation,
+    ring_var,
+    x,
+    y,
+    z,
+)
+from weitzenboeck.poly import Exponents, Scalar, Terms
 
 
 def random_rational(rng, lo=-9, hi=9, max_den=9):
@@ -170,3 +190,133 @@ def fraction_rref(rows, ncols):
         pivot_rows[lead] = row
     pivots = sorted(pivot_rows)
     return [pivot_rows[c] for c in pivots] + leftover, pivots
+
+
+# -- parser oracle ------------------------------------------------------------
+
+_TOKEN = re.compile(r"(?P<int>\d+)|(?P<name>[xyz]\d+|v\d+\.\d+|CX|CY)|(?P<op>[-+*/^])")
+
+_LEVEL_BY_LETTER = {"x": 0, "y": 1, "z": 2}
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        if text[pos].isspace():
+            pos += 1
+            continue
+        m = _TOKEN.match(text, pos)
+        if not m:
+            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        tokens.append((m.lastgroup, m.group(), pos))
+        pos = m.end()
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+def _variable_from_name(name: str) -> Variable:
+    """The variable a name token denotes; UnknownVariable for a chain block below 1."""
+    if name == "CX":
+        return COV_X
+    if name == "CY":
+        return COV_Y
+    if name[0] == "v":
+        block, level = name[1:].split(".")
+        return ring_var(int(block), int(level))
+    return ring_var(int(name[1:]), _LEVEL_BY_LETTER[name[0]])
+
+
+class _Parser:
+    def __init__(self, text: str, ambient: Ambient):
+        self.ambient = ambient
+        self.tokens = _tokenize(text)
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def advance(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def parse(self) -> Polynomial:
+        terms: Terms = {}
+        sign = 1
+        kind, value, pos = self.peek()
+        if kind == "op" and value in "+-":
+            self.advance()
+            sign = -1 if value == "-" else 1
+        while True:
+            exps, coeff = self.term()
+            acc = terms.get(exps, 0) + sign * coeff
+            if acc:
+                terms[exps] = acc
+            else:
+                terms.pop(exps, None)
+            kind, value, pos = self.peek()
+            if kind == "end":
+                return Polynomial(self.ambient, terms)
+            if kind == "op" and value in "+-":
+                self.advance()
+                sign = -1 if value == "-" else 1
+                continue
+            raise ParseError(f"expected '+' or '-', got {value!r}", pos)
+
+    def term(self) -> tuple[Exponents, Scalar]:
+        coeff: Scalar = 1
+        exps = [0] * self.ambient.width
+        kind, value, pos = self.peek()
+        if kind == "int":
+            self.advance()
+            coeff = int(value)
+            kind, value, pos = self.peek()
+            if kind == "op" and value == "/":
+                self.advance()
+                coeff = Fraction(coeff, self.posint("denominator"))
+                kind, value, pos = self.peek()
+            if not (kind == "op" and value == "*"):
+                return tuple(exps), coeff  # bare constant term
+            self.advance()
+        self.factor(exps)
+        while True:
+            kind, value, pos = self.peek()
+            if kind == "op" and value == "*":
+                self.advance()
+                self.factor(exps)
+            else:
+                return tuple(exps), coeff
+
+    def factor(self, exps: list[int]):
+        kind, value, pos = self.advance()
+        if kind != "name":
+            raise ParseError(f"expected a variable, got {value!r}" if value else "expected a variable", pos)
+        try:
+            var = _variable_from_name(value)
+        except UnknownVariable:
+            raise ParseError(f"no variable named {value!r}", pos) from None
+        try:
+            idx = self.ambient.index(var)
+        except UnknownVariable:
+            raise AmbientMismatch(
+                f"variable {value!r} exceeds ambient (n={self.ambient.n}, k={self.ambient.k}) at position {pos}",
+                position=pos,
+            ) from None
+        power = 1
+        kind, value, _ = self.peek()
+        if kind == "op" and value == "^":
+            self.advance()
+            power = self.posint("exponent")
+        exps[idx] += power
+
+    def posint(self, what: str) -> int:
+        kind, value, pos = self.advance()
+        if kind != "int" or int(value) < 1:
+            raise ParseError(f"expected a positive integer {what}", pos)
+        return int(value)
+
+
+def reference_parse(text, ambient):
+    """parse(text, ambient) by the recursive-descent oracle above."""
+    return _Parser(text, ambient).parse()

@@ -984,6 +984,15 @@ class TestExpress:
         with pytest.raises(NotInSpan):
             express_in_generators(parse("2*x1*z1 - y1^2", Ambient(1, 2)), gens)
 
+    @pytest.mark.parametrize("text", ["CX", "CX*x1"])
+    def test_covariant_input_is_not_in_span(self, text):
+        with pytest.raises(NotInSpan, match="^polynomial involves covariant variables$"):
+            express_in_generators(parse(text, Ambient(2, 1)), generators(2, 1))
+
+    def test_mixed_degrees_are_rejected(self):
+        with pytest.raises(NonHomogeneous, match="mixes total degrees"):
+            express_in_generators(parse("x1 + x1*x2", Ambient(2, 1)), generators(2, 1))
+
     def test_rational_input(self):
         # rows with denominators are scaled to integers before elimination
         p = parse("1/2*x1*y2 - 1/2*x2*y1 + 2/3*x1^2", Ambient(2, 1))

@@ -1,9 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_parse
 from weitzenboeck import Ambient, AmbientMismatch, ParseError, Polynomial, parse, ring_var
 
 # (n, k, input text, canonical form) - the canonical column is also reparsed,
@@ -67,6 +68,13 @@ def test_parse_zero_and_constants():
         ("x1^0", 3),
         ("3/0", 2),
         ("x1**y1", 3),
+        ("x1 + * y1 &", 10),  # an unexpected character wins over an earlier syntax error
+        ("x1^", 3),
+        ("3/", 2),
+        ("x1\ty1", 3),
+        ("-", 1),
+        ("2/3/4*x1", 3),
+        ("x1*y", 3),
     ],
 )
 def test_syntax_errors_carry_position(text, position):
@@ -103,6 +111,7 @@ def test_block_zero_names_are_rejected(name):
 def test_whitespace_insignificant():
     amb = Ambient(2, 1)
     assert parse("x1*y2-x2*y1", amb) == parse("  x1 * y2  -  x2 * y1 ", amb)
+    assert parse("x1 *\u3000y1", amb) == parse("x1*y1", amb)  # Unicode whitespace too
 
 
 @st.composite
@@ -136,3 +145,36 @@ def test_coefficient_format_random(p):
     assert [type(c) for _, c in reparsed.terms()] == [type(c) for _, c in p.terms()]
     as_fractions = Polynomial(p.ambient, {e: Fraction(c) for e, c in p.items()})
     assert as_fractions == p and hash(as_fractions) == hash(p)
+
+
+# the grammar's alphabet, its whitespace (with U+3000) and a few characters it rejects
+_ALPHABET = "0123456789xyzv.CXY+-*/^ \t\u3000&()#"
+_TOKENS = ["x1", "y2", "z1", "x3", "x0", "v1.3", "v2.0", "CX", "CY", "0", "1", "3", "12", "+", "-", "*", "/", "^", " ", "\t"]
+
+
+def _outcome(parser, text, amb):
+    """What `parser` gives: the term list with coefficient types, or the error's type, message and position."""
+    try:
+        p = parser(text, amb)
+    except ValueError as err:
+        return type(err), str(err), getattr(err, "position", None)
+    return p.ambient, [(exps, c, type(c)) for exps, c in p.items()]
+
+
+@given(
+    st.one_of(
+        st.text(_ALPHABET, max_size=24),
+        st.lists(st.sampled_from(_TOKENS), max_size=14).map("".join),
+        _polynomials().map(str),  # mostly well-formed text
+    ),
+    st.integers(1, 3),
+    st.integers(1, 3),
+)
+@settings(max_examples=600, deadline=None)
+@example("x1 + * y1 &", 2, 1)
+@example("2/3/4*x1", 2, 1)
+@example("1/2*x1 + 1/2*x1 - x3", 3, 1)
+@example("v1.3^2 *\u3000CY - 4/2", 1, 3)
+def test_parse_matches_reference_parser(text, n, k):
+    amb = Ambient(n, k)
+    assert _outcome(parse, text, amb) == _outcome(reference_parse, text, amb)

@@ -326,6 +326,7 @@ class TestPacking:
             assert packing.pack(e) >> packing.shift == grading
             assert 0 <= packing.pack(e) < packing.end
             assert _fields(packing, grading) == fields
+            assert packing.read_grading(grading) == fields
         assert packing.pack(a) + packing.pack(b) == packing.pack(s)
 
     def test_top_digits_fill_their_fields(self):
@@ -337,6 +338,7 @@ class TestPacking:
         assert packing.unpack(packing.pack(top)) == top
         assert packing.pack(top) >> packing.shift == packing.grading((5, 0), 15)
         assert _fields(packing, packing.grading((5, 0), 15, 5)) == ((5, 0), 15, 5)
+        assert packing.read_grading(packing.grading((5, 0), 15, 5)) == ((5, 0), 15, 5)
         # the end is one past every grading field full: the layout holds no larger key
         assert (packing.grading((15, 15), 15, 15) + 1) << packing.shift == packing.end
 
