@@ -10,7 +10,6 @@ per run, except `census`, which streams one record per line).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import cache
 
@@ -69,6 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _machine(args, result) -> str:
+    import json  # only machine output needs it; text-mode calls do not pay its import
+
     params = {
         key: value
         for key, value in sorted(vars(args).items())
@@ -79,6 +80,8 @@ def _machine(args, result) -> str:
 
 def _degree_range(args) -> range:
     if args.degree is not None:
+        if args.degree < 0:
+            raise SystemExit2(f"--degree must be >= 0, got {args.degree}")
         return range(args.degree, args.degree + 1)
     if args.max_degree is None:
         raise SystemExit2("one of --max-degree or --degree is required")

@@ -17,28 +17,26 @@ tau(J(f_i, f_j)) = x_i*y_j - x_j*y_i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from .errors import IndexOutOfRange, NegativeOrder, NonHomogeneousOrder
-from .poly import COV_X, COV_Y, Ambient, Polynomial, x, y
+from .poly import COV_X, COV_Y, Ambient, Polynomial, _Frozen, x, y
 
 
-@dataclass(frozen=True)
-class Covariant:
+class Covariant(_Frozen):
     """A polynomial homogeneous of degree `order` in CX, CY."""
 
-    value: Polynomial
-    order: int
+    _fields = ("value", "order")
 
-    def __post_init__(self):
-        amb = self.value.ambient
-        for exps, _ in self.value.items():
-            if amb.cov_degree(exps) != self.order:
+    def __init__(self, value: Polynomial, order: int):
+        amb = value.ambient
+        for exps, _ in value.items():
+            if amb.cov_degree(exps) != order:
                 raise NonHomogeneousOrder(
-                    f"term of covariant degree {amb.cov_degree(exps)} in a covariant of order {self.order}"
+                    f"term of covariant degree {amb.cov_degree(exps)} in a covariant of order {order}"
                 )
+        self.__dict__.update(value=value, order=order)
 
     @classmethod
     def from_polynomial(cls, p: Polynomial) -> "Covariant":

@@ -15,21 +15,21 @@ implemented for k >= 3; use the kernel census for that open case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations, combinations_with_replacement, permutations
 from typing import NamedTuple
 
 from .errors import AmbientMismatch, NonHomogeneous, UnknownLabel, UnsupportedK
-from .poly import Ambient, Polynomial, Terms, x, y, z
+from .poly import Ambient, Polynomial, Terms, _Frozen, x, y, z
 
 
-@dataclass(frozen=True)
-class WeitzenboeckDerivation:
+class WeitzenboeckDerivation(_Frozen):
     """The down-shift derivation on n chains of length k+1."""
 
-    n: int
-    k: int
+    _fields = ("n", "k")
+
+    def __init__(self, n: int, k: int):
+        self.__dict__.update(n=n, k=k)
 
     @property
     def ambient(self) -> Ambient:
@@ -104,16 +104,13 @@ def _generator_row(label: str, p: Polynomial) -> GeneratorRow:
     return GeneratorRow(label, sum(block_degrees), block_degrees, weight)
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
+class GeneratorSet(_Frozen):
     """Labeled kernel generators for D on (n, k), in deterministic order."""
 
-    n: int
-    k: int
-    items: tuple[tuple[str, Polynomial], ...]
+    _fields = ("n", "k", "items")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_by_label", dict(self.items))
+    def __init__(self, n: int, k: int, items: tuple[tuple[str, Polynomial], ...]):
+        self.__dict__.update(n=n, k=k, items=items, _by_label=dict(items))
 
     def __hash__(self):
         # equal sets have equal labels; hashing the labels alone keeps caches keyed on a
@@ -149,7 +146,7 @@ class GeneratorSet:
         dropped = set(labels)
         subset = GeneratorSet(self.n, self.k, tuple(it for it in self.items if it[0] not in dropped))
         # the rows of the kept generators are the parent's; cached_property reads them from __dict__
-        object.__setattr__(subset, "table", tuple(row for row in self.table if row.label not in dropped))
+        subset.__dict__["table"] = tuple(row for row in self.table if row.label not in dropped)
         return subset
 
 

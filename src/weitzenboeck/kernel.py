@@ -91,7 +91,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from math import factorial, gcd, lcm, prod
@@ -99,7 +98,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .derivation import GeneratorSet, WeitzenboeckDerivation, generators
 from .errors import InvalidKey, NonHomogeneous, NotInKernel, NotInSpan
-from .poly import Ambient, Exponents, PackedTerms, Polynomial, monomial_sort_key, mul_terms, packing_for
+from .poly import Ambient, Exponents, PackedTerms, Polynomial, _Frozen, monomial_sort_key, mul_terms, packing_for
 
 
 class GradedPieceKey(NamedTuple):
@@ -113,21 +112,22 @@ class PieceReport(NamedTuple):
     span_dim: int
 
 
-@dataclass(frozen=True)
-class CompletenessReport:
+class CompletenessReport(_Frozen):
     """Per-degree certificate: do generator products span the kernel?
 
     Holds the orbit representatives' reports, in piece order, and the runs of their orbits.
     """
 
-    n: int
-    k: int
-    degree: int
-    kernel_dim: int
-    span_dim: int
-    complete: bool
-    representatives: tuple[PieceReport, ...]
-    runs: tuple[tuple[int, int], ...]
+    _fields = ("n", "k", "degree", "kernel_dim", "span_dim", "complete", "representatives", "runs")
+
+    def __init__(
+        self, n: int, k: int, degree: int, kernel_dim: int, span_dim: int, complete: bool,
+        representatives: tuple[PieceReport, ...], runs: tuple[tuple[int, int], ...],
+    ):
+        self.__dict__.update(
+            n=n, k=k, degree=degree, kernel_dim=kernel_dim, span_dim=span_dim, complete=complete,
+            representatives=representatives, runs=runs,
+        )
 
     @cached_property
     def per_piece(self) -> tuple[PieceReport, ...]:

@@ -31,10 +31,9 @@ is one right shift.  `mul_terms` is the one polynomial product;
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from operator import lshift, mul
+from operator import attrgetter, lshift, mul
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import AmbientMismatch, ParseError, UnknownVariable
@@ -45,8 +44,45 @@ Terms = dict[Exponents, Scalar]  # exponents -> nonzero coefficient
 PackedTerms = dict[int, Scalar]  # packed monomial -> nonzero coefficient
 
 
-@dataclass(frozen=True)
-class Variable:
+class _Frozen:
+    """Base of the package's small immutable value classes, built from the field names in `_fields`.
+
+    `__init__` is the subclass's own and stores the fields through
+    `self.__dict__`.  Instances are equal only to instances of the same
+    class with equal fields (any other operand gets NotImplemented), hash
+    as the tuple of their fields, print as `Name(field=value, ...)`, and
+    raise AttributeError on assigning or deleting any attribute.  There
+    are no `__slots__`: `functools.cached_property` stores its value in
+    the instance `__dict__`.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # reads an instance's field tuple in one C call (a tuple: every subclass has two or more fields)
+        cls._values = staticmethod(attrgetter(*cls._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Variable(_Frozen):
     """One variable of the ring.
 
     Chain variables carry block 1..n and level 0..k (level 0 is the
@@ -54,8 +90,10 @@ class Variable:
     use block 0: level 0 is CX, level 1 is CY.
     """
 
-    block: int
-    level: int
+    _fields = ("block", "level")
+
+    def __init__(self, block: int, level: int):
+        self.__dict__.update(block=block, level=level)
 
     @property
     def is_covariant(self) -> bool:
@@ -95,19 +133,18 @@ def z(i: int) -> Variable:
     return ring_var(i, 2)
 
 
-@dataclass(frozen=True)
-class Ambient:
+class Ambient(_Frozen):
     """The ring shape: n chain blocks of k+1 variables plus CX, CY."""
 
-    n: int
-    k: int
+    _fields = ("n", "k")
 
-    def __post_init__(self):
-        for name, value in (("n", self.n), ("k", self.k)):
+    def __init__(self, n: int, k: int):
+        for name, value in (("n", n), ("k", k)):
             if type(value) is not int:
                 raise TypeError(f"ambient {name} must be an int, got {value!r}")
-        if self.n < 1 or self.k < 1:
-            raise ValueError(f"ambient requires n >= 1 and k >= 1, got ({self.n}, {self.k})")
+        if n < 1 or k < 1:
+            raise ValueError(f"ambient requires n >= 1 and k >= 1, got ({n}, {k})")
+        self.__dict__.update(n=n, k=k)
 
     @property
     def ring_width(self) -> int:

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -365,3 +366,21 @@ class TestContract:
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[-1] == "J1,2 = x1*y2 - x2*y1"
+
+    @pytest.mark.parametrize("command", ["verify", "census"])
+    def test_negative_degree_is_a_usage_error(self, capsys, command):
+        # rejected at the edge like --max-degree, before any library call
+        assert run(capsys, command, "--n", "2", "--degree", "-1") == (2, "", "error: --degree must be >= 0, got -1\n")
+        assert run(capsys, command, "--n", "2", "--max-degree", "-1") == (2, "", "error: --max-degree must be >= 0, got -1\n")
+
+    def test_import_loads_no_unneeded_modules(self):
+        # every call pays the import; dataclasses (and through it inspect) and json stay out of it
+        src = Path(__file__).parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, str(Path(__file__).parent / "import_guard.py")],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == f"{src / 'weitzenboeck' / '__init__.py'}\n"

@@ -52,6 +52,8 @@ class TestCovariantType:
             Covariant.from_polynomial(parse("x1*CX + y1", amb))
         with pytest.raises(NonHomogeneousOrder):
             Covariant(parse("x1*CX + y1", amb), 1)
+        with pytest.raises(NonHomogeneousOrder, match="term of covariant degree 2 in a covariant of order 1"):
+            Covariant(value=parse("x1*CX^2", amb), order=1)
 
     def test_product_orders_add(self):
         f1, f2 = linear_form(1, 2), linear_form(2, 2)

@@ -12,8 +12,16 @@ from weitzenboeck import (
     COV_Y,
     Ambient,
     AmbientMismatch,
+    CompletenessReport,
+    Covariant,
+    GeneratorSet,
+    GradedPieceKey,
+    PieceReport,
     Polynomial,
     UnknownVariable,
+    Variable,
+    WeitzenboeckDerivation,
+    completeness_check,
     kernel_dim,
     parse,
     ring_var,
@@ -212,6 +220,89 @@ def test_immutability():
         p.ambient = A12
 
 
+# each value class, its fields by keyword, and its repr as the frozen dataclass it replaces printed it
+VALUE_CLASSES = [
+    (Ambient, {"n": 2, "k": 1}, "Ambient(n=2, k=1)"),
+    (Variable, {"block": 2, "level": 1}, "Variable(y2)"),
+    (WeitzenboeckDerivation, {"n": 3, "k": 2}, "WeitzenboeckDerivation(n=3, k=2)"),
+    (
+        Covariant,
+        {"value": parse("x1*CX + y1*CY", A21), "order": 1},
+        "Covariant(value=Polynomial(n=2, k=1, 'x1*CX + y1*CY'), order=1)",
+    ),
+    (
+        GeneratorSet,
+        {"n": 2, "k": 1, "items": (("x1", parse("x1", A21)), ("x2", parse("x2", A21)), ("J1,2", parse("x1*y2 - x2*y1", A21)))},
+        "GeneratorSet(n=2, k=1, items=(('x1', Polynomial(n=2, k=1, 'x1')), ('x2', Polynomial(n=2, k=1, 'x2')),"
+        " ('J1,2', Polynomial(n=2, k=1, 'x1*y2 - x2*y1'))))",
+    ),
+    (
+        CompletenessReport,
+        {
+            "n": 2,
+            "k": 1,
+            "degree": 2,
+            "kernel_dim": 4,
+            "span_dim": 4,
+            "complete": True,
+            "representatives": tuple(PieceReport(GradedPieceKey(b, w), 1, 1) for b, w in (((1, 1), 0), ((1, 1), 1), ((2, 0), 0))),
+            "runs": ((0, 2),),
+        },
+        "CompletenessReport(n=2, k=1, degree=2, kernel_dim=4, span_dim=4, complete=True, representatives=("
+        "PieceReport(key=GradedPieceKey(block_degrees=(1, 1), weight=0), kernel_dim=1, span_dim=1), "
+        "PieceReport(key=GradedPieceKey(block_degrees=(1, 1), weight=1), kernel_dim=1, span_dim=1), "
+        "PieceReport(key=GradedPieceKey(block_degrees=(2, 0), weight=0), kernel_dim=1, span_dim=1)), runs=((0, 2),))",
+    ),
+]
+
+
+@pytest.mark.parametrize("cls, fields, text", VALUE_CLASSES, ids=[cls.__name__ for cls, _, _ in VALUE_CLASSES])
+def test_value_classes_keep_their_dataclass_behaviour(cls, fields, text):
+    values = tuple(fields.values())
+    value = cls(**fields)
+    assert repr(value) == text
+    assert value == cls(*values) and not value != cls(*values)
+    assert [getattr(value, name) for name in fields] == list(values)
+    # the hash is the field tuple's; a generator set hashes its labels instead of its polynomials
+    hashed = (2, 1, ("x1", "x2", "J1,2")) if cls is GeneratorSet else values
+    assert hash(value) == hash(cls(*values)) == hash(hashed)
+    # equal only to the same class: other operands get NotImplemented
+    assert value != values and value.__eq__(values) is NotImplemented
+    for name in (*fields, "other"):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(value, name, None)
+    for name in fields:
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(value, name)
+    assert value == cls(**fields)
+
+
+def test_value_classes_compare_unequal_across_classes():
+    assert Ambient(2, 1) != Variable(2, 1) and Variable(2, 1) != Ambient(2, 1)
+    assert Ambient(2, 1) != WeitzenboeckDerivation(2, 1)
+    assert Ambient(2, 1) != (2, 1) and Ambient(2, 1).__eq__(Variable(2, 1)) is NotImplemented
+    assert hash(Ambient(2, 1)) == hash((2, 1)) == hash(Variable(2, 1))
+    assert len({Ambient(2, 1), Variable(2, 1), WeitzenboeckDerivation(2, 1), Ambient(n=2, k=1)}) == 3
+
+
+def test_completeness_report_equality_and_lazy_per_piece():
+    report = completeness_check(2, 1, 2)
+    fresh = CompletenessReport(**VALUE_CLASSES[-1][1])
+    assert fresh == report and hash(fresh) == hash(report)
+    assert report != completeness_check(2, 1, 3)
+    # per_piece is computed on first read and cached in the instance; it is not a field
+    assert "per_piece" not in vars(fresh)
+    pieces = fresh.per_piece
+    assert vars(fresh)["per_piece"] is pieces is fresh.per_piece
+    assert [(piece.key, piece.kernel_dim, piece.span_dim) for piece in pieces] == [
+        (GradedPieceKey((0, 2), 0), 1, 1),
+        (GradedPieceKey((1, 1), 0), 1, 1),
+        (GradedPieceKey((1, 1), 1), 1, 1),
+        (GradedPieceKey((2, 0), 0), 1, 1),
+    ]
+    assert fresh == report and fresh == CompletenessReport(**VALUE_CLASSES[-1][1])
+
+
 def test_exponents_must_be_non_negative_ints():
     # A21 has width 6: x1, y1, x2, y2, CX, CY
     for exps in ((1, 0, 0, 0, 0), (-1, 0, 0, 0, 0, 0), (1.5, 0, 0, 0, 0, 0), (True, 0, 0, 0, 0, 0), (1.0, 0, 0, 0, 0, 0)):
@@ -363,3 +454,8 @@ def test_ambient_requires_int_shape():
     with pytest.raises(TypeError):
         kernel_dim(2, 1.5, 2)
     assert Ambient(2, 1).width == 6
+    for n, k in ((0, 1), (1, 0), (-1, 2)):
+        with pytest.raises(ValueError, match=re.escape(f"ambient requires n >= 1 and k >= 1, got ({n}, {k})")):
+            Ambient(n, k)
+    with pytest.raises(TypeError, match="ambient k must be an int"):
+        Ambient(n=2, k=None)
