@@ -85,6 +85,24 @@ their rank cannot exceed it.  A piece without products spans nothing.  The
 report keeps the representatives' dimensions and the runs; its totals
 weight each representative by its orbit's size, one multinomial per run,
 and `per_piece` lists the orbit members, in piece order, only when read.
+
+With the full family on n > k + 1 blocks, a degree is decided on k + 1
+blocks, by polarization: it is complete on n >= k + 1 blocks exactly
+when it is on k + 1.  The elementary half is full polarization P, which
+maps a piece (b, w) into the multilinear piece (1^d, w) of d = |b|
+blocks and commutes with D, and restitution R, the D-equivariant ring
+map back with R(P f) = b! f (b! = b_1!...b_n!), which maps every product
+of the family to plus or minus a product or to 0.  The rest is Weyl's
+polarization theorem (H. Weyl, The Classical Groups, 1939; Kraft-Procesi,
+Classical Invariant Theory, a Primer): for n >= dim V = k + 1, the
+invariants of exp(tD) on V^n are spanned by the polarizations of those
+on V^(k+1), and the span of products is closed under
+polarization.  The decision is one cached bool per (k, degree)
+(`_base_complete`); if it reads complete, every representative piece
+reports span_dim = kernel_dim with nothing enumerated, expanded or
+ranked.  An incomplete base, or any excluded generator, leaves the
+degree to the pieces of its own n blocks, as above.  The argument is
+written out at `completeness_check`.
 """
 
 from __future__ import annotations
@@ -692,6 +710,17 @@ def _orbit_size(b: tuple[int, ...], runs: tuple[tuple[int, int], ...]) -> int:
     return prod(factorial(len(part)) // prod(factorial(part.count(v)) for v in set(part)) for part in parts)
 
 
+@cache
+def _base_complete(k: int, degree: int) -> bool:
+    """Whether the full family of k + 1 blocks spans ker D in degree `degree`.
+
+    The one decision `completeness_check` reads for every n > k + 1 with
+    the full family (the argument is there), cached as a bool per
+    (k, degree); the report it comes from is not kept.
+    """
+    return completeness_check(k + 1, k, degree).complete
+
+
 def completeness_check(n: int, k: int, degree: int, exclude: Sequence[str] = ()) -> CompletenessReport:
     """Compare kernel dimension with the generator-product span, piece by piece.
 
@@ -699,14 +728,13 @@ def completeness_check(n: int, k: int, degree: int, exclude: Sequence[str] = ())
     `piece_keys` order.  Its span_dim is the exact rank over Q of the
     piece's products, or 0 if it holds none.  Only the representative
     pieces of the generator set's block symmetry (`_symmetry_runs`,
-    `_representatives`) are decided: `generator_products` is asked once
-    for the products of exactly those with a nonzero kernel, with each
-    piece's kernel_dim as its stop count.  A piece whose products show
-    kernel_dim distinct least monomials reports span_dim = kernel_dim with
-    nothing expanded; every other piece that holds products is expanded
-    and ranked (`_rank` on packed monomials, one call per such piece, each
-    of whose monomials is checked to lie in the piece).  The report keeps
-    the representatives' PieceReports and the runs; its totals count each
+    `_representatives`) are decided.  With the full family and n > k + 1,
+    the degree is first decided on k + 1 blocks (`_base_complete`); if it
+    is complete there, every representative reports span_dim = kernel_dim
+    with nothing enumerated, expanded or ranked.  Otherwise, and with any
+    `exclude`, the degree is decided on its own n blocks (`_span_dims`), so
+    a short piece keeps its exact span_dim.  The report keeps the
+    representatives' PieceReports and the runs; its totals count each
     representative once per orbit member (`_orbit_size`).  Raises
     ValueError for a negative degree, before any symmetry or composition
     is computed, and TypeError if `exclude` is a bare string rather than a
@@ -721,8 +749,42 @@ def completeness_check(n: int, k: int, degree: int, exclude: Sequence[str] = ())
     span dimensions agree.  N(b, w) is a convolution of one table per
     block degree, which does not depend on the blocks' order, so
     `_piece_kernel_dim` agrees too.
+
+    Deciding on k + 1 blocks is exact too, by polarization.  Each block is
+    a copy of V = K^(k+1), on which D acts alike, so the ring is K[V^n] and
+    ker D is the algebra of invariants of the unipotent group exp(tD) in
+    GL(V).  Write v_(i,l) for the level-l variable of block i.
+    - Elementary half: from n blocks to the multilinear pieces of d
+      blocks, d = |b| = `degree`.  Full polarization P replaces block i by
+      a sum of b_i new blocks and keeps the part of degree 1 in every new
+      block; it maps piece (b, w) into the multilinear piece (1^d, w) of d
+      blocks.  Restitution R is the ring map that sends every new block
+      back to the block it came from.  Both commute with D, which acts on
+      every block alike, and R(P f) = b! f with b! = b_1! ... b_n!.  R maps
+      every product of the family to plus or minus a product or to 0,
+      since J_(a,a) = 0, a D with a repeated index is 0, and H_(i,j) goes
+      to H_(a,a).  So if the multilinear piece's kernel is spanned by
+      products, every f in ker D on (b, w) is R(P f)/b!, a combination of
+      products.
+    - The rest is Weyl's polarization theorem (H. Weyl, The Classical
+      Groups, 1939; Kraft-Procesi, Classical Invariant Theory, a Primer,
+      the chapter on polarization, proved by the Capelli identity): for
+      any group G in GL(V) and n >= dim V, each homogeneous component of
+      K[V^n]^G is spanned by the images of the same component of
+      K[V^(dim V)]^G under products of the polarization operators
+      Delta_ij = sum_l v_(j,l) d/dv_(i,l).  Each Delta_ij maps a generator
+      of the family to plus or minus a generator, twice one, or 0
+      (Delta_ij x_i = x_j, Delta_ij J_(i,l) = J_(j,l),
+      Delta_ij H_(i,i) = 2 H_(i,j), Delta_ij D_(i,l,m) = D_(j,l,m)), so by
+      Leibniz's rule it maps the span of products into itself.  Hence a
+      degree complete on k + 1 blocks is complete on every n >= k + 1.
+    - Conversely, setting blocks k + 2..n to 0 fixes ker D of the first
+      k + 1 blocks and maps every product to a product or 0, so a degree
+      complete on n blocks is complete on k + 1: the bool decides the
+      degree exactly, and an incomplete one is still decided on n blocks
+      only so that its report keeps exact per-piece span dimensions.
     """
-    amb = Ambient(n, k)
+    Ambient(n, k)  # validates n and k
     if degree < 0:
         raise ValueError("degree must be >= 0")
     if isinstance(exclude, str):
@@ -739,8 +801,29 @@ def completeness_check(n: int, k: int, degree: int, exclude: Sequence[str] = ())
         for w in weights
         if (kdim := _piece_kernel_dim(n, k, key := GradedPieceKey(b, w)))
     }
+    if not exclude and n > k + 1 and _base_complete(k, degree):
+        span = kernel_dims  # complete on k + 1 blocks, so on n (polarization, above)
+    else:
+        span = _span_dims(gens, degree, kernel_dims)
+    # a piece that holds no product spans nothing; each orbit member counts its representative's dims
+    pieces = tuple(PieceReport(key, kdim, span.get(key, 0)) for key, kdim in kernel_dims.items())
+    kernel_total = sum(piece.kernel_dim * orbit[piece.key.block_degrees] for piece in pieces)
+    span_total = sum(piece.span_dim * orbit[piece.key.block_degrees] for piece in pieces)
+    return CompletenessReport(n, k, degree, kernel_total, span_total, span_total == kernel_total, pieces, runs)
+
+
+def _span_dims(gens: GeneratorSet, degree: int, kernel_dims: dict[GradedPieceKey, int]) -> dict[GradedPieceKey, int]:
+    """The span dimension of every piece of `kernel_dims` that holds a product, decided on the set's own blocks.
+
+    `generator_products` is asked once for the products of exactly these
+    pieces, with each piece's kernel_dim as its stop count.  A piece whose
+    products show kernel_dim distinct least monomials has span_dim =
+    kernel_dim with nothing expanded; every other piece that holds products
+    is expanded and ranked (`_rank` on packed monomials, one call per such
+    piece, each of whose monomials is checked to lie in the piece).
+    """
     expand = _product_expander(gens, degree)
-    packing = packing_for(amb, degree)  # the expander's packing
+    packing = packing_for(Ambient(gens.n, gens.k), degree)  # the expander's packing
     shift = packing.shift
 
     # only the representative pieces with a nonzero kernel are enumerated, each with its
@@ -767,11 +850,7 @@ def completeness_check(n: int, k: int, degree: int, exclude: Sequence[str] = ())
         # products lie in ker D on this piece, so their rank is at most its kernel
         # dimension and stopping the elimination there still gives the exact rank
         span[key] = _rank(rows, kernel_dims[key])
-    # a piece that holds no product spans nothing; each orbit member counts its representative's dims
-    pieces = tuple(PieceReport(key, kdim, span.get(key, 0)) for key, kdim in kernel_dims.items())
-    kernel_total = sum(piece.kernel_dim * orbit[piece.key.block_degrees] for piece in pieces)
-    span_total = sum(piece.span_dim * orbit[piece.key.block_degrees] for piece in pieces)
-    return CompletenessReport(n, k, degree, kernel_total, span_total, span_total == kernel_total, pieces, runs)
+    return span
 
 
 Combination = dict[tuple[str, ...], Fraction]

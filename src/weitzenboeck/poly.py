@@ -332,6 +332,11 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
+    def __reduce__(self):
+        # pickle, copy and deepcopy rebuild through `_wrap`; their default would restore
+        # the slots through the raising __setattr__
+        return _wrap, (self.ambient, self._terms)
+
     # -- constructors ------------------------------------------------------
 
     @classmethod

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -143,6 +144,16 @@ class TestVerify:
         # non-increasing block degrees are decided; every rearrangement is listed
         argv = ["verify", "--n", "6", "--k", "1", "--max-degree", "4", "--output", "machine"]
         assert run(capsys, *argv) == (0, (GOLDEN_DIR / "verify_n6_k1_d4.txt").read_text(), "")
+
+    def test_wide_k2_output_matches_golden(self, capsys):
+        # every degree of (8, 2, <=8) is decided on 3 blocks (polarization); the golden is
+        # the text output of deciding every 8-block representative piece, and the machine
+        # output (9.4 MB, so kept as its SHA-256) is that path's byte for byte
+        argv = ["verify", "--n", "8", "--k", "2", "--max-degree", "8"]
+        assert run(capsys, *argv) == (0, (GOLDEN_DIR / "verify_n8_k2_d8.txt").read_text(), "")
+        code, out, err = run(capsys, *argv, "--output", "machine")
+        assert (code, len(out), err) == (0, 9450300, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == "bae7990caf9538ea61031da80208f8eee4e812da153d099285d27d76dffa33fc"
 
     def test_deep_incomplete_output_matches_golden(self, capsys):
         # without H1,1 the pieces of degree 3..6 at k = 2 fall short by various amounts,

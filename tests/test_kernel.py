@@ -690,7 +690,20 @@ class TestCompleteness:
         # each. The least monomials come from plain Polynomial products here, the
         # least packed key of each. With no stable swap, as for (3, 1, 4) without x1
         # and x3, every piece is its own representative. The full k = 1 family
-        # leaves no piece short
+        # leaves no piece short.
+        # With the full family and n > k + 1 the degree is decided on k + 1 blocks, so
+        # no piece of n blocks is requested or expanded; the assertions above are then
+        # checked with that base decision forced incomplete, which runs the per-n path
+        if not exclude and n > k + 1:
+            kernel._base_complete.cache_clear()
+            blocks, expanded_blocks = set(), set()
+            real_products, real_expander = kernel.generator_products, kernel._product_expander
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(kernel, "generator_products", lambda g, d, p: blocks.update(len(key[0]) for key in p) or real_products(g, d, p))
+                patch.setattr(kernel, "_product_expander", lambda g, d: expanded_blocks.add(g.n) or real_expander(g, d))
+                assert completeness_check(n, k, degree).complete
+            assert blocks == {k + 1} and expanded_blocks <= {k + 1}
+        monkeypatch.setattr(kernel, "_base_complete", lambda k, degree: False)
         gens = generators(n, k).without(*exclude)
         stable = _stable_swaps(gens)
         amb = Ambient(n, k)
@@ -916,20 +929,34 @@ class TestCompleteness:
         # text output reads the totals only, so verify builds one PieceReport per
         # representative piece with a nonzero kernel (block degrees non-increasing
         # within every run of stable swaps, found by brute force) and none for the
-        # other orbit members; machine output expands every orbit on top of that
+        # other orbit members; machine output expands every orbit on top of that.
+        # With the full family and n > k + 1 the base decision on k + 1 blocks builds
+        # reports of its own, at most one per representative piece of (k + 1, k, d)
+        # with a nonzero kernel (the full family is symmetric under every block
+        # permutation), and none once cached; they are counted apart
         labels = generators(n, k).labels()
         exclude = sorted({labels[i % len(labels)] for i in drop})
         stable = _stable_swaps(generators(n, k).without(*exclude))
         pieces = [key for d in range(max_degree + 1) for key in piece_keys(n, k, d) if _piece_kernel_dim(n, k, key)]
         wanted = [key for key in pieces if all(key.block_degrees[i] >= key.block_degrees[i + 1] for i in stable)]
+        polarized = not exclude and n > k + 1
+        base_wanted = [
+            key
+            for d in range(max_degree + 1)
+            for key in piece_keys(k + 1, k, d)
+            if _piece_kernel_dim(k + 1, k, key) and list(key.block_degrees) == sorted(key.block_degrees, reverse=True)
+        ]
         argv = ["verify", "--n", str(n), "--k", str(k), "--max-degree", str(max_degree)]
         argv += [arg for label in exclude for arg in ("--exclude", label)]
         for output, built in (("text", len(wanted)), ("machine", len(wanted) + len(pieces))):
+            kernel._base_complete.cache_clear()
             reports = []
             with pytest.MonkeyPatch.context() as patch, redirect_stdout(io.StringIO()):
                 patch.setattr(kernel, "PieceReport", lambda *args: reports.append(args) or PieceReport(*args))
                 cli.main([*argv, "--output", output])
-            assert len(reports) == built
+            assert sum(len(key.block_degrees) == n for key, *_ in reports) == built
+            base = sum(len(key.block_degrees) != n for key, *_ in reports)
+            assert 0 < base <= len(base_wanted) if polarized else base == 0
 
     def test_wide_reports_are_read_from_d_blocks(self):
         # polarization: with the full family a product in piece (b, w) has every factor
@@ -951,6 +978,98 @@ class TestCompleteness:
         assert set(doc) == {"n", "k", "degree", "kernel_dim", "span_dim", "complete", "per_piece"}
         assert set(doc["per_piece"][0]) == {"block_degrees", "weight", "kernel_dim", "span_dim"}
         json.dumps(doc)  # machine format must be JSON-ready
+
+
+def _types_left_out(n, k, kept):
+    """The labels of `generators(n, k)` whose type (the label's letter: x, J, H or D) is not in `kept`."""
+    return [label for label in generators(n, k).labels() if label[0] not in kept]
+
+
+def _verify_stdout(*argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(["verify", *argv])
+    return code, out.getvalue()
+
+
+class TestPolarization:
+    def test_unions_of_whole_types_are_decided_on_k_plus_one_blocks(self, monkeypatch):
+        # Weyl's polarization theorem, checked on its own: for every union of whole types
+        # (4 subfamilies for k = 1, 16 for k = 2), degree d is complete on n >= k + 1
+        # blocks exactly when it is on k + 1. Every side is decided on its own blocks, the
+        # full family too, so the fast path does not check itself
+        monkeypatch.setattr(kernel, "_base_complete", lambda k, degree: False)
+        compared = 0
+        for k, types, blocks, top in ((1, "xJ", range(3, 8), 6), (2, "xJHD", range(4, 7), 5)):
+            for size in range(len(types) + 1):
+                for kept in itertools.combinations(types, size):
+                    for d in range(top + 1):
+                        base = completeness_check(k + 1, k, d, exclude=_types_left_out(k + 1, k, kept)).complete
+                        for n in blocks:
+                            assert completeness_check(n, k, d, exclude=_types_left_out(n, k, kept)).complete == base, (n, k, d, kept)
+                            compared += 1
+        assert compared == 428
+        # without D the family is complete in degree 4 but not in 3 or 5, at every n
+        assert [completeness_check(5, 2, d, exclude=_types_left_out(5, 2, "xJH")).complete for d in (3, 4, 5)] == [False, True, False]
+
+    def test_wide_full_family_ranks_only_k_plus_one_blocks(self, monkeypatch):
+        # verify --n 8 --k 2 --max-degree 8 asks for products, expands and ranks on 3
+        # blocks only, and prints what deciding every 8-block piece printed
+        kernel._base_complete.cache_clear()
+        requests, expanders, ranked = [], [], []
+        real_products, real_expander, real_rank = kernel.generator_products, kernel._product_expander, kernel._rank
+
+        def requesting(gens, degree, pieces):
+            requests.append((gens.n, degree, list(pieces)))
+            return real_products(gens, degree, pieces)
+
+        def recording(gens, degree):
+            expanders.append(gens.n)
+            return real_expander(gens, degree)
+
+        def counting(rows, limit=None):
+            # the ranked piece is one of the pieces of the request it comes from
+            n, degree, pieces = requests[-1]
+            packing = packing_for(Ambient(n, 2), degree)
+            (grading,) = {mono >> packing.shift for row in rows for mono in row}
+            assert grading in {packing.grading(*key) for key in pieces}
+            ranked.append(n)
+            return real_rank(rows, limit)
+
+        monkeypatch.setattr(kernel, "generator_products", requesting)
+        monkeypatch.setattr(kernel, "_product_expander", recording)
+        monkeypatch.setattr(kernel, "_rank", counting)
+        assert _verify_stdout("--n", "8", "--k", "2", "--max-degree", "8") == (0, (GOLDEN_DIR / "verify_n8_k2_d8.txt").read_text())
+        assert [n for n, _, _ in requests] == [3] * 9
+        assert all(len(key.block_degrees) == 3 for _, _, pieces in requests for key in pieces)
+        assert expanders and set(expanders) == {3}
+        assert ranked and set(ranked) == {3}
+
+    @pytest.mark.parametrize("golden, n, k, top", [("verify_n6_k1_d4.txt", 6, 1, 4), ("verify_n4_k1_d6.txt", 4, 1, 6)])
+    def test_incomplete_base_decides_on_n_blocks(self, monkeypatch, golden, n, k, top):
+        # a base decision that reads incomplete sends the degree down the per-n path,
+        # which asks for products of n-block pieces and prints the frozen report
+        monkeypatch.setattr(kernel, "_base_complete", lambda k, degree: False)
+        blocks = []
+        real_products = kernel.generator_products
+        monkeypatch.setattr(kernel, "generator_products", lambda g, d, p: blocks.append(g.n) or real_products(g, d, p))
+        argv = ("--n", str(n), "--k", str(k), "--max-degree", str(top), "--output", "machine")
+        assert _verify_stdout(*argv) == (0, (GOLDEN_DIR / golden).read_text())
+        assert blocks == [n] * (top + 1)
+
+    @pytest.mark.parametrize("n, k, top", [(4, 1, 5), (5, 1, 5), (6, 1, 5), (4, 2, 4), (5, 2, 4)])
+    def test_machine_output_equals_the_per_n_path(self, n, k, top):
+        argv = ("--n", str(n), "--k", str(k), "--max-degree", str(top), "--output", "machine")
+        polarized = _verify_stdout(*argv)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernel, "_base_complete", lambda k, degree: False)
+            assert _verify_stdout(*argv) == polarized
+
+    def test_only_the_decision_is_cached(self):
+        # the cache holds one bool per (k, degree), not a report
+        kernel._base_complete.cache_clear()
+        completeness_check(5, 2, 3)
+        assert kernel._base_complete(2, 3) is True and kernel._base_complete.cache_info().currsize == 1
 
 
 class TestExpress:

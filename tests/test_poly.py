@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -22,6 +24,7 @@ from weitzenboeck import (
     Variable,
     WeitzenboeckDerivation,
     completeness_check,
+    generators,
     kernel_dim,
     parse,
     ring_var,
@@ -301,6 +304,27 @@ def test_completeness_report_equality_and_lazy_per_piece():
         (GradedPieceKey((2, 0), 0), 1, 1),
     ]
     assert fresh == report and fresh == CompletenessReport(**VALUE_CLASSES[-1][1])
+
+
+@pytest.mark.parametrize("clone", [lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy], ids=["pickle", "copy", "deepcopy"])
+def test_values_pickle_and_copy(clone):
+    # Polynomial keeps its state in __slots__ behind a raising __setattr__, and every
+    # GeneratorSet and Covariant holds polynomials; a clone equals its original, keeps
+    # its class and stays immutable
+    p = parse("1/2*x1*y2 - x2*y1 + 3", A21)
+    report = completeness_check(3, 2, 3, exclude=["H1,1"])
+    report.per_piece  # cached in the instance, and cloned with it
+    values = [p, generators(3, 2), Covariant.from_polynomial(parse("x1*CX + y1*CY", A21)), report, completeness_check(2, 1, 2)]
+    for value in values:
+        cloned = clone(value)
+        assert type(cloned) is type(value) and cloned == value and hash(cloned) == hash(value)
+    cloned = clone(p)
+    assert str(cloned) == str(p) and cloned.terms() == p.terms() and cloned * p == p * p
+    with pytest.raises(AttributeError, match="immutable"):
+        cloned.ambient = A12
+    gens = clone(generators(3, 2))
+    assert gens.labels() == generators(3, 2).labels() and gens.value("H1,1") == generators(3, 2).value("H1,1")
+    assert clone(report).per_piece == report.per_piece and not clone(report).complete
 
 
 def test_exponents_must_be_non_negative_ints():
