@@ -97,10 +97,10 @@ polarization theorem (H. Weyl, The Classical Groups, 1939; Kraft-Procesi,
 Classical Invariant Theory, a Primer): for n >= dim V = k + 1, the
 invariants of exp(tD) on V^n are spanned by the polarizations of those
 on V^(k+1), and the span of products is closed under
-polarization.  The decision is one cached bool per (k, degree)
+polarization.  The decision is one bool per (k, degree)
 (`_base_complete`); if it reads complete, every representative piece
-reports span_dim = kernel_dim with nothing enumerated, expanded or
-ranked.  An incomplete base, or any excluded generator, leaves the
+reports span_dim = kernel_dim with no generator of n blocks built and
+nothing enumerated, expanded or ranked.  An incomplete base, or any excluded generator, leaves the
 degree to the pieces of its own n blocks, as above.  The argument is
 written out at `completeness_check`.
 """
@@ -710,13 +710,12 @@ def _orbit_size(b: tuple[int, ...], runs: tuple[tuple[int, int], ...]) -> int:
     return prod(factorial(len(part)) // prod(factorial(part.count(v)) for v in set(part)) for part in parts)
 
 
-@cache
 def _base_complete(k: int, degree: int) -> bool:
     """Whether the full family of k + 1 blocks spans ker D in degree `degree`.
 
     The one decision `completeness_check` reads for every n > k + 1 with
-    the full family (the argument is there), cached as a bool per
-    (k, degree); the report it comes from is not kept.
+    the full family (the argument is there); the report it comes from is
+    not kept.
     """
     return completeness_check(k + 1, k, degree).complete
 
@@ -730,8 +729,9 @@ def completeness_check(n: int, k: int, degree: int, exclude: Sequence[str] = ())
     pieces of the generator set's block symmetry (`_symmetry_runs`,
     `_representatives`) are decided.  With the full family and n > k + 1,
     the degree is first decided on k + 1 blocks (`_base_complete`); if it
-    is complete there, every representative reports span_dim = kernel_dim
-    with nothing enumerated, expanded or ranked.  Otherwise, and with any
+    is complete there, the runs are the one run of all n blocks and every
+    representative reports span_dim = kernel_dim, with no generator of n
+    blocks built and nothing enumerated, expanded or ranked.  Otherwise, and with any
     `exclude`, the degree is decided on its own n blocks (`_span_dims`), so
     a short piece keeps its exact span_dim.  The report keeps the
     representatives' PieceReports and the runs; its totals count each
@@ -789,8 +789,14 @@ def completeness_check(n: int, k: int, degree: int, exclude: Sequence[str] = ())
         raise ValueError("degree must be >= 0")
     if isinstance(exclude, str):
         raise TypeError(f"exclude must be a sequence of labels, not the string {exclude!r}")
-    gens = generators(n, k).without(*exclude)
-    runs = _symmetry_runs(n, k, tuple(gens.labels()))
+    # complete on k + 1 blocks, so on n (polarization, above); every block permutation
+    # maps the full family onto itself up to sign, so its n blocks form one run
+    polarized = not exclude and n > k + 1 and _base_complete(k, degree)
+    if polarized:
+        gens, runs = None, ((0, n),)
+    else:
+        gens = generators(n, k).without(*exclude)
+        runs = _symmetry_runs(n, k, tuple(gens.labels()))
     # the representatives in ascending order with their orbit sizes; with the weights
     # ascending inside, that is `piece_keys` order
     orbit = {b: _orbit_size(b, runs) for b in _representatives(degree, runs)}
@@ -801,10 +807,7 @@ def completeness_check(n: int, k: int, degree: int, exclude: Sequence[str] = ())
         for w in weights
         if (kdim := _piece_kernel_dim(n, k, key := GradedPieceKey(b, w)))
     }
-    if not exclude and n > k + 1 and _base_complete(k, degree):
-        span = kernel_dims  # complete on k + 1 blocks, so on n (polarization, above)
-    else:
-        span = _span_dims(gens, degree, kernel_dims)
+    span = kernel_dims if polarized else _span_dims(gens, degree, kernel_dims)
     # a piece that holds no product spans nothing; each orbit member counts its representative's dims
     pieces = tuple(PieceReport(key, kdim, span.get(key, 0)) for key, kdim in kernel_dims.items())
     kernel_total = sum(piece.kernel_dim * orbit[piece.key.block_degrees] for piece in pieces)

@@ -695,7 +695,6 @@ class TestCompleteness:
         # no piece of n blocks is requested or expanded; the assertions above are then
         # checked with that base decision forced incomplete, which runs the per-n path
         if not exclude and n > k + 1:
-            kernel._base_complete.cache_clear()
             blocks, expanded_blocks = set(), set()
             real_products, real_expander = kernel.generator_products, kernel._product_expander
             with pytest.MonkeyPatch.context() as patch:
@@ -933,7 +932,7 @@ class TestCompleteness:
         # With the full family and n > k + 1 the base decision on k + 1 blocks builds
         # reports of its own, at most one per representative piece of (k + 1, k, d)
         # with a nonzero kernel (the full family is symmetric under every block
-        # permutation), and none once cached; they are counted apart
+        # permutation); they are counted apart
         labels = generators(n, k).labels()
         exclude = sorted({labels[i % len(labels)] for i in drop})
         stable = _stable_swaps(generators(n, k).without(*exclude))
@@ -949,7 +948,6 @@ class TestCompleteness:
         argv = ["verify", "--n", str(n), "--k", str(k), "--max-degree", str(max_degree)]
         argv += [arg for label in exclude for arg in ("--exclude", label)]
         for output, built in (("text", len(wanted)), ("machine", len(wanted) + len(pieces))):
-            kernel._base_complete.cache_clear()
             reports = []
             with pytest.MonkeyPatch.context() as patch, redirect_stdout(io.StringIO()):
                 patch.setattr(kernel, "PieceReport", lambda *args: reports.append(args) or PieceReport(*args))
@@ -958,10 +956,12 @@ class TestCompleteness:
             base = sum(len(key.block_degrees) != n for key, *_ in reports)
             assert 0 < base <= len(base_wanted) if polarized else base == 0
 
-    def test_wide_reports_are_read_from_d_blocks(self):
+    def test_wide_reports_are_read_from_d_blocks(self, monkeypatch):
         # polarization: with the full family a product in piece (b, w) has every factor
         # in the blocks where b is nonzero, so the report of (6, k, d) at b is the one of
-        # (d, k, d) at b's nonzero parts, sorted non-increasing and padded to d blocks
+        # (d, k, d) at b's nonzero parts, sorted non-increasing and padded to d blocks.
+        # Both sides are decided on their own blocks, not read off a k + 1 block base
+        monkeypatch.setattr(kernel, "_base_complete", lambda k, degree: False)
         compared = 0
         for k in (1, 2):
             for d in (3, 4):
@@ -1014,10 +1014,11 @@ class TestPolarization:
 
     def test_wide_full_family_ranks_only_k_plus_one_blocks(self, monkeypatch):
         # verify --n 8 --k 2 --max-degree 8 asks for products, expands and ranks on 3
-        # blocks only, and prints what deciding every 8-block piece printed
-        kernel._base_complete.cache_clear()
-        requests, expanders, ranked = [], [], []
+        # blocks only, builds no 8-block generator, and prints what deciding every 8-block
+        # piece printed
+        requests, expanders, ranked, built = [], [], [], []
         real_products, real_expander, real_rank = kernel.generator_products, kernel._product_expander, kernel._rank
+        real_generators = kernel.generators
 
         def requesting(gens, degree, pieces):
             requests.append((gens.n, degree, list(pieces)))
@@ -1039,11 +1040,20 @@ class TestPolarization:
         monkeypatch.setattr(kernel, "generator_products", requesting)
         monkeypatch.setattr(kernel, "_product_expander", recording)
         monkeypatch.setattr(kernel, "_rank", counting)
+        monkeypatch.setattr(kernel, "generators", lambda n, k: built.append(n) or real_generators(n, k))
         assert _verify_stdout("--n", "8", "--k", "2", "--max-degree", "8") == (0, (GOLDEN_DIR / "verify_n8_k2_d8.txt").read_text())
+        assert built and set(built) == {3}
         assert [n for n, _, _ in requests] == [3] * 9
         assert all(len(key.block_degrees) == 3 for _, _, pieces in requests for key in pieces)
         assert expanders and set(expanders) == {3}
         assert ranked and set(ranked) == {3}
+
+    def test_full_family_is_one_run(self):
+        # the polarized path takes the full family's blocks as one run without building
+        # its generators; deciding the block symmetry gives the same run
+        for k in (1, 2):
+            for n in range(1, 9):
+                assert kernel._symmetry_runs(n, k, tuple(generators(n, k).labels())) == ((0, n),)
 
     @pytest.mark.parametrize("golden, n, k, top", [("verify_n6_k1_d4.txt", 6, 1, 4), ("verify_n4_k1_d6.txt", 4, 1, 6)])
     def test_incomplete_base_decides_on_n_blocks(self, monkeypatch, golden, n, k, top):
@@ -1064,12 +1074,6 @@ class TestPolarization:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(kernel, "_base_complete", lambda k, degree: False)
             assert _verify_stdout(*argv) == polarized
-
-    def test_only_the_decision_is_cached(self):
-        # the cache holds one bool per (k, degree), not a report
-        kernel._base_complete.cache_clear()
-        completeness_check(5, 2, 3)
-        assert kernel._base_complete(2, 3) is True and kernel._base_complete.cache_info().currsize == 1
 
 
 class TestExpress:
