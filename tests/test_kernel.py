@@ -795,10 +795,13 @@ class TestCompleteness:
             (4, 2, ("H2,3",), ((0, 1), (1, 3), (3, 4))),
             (3, 1, ("x1", "x3"), ((0, 1), (1, 2), (2, 3))),
             (1, 2, (), ((0, 1),)),
+            (8, 2, (), ((0, 8),)),
+            (10, 1, (), ((0, 10),)),
         ],
     )
     def test_symmetry_runs(self, n, k, exclude, runs):
-        # dropping J1,2 keeps the swaps (1 2) and (3 4); dropping H2,3 keeps only (2 3)
+        # dropping J1,2 keeps the swaps (1 2) and (3 4); dropping H2,3 keeps only (2 3).
+        # The full family is one run at every n, which the polarized path takes as given
         assert kernel._symmetry_runs(n, k, tuple(generators(n, k).without(*exclude).labels())) == runs
 
     @given(st.integers(1, 4), st.sampled_from([1, 2]), st.data())
@@ -1047,13 +1050,6 @@ class TestPolarization:
         assert all(len(key.block_degrees) == 3 for _, _, pieces in requests for key in pieces)
         assert expanders and set(expanders) == {3}
         assert ranked and set(ranked) == {3}
-
-    def test_full_family_is_one_run(self):
-        # the polarized path takes the full family's blocks as one run without building
-        # its generators; deciding the block symmetry gives the same run
-        for k in (1, 2):
-            for n in range(1, 9):
-                assert kernel._symmetry_runs(n, k, tuple(generators(n, k).labels())) == ((0, n),)
 
     @pytest.mark.parametrize("golden, n, k, top", [("verify_n6_k1_d4.txt", 6, 1, 4), ("verify_n4_k1_d6.txt", 4, 1, 6)])
     def test_incomplete_base_decides_on_n_blocks(self, monkeypatch, golden, n, k, top):
