@@ -5,13 +5,19 @@ failure (incomplete degree, NOT IN SPAN, not in kernel), 2 usage, parse,
 or ambient errors.  Output is byte-identical across runs; `--output
 machine` emits JSON objects with keys command/params/result (one document
 per run, except `census`, which streams one record per line).
+
+Every command's options are one table, `_COMMANDS`.  `main` reads a
+well-formed command line from it directly (`_read`); anything else, `--help`
+and every usage error included, goes to the argparse parser that
+`build_parser` builds from the same table, so importing this module loads
+no argparse and a well-formed call builds no parser.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from functools import cache
+from types import SimpleNamespace
 
 from .covariants import Covariant, tau, transvectant
 from .derivation import WeitzenboeckDerivation, generators
@@ -20,51 +26,115 @@ from .kernel import completeness_check, express_in_generators, kernel_dim
 from .poly import Ambient, parse
 
 
-@cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command line parser, built once per process and shared by every `main` call.
+class _Flag:
+    """One `--flag VALUE` option of the table, as both `_read` and `build_parser` read it.
 
-    Parsing does not change it: argparse copies the `--exclude` default list
-    before appending, so calls share no state.
+    `type` is `int` or `str`.  An `append` flag collects its values into a
+    list, empty when it is not given; an `exclusive` flag may not be given
+    with another exclusive flag of the same command.
     """
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--n", type=int, required=True, help="number of chain blocks (>= 1)")
-    common.add_argument("--k", type=int, default=1, help="chain length minus one (default 1)")
-    common.add_argument("--output", choices=("text", "machine"), default="text", help="output format")
-    common.add_argument("--seed", type=int, default=0, help="accepted for interface stability; no shipped command is randomized")
-    ranged = argparse.ArgumentParser(add_help=False)  # verify and census, the commands that read degrees
-    degrees = ranged.add_mutually_exclusive_group()
-    degrees.add_argument("--max-degree", type=int, default=None, help="largest total degree to process")
-    degrees.add_argument("--degree", type=int, default=None, help="process a single total degree")
+
+    __slots__ = ("flag", "dest", "type", "default", "required", "choices", "append", "exclusive", "metavar", "help")
+
+    def __init__(self, flag, help, type=str, default=None, required=False, choices=None, append=False, exclusive=False, metavar=None):
+        self.flag = flag
+        self.dest = flag[2:].replace("-", "_")
+        self.type = type
+        self.default = default
+        self.required = required
+        self.choices = choices
+        self.append = append
+        self.exclusive = exclusive
+        self.metavar = metavar
+        self.help = help
+
+
+_COMMON = (
+    _Flag("--n", "number of chain blocks (>= 1)", int, required=True),
+    _Flag("--k", "chain length minus one (default 1)", int, default=1),
+    _Flag("--output", "output format", choices=("text", "machine"), default="text"),
+    _Flag("--seed", "accepted for interface stability; no shipped command is randomized", int, default=0),
+)
+_DEGREES = (  # verify and census, the commands that read degrees
+    _Flag("--max-degree", "largest total degree to process", int, exclusive=True),
+    _Flag("--degree", "process a single total degree", int, exclusive=True),
+)
+_POLY = _Flag("--poly", "polynomial text", required=True)
+
+
+@cache
+def build_parser():
+    """The argparse parser of `_COMMANDS`, built once per process and shared by every `main` call.
+
+    `main` asks for it only for a command line `_read` does not take: it
+    prints `--help` and every usage message.  Parsing does not change it:
+    argparse copies the `--exclude` default list before appending, so calls
+    share no state.
+    """
+    import argparse  # a well-formed command line never needs it
 
     parser = argparse.ArgumentParser(prog="weitzenboeck", description="exact kernel computations for chain derivations")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("gens", parents=[common], help="emit the known kernel generators (k = 1 or 2)")
-
-    p_verify = sub.add_parser("verify", parents=[common, ranged], help="certify generators span the kernel, degree by degree")
-    p_verify.add_argument("--exclude", action="append", default=[], metavar="LABEL", help="drop a generator by label (repeatable)")
-
-    sub.add_parser("census", parents=[common, ranged], help="kernel dimensions per degree (any k; no generation claim)")
-
-    p_apply = sub.add_parser("apply", parents=[common], help="apply the derivation to a polynomial")
-    p_apply.add_argument("--poly", required=True, help="polynomial text")
-
-    p_nil = sub.add_parser("nilpotency", parents=[common], help="smallest r with D^r(p) = 0")
-    p_nil.add_argument("--poly", required=True, help="polynomial text")
-
-    p_tr = sub.add_parser("transvect", parents=[common], help="r-th transvectant of two covariants")
-    p_tr.add_argument("--r", type=int, required=True, help="transvectant order")
-    p_tr.add_argument("--u", required=True, help="first covariant, polynomial text")
-    p_tr.add_argument("--v", required=True, help="second covariant, polynomial text")
-
-    p_tau = sub.add_parser("tau", parents=[common], help="leading CX coefficient of a covariant")
-    p_tau.add_argument("--poly", required=True, help="covariant, polynomial text")
-
-    p_ex = sub.add_parser("express", parents=[common], help="write a kernel element in the generators")
-    p_ex.add_argument("--poly", required=True, help="polynomial text")
-
+    for name, (_, help_text, flags) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        degrees = None
+        for flag in flags:
+            if flag.exclusive:
+                degrees = degrees or command.add_mutually_exclusive_group()
+            (degrees if flag.exclusive else command).add_argument(
+                flag.flag,
+                action="append" if flag.append else "store",
+                type=flag.type,
+                default=[] if flag.append else flag.default,
+                required=flag.required,
+                choices=flag.choices,
+                metavar=flag.metavar,
+                help=flag.help,
+            )
     return parser
+
+
+def _read(argv):
+    """The namespace `build_parser().parse_args(argv)` returns, if `argv` is well formed; else None.
+
+    Well formed is a command name, then `--flag value` pairs, each flag an
+    exact name of that command's, given once (an append flag may repeat),
+    each value one that argparse also reads as a value: not starting with
+    `-`, unless it is a negative integer or starts with `- ` (`- x1`).
+    Every `int` value converts, every value with choices is one of them,
+    every required flag is given and at most one exclusive flag.  Every
+    other form, however argparse reads it (`--help`, `--flag=value`, an
+    abbreviation, `--`, or an error), is None.
+    """
+    if not argv or argv[0] not in _COMMANDS or len(argv) % 2 == 0:
+        return None
+    flags = _COMMANDS[argv[0]][2]
+    by_name = {flag.flag: flag for flag in flags}
+    values = {flag.dest: [] if flag.append else flag.default for flag in flags}
+    given = set()
+    for name, value in zip(argv[1::2], argv[2::2]):
+        flag = by_name.get(name)
+        if flag is None or (flag in given and not flag.append):
+            return None
+        if value[:1] == "-" and value[:2] != "- " and not (value[1:].isdigit() and value.isascii()):
+            return None
+        if flag.type is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        if flag.choices and value not in flag.choices:
+            return None
+        if flag.append:
+            values[flag.dest].append(value)
+        else:
+            values[flag.dest] = value
+        given.add(flag)
+    if any(flag.required and flag not in given for flag in flags):
+        return None
+    if sum(flag.exclusive for flag in given) > 1:
+        return None
+    return SimpleNamespace(command=argv[0], **values)
 
 
 def _machine(args, result) -> str:
@@ -91,7 +161,7 @@ def _degree_range(args) -> range:
 
 
 class SystemExit2(Exception):
-    """Usage error detected after argparse (exit code 2)."""
+    """Usage error detected after the command line is read (exit code 2)."""
 
 
 def cmd_gens(args) -> int:
@@ -205,25 +275,41 @@ def cmd_express(args) -> int:
     return 0
 
 
+# command -> (handler, --help text, options in --help order)
 _COMMANDS = {
-    "gens": cmd_gens,
-    "verify": cmd_verify,
-    "census": cmd_census,
-    "apply": cmd_apply,
-    "nilpotency": cmd_nilpotency,
-    "transvect": cmd_transvect,
-    "tau": cmd_tau,
-    "express": cmd_express,
+    "gens": (cmd_gens, "emit the known kernel generators (k = 1 or 2)", _COMMON),
+    "verify": (
+        cmd_verify,
+        "certify generators span the kernel, degree by degree",
+        _COMMON + _DEGREES + (_Flag("--exclude", "drop a generator by label (repeatable)", append=True, metavar="LABEL"),),
+    ),
+    "census": (cmd_census, "kernel dimensions per degree (any k; no generation claim)", _COMMON + _DEGREES),
+    "apply": (cmd_apply, "apply the derivation to a polynomial", _COMMON + (_POLY,)),
+    "nilpotency": (cmd_nilpotency, "smallest r with D^r(p) = 0", _COMMON + (_POLY,)),
+    "transvect": (
+        cmd_transvect,
+        "r-th transvectant of two covariants",
+        _COMMON
+        + (
+            _Flag("--r", "transvectant order", int, required=True),
+            _Flag("--u", "first covariant, polynomial text", required=True),
+            _Flag("--v", "second covariant, polynomial text", required=True),
+        ),
+    ),
+    "tau": (cmd_tau, "leading CX coefficient of a covariant", _COMMON + (_Flag("--poly", "covariant, polynomial text", required=True),)),
+    "express": (cmd_express, "write a kernel element in the generators", _COMMON + (_POLY,)),
 }
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     if args.n < 1 or args.k < 1:
-        parser.error("--n and --k must be >= 1")
+        build_parser().error("--n and --k must be >= 1")
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except UnsupportedK as exc:
         print(f"error: {exc}; use 'census' for kernel dimensions when k >= 3", file=sys.stderr)
         return 2

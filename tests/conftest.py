@@ -14,12 +14,17 @@ against which the library's closed-form terms are compared.  The parser
 oracle (`reference_parse`) is the earlier recursive-descent parser, one
 `re.match` per token and one method call per grammar step, against which
 the library's one-scan parser is compared: the same polynomials, or the
-same exception with the same message and position.
+same exception with the same message and position.  The command line
+oracle (`reference_parser`) is the earlier argparse-only parser, against
+which the CLI's table reader and its table-built parser are compared: the
+same namespace, the same usage errors and the same `--help`, byte for byte.
 """
 
+import argparse
 import itertools
 import re
 from fractions import Fraction
+from functools import cache
 
 from weitzenboeck import (
     COV_X,
@@ -320,3 +325,49 @@ class _Parser:
 def reference_parse(text, ambient):
     """parse(text, ambient) by the recursive-descent oracle above."""
     return _Parser(text, ambient).parse()
+
+
+# -- command line oracle ------------------------------------------------------
+
+
+@cache
+def reference_parser() -> argparse.ArgumentParser:
+    """The earlier `cli.build_parser`, written out with argparse alone."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--n", type=int, required=True, help="number of chain blocks (>= 1)")
+    common.add_argument("--k", type=int, default=1, help="chain length minus one (default 1)")
+    common.add_argument("--output", choices=("text", "machine"), default="text", help="output format")
+    common.add_argument("--seed", type=int, default=0, help="accepted for interface stability; no shipped command is randomized")
+    ranged = argparse.ArgumentParser(add_help=False)  # verify and census, the commands that read degrees
+    degrees = ranged.add_mutually_exclusive_group()
+    degrees.add_argument("--max-degree", type=int, default=None, help="largest total degree to process")
+    degrees.add_argument("--degree", type=int, default=None, help="process a single total degree")
+
+    parser = argparse.ArgumentParser(prog="weitzenboeck", description="exact kernel computations for chain derivations")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    sub.add_parser("gens", parents=[common], help="emit the known kernel generators (k = 1 or 2)")
+
+    p_verify = sub.add_parser("verify", parents=[common, ranged], help="certify generators span the kernel, degree by degree")
+    p_verify.add_argument("--exclude", action="append", default=[], metavar="LABEL", help="drop a generator by label (repeatable)")
+
+    sub.add_parser("census", parents=[common, ranged], help="kernel dimensions per degree (any k; no generation claim)")
+
+    p_apply = sub.add_parser("apply", parents=[common], help="apply the derivation to a polynomial")
+    p_apply.add_argument("--poly", required=True, help="polynomial text")
+
+    p_nil = sub.add_parser("nilpotency", parents=[common], help="smallest r with D^r(p) = 0")
+    p_nil.add_argument("--poly", required=True, help="polynomial text")
+
+    p_tr = sub.add_parser("transvect", parents=[common], help="r-th transvectant of two covariants")
+    p_tr.add_argument("--r", type=int, required=True, help="transvectant order")
+    p_tr.add_argument("--u", required=True, help="first covariant, polynomial text")
+    p_tr.add_argument("--v", required=True, help="second covariant, polynomial text")
+
+    p_tau = sub.add_parser("tau", parents=[common], help="leading CX coefficient of a covariant")
+    p_tau.add_argument("--poly", required=True, help="covariant, polynomial text")
+
+    p_ex = sub.add_parser("express", parents=[common], help="write a kernel element in the generators")
+    p_ex.add_argument("--poly", required=True, help="polynomial text")
+
+    return parser

@@ -5,15 +5,16 @@
 Imports `weitzenboeck` and `weitzenboeck.cli` from wherever this
 interpreter finds them (with PYTHONPATH=src, the source tree; without it,
 the installed package), prints the package's path, and exits with status
-1, naming the modules, if that import loaded `dataclasses`, `inspect` or
-`json`.  Every CLI call pays for what the import loads: the value classes
-are plain classes, and `json` is imported only when machine output is
-printed.
+1, naming the modules, if that import loaded `argparse`, `dataclasses`,
+`gettext`, `inspect` or `json`.  Every CLI call pays for what the import
+loads: the value classes are plain classes, `json` is imported only when
+machine output is printed, and `argparse` (which imports `gettext`) only
+when a command line is not well formed or asks for `--help`.
 """
 
 import sys
 
-KEPT_OUT = {"dataclasses", "inspect", "json"}
+KEPT_OUT = {"argparse", "dataclasses", "gettext", "inspect", "json"}
 
 before = set(sys.modules)
 import weitzenboeck  # noqa: E402

@@ -1,17 +1,33 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import reference_parser
 from weitzenboeck import UnknownLabel, cli, generators, kernel_basis
 from weitzenboeck.cli import build_parser, main
 
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+README = Path(__file__).parents[1] / "README.md"
+
+
+def express_golden_calls():
+    """The express calls of express_machine.txt, in its order."""
+    cases = [(2, 1, "x1^2 + x1*y2 - x2*y1"), (2, 1, "3")]
+    for n, k in ((2, 1), (1, 2)):
+        cases += [(n, k, str(b)) for d in range(5) for b in kernel_basis(n, k, d)]
+    cases += [(2, 1, "1/2*x1*y2 - 1/2*x2*y1 + 2/3*x1^2"), (1, 1, "x1*CX")]
+    return [["express", "--n", str(n), "--k", str(k), "--poly", poly, "--output", "machine"] for n, k, poly in cases]
 
 
 def run(capsys, *argv):
@@ -281,18 +297,26 @@ class TestExpressionCommands:
     def test_express_machine_output_matches_golden(self, capsys):
         # the README examples, every kernel basis element of (2, 1) and (1, 2) up to
         # degree 4, a rational input and a NOT IN SPAN case, byte for byte
-        cases = [(2, 1, "x1^2 + x1*y2 - x2*y1"), (2, 1, "3")]
-        for n, k in ((2, 1), (1, 2)):
-            cases += [(n, k, str(b)) for d in range(5) for b in kernel_basis(n, k, d)]
-        cases += [(2, 1, "1/2*x1*y2 - 1/2*x2*y1 + 2/3*x1^2"), (1, 1, "x1*CX")]
+        calls = express_golden_calls()
         outs, codes = [], []
-        for n, k, poly in cases:
-            code, out, err = run(capsys, "express", "--n", str(n), "--k", str(k), "--poly", poly, "--output", "machine")
+        for argv in calls:
+            code, out, err = run(capsys, *argv)
             assert err == ""
             outs.append(out)
             codes.append(code)
-        assert codes == [0] * (len(cases) - 1) + [1]
+        assert codes == [0] * (len(calls) - 1) + [1]
         assert "".join(outs) == (GOLDEN_DIR / "express_machine.txt").read_text()
+
+    def test_leading_minus_poly(self, capsys):
+        # the README's two ways to pass a polynomial with a leading minus
+        for poly in (["--poly=-x1*y2+x2*y1"], ["--poly", "- x1*y2 + x2*y1"]):
+            assert run(capsys, "express", "--n", "2", "--k", "1", *poly) == (0, "-J1,2\n", "")
+        # argparse reads -x1 as an option, so --poly is left without its value
+        with pytest.raises(SystemExit) as exc:
+            main(["express", "--n", "2", "--k", "1", "--poly", "-x1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "argument --poly: expected one argument" in captured.err
 
     def test_express_not_in_kernel(self, capsys):
         code, _, err = run(capsys, "express", "--n", "2", "--k", "1", "--poly", "y1")
@@ -349,11 +373,12 @@ class TestContract:
         assert first == second
 
     def test_successive_calls_share_no_state(self, capsys):
-        # one parser serves every call; --exclude appends to a shared default list
+        # one parser serves every call it reads (here the `=` form), and its --exclude
+        # appends to a shared default list; the table reader starts a fresh list
         assert build_parser() is build_parser()
         argv = ["verify", "--n", "1", "--k", "2", "--degree", "2", "--output", "machine"]
-        for _ in range(2):
-            code, out, _ = run(capsys, *argv, "--exclude", "H1,1")
+        for exclude in (["--exclude", "H1,1"], ["--exclude=H1,1"]) * 2:
+            code, out, _ = run(capsys, *argv, *exclude)
             doc = json.loads(out)
             assert code == 1
             assert doc["params"]["exclude"] == ["H1,1"]
@@ -385,7 +410,8 @@ class TestContract:
         assert run(capsys, command, "--n", "2", "--max-degree", "-1") == (2, "", "error: --max-degree must be >= 0, got -1\n")
 
     def test_import_loads_no_unneeded_modules(self):
-        # every call pays the import; dataclasses (and through it inspect) and json stay out of it
+        # every call pays the import; dataclasses (and through it inspect), json and
+        # argparse (and through it gettext) stay out of it
         src = Path(__file__).parents[1] / "src"
         proc = subprocess.run(
             [sys.executable, str(Path(__file__).parent / "import_guard.py")],
@@ -395,3 +421,128 @@ class TestContract:
         )
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == f"{src / 'weitzenboeck' / '__init__.py'}\n"
+
+
+COMMANDS = ("gens", "verify", "census", "apply", "nilpotency", "transvect", "tau", "express")
+REQUIRED = {"apply": ("--poly",), "nilpotency": ("--poly",), "tau": ("--poly",), "express": ("--poly",), "transvect": ("--r", "--u", "--v")}
+FLAGS = ("--n", "--k", "--output", "--seed", "--max-degree", "--degree", "--exclude", "--poly", "--r", "--u", "--v")
+# abbreviated, `=` and help flags, `--`, and tokens no command knows
+ODD_TOKENS = ("--max", "--deg", "--out", "--ex", "--po", "--n=2", "--degree=3", "--output=machine", "--poly=-x1", "-h", "--help", "--", "--bogus", "bogus")
+INT_FLAGS = ("--n", "--k", "--seed", "--max-degree", "--degree", "--r")
+INT_VALUES = ("0", "1", "2", "3", "-1", "-0", "1_0", " 2")
+OTHER_VALUES = ("x1", "- x1", "-x1", "-h x1", "-", "-\u00b2", "", "text", "machine", "json", "H1,1", "x1*CX + y1*CY")
+
+
+@st.composite
+def command_lines(draw):
+    """A command, `--flag value` pairs (the command's required flags most often among them), then a few edits.
+
+    Half the extra flags are ones every command takes, the other half any flag.
+    Three values in four are of the flag's own kind (an int, an --output choice
+    or a bad one, a polynomial or label), the fourth any value.
+    """
+    command = draw(st.sampled_from(COMMANDS))
+    flags = [flag for flag in ("--n", *REQUIRED.get(command, ())) if draw(st.integers(0, 4))]
+    extra = draw(st.lists(st.sampled_from(("--k", "--output", "--seed")) | st.sampled_from(FLAGS), max_size=3))
+    flags = draw(st.permutations(flags + extra))
+    argv = [command]
+    for flag in flags:
+        own = INT_VALUES if flag in INT_FLAGS else ("text", "machine", "json") if flag == "--output" else OTHER_VALUES
+        argv += [flag, draw(st.sampled_from(own if draw(st.integers(0, 3)) else INT_VALUES + OTHER_VALUES))]
+    for _ in range(draw(st.sampled_from((0, 0, 1, 2)))):
+        i = draw(st.integers(0, len(argv)))
+        if draw(st.booleans()):
+            argv.insert(i, draw(st.sampled_from(ODD_TOKENS)))
+        elif i < len(argv):
+            del argv[i]
+    return argv
+
+
+def exits(call, argv):
+    """(exit code, stdout, stderr) if call(argv) exits, else None."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            call(argv)
+    except SystemExit as exc:
+        return exc.code, out.getvalue(), err.getvalue()
+    return None
+
+
+def readme_calls():
+    """The argv of every `$ weitzenboeck ...` example in the README."""
+    lines = README.read_text().splitlines()
+    return [shlex.split(line, comments=True)[2:] for line in lines if line.startswith("$ weitzenboeck ")]
+
+
+def golden_calls():
+    """Golden file name -> the CLI calls whose output it freezes."""
+    verify = {
+        "verify_n3_k2_d3.txt": "--n 3 --k 2 --max-degree 3 --output machine",
+        "verify_n3_k2_d3_exclude_H11.txt": "--n 3 --k 2 --max-degree 3 --exclude H1,1 --output machine",
+        "verify_n3_k2_d6.txt": "--n 3 --k 2 --max-degree 6 --output machine",
+        "verify_n3_k2_d6_exclude_H11.txt": "--n 3 --k 2 --max-degree 6 --exclude H1,1 --output machine",
+        "verify_n4_k1_d4_exclude_J12.txt": "--n 4 --k 1 --max-degree 4 --exclude J1,2 --output machine",
+        "verify_n4_k1_d6.txt": "--n 4 --k 1 --max-degree 6 --output machine",
+        "verify_n4_k2_d4_exclude_H23.txt": "--n 4 --k 2 --max-degree 4 --exclude H2,3 --output machine",
+        "verify_n5_k2_d4_exclude_H12.txt": "--n 5 --k 2 --max-degree 4 --exclude H1,2 --output machine",
+        "verify_n6_k1_d4.txt": "--n 6 --k 1 --max-degree 4 --output machine",
+        "verify_n8_k2_d8.txt": "--n 8 --k 2 --max-degree 8",
+    }
+    calls = {name: [["verify", *flags.split()]] for name, flags in verify.items()}
+    calls["census_n2_k3.json"] = [["census", "--n", "2", "--k", "3", "--max-degree", "8", "--output", "machine"]]
+    calls["express_machine.txt"] = express_golden_calls()
+    return calls
+
+
+class TestCommandLineReader:
+    """`main` reads well-formed command lines from its option table and leaves the rest to argparse."""
+
+    @given(command_lines())
+    @example(["verify", "--n", "2", "--max-degree", "-1", "--exclude", "H1,1", "--exclude", "J1,2", "--output", "machine"])
+    @example(["census", "--n", "1_0", "--k", " 2", "--degree", "-0"])
+    @example(["transvect", "--u", "- x1", "--n", "2", "--v", "x1*CX + y1*CY", "--r", "1"])
+    @example(["express", "--n", "2", "--poly", "-h x1"])
+    @example(["express", "--n", "2", "--poly", "-x1"])
+    @example(["express", "--n", "2", "--poly", "-"])
+    @example(["express", "--n", "2", "--poly", "-\u00b2"])  # a digit to str.isdigit, not to argparse's \d
+    @example(["express", "--n", "2", "--n", "3", "--poly", "x1"])
+    @example(["verify", "--n", "2", "--degree", "1", "--max-degree", "2"])
+    @settings(max_examples=400, deadline=None)
+    def test_reader_agrees_with_the_oracle(self, argv):
+        # the oracle is the argparse-only parser the table replaced; `main` is run only
+        # where the oracle exits, so no command is computed
+        oracle = reference_parser()
+        expected = exits(oracle.parse_args, argv)
+        read = cli._read(argv)
+        if expected is None:
+            namespace = vars(oracle.parse_args(argv))
+            assert vars(build_parser().parse_args(argv)) == namespace
+            assert read is None or vars(read) == namespace
+        else:
+            assert read is None
+            assert exits(build_parser().parse_args, argv) == expected
+            assert exits(main, argv) == expected
+
+    @pytest.mark.parametrize("command", ("",) + COMMANDS)
+    def test_help_matches_the_oracle(self, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = [command, "--help"] if command else ["--help"]
+        expected = exits(reference_parser().parse_args, argv)
+        assert expected[0] == 0 and expected[1].startswith(f"usage: weitzenboeck {command}".rstrip() + " ")
+        assert exits(main, argv) == expected
+
+    def test_well_formed_calls_build_no_parser(self, capsys, monkeypatch):
+        # the README's examples and every call behind tests/golden are read from the
+        # table alone, which is where the CLI saves argparse's import and build
+        readme, golden = readme_calls(), golden_calls()
+        assert {argv[0] for argv in readme} == set(COMMANDS)
+        assert sorted(golden) == sorted(path.name for path in GOLDEN_DIR.iterdir())
+
+        def refuse():
+            raise AssertionError("a well-formed call built the argparse parser")
+
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        for argv in readme + [argv for calls in golden.values() for argv in calls]:
+            assert main(argv) in (0, 1), argv
+            capsys.readouterr()
