@@ -27,7 +27,8 @@ packed (`poly.Packing`), one int per monomial whose high digits are its
 grading, in a monomial order that int addition keeps, and the
 generators are packed once per label set and degree
 (`_packed_generators`), each with its least packed monomial and each of
-its terms checked to lie in its piece.
+its terms checked to lie in its piece; packing is linear, so every
+monomial of a product then lies in the piece its labels name.
 
 A piece is first certified by counting least monomials, with nothing
 expanded: the walk that lists its products carries the sum of their
@@ -39,52 +40,52 @@ is at most the rank, itself at most kernel_dim: reaching kernel_dim
 certifies the piece exactly (the argument is at `generator_products`).
 This is the SAGBI test (Robbiano-Sweedler; Kapur-Madlener) on one graded
 piece, in the packed order `_echelon` pivots on.  Only a piece whose walk
-runs out below kernel_dim takes the exact path: each product is
-expanded once by one expander that multiplies a memoised prefix by a
-single generator (`_product_expander`), a term product being one int
-addition, every monomial is checked to lie in the piece its labels name
-(one shift and one comparison per term), and the products are ranked on
-their packed monomials, so products with distinct least monomials need
-no reduction against each other.  Only that path reports a piece short.
+runs out below kernel_dim takes the exact path: its products are handed
+to `_rank` lazily, in label order, each expanded when the rank reads it
+by one expander that multiplies a memoised prefix by a single generator
+(`_product_expander`), a term product being one int addition, and ranked
+on their packed monomials, so products with distinct least monomials
+need no reduction against each other.  The rank stops at kernel_dim, so
+no product after the one that reaches it is expanded.  Only that path
+reports a piece short.
 
 Products are enumerated as label multisets on packed gradings
 (`generator_products`), piece by wanted piece: a piece (b, w) is one int,
 the grading that `poly.Packing` puts in a packed monomial's high digits,
 so adding a generator to a partial product is one integer subtraction
-from what the branch still needs, and the same int is what the expanded
-monomials are checked against.  One depth-first walk per wanted piece
+from what the branch still needs.  One depth-first walk per wanted piece
 adds one factor per level, a generator at or after the last one, so its
 depth is the number of factors and the products come out in label order.
-A cached table (`_reach`) of the gradings each suffix of the generator
-list reaches prunes exactly the branches with no product in the piece,
-so every branch it keeps ends in a product.  Wanted pieces and complete
-products are gradings of degree-d monomials, whose fields do not carry,
-so packed keys agree only when their components do.  `express` packs
-its input once and reads its pieces off the packed input, the gradings
-`key >> shift` of its monomials (`Packing.read_grading`), enumerates only
-the products in those pieces this way and merges them back into label
-order, and a certificate only those in its representative pieces, which
-it decides piece by piece as they come.
+A table cached per label set and degree (`_reach`) of the gradings each
+suffix of the generator list reaches prunes exactly the branches with no
+product in the piece, so every branch it keeps ends in a product.  Wanted
+pieces and complete products are gradings of degree-d monomials, whose
+fields do not carry, so packed keys agree only when their components do.
+`express` packs its input once and reads its pieces off the packed
+input, the gradings `key >> shift` of its monomials
+(`Packing.read_grading`), enumerates only the products in those pieces
+this way and merges them back into label order, and a certificate only
+those in its representative pieces, which it decides piece by piece as
+they come.
 
 A certificate ranks one piece per orbit of the generators' block
 symmetry.  A block permutation that maps every generator to plus or minus
 a generator commutes with D and carries the products and the kernel of
 piece (b, w) onto those of (s b, w), so both have the same dimensions
 there (the argument is at `completeness_check`).  The swaps of adjacent
-blocks that keep the set stable are found by permuting every generator
-(`_symmetry_runs`, on frozen term maps), once per label set; runs of
-consecutive stable swaps generate a Young subgroup, and the representative
-of an orbit is the b that is non-increasing within each run.  A set with
-no stable swap has orbits of one piece each.  Only the representatives
+blocks that keep the set stable are found by permuting the excluded
+generators only (`_symmetry_runs`); runs of consecutive stable swaps
+generate a Young subgroup, and the representative of an orbit is the b
+that is non-increasing within each run.  The full family is one run of
+all n blocks, on which `kernel_dim` counts too.  Only the representatives
 are listed (`_representatives`), and only the products in representative
-pieces with a nonzero kernel are enumerated (a product is a nonzero kernel
-element, so no other piece holds one); only those whose products fall
-short of the count are expanded and ranked, each exactly by `_rank`,
-which stops at the piece's kernel dimension: products lie in ker D, so
-their rank cannot exceed it.  A piece without products spans nothing.  The
-report keeps the representatives' dimensions and the runs; its totals
-weight each representative by its orbit's size, one multinomial per run,
-and `per_piece` lists the orbit members, in piece order, only when read.
+pieces with a nonzero kernel are enumerated (a product is a nonzero
+kernel element, so no other piece holds one); only those whose products
+fall short of the count are expanded and ranked.  A piece without
+products spans nothing.  The report keeps the representatives'
+dimensions and the runs; its totals weight each representative by its
+orbit's size, one multinomial per run, and `per_piece` lists the orbit
+members, in piece order, only when read.
 
 With the full family on n > k + 1 blocks, a degree is decided on k + 1
 blocks, by polarization: it is complete on n >= k + 1 blocks exactly
@@ -342,17 +343,16 @@ def _echelon(
     against the pivot row of its lead, its least column (on packed
     monomials, its least monomial), with `_eliminate`, until it is zero or
     its lead has no pivot row, when it becomes one, made primitive.  A row
-    whose lead is at or past `bound` is dropped instead, and reading stops
-    at `limit` pivot rows.  Every row is a positive multiple of the row the
-    same steps give over Q, so the same leads are chosen.  Each row read is
+    whose lead is at or past `bound` is dropped instead, and no row is read
+    once there are `limit` pivot rows.  Every row is a positive multiple of
+    the row the same steps give over Q, so the same leads are chosen.  Each row read is
     a combination of pivot rows plus what is left of it when it is zero or
     dropped, so with no bound the pivot rows span the rows read and count
     their rank; no reduced echelon form is built.
     """
     pivot_rows: dict[int, dict[int, int]] = {}
-    for source in rows:
-        if len(pivot_rows) == limit:
-            break
+    rows = iter(rows)
+    while len(pivot_rows) != limit and (source := next(rows, None)) is not None:
         row = dict(source)
         while row:
             lead = min(row)
@@ -438,11 +438,15 @@ def kernel_dim(n: int, k: int, degree: int) -> int:
 
     For each b the counts of `_piece_kernel_dim` over 2w <= k|b| telescope
     to N(b, floor(k|b|/2)), so no matrix is built and no piece is listed.
+    N(b, w) does not depend on the order of the blocks (`completeness_check`),
+    so the sum runs over the non-increasing b, each weighted by its number
+    of rearrangements: the representatives of the one run of all n blocks.
     """
     Ambient(n, k)  # validates n and k
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    return sum(_weight_counts(b, k)[k * degree // 2] for b in compositions(degree, n))
+    runs = ((0, n),)
+    return sum(_orbit_size(b, runs) * _weight_counts(b, k)[k * degree // 2] for b in _representatives(degree, runs))
 
 
 def kernel_basis(n: int, k: int, degree: int) -> list[Polynomial]:
@@ -503,18 +507,17 @@ def _packed_generators(gens: GeneratorSet, degree: int) -> tuple[_PackedGenerato
 
 
 @cache
-def _reach(items: tuple[tuple[int, int], ...], degree: int) -> tuple[tuple[frozenset[int], ...], ...]:
+def _reach(gens: GeneratorSet, degree: int) -> tuple[tuple[frozenset[int], ...], ...]:
     """reach[idx][r]: packed keys of every multiset of generators idx.. of total degree exactly r.
 
-    `items` holds each generator's (degree, packed key), r runs over
-    0..degree.  A multiset of generators idx.. either holds no copy of
-    generator idx (reach[idx+1][r]) or is one copy of it times a multiset of
-    generators idx.. of degree r - d.  Cached on packed keys, not on the
-    GeneratorSet, so sets rebuilt by `without` share the table.
+    The generators are the rows of `_packed_generators(gens, degree)`, r
+    runs over 0..degree.  A multiset of generators idx.. either holds no
+    copy of generator idx (reach[idx+1][r]) or is one copy of it times a
+    multiset of generators idx.. of degree r - d.
     """
     table = [tuple(frozenset({0} if r == 0 else ()) for r in range(degree + 1))]
-    for d, g in reversed(items):
-        later = table[-1]
+    for gen in reversed(_packed_generators(gens, degree)):
+        d, g, later = gen.degree, gen.grading, table[-1]
         row: list[frozenset[int]] = []
         for r in range(degree + 1):
             row.append(later[r] | {s + g for s in row[r - d]} if r >= d else later[r])
@@ -553,7 +556,7 @@ def generator_products(
 
     The walk carries what the branch still needs, the piece's packed
     grading (`Packing.grading` of the degree's packing, the one
-    `completeness_check` checks monomials against) minus the gradings of
+    `_packed_generators` checks terms against) minus the gradings of
     its factors, so adding a factor is one integer subtraction.  Adding
     generator j with r degrees left after it keeps the child only if
     need - g_j is in reach[j][r], the gradings of the multisets of
@@ -584,7 +587,7 @@ def generator_products(
     n, k = gens.n, gens.k
     packing = packing_for(Ambient(n, k), degree)
     table = _packed_generators(gens, degree)
-    reach = _reach(tuple((gen.degree, gen.grading) for gen in table), degree)
+    reach = _reach(gens, degree)
     stops: Mapping[GradedPieceKey, int] = pieces if isinstance(pieces, Mapping) else {}
     out: dict[GradedPieceKey, list[tuple[str, ...]] | None] = {}
 
@@ -662,20 +665,20 @@ def _product_expander(gens: GeneratorSet, degree: int) -> Callable[[tuple[str, .
 
 
 @cache
-def _symmetry_runs(n: int, k: int, labels: tuple[str, ...]) -> tuple[tuple[int, int], ...]:
-    """Runs [start, stop) of blocks that the swaps keeping the generators `labels` stable join.
+def _symmetry_runs(n: int, k: int, excluded: frozenset[str]) -> tuple[tuple[int, int], ...]:
+    """Runs [start, stop) of blocks that the swaps keeping `generators(n, k).without(*excluded)` stable join.
 
-    The swap of blocks i and i+1 is stable when it maps every generator of
-    `generators(n, k)` named in `labels` to plus or minus one of them.
-    Consecutive stable swaps join their blocks into one run; a block that no
-    stable swap touches is a run of its own.  The runs' symmetric groups
+    The swap of blocks i and i+1 keeps the rest stable exactly when it maps
+    every excluded generator to plus or minus an excluded one (the argument
+    is at `completeness_check`), so only those are permuted; with none
+    excluded no generator is built and the n blocks are one run.
+    Consecutive stable swaps join their blocks into one run; a block that
+    no stable swap touches is a run of its own.  The runs' symmetric groups
     generate the Young subgroup of block permutations that map the set onto
-    itself up to sign.  Cached on the label tuple, not on a GeneratorSet,
-    because `without` builds a new set for every call.  Generators are
-    compared as frozen term maps, swapped by slicing exponent tuples.
+    itself up to sign.  Generators are compared as frozen term maps,
+    swapped by slicing exponent tuples.
     """
-    gens = generators(n, k)
-    values = {frozenset(gens.value(label).items()) for label in labels}
+    values = {frozenset(generators(n, k).value(label).items()) for label in excluded}
     runs = [[0, 1]]
     for i in range(n - 1):
         a, b, c = i * (k + 1), (i + 1) * (k + 1), (i + 2) * (k + 1)
@@ -737,8 +740,9 @@ def completeness_check(n: int, k: int, degree: int, exclude: Sequence[str] = ())
     representatives' PieceReports and the runs; its totals count each
     representative once per orbit member (`_orbit_size`).  Raises
     ValueError for a negative degree, before any symmetry or composition
-    is computed, and TypeError if `exclude` is a bare string rather than a
-    sequence of labels.
+    is computed, TypeError if `exclude` is a bare string rather than a
+    sequence of labels, and UnknownLabel for a label not in the family,
+    both before the runs.
 
     The copy is exact.  A block permutation s that maps every generator to
     plus or minus a generator is a ring automorphism that commutes with D
@@ -748,7 +752,12 @@ def completeness_check(n: int, k: int, degree: int, exclude: Sequence[str] = ())
     piece's products linearly and bijectively onto the second's, and the
     span dimensions agree.  N(b, w) is a convolution of one table per
     block degree, which does not depend on the blocks' order, so
-    `_piece_kernel_dim` agrees too.
+    `_piece_kernel_dim` agrees too.  Every block permutation maps the full
+    family onto itself up to sign and is a bijection on its labels (x_i
+    goes to x_(s i), and J, H and D to plus or minus the generator of the
+    permuted indices), so it keeps the generators left after `exclude`
+    stable exactly when it maps every excluded one to plus or minus an
+    excluded one, which is all `_symmetry_runs` tests.
 
     Deciding on k + 1 blocks is exact too, by polarization.  Each block is
     a copy of V = K^(k+1), on which D acts alike, so the ring is K[V^n] and
@@ -789,14 +798,11 @@ def completeness_check(n: int, k: int, degree: int, exclude: Sequence[str] = ())
         raise ValueError("degree must be >= 0")
     if isinstance(exclude, str):
         raise TypeError(f"exclude must be a sequence of labels, not the string {exclude!r}")
-    # complete on k + 1 blocks, so on n (polarization, above); every block permutation
-    # maps the full family onto itself up to sign, so its n blocks form one run
+    exclude = tuple(exclude)
+    # complete on k + 1 blocks, so on n (polarization, above)
     polarized = not exclude and n > k + 1 and _base_complete(k, degree)
-    if polarized:
-        gens, runs = None, ((0, n),)
-    else:
-        gens = generators(n, k).without(*exclude)
-        runs = _symmetry_runs(n, k, tuple(gens.labels()))
+    gens = None if polarized else generators(n, k).without(*exclude)
+    runs = _symmetry_runs(n, k, frozenset(exclude))
     # the representatives in ascending order with their orbit sizes; with the weights
     # ascending inside, that is `piece_keys` order
     orbit = {b: _orbit_size(b, runs) for b in _representatives(degree, runs)}
@@ -821,39 +827,24 @@ def _span_dims(gens: GeneratorSet, degree: int, kernel_dims: dict[GradedPieceKey
     `generator_products` is asked once for the products of exactly these
     pieces, with each piece's kernel_dim as its stop count.  A piece whose
     products show kernel_dim distinct least monomials has span_dim =
-    kernel_dim with nothing expanded; every other piece that holds products
-    is expanded and ranked (`_rank` on packed monomials, one call per such
-    piece, each of whose monomials is checked to lie in the piece).
+    kernel_dim with nothing expanded.  Every other piece that holds
+    products is ranked by one `_rank` call on its packed products, handed
+    over lazily in label order: each is expanded when the rank reads it,
+    and none after the rank reaches kernel_dim.  Each product lies in the
+    piece its labels name (`_packed_generators`).
     """
     expand = _product_expander(gens, degree)
-    packing = packing_for(Ambient(gens.n, gens.k), degree)  # the expander's packing
-    shift = packing.shift
-
     # only the representative pieces with a nonzero kernel are enumerated, each with its
     # kernel_dim as the walk's stop count.  A product of generators is a nonzero element
     # of ker D (the ring has no zero divisors), so every piece that holds one has
-    # kernel_dim >= 1 and leaving out the pieces of kernel_dim 0 drops no product
-    span: dict[GradedPieceKey, int] = {}
-    for key, products in generator_products(gens, degree, kernel_dims).items():
-        if products is None:
-            # the walk saw kernel_dim distinct least monomials among the piece's products:
-            # that many are linearly independent and, lying in ker D, no more can be
-            span[key] = kernel_dims[key]
-            continue
-        # the packed monomials are the columns, each checked to lie in the piece the
-        # labels name: its high digits are exactly its grading (no field carries), so
-        # `mono >> shift != piece` is (block_degrees, weight, cov_degree) != (b, w, 0)
-        piece = packing.grading(key.block_degrees, key.weight)
-        rows = [expand(labels) for labels in products]
-        for labels, row in zip(products, rows):
-            for mono in row:
-                if mono >> shift != piece:
-                    stray = packing.unpack(mono)
-                    raise NonHomogeneous(f"product {labels} lies outside piece {key}: monomial {stray}")
-        # products lie in ker D on this piece, so their rank is at most its kernel
-        # dimension and stopping the elimination there still gives the exact rank
-        span[key] = _rank(rows, kernel_dims[key])
-    return span
+    # kernel_dim >= 1 and leaving out the pieces of kernel_dim 0 drops no product.
+    # A piece mapped to None showed kernel_dim distinct least monomials: that many
+    # products are linearly independent and, lying in ker D, no more can be.  Otherwise
+    # the rank, at most kernel_dim for the same reason, stops there and is still exact
+    return {
+        key: kernel_dims[key] if products is None else _rank(map(expand, products), kernel_dims[key])
+        for key, products in generator_products(gens, degree, kernel_dims).items()
+    }
 
 
 Combination = dict[tuple[str, ...], Fraction]

@@ -225,6 +225,11 @@ class TestCensus:
         assert all(set(r) == {"command", "params", "result"} for r in records)
         assert all("complete" not in json.dumps(r) for r in records)
 
+    def test_wide_machine_output_matches_golden(self, capsys):
+        # twelve blocks, counted on the non-increasing block degrees of each degree
+        argv = ["census", "--n", "12", "--k", "1", "--max-degree", "8", "--output", "machine"]
+        assert run(capsys, *argv) == (0, (GOLDEN_DIR / "census_n12_k1_d8.txt").read_text(), "")
+
     def test_empty_degree_range(self, capsys):
         code, out, err = run(capsys, "census", "--n", "2", "--k", "1", "--max-degree", "-1")
         assert code == 2
@@ -491,6 +496,7 @@ def golden_calls():
     }
     calls = {name: [["verify", *flags.split()]] for name, flags in verify.items()}
     calls["census_n2_k3.json"] = [["census", "--n", "2", "--k", "3", "--max-degree", "8", "--output", "machine"]]
+    calls["census_n12_k1_d8.txt"] = [["census", "--n", "12", "--k", "1", "--max-degree", "8", "--output", "machine"]]
     calls["express_machine.txt"] = express_golden_calls()
     return calls
 

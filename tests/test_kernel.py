@@ -5,6 +5,7 @@ import random
 from collections import defaultdict
 from contextlib import redirect_stdout
 from fractions import Fraction
+from functools import cache
 from math import comb, gcd, lcm
 from pathlib import Path
 
@@ -531,22 +532,26 @@ class TestProductExpander:
     @given(st.sampled_from([(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2)]), st.data())
     @settings(max_examples=60, deadline=None)
     def test_equals_polynomial_products(self, nk, data):
-        # the expander multiplies packed term maps; Polynomial.__mul__ is the reference
+        # the expander multiplies packed term maps; Polynomial.__mul__ is the reference.
+        # With random generators left out, every expanded monomial lies in the piece
+        # the labels name, which certificates and express take from the packed table
         n, k = nk
-        gens = generators(n, k)
+        full = generators(n, k)
+        gens = full.without(*data.draw(st.lists(st.sampled_from(full.labels()), unique=True, max_size=len(full) - 1)))
         rows = {row.label: row for row in gens.table}
         amb = Ambient(n, k)
         # k*D = 2^bits - 1 at D = 1, 3, 7, 15 for k = 1; at D >= 12 every multiset of up to 4 labels fits
         degree = data.draw(st.sampled_from([1, 3, 7, 12, 15]))
         packing = packing_for(amb, degree)
         expand = kernel._product_expander(gens, degree)
+        linear = [label for label in gens.labels() if rows[label].degree == 1]
         for _ in range(3):
             labels = []
             for label in data.draw(st.lists(st.sampled_from(gens.labels()), max_size=4)):
                 if sum(rows[lab].degree for lab in labels) + rows[label].degree <= degree:
                     labels.append(label)
-            if data.draw(st.booleans()):  # fill up to the bound with x1
-                labels += ["x1"] * (degree - sum(rows[lab].degree for lab in labels))
+            if linear and data.draw(st.booleans()):  # fill up to the bound with a kept x
+                labels += linear[:1] * (degree - sum(rows[lab].degree for lab in labels))
             labels = tuple(labels)
             # the piece the labels name, packed: factors' pieces add up
             blocks = [sum(rows[lab].block_degrees[i] for lab in labels) for i in range(n)]
@@ -686,11 +691,14 @@ class TestCompleteness:
         # the products are asked for in exactly the representative pieces with a
         # nonzero kernel, in one request. A piece whose products show kernel_dim
         # distinct least monomials is certified with nothing expanded; exactly the
-        # pieces that fall short are expanded, each product once, and ranked, once
-        # each. The least monomials come from plain Polynomial products here, the
-        # least packed key of each. With no stable swap, as for (3, 1, 4) without x1
-        # and x3, every piece is its own representative. The full k = 1 family
-        # leaves no piece short.
+        # pieces that fall short are ranked, once each, on a lazy row iterator that
+        # expands a prefix of the piece's products in label order, each product once:
+        # the prefix ends at the product that brings the rank to kernel_dim, or covers
+        # every product when the rank stays below it. The least monomials (the least
+        # packed key of each) and the ranks of the prefixes (by the Fraction oracle)
+        # come from plain Polynomial products here. With no stable swap, as for
+        # (3, 1, 4) without x1 and x3, every piece is its own representative. The full
+        # k = 1 family leaves no piece short.
         # With the full family and n > k + 1 the degree is decided on k + 1 blocks, so
         # no piece of n blocks is requested or expanded; the assertions above are then
         # checked with that base decision forced incomplete, which runs the per-n path
@@ -717,24 +725,33 @@ class TestCompleteness:
         keys = {key for key in label_key.values() if representative(key.block_degrees)}
         if not stable:
             assert keys == set(label_key.values())
-        leads = defaultdict(set)
+        values, leads = defaultdict(list), defaultdict(set)
         for labels, key in label_key.items():
             value = Polynomial.one(amb)
             for label in labels:
                 value = value * gens.value(label)
+            values[key].append((labels, dict(value.items())))
             leads[key].add(min(packing.pack(exps) for exps, _ in value.items()))
         short = {key for key in keys if len(leads[key]) < _piece_kernel_dim(n, k, key)}
         assert bool(short) == (exclude != () or k == 2)
+        prefixes = {}
+        for key in short:
+            kdim = _piece_kernel_dim(n, k, key)
+            stop = next((i for i in range(1, len(values[key]) + 1) if sparse_rank(row for _, row in values[key][:i]) == kdim), len(values[key]))
+            prefixes[key] = [labels for labels, _ in values[key][:stop]]
 
         by_grading = {packing.grading(*key): key for key in keys}
         ranked, expanded, requests = [], [], []
         real_rank, real_expander, real_products = kernel._rank, kernel._product_expander, kernel.generator_products
 
         def counting(rows, limit=None):
-            assert rows
-            (grading,) = {mono >> packing.shift for row in rows for mono in row}
-            ranked.append(by_grading[grading])
-            return real_rank(rows, limit)
+            # each row is recorded as the rank reads it, and the labels expanded meanwhile
+            read, start = [], len(expanded)
+            rank = real_rank((read.append(row) or row for row in rows), limit)
+            (grading,) = {mono >> packing.shift for row in read for mono in row}
+            ranked.append((by_grading[grading], expanded[start:]))
+            assert len(read) == len(expanded) - start
+            return rank
 
         def requesting(gens, degree, pieces):
             requests.append(set(pieces))
@@ -749,8 +766,9 @@ class TestCompleteness:
         monkeypatch.setattr(kernel, "generator_products", requesting)
         rep = completeness_check(n, k, degree, exclude=exclude)
         assert requests == [wanted] and keys <= wanted
-        assert sorted(ranked) == sorted(short)
-        assert sorted(expanded) == sorted(labels for labels, key in label_key.items() if key in short)
+        assert sorted(key for key, _ in ranked) == sorted(short)
+        assert dict(ranked) == prefixes
+        assert sum(len(prefix) for prefix in prefixes.values()) == len(expanded)
         spanning = {piece.key for piece in rep.per_piece if piece.span_dim}
         assert {key for key in spanning if representative(key.block_degrees)} <= keys
         for piece in rep.per_piece:
@@ -763,14 +781,14 @@ class TestCompleteness:
         # themselves, not renumbered, so the least-column pivot is the least monomial
         # in the packing's monomial order; every key lies in the piece being ranked.
         # The ranked pieces are those the walk lists in full, the ones its count of
-        # least monomials leaves short
+        # least monomials leaves short. Rows are recorded as the rank reads them
         packing = packing_for(Ambient(n, k), degree)
         ranked, pieces = [], []
         real_rank, real_products = kernel._rank, kernel.generator_products
 
         def spying(rows, limit=None):
-            ranked.append([dict(row) for row in rows])
-            return real_rank(rows, limit)
+            ranked.append(read := [])
+            return real_rank((read.append(dict(row)) or row for row in rows), limit)
 
         def listing(gens, degree, wanted):
             found = real_products(gens, degree, wanted)
@@ -801,8 +819,8 @@ class TestCompleteness:
     )
     def test_symmetry_runs(self, n, k, exclude, runs):
         # dropping J1,2 keeps the swaps (1 2) and (3 4); dropping H2,3 keeps only (2 3).
-        # The full family is one run at every n, which the polarized path takes as given
-        assert kernel._symmetry_runs(n, k, tuple(generators(n, k).without(*exclude).labels())) == runs
+        # The full family is one run at every n
+        assert kernel._symmetry_runs(n, k, frozenset(exclude)) == runs
 
     @given(st.integers(1, 4), st.sampled_from([1, 2]), st.data())
     @settings(max_examples=60, deadline=None)
@@ -810,10 +828,36 @@ class TestCompleteness:
         full = generators(n, k)
         exclude = data.draw(st.lists(st.sampled_from(full.labels()), unique=True))
         gens = full.without(*exclude)
-        runs = kernel._symmetry_runs(n, k, tuple(gens.labels()))
+        runs = kernel._symmetry_runs(n, k, frozenset(exclude))
         assert [start for start, _ in runs] == [0] + [stop for _, stop in runs[:-1]] and runs[-1][1] == n
         detected = {i for start, stop in runs for i in range(start, stop - 1)}
         assert detected == _stable_swaps(gens)
+
+    @pytest.mark.parametrize("n, top", [(3, 6), (8, 8)])
+    def test_full_family_runs_build_no_generator(self, monkeypatch, n, top):
+        # with nothing excluded the swap test permutes no generator, so finding the runs
+        # builds none, on the per-n path of (3, 2) as on the polarized one of (8, 2). The
+        # runs are found on a fresh cache, so their body runs here; an excluded label is
+        # the control, whose generator is built inside
+        inside, calls, built = [], [], []
+        real_generators, fresh = kernel.generators, cache(kernel._symmetry_runs.__wrapped__)
+
+        def runs(*args):
+            calls.append(args)
+            inside.append(True)
+            try:
+                return fresh(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(kernel, "_symmetry_runs", runs)
+        monkeypatch.setattr(kernel, "generators", lambda n, k: built.append(bool(inside)) or real_generators(n, k))
+        code, out = _verify_stdout("--n", str(n), "--k", "2", "--max-degree", str(top))
+        assert code == 0 and out.endswith("verify: all degrees complete\n")
+        assert calls and all(excluded == frozenset() for *_, excluded in calls)
+        assert True not in built
+        completeness_check(4, 2, 2, exclude=["H2,3"])
+        assert built[-1] is True
 
     def test_exclude_must_not_be_a_bare_string(self):
         # a string would be split into one-character labels
@@ -829,27 +873,10 @@ class TestCompleteness:
             (GradedPieceKey((2,), 2), 1, 0),
         ]
         assert (rep.kernel_dim, rep.span_dim, rep.complete) == (2, 1, False)
-
-    def test_products_are_checked_against_their_piece(self, monkeypatch):
-        # an expansion that leaves the piece its labels name is an error, not a rank.
-        # Without x1 at (2, 2, 3), piece ((1, 2), 2) holds one product, x2*H1,2, so its
-        # one least monomial falls short of kernel_dim 2 and the piece is expanded
-        amb = Ambient(2, 2)
+        # without x1 at (2, 2, 3), piece ((1, 2), 2) holds one product, x2*H1,2, so its
+        # one least monomial falls short of kernel_dim 2 and the rank reports 1
         short = GradedPieceKey((1, 2), 2)
-        gens = generators(2, 2).without("x1")
-        assert _piece_kernel_dim(2, 2, short) == 2
-        assert generator_products(gens, 3, {short: 2})[short] == [("x2", "H1,2")]
-        real = kernel._product_expander
-        stray = packing_for(amb, 3).pack(parse("x1*x2^2", amb).terms()[0][0])
-
-        def skewed(gens, degree):
-            expand = real(gens, degree)
-            return lambda labels: {**expand(labels), stray: 1} if labels == ("x2", "H1,2") else expand(labels)
-
-        monkeypatch.setattr(kernel, "_product_expander", skewed)
-        with pytest.raises(NonHomogeneous, match=r"\('x2', 'H1,2'\) lies outside piece"):
-            completeness_check(2, 2, 3, exclude=["x1"])
-        monkeypatch.setattr(kernel, "_product_expander", real)
+        assert generator_products(generators(2, 2).without("x1"), 3, {short: 2})[short] == [("x2", "H1,2")]
         pieces = {piece.key: piece for piece in completeness_check(2, 2, 3, exclude=["x1"]).per_piece}
         assert (pieces[short].kernel_dim, pieces[short].span_dim) == (2, 1)
 
@@ -1032,13 +1059,16 @@ class TestPolarization:
             return real_expander(gens, degree)
 
         def counting(rows, limit=None):
-            # the ranked piece is one of the pieces of the request it comes from
+            # the ranked piece is one of the pieces of the request it comes from; its
+            # gradings are read off each row as the rank reads it
             n, degree, pieces = requests[-1]
             packing = packing_for(Ambient(n, 2), degree)
-            (grading,) = {mono >> packing.shift for row in rows for mono in row}
+            gradings = set()
+            rank = real_rank((gradings.update(mono >> packing.shift for mono in row) or row for row in rows), limit)
+            (grading,) = gradings
             assert grading in {packing.grading(*key) for key in pieces}
             ranked.append(n)
-            return real_rank(rows, limit)
+            return rank
 
         monkeypatch.setattr(kernel, "generator_products", requesting)
         monkeypatch.setattr(kernel, "_product_expander", recording)
@@ -1186,6 +1216,28 @@ class TestCensus:
         golden = json.loads((GOLDEN_DIR / "census_n2_k3.json").read_text())
         computed = _census(golden["n"], golden["k"], max(map(int, golden["kernel_dims"])))
         assert computed == {int(d): dim for d, dim in golden["kernel_dims"].items()}
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_kernel_dim_is_the_composition_sum(self, k):
+        # kernel_dim counts on the non-increasing b, each weighted by its number of
+        # rearrangements; the sum over every composition of the degree, written out
+        # here, agrees, and so does the certificate's kernel total for k <= 2
+        for n in range(1, 6):
+            for d in range(6):
+                total = sum(kernel._weight_counts(b, k)[k * d // 2] for b in itertools.product(range(d + 1), repeat=n) if sum(b) == d)
+                assert kernel_dim(n, k, d) == total, (n, k, d)
+                if k <= 2:
+                    assert completeness_check(n, k, d).kernel_dim == total, (n, k, d)
+
+    def test_census_reads_non_increasing_block_degrees_only(self, monkeypatch, capsys):
+        asked = []
+        real = kernel._weight_counts
+        monkeypatch.setattr(kernel, "_weight_counts", lambda b, k: asked.append(b) or real(b, k))
+        assert cli.main(["census", "--n", "6", "--k", "2", "--max-degree", "6"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 7
+        assert all(list(b) == sorted(b, reverse=True) for b in asked)
+        non_increasing = {b for d in range(7) for b in compositions(d, 6) if list(b) == sorted(b, reverse=True)}
+        assert {b for b in asked if len(b) == 6} == non_increasing
 
     def test_open_case_matches_ungraded_oracle(self):
         assert kernel_dim(2, 3, 2) == ungraded_kernel_dimension(2, 3, 2)
