@@ -2,9 +2,10 @@
 
 Exit codes: 0 success (verify: all degrees complete), 1 verification
 failure (incomplete degree, NOT IN SPAN, not in kernel), 2 usage, parse,
-or ambient errors.  Output is byte-identical across runs; `--output
-machine` emits JSON objects with keys command/params/result (one document
-per run, except `census`, which streams one record per line).
+or ambient errors, and n, k or a degree too large for Python's recursion
+limit.  Output is byte-identical across runs; `--output machine` emits
+JSON objects with keys command/params/result (one document per run,
+except `census`, which streams one record per line).
 
 Every command's options are one table, `_COMMANDS`.  `main` reads a
 well-formed command line from it directly (`_read`); anything else, `--help`
@@ -321,6 +322,14 @@ def main(argv=None) -> int:
         return 1
     except (ValueError, IndexOutOfRange, SystemExit2) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # the weight counts recurse over k and the degree, the orbit representatives over n
+        degree = getattr(args, "degree", None)
+        if degree is None:
+            degree = getattr(args, "max_degree", None)
+        sizes = f"n = {args.n}, k = {args.k}" + ("" if degree is None else f", degree = {degree}")
+        print(f"error: too large for this implementation ({sizes}): maximum recursion depth exceeded", file=sys.stderr)
         return 2
 
 

@@ -16,7 +16,7 @@ primitive pivot rows keyed by lead column.  A rank is their number
 echelon basis (`nullspace`), so bases are deterministic and
 reproducible.  `express` tags each product row with a column of its own
 past every monomial and reads the combination off the tag columns of
-the input's reduced row.
+the input's reduced row, one graded piece at a time.
 
 A completeness certificate for a degree d compares, piece by piece, the
 kernel dimension against the dimension spanned by all degree-d products
@@ -61,12 +61,19 @@ suffix of the generator list reaches prunes exactly the branches with no
 product in the piece, so every branch it keeps ends in a product.  Wanted
 pieces and complete products are gradings of degree-d monomials, whose
 fields do not carry, so packed keys agree only when their components do.
-`express` packs its input once and reads its pieces off the packed
-input, the gradings `key >> shift` of its monomials
-(`Packing.read_grading`), enumerates only the products in those pieces
-this way and merges them back into label order, and a certificate only
-those in its representative pieces, which it decides piece by piece as
-they come.
+`express` packs its input once and splits it by piece, the gradings
+`key >> shift` of its monomials (`Packing.read_grading`), and a
+certificate enumerates only the products in its representative pieces,
+which it decides piece by piece as they come.
+
+`express` solves each of its input's pieces on its own (pieces have
+disjoint support, so the greedy basis is the union of the pieces' own).
+A piece's products are expanded lazily, in label order, and its
+elimination stops at kernel_dim; its products and pivot rows are kept
+per label set and degree (`_piece_bases`), so a later call only reduces
+its own row.  A combination of products of kernel generators lies in
+ker D, so D(p) is computed only on the way to an error (the argument is
+at `express_in_generators`).
 
 A certificate ranks one piece per orbit of the generators' block
 symmetry.  A block permutation that maps every generator to plus or minus
@@ -850,62 +857,123 @@ def _span_dims(gens: GeneratorSet, degree: int, kernel_dims: dict[GradedPieceKey
 Combination = dict[tuple[str, ...], Fraction]
 
 
+@cache
+def _generators_in_kernel(gens: GeneratorSet) -> bool:
+    """Whether D annihilates every generator of the set (each in the set's own ambient), decided once per set."""
+    deriv = WeitzenboeckDerivation(gens.n, gens.k)
+    amb = deriv.ambient
+    return all(g.ambient == amb and deriv.is_in_kernel(g) for _, g in gens)
+
+
+@cache
+def _piece_bases(gens: GeneratorSet, degree: int) -> dict[int, tuple[list[tuple[str, ...]], dict[int, dict[int, int]]]]:
+    """Packed grading -> (products, pivot rows) of each piece `express_in_generators` has met, filled by it.
+
+    Kept per label set and degree next to `_packed_generators` and `_reach`:
+    a piece's products in label order, up to its last greedy basis
+    product, and the pivot rows `_echelon` built from them with product j's
+    tag in column tag + 1 + j (tag = the degree's `Packing.end`).  A stored
+    pivot row is only read, never changed.
+    """
+    return {}
+
+
 def express_in_generators(p: Polynomial, gens: GeneratorSet) -> Combination:
     """Write a homogeneous kernel element as a combination of generator products.
 
     Returns a map from label multisets to coefficients such that
-    sum(coeff * prod(generators)) reconstructs p exactly.  Products satisfy
-    relations, e.g. x_i*J_{j,l} - x_j*J_{i,l} + x_l*J_{i,j} = 0, so the
-    representation is not unique; this one writes p in the greedy basis,
-    each product in enumeration order that is not a combination of those
-    before it, where the coefficients are unique, and gives every other
-    product 0.  Raises NotInKernel if D(p) != 0 and NotInSpan if p is not
-    in the span of the products.
+    sum(coeff * prod(generators)) reconstructs p exactly, in label order
+    (ascending by generator-index sequence).  Products satisfy relations,
+    e.g. x_i*J_{j,l} - x_j*J_{i,l} + x_l*J_{i,j} = 0, so the representation
+    is not unique; this one writes p in the greedy basis, each product in
+    enumeration order that is not a combination of those before it, where
+    the coefficients are unique, and gives every other product 0.  Raises
+    NotInKernel if D(p) != 0 and NotInSpan if p is not in the span of the
+    products.
+
+    Only p's pieces are solved, each on its own.  Pieces have disjoint
+    monomial support, so the greedy basis of all degree-d products is the
+    union of the pieces' own bases, and a product outside p's pieces gets
+    0.  A piece's basis is built once per label set and degree
+    (`_piece_bases`): its products go to `_echelon` in label order, each
+    expanded when it is read, and when every generator lies in ker D the
+    elimination stops at the piece's kernel_dim, since no more products can
+    be independent; the products after that one are dependent, get 0, and
+    are neither expanded nor kept.  Each call reduces only p's part in a
+    piece against that piece's pivot rows.
+
+    D(p) is computed only where this would raise.  A combination of
+    products of kernel generators is itself in ker D, so a found one
+    proves D(p) = 0; for a set with a generator outside ker D
+    (`_generators_in_kernel`), D(p) is checked first.  NotInKernel is thus
+    raised exactly when D(p) != 0, before any other error but the
+    AmbientMismatch of a p outside the set's ring.
     """
     deriv = WeitzenboeckDerivation(gens.n, gens.k)
-    if not deriv.is_in_kernel(p):
+    deriv._check(p)
+    in_kernel = _generators_in_kernel(gens)
+    if not in_kernel and not deriv.is_in_kernel(p):
         raise NotInKernel(f"D({p}) != 0")
+    try:
+        return _combination(p, gens, in_kernel)
+    except Exception:  # whatever failed, a nonzero D(p) is reported instead, as when it was checked first
+        if in_kernel and not deriv.is_in_kernel(p):
+            raise NotInKernel(f"D({p}) != 0") from None
+        raise
+
+
+def _combination(p: Polynomial, gens: GeneratorSet, stop: bool) -> Combination:
+    """The body of `express_in_generators` with D(p) left to the caller; `stop` ends each elimination at kernel_dim."""
     if p.is_zero:
         return {}
     degree = p.homogeneous_degree()
     if degree is None:
         raise NonHomogeneous(f"polynomial mixes total degrees: {p}")
-    # p is packed once: its pieces are the gradings in the high digits of its packed
-    # monomials, and the packed map is the target row of the elimination below
+    # p is packed once and split by piece, the grading in the high digits of each
+    # packed monomial; each part is the target row of its piece
     packing = packing_for(p.ambient, degree)
-    packed = packing.pack_terms(p)
-    gradings = [packing.read_grading(g) for g in {mono >> packing.shift for mono in packed}]
-    if any(cov for _, _, cov in gradings):
+    parts: dict[int, PackedTerms] = defaultdict(dict)
+    for mono, c in packing.pack_terms(p).items():
+        parts[mono >> packing.shift][mono] = c
+    gradings = {g: packing.read_grading(g) for g in parts}
+    if any(cov for _, _, cov in gradings.values()):
         raise NotInSpan("polynomial involves covariant variables")
-    target_keys = [GradedPieceKey(bd, w) for bd, w, _ in gradings]
 
-    # restricting to products in p's pieces gives the combination of all degree-d
-    # products: pieces have disjoint monomial support, so the greedy basis is the
-    # union of the pieces' own, and the coefficients outside p's pieces are 0
-    # merged back into label order, ascending by generator-index sequence
-    index = {label: i for i, label in enumerate(gens.labels())}
-    products = sorted(
-        (labels for found in generator_products(gens, degree, target_keys).values() for labels in found),
-        key=lambda labels: [index[label] for label in labels],
-    )
-
-    # row j holds product j's packed terms and a 1 in the tag column tag + 1 + j, the
-    # last row p's terms scaled to integers and the scale in column tag.  Every packed
-    # monomial lies below the packing's end, so tag lies past every one, and a row's
-    # lead is a monomial until it has none left
+    # product j of a piece is a row of its packed terms and a 1 in the tag column
+    # tag + 1 + j.  Every packed monomial lies below the packing's end, so tag lies past
+    # every one, a row's lead is a monomial until it has none left, and a product row
+    # left with tag columns only is dropped (bound = tag): it is a combination of the
+    # products before it, so the kept ones are the piece's greedy basis in label order
     tag = packing.end
-    expand = _product_expander(gens, degree)
-    target, scale = _integer_row(packed)
-    rows = [expand(labels) | {tag + 1 + j: 1} for j, labels in enumerate(products)]
-    pivot_rows = _echelon(rows + [target | {tag: scale}], bound=tag + 1)
-    # a product row left with tag columns only is dropped: it is a combination of the
-    # products before it, so the kept ones are the greedy basis in product order.  p's
-    # row keeps lead tag exactly when its monomials cancel, leaving
-    # row[tag]*p + sum(row[tag + 1 + j] * product j) = 0 over the basis products
-    solved = pivot_rows.get(tag)
-    if solved is None:
-        raise NotInSpan(f"{p} is not spanned by generator products of degree {degree}")
-    return {products[c - tag - 1]: Fraction(-v, solved[tag]) for c, v in sorted(solved.items()) if c > tag}
+    bases = _piece_bases(gens, degree)
+    missing = {g: GradedPieceKey(bd, w) for g, (bd, w, _) in gradings.items() if g not in bases}
+    if missing:
+        found = generator_products(gens, degree, missing.values())
+        expand = _product_expander(gens, degree)
+        for g, key in missing.items():
+            products = found.get(key, [])
+            rows = (expand(labels) | {tag + 1 + j: 1} for j, labels in enumerate(products))
+            limit = _piece_kernel_dim(gens.n, gens.k, key) if stop else None
+            pivot_rows = _echelon(rows, bound=tag, limit=limit)
+            # a pivot row's last column is its own product's tag
+            bases[g] = products[: max(map(max, pivot_rows.values()), default=tag) - tag], pivot_rows
+
+    # p's part in each piece, scaled to integers with the scale in column tag, is reduced
+    # against the piece's pivot rows; its lead reaches tag exactly when its monomials
+    # cancel, leaving row[tag]*part + sum(row[tag + 1 + j] * product j) = 0 over the basis
+    combination: Combination = {}
+    for g, terms in parts.items():
+        products, pivot_rows = bases[g]
+        row, scale = _integer_row(terms)
+        row[tag] = scale
+        while (lead := min(row)) < tag and (pivot := pivot_rows.get(lead)) is not None:
+            _eliminate(row, pivot, lead)
+        if lead < tag:
+            raise NotInSpan(f"{p} is not spanned by generator products of degree {degree}")
+        solved = row.pop(tag)
+        combination.update((products[c - tag - 1], Fraction(-v, solved)) for c, v in row.items())
+    index = {label: i for i, label in enumerate(gens.labels())}
+    return dict(sorted(combination.items(), key=lambda item: [index[label] for label in item[0]]))
 
 
 def evaluate_combination(combination: Combination, gens: GeneratorSet) -> Polynomial:

@@ -408,6 +408,28 @@ class TestContract:
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[-1] == "J1,2 = x1*y2 - x2*y1"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "census --n 1 --k 1500 --degree 1",
+            "census --n 1 --k 1 --degree 1500",
+            "census --n 1200 --k 1 --degree 1",
+            "verify --n 1200 --k 1 --degree 1",
+            "verify --n 2 --k 1 --degree 1100",
+        ],
+    )
+    def test_sizes_past_the_recursion_limit_are_a_usage_error(self, argv):
+        # the weight counts recurse over k and the degree and the orbit representatives
+        # over n; past Python's recursion limit that is one error line and exit 2 (exit 1
+        # is a failed certificate), with no traceback. A fresh interpreter each, so no
+        # count cached by an earlier call shortens the recursion
+        proc = subprocess.run([sys.executable, "-m", "weitzenboeck", *argv.split()], capture_output=True, text=True)
+        _, _, n, _, k, _, degree = argv.split()
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            f"error: too large for this implementation (n = {n}, k = {k}, degree = {degree}): maximum recursion depth exceeded\n"
+        )
+
     @pytest.mark.parametrize("command", ["verify", "census"])
     def test_negative_degree_is_a_usage_error(self, capsys, command):
         # rejected at the edge like --max-degree, before any library call

@@ -1196,6 +1196,141 @@ class TestExpress:
                     comb = express_in_generators(b, gens)
                     assert evaluate_combination(comb, gens) == b
 
+    @pytest.mark.parametrize(
+        "n, k, degree, exclude, truncated",
+        [
+            (3, 2, 4, (), True),
+            (3, 2, 5, (), True),
+            (2, 1, 6, (), False),
+            (4, 1, 4, (), True),
+            (3, 2, 4, ("H1,1",), True),
+            (4, 1, 5, ("J1,2",), True),
+        ],
+    )
+    def test_each_piece_expands_the_prefix_that_reaches_kernel_dim(self, monkeypatch, n, k, degree, exclude, truncated):
+        # p holds every product of the degree, so it lies in every piece that holds one.
+        # Its first express builds each piece's basis once: one generator_products call
+        # asks for exactly p's pieces, and each piece expands, once each and in label
+        # order, the prefix of its products that ends at the product bringing the rank to
+        # kernel_dim, or all of them when the rank stays below it. The ranks of the
+        # prefixes come from the Fraction oracle on plain Polynomial products. At (2, 1, 6)
+        # every product is independent, so every piece expands all of its products
+        gens = generators(n, k).without(*exclude)
+        amb = Ambient(n, k)
+        products = _all_products(gens, degree)
+        p = evaluate_combination({labels: j + 1 for j, (labels, _) in enumerate(products)}, gens)
+        values = defaultdict(list)
+        for labels, key in products:
+            value = Polynomial.one(amb)
+            for label in labels:
+                value = value * gens.value(label)
+            values[key].append((labels, dict(value.items())))
+        prefixes = {}
+        for key, rows in values.items():
+            kdim = _piece_kernel_dim(n, k, key)
+            stop = next((i for i in range(1, len(rows) + 1) if sparse_rank(row for _, row in rows[:i]) == kdim), len(rows))
+            prefixes[key] = [labels for labels, _ in rows[:stop]]
+        assert any(len(prefix) < len(values[key]) for key, prefix in prefixes.items()) == truncated
+
+        requests, expanded = [], []
+        real_products, real_expander = kernel.generator_products, kernel._product_expander
+
+        def requesting(gens, degree, pieces):
+            requests.append(list(pieces))
+            return real_products(gens, degree, requests[-1])
+
+        def recording(gens, degree):
+            expand = real_expander(gens, degree)
+            return lambda labels: expanded.append(labels) or expand(labels)
+
+        kernel._piece_bases.cache_clear()
+        monkeypatch.setattr(kernel, "generator_products", requesting)
+        monkeypatch.setattr(kernel, "_product_expander", recording)
+        combination = express_in_generators(p, gens)
+        monkeypatch.undo()
+        assert evaluate_combination(combination, gens) == p
+        assert len(requests) == 1 and set(requests[0]) == set(values) and len(requests[0]) == len(values)
+        key_of = dict(products)
+        by_piece = defaultdict(list)
+        for labels in expanded:
+            by_piece[key_of[labels]].append(labels)
+        assert dict(by_piece) == {key: prefix for key, prefix in prefixes.items() if prefix}
+        assert len(expanded) == sum(map(len, prefixes.values()))
+
+    def test_second_express_into_the_same_pieces_reuses_their_bases(self, monkeypatch):
+        # the bases are kept per label set and degree, so a second input in the same
+        # pieces, or the same input again, lists and expands no product
+        gens = generators(3, 2)
+        amb = Ambient(3, 2)
+        first = sum((b * (i + 1) for i, b in enumerate(kernel_basis(3, 2, 4))), Polynomial.zero(amb))
+        second = sum((b * (i - 5) for i, b in enumerate(kernel_basis(3, 2, 4))), Polynomial.zero(amb))
+        kernel._piece_bases.cache_clear()
+        expected = express_in_generators(first, gens)
+
+        def boom(*args):
+            raise AssertionError("a cached piece lists and expands no product")
+
+        monkeypatch.setattr(kernel, "generator_products", boom)
+        monkeypatch.setattr(kernel, "_product_expander", boom)
+        assert express_in_generators(first, gens) == expected
+        combination = express_in_generators(second, gens)
+        monkeypatch.undo()
+        assert evaluate_combination(combination, gens) == second
+
+    def test_hand_built_sets_with_equal_labels_keep_their_own_bases(self):
+        # two sets with the same labels hash alike but are not equal, so each gets its
+        # own bases, in either order
+        amb = Ambient(2, 1)
+        j = parse("x1*y2 - x2*y1", amb)
+        plain = GeneratorSet(2, 1, (("g", parse("x1", amb)), ("J", j)))
+        doubled = GeneratorSet(2, 1, (("g", parse("2*x1", amb)), ("J", j)))
+        assert hash(plain) == hash(doubled) and plain != doubled
+        p = parse("x1^2 + x1*y2 - x2*y1", amb)
+        for order in ((plain, doubled), (doubled, plain)):
+            kernel._piece_bases.cache_clear()
+            results = {gens: express_in_generators(p, gens) for gens in order}
+            assert results[plain] == {("g", "g"): 1, ("J",): 1}
+            assert results[doubled] == {("g", "g"): Fraction(1, 4), ("J",): 1}
+            assert kernel._piece_bases(plain, 2) is not kernel._piece_bases(doubled, 2)
+            assert kernel._piece_bases(plain, 2).keys() == kernel._piece_bases(doubled, 2).keys()
+            assert kernel._piece_bases(plain, 2) != kernel._piece_bases(doubled, 2)
+
+    def test_hand_built_generator_outside_the_kernel(self):
+        # a set holding a generator outside ker D is checked against D(p) first, and its
+        # pieces are eliminated to the end: the product x1*y2 lies outside ker D, so it
+        # does not stop the piece ((1, 1), 1) at its kernel_dim of 1, and J still joins
+        amb = Ambient(2, 1)
+        holding_y1 = GeneratorSet(2, 1, (("x1", parse("x1", amb)), ("y1", parse("y1", amb))))
+        with pytest.raises(NotInKernel):
+            express_in_generators(parse("y1", amb), holding_y1)
+        assert express_in_generators(parse("x1^2", amb), holding_y1) == {("x1", "x1"): 1}
+        j = parse("x1*y2 - x2*y1", amb)
+        ahead = GeneratorSet(2, 1, (("a", parse("x1*y2", amb)), ("J", j)))
+        assert express_in_generators(j, ahead) == {("J",): 1}
+        with pytest.raises(NotInKernel):
+            express_in_generators(parse("2*x1*y2 + x2*y1", amb), ahead)
+
+    @pytest.mark.parametrize("text", ["y1", "x1 + y1", "CX*y1", "x1*y2", "y1^2 + x1*y1"])
+    def test_not_in_kernel_comes_before_every_other_error(self, text):
+        # D(p) is computed only on the way to an error, and a nonzero one wins: a piece
+        # with no kernel, mixed degrees, a covariant variable or a part outside the span
+        with pytest.raises(NotInKernel, match=r"^D\(.*\) != 0$"):
+            express_in_generators(parse(text, Ambient(2, 1)), generators(2, 1))
+
+    def test_derivation_runs_only_when_no_combination_is_found(self, monkeypatch):
+        gens = generators(2, 2)
+        amb = Ambient(2, 2)
+        express_in_generators(parse("x1", amb), gens)  # the set's own check, once
+        applied = []
+        real_apply = WeitzenboeckDerivation.apply
+        monkeypatch.setattr(WeitzenboeckDerivation, "apply", lambda self, p: applied.append(p) or real_apply(self, p))
+        found = parse("x1*z2 - y1*y2 + z1*x2 + x1^2", amb)
+        assert express_in_generators(found, gens) == {("x1", "x1"): 1, ("H1,2",): 1}
+        assert applied == []
+        with pytest.raises(NotInSpan):
+            express_in_generators(parse("CX*x1", amb), gens)
+        assert applied == [parse("CX*x1", amb)]
+
 
 # every ambient with n * (k + 1) <= 9 ring variables
 SMALL_AMBIENTS = [(n, k) for n in range(1, 5) for k in range(1, 9) if n * (k + 1) <= 9]
