@@ -90,11 +90,14 @@ class GeneratorRow(NamedTuple):
 
 
 def _generator_row(label: str, p: Polynomial) -> GeneratorRow:
-    """The table row of one generator; NonHomogeneous unless p is a nonzero ring polynomial in one piece."""
+    """The table row of one generator; NonHomogeneous unless p is a ring polynomial of positive degree in one piece."""
     if p.is_zero:
         raise NonHomogeneous(f"generator {label} is zero")
-    if p.homogeneous_degree() is None:
+    degree = p.homogeneous_degree()
+    if degree is None:
         raise NonHomogeneous(f"generator {label} mixes total degrees: {p}")
+    if degree == 0:  # it would be a factor of products of every degree, any number of times
+        raise NonHomogeneous(f"generator {label} is a constant: {p}")
     gradings = p.gradings()
     if any(cov for _, _, cov in gradings):
         raise NonHomogeneous(f"generator {label} involves covariant variables: {p}")
@@ -134,7 +137,7 @@ class GeneratorSet(_Frozen):
         """Each generator's row (label, degree, block_degrees, weight), built once per set.
 
         Raises NonHomogeneous, naming the label, for a generator that is
-        zero, mixes degrees or graded pieces, or involves CX/CY.
+        zero or constant, mixes degrees or graded pieces, or involves CX/CY.
         """
         return tuple(_generator_row(label, p) for label, p in self.items)
 

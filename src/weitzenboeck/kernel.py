@@ -31,23 +31,17 @@ its terms checked to lie in its piece; packing is linear, so every
 monomial of a product then lies in the piece its labels name.
 
 A piece is first certified by counting least monomials, with nothing
-expanded: the walk that lists its products carries the sum of their
-factors' least monomials and stops once it has seen kernel_dim distinct
-sums.  The least monomial of f*g is min f + min g (only the pair of
-least terms reaches that sum, so it cannot cancel), and products with
-pairwise distinct least monomials are linearly independent, so the count
-is at most the rank, itself at most kernel_dim: reaching kernel_dim
-certifies the piece exactly (the argument is at `generator_products`).
-This is the SAGBI test (Robbiano-Sweedler; Kapur-Madlener) on one graded
-piece, in the packed order `_echelon` pivots on.  Only a piece whose walk
-runs out below kernel_dim takes the exact path: its products are handed
-to `_rank` lazily, in label order, each expanded when the rank reads it
-by one expander that multiplies a memoised prefix by a single generator
-(`_product_expander`), a term product being one int addition, and ranked
-on their packed monomials, so products with distinct least monomials
-need no reduction against each other.  The rank stops at kernel_dim, so
-no product after the one that reaches it is expanded.  Only that path
-reports a piece short.
+expanded (`_least_monomials`, where the argument is): a product's least
+monomial is the sum of its factors' least monomials, and products with
+distinct least monomials are linearly independent, so a piece whose
+products show kernel_dim of them is complete.  This is the SAGBI test
+(Robbiano-Sweedler; Kapur-Madlener) on one graded piece, in the packed
+order `_echelon` pivots on.  Only a piece whose count is short of
+kernel_dim but not 0 has its products listed (`generator_products`) and
+ranked by `_rank`, lazily in label order: each is expanded when the rank
+reads it, by one expander that multiplies a memoised prefix by a single
+generator (`_product_expander`), and the rank stops at kernel_dim.  Only
+that path reports a piece short.
 
 Products are enumerated as label multisets on packed gradings
 (`generator_products`), piece by wanted piece: a piece (b, w) is one int,
@@ -63,8 +57,7 @@ pieces and complete products are gradings of degree-d monomials, whose
 fields do not carry, so packed keys agree only when their components do.
 `express` packs its input once and splits it by piece, the gradings
 `key >> shift` of its monomials (`Packing.read_grading`), and a
-certificate enumerates only the products in its representative pieces,
-which it decides piece by piece as they come.
+certificate lists only the products of its short representative pieces.
 
 `express` solves each of its input's pieces on its own (pieces have
 disjoint support, so the greedy basis is the union of the pieces' own).
@@ -83,16 +76,14 @@ there (the argument is at `completeness_check`).  The swaps of adjacent
 blocks that keep the set stable are found by permuting the excluded
 generators only (`_symmetry_runs`); runs of consecutive stable swaps
 generate a Young subgroup, and the representative of an orbit is the b
-that is non-increasing within each run.  The full family is one run of
+that is non-decreasing within each run.  The full family is one run of
 all n blocks, on which `kernel_dim` counts too.  Only the representatives
-are listed (`_representatives`), and only the products in representative
-pieces with a nonzero kernel are enumerated (a product is a nonzero
-kernel element, so no other piece holds one); only those whose products
-fall short of the count are expanded and ranked.  A piece without
-products spans nothing.  The report keeps the representatives'
-dimensions and the runs; its totals weight each representative by its
-orbit's size, one multinomial per run, and `per_piece` lists the orbit
-members, in piece order, only when read.
+are listed (`_representatives`), and the least-monomial table drops, block
+by block, every sum that cannot end in a representative piece.  A piece
+without products spans nothing.  The report keeps the representatives' dimensions and the runs;
+its totals weight each representative by its orbit's size, one
+multinomial per run, and `per_piece` lists the orbit members, in piece
+order, only when read.
 
 With the full family on n > k + 1 blocks, a degree is decided on k + 1
 blocks, by polarization: it is complete on n >= k + 1 blocks exactly
@@ -115,8 +106,7 @@ written out at `completeness_check`.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from collections.abc import Mapping
+from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import cache, cached_property
 from math import factorial, gcd, lcm, prod
@@ -164,7 +154,7 @@ class CompletenessReport(_Frozen):
         return tuple(
             PieceReport(GradedPieceKey(b, w), kdim, sdim)
             for b in compositions(self.degree, self.n)
-            for (_, w), kdim, sdim in by_rep[tuple(v for i, j in self.runs for v in sorted(b[i:j], reverse=True))]
+            for (_, w), kdim, sdim in by_rep[tuple(v for i, j in self.runs for v in sorted(b[i:j]))]
         )
 
     def to_dict(self) -> dict:
@@ -446,7 +436,7 @@ def kernel_dim(n: int, k: int, degree: int) -> int:
     For each b the counts of `_piece_kernel_dim` over 2w <= k|b| telescope
     to N(b, floor(k|b|/2)), so no matrix is built and no piece is listed.
     N(b, w) does not depend on the order of the blocks (`completeness_check`),
-    so the sum runs over the non-increasing b, each weighted by its number
+    so the sum runs over the non-decreasing b, each weighted by its number
     of rearrangements: the representatives of the one run of all n blocks.
     """
     Ambient(n, k)  # validates n and k
@@ -487,14 +477,14 @@ class _PackedGenerator(NamedTuple):
 def _packed_generators(gens: GeneratorSet, degree: int) -> tuple[_PackedGenerator, ...]:
     """The generators of total degree <= `degree`, in table order, packed by `packing_for(Ambient(n, k), degree)`.
 
-    Built once per label set and degree and shared by the walk and the
-    expander.  A row holds the generator's packed grading
-    (`Packing.grading` of its table row), its least packed monomial (the
-    min over its full packed term map, the monomial `_echelon` pivots on)
-    and its packed terms.  Every packed term is checked to have the row's
-    grading in its high digits (`>> shift`); packing is linear, so every
-    monomial of a product of these generators then lies in the piece that
-    is the sum of its factors' gradings.  Raises NonHomogeneous, naming
+    Built once per label set and degree and shared by the least-monomial
+    table, the walk and the expander.  A row holds the generator's packed
+    grading (`Packing.grading` of its table row), its least packed
+    monomial (the min over its full packed term map, the monomial
+    `_echelon` pivots on) and its packed terms.  Every packed term is
+    checked to have the row's grading in its high digits (`>> shift`);
+    packing is linear, so every monomial of a product of these generators
+    then lies in the piece that is the sum of its factors' gradings.  Raises NonHomogeneous, naming
     the label, for a term outside its generator's table grading.
     """
     packing = packing_for(Ambient(gens.n, gens.k), degree)
@@ -534,8 +524,8 @@ def _reach(gens: GeneratorSet, degree: int) -> tuple[tuple[frozenset[int], ...],
 
 
 def generator_products(
-    gens: GeneratorSet, degree: int, pieces: Iterable[GradedPieceKey] | Mapping[GradedPieceKey, int]
-) -> dict[GradedPieceKey, list[tuple[str, ...]] | None]:
+    gens: GeneratorSet, degree: int, pieces: Iterable[GradedPieceKey]
+) -> dict[GradedPieceKey, list[tuple[str, ...]]]:
     """The monomials in the generators of total ring degree exactly `degree` in each wanted piece.
 
     Maps each piece of `pieces` that holds at least one such product, once
@@ -543,12 +533,7 @@ def generator_products(
     block degrees, to its label multisets in label order (higher
     multiplicity of earlier generators first), in the order the pieces are
     first given.  Nothing is expanded, and the values may be linearly
-    dependent.  If `pieces` is a mapping, its value for a piece is a stop
-    count s: the walk of that piece ends once its products have shown s
-    distinct least monomials, and the piece maps to None instead of a
-    list.  Those s products are linearly independent, so their span has
-    dimension at least s.  A piece whose walk runs out below s maps to all
-    its products, as without a stop count.
+    dependent.
 
     One depth-first walk per wanted piece adds one factor per level: a
     branch whose last factor is generator idx adds a generator j >= idx and
@@ -572,22 +557,6 @@ def generator_products(
     multisets, so a child is dropped only when no product below it lies in
     the piece, and every child kept ends in one.  The generator table
     (`_packed_generators`) and `_reach` are cached and shared by the walks.
-
-    The walk also carries the sum of its factors' least packed monomials,
-    one int addition per level, which is the product's least monomial:
-    - packed keys are ints in a monomial order that addition keeps,
-      a < b implies a + c < b + c (see `Packing`), and no digit carries in
-      a product of degree <= `degree`;
-    - so the least monomial of f*g is min f + min g: any other pair of
-      terms has one factor above its minimum and a strictly larger sum, so
-      the pair of least terms is the only pair that reaches min f + min g
-      and its coefficient, a product of two nonzero ones, cannot cancel;
-    - products with pairwise distinct least monomials are linearly
-      independent: in a vanishing combination, of the products with a
-      nonzero coefficient the one whose least monomial is smallest is the
-      only one holding that monomial, which therefore cannot cancel.
-    Hence the number of distinct sums a walk sees is at most the rank of
-    its products.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
@@ -595,21 +564,17 @@ def generator_products(
     packing = packing_for(Ambient(n, k), degree)
     table = _packed_generators(gens, degree)
     reach = _reach(gens, degree)
-    stops: Mapping[GradedPieceKey, int] = pieces if isinstance(pieces, Mapping) else {}
-    out: dict[GradedPieceKey, list[tuple[str, ...]] | None] = {}
+    out: dict[GradedPieceKey, list[tuple[str, ...]]] = {}
 
-    def walk(idx: int, remaining: int, labels: tuple[str, ...], need: int, lead: int) -> bool:
-        """List the products below a branch; True, and stop, once `stop` distinct least monomials are seen."""
+    def walk(idx: int, remaining: int, labels: tuple[str, ...], need: int) -> None:
         if remaining == 0:
             found.append(labels)
-            leads.add(lead)
-            return len(leads) == stop
+            return
         for j in range(idx, len(table)):
-            label, d, g, m, _ = table[j]
+            label, d, g, _, _ = table[j]
             r = remaining - d
-            if r >= 0 and (left := need - g) in reach[j][r] and walk(j, r, labels + (label,), left, lead + m):
-                return True
-        return False
+            if r >= 0 and (left := need - g) in reach[j][r]:
+                walk(j, r, labels + (label,), left)
 
     for piece in pieces:
         bd, w = piece
@@ -622,10 +587,67 @@ def generator_products(
         target = packing.grading(bd, w)
         if key not in out and target in reach[0][degree]:
             found: list[tuple[str, ...]] = []
-            leads: set[int] = set()
-            stop = stops[piece] if stops else None
-            out[key] = None if walk(0, degree, (), target, 0) else found
+            walk(0, degree, (), target)
+            out[key] = found
     return out
+
+
+def _least_monomials(gens: GeneratorSet, degree: int, runs: tuple[tuple[int, int], ...]) -> set[int]:
+    """The least packed monomials of the degree-`degree` products in the pieces whose b is non-decreasing in every run.
+
+    One table of sums of the generators' least packed monomials
+    (`_packed_generators`), one set per total degree 0..`degree`, built
+    as an unbounded knapsack: a multiset either holds no copy of a
+    generator of degree d, or is one copy times a multiset of degree r - d,
+    so adding the generator to the table for r = d..`degree` in ascending
+    order adds every multiset that holds it.  The top level is returned,
+    and `s >> shift` of a sum s is its product's piece.  Nothing is
+    expanded.
+
+    Each sum is its product's least monomial, and the products of one
+    piece with distinct least monomials are linearly independent:
+    - packed keys are ints in a monomial order that addition keeps,
+      a < b implies a + c < b + c (see `Packing`), and no digit carries in
+      a product of degree <= `degree`;
+    - so the least monomial of f*g is min f + min g: any other pair of
+      terms has one factor above its minimum and a strictly larger sum, so
+      the pair of least terms is the only pair that reaches min f + min g
+      and its coefficient, a product of two nonzero ones, cannot cancel;
+    - in a vanishing combination of products with pairwise distinct least
+      monomials, of those with a nonzero coefficient the one whose least
+      monomial is smallest is the only one holding that monomial, which
+      therefore cannot cancel.
+    Hence the number of sums in a piece is at most the rank of its
+    products, itself at most its kernel_dim when the generators lie in
+    ker D.  This is the SAGBI test (Robbiano-Sweedler) on one piece.
+
+    Generators are added in stages by their lowest nonzero block, lowest
+    first (a generator of degree 0 has none and is rejected by its table
+    row).  A later stage adds nothing to blocks <= i, so after stage i their
+    degrees are final in every completion of a sum; a sum whose blocks
+    i - 1 and i share a run and are out of order (b_(i-1) > b_i) has no
+    completion in a representative piece and is dropped, at every level.
+    The prune is exact: every sum of a representative piece has all its
+    blocks in order within each run at every stage, so it is kept.
+    """
+    n = gens.n
+    packing = packing_for(Ambient(n, gens.k), degree)
+    bits, mask = packing.bits, (1 << packing.bits) - 1
+    stages: list[list[_PackedGenerator]] = [[] for _ in range(n)]
+    for gen in _packed_generators(gens, degree):
+        # the lowest set bit of a grading lies in its lowest nonzero block's field
+        stages[((gen.grading & -gen.grading).bit_length() - 1) // bits].append(gen)
+    joined = {i for start, stop in runs for i in range(start + 1, stop)}
+    levels: list[set[int]] = [{0}] + [set() for _ in range(degree)]
+    for i, stage in enumerate(stages):
+        for gen in stage:
+            d, m = gen.degree, gen.lead
+            for r in range(d, degree + 1):
+                levels[r].update(map(m.__add__, levels[r - d]))
+        if i in joined:
+            low, high = packing.shift + bits * (i - 1), packing.shift + bits * i
+            levels = [{s for s in level if s >> low & mask <= s >> high & mask} for level in levels]
+    return levels[degree]
 
 
 def _label_degree(gens: GeneratorSet) -> Callable[[tuple[str, ...]], int]:
@@ -698,20 +720,23 @@ def _symmetry_runs(n: int, k: int, excluded: frozenset[str]) -> tuple[tuple[int,
 
 
 def _representatives(total: int, runs: tuple[tuple[int, int], ...]) -> Iterator[tuple[int, ...]]:
-    """The b of `compositions(total, n)` that are non-increasing within every run, ascending."""
-    n, starts = runs[-1][1], {start for start, _ in runs}
+    """The b of `compositions(total, n)` that are non-decreasing within every run, ascending."""
+    n = runs[-1][1]
+    stops = {i: stop for start, stop in runs for i in range(start, stop)}
+    starts = {start for start, _ in runs}
 
-    def rec(i: int, left: int, cap: int) -> Iterator[tuple[int, ...]]:
-        top = left if i in starts else min(left, cap)
+    def rec(i: int, left: int, floor: int) -> Iterator[tuple[int, ...]]:
+        low = 0 if i in starts else floor
         if i == n - 1:
-            if top == left:
+            if left >= low:
                 yield (left,)
             return
-        for v in range(top + 1):
+        # the blocks i.. of the run are each at least block i's degree
+        for v in range(low, left // (stops[i] - i) + 1):
             for tail in rec(i + 1, left - v, v):
                 yield (v, *tail)
 
-    return rec(0, total, total)
+    return rec(0, total, 0)
 
 
 def _orbit_size(b: tuple[int, ...], runs: tuple[tuple[int, int], ...]) -> int:
@@ -737,7 +762,9 @@ def completeness_check(n: int, k: int, degree: int, exclude: Sequence[str] = ())
     `piece_keys` order.  Its span_dim is the exact rank over Q of the
     piece's products, or 0 if it holds none.  Only the representative
     pieces of the generator set's block symmetry (`_symmetry_runs`,
-    `_representatives`) are decided.  With the full family and n > k + 1,
+    `_representatives`: the b non-decreasing within each run) are decided,
+    by their counts of least monomials and, where a count falls short, by
+    rank.  With the full family and n > k + 1,
     the degree is first decided on k + 1 blocks (`_base_complete`); if it
     is complete there, the runs are the one run of all n blocks and every
     representative reports span_dim = kernel_dim, with no generator of n
@@ -820,7 +847,7 @@ def completeness_check(n: int, k: int, degree: int, exclude: Sequence[str] = ())
         for w in weights
         if (kdim := _piece_kernel_dim(n, k, key := GradedPieceKey(b, w)))
     }
-    span = kernel_dims if polarized else _span_dims(gens, degree, kernel_dims)
+    span = kernel_dims if polarized else _span_dims(gens, degree, kernel_dims, runs)
     # a piece that holds no product spans nothing; each orbit member counts its representative's dims
     pieces = tuple(PieceReport(key, kdim, span.get(key, 0)) for key, kdim in kernel_dims.items())
     kernel_total = sum(piece.kernel_dim * orbit[piece.key.block_degrees] for piece in pieces)
@@ -828,30 +855,33 @@ def completeness_check(n: int, k: int, degree: int, exclude: Sequence[str] = ())
     return CompletenessReport(n, k, degree, kernel_total, span_total, span_total == kernel_total, pieces, runs)
 
 
-def _span_dims(gens: GeneratorSet, degree: int, kernel_dims: dict[GradedPieceKey, int]) -> dict[GradedPieceKey, int]:
+def _span_dims(
+    gens: GeneratorSet, degree: int, kernel_dims: dict[GradedPieceKey, int], runs: tuple[tuple[int, int], ...]
+) -> dict[GradedPieceKey, int]:
     """The span dimension of every piece of `kernel_dims` that holds a product, decided on the set's own blocks.
 
-    `generator_products` is asked once for the products of exactly these
-    pieces, with each piece's kernel_dim as its stop count.  A piece whose
-    products show kernel_dim distinct least monomials has span_dim =
-    kernel_dim with nothing expanded.  Every other piece that holds
-    products is ranked by one `_rank` call on its packed products, handed
-    over lazily in label order: each is expanded when the rank reads it,
-    and none after the rank reaches kernel_dim.  Each product lies in the
-    piece its labels name (`_packed_generators`).
+    The pieces are the representatives of `runs`, whose least monomials
+    `_least_monomials` lists.  A piece with kernel_dim of them has span_dim
+    = kernel_dim with nothing expanded: that many products are linearly
+    independent and, lying in ker D, no more can be.  The products of the
+    other pieces with one or more are listed by one `generator_products`
+    call and ranked by `_rank`, expanded lazily in label order; the rank
+    stops at kernel_dim, still exact.
     """
-    expand = _product_expander(gens, degree)
-    # only the representative pieces with a nonzero kernel are enumerated, each with its
-    # kernel_dim as the walk's stop count.  A product of generators is a nonzero element
-    # of ker D (the ring has no zero divisors), so every piece that holds one has
-    # kernel_dim >= 1 and leaving out the pieces of kernel_dim 0 drops no product.
-    # A piece mapped to None showed kernel_dim distinct least monomials: that many
-    # products are linearly independent and, lying in ker D, no more can be.  Otherwise
-    # the rank, at most kernel_dim for the same reason, stops there and is still exact
-    return {
-        key: kernel_dims[key] if products is None else _rank(map(expand, products), kernel_dims[key])
-        for key, products in generator_products(gens, degree, kernel_dims).items()
-    }
+    packing = packing_for(Ambient(gens.n, gens.k), degree)
+    counts = Counter(s >> packing.shift for s in _least_monomials(gens, degree, runs))
+    span, short = {}, {}
+    for key, kdim in kernel_dims.items():
+        count = counts.get(packing.grading(*key), 0)
+        if count == kdim:
+            span[key] = kdim
+        elif count:
+            short[key] = kdim
+    if short:
+        expand = _product_expander(gens, degree)
+        for key, products in generator_products(gens, degree, short).items():
+            span[key] = _rank(map(expand, products), short[key])
+    return span
 
 
 Combination = dict[tuple[str, ...], Fraction]

@@ -157,7 +157,7 @@ class TestVerify:
 
     def test_full_orbit_output_matches_golden(self, capsys):
         # the full family at n = 6 is stable under all of S6, so only pieces with
-        # non-increasing block degrees are decided; every rearrangement is listed
+        # non-decreasing block degrees are decided; every rearrangement is listed
         argv = ["verify", "--n", "6", "--k", "1", "--max-degree", "4", "--output", "machine"]
         assert run(capsys, *argv) == (0, (GOLDEN_DIR / "verify_n6_k1_d4.txt").read_text(), "")
 
@@ -176,6 +176,18 @@ class TestVerify:
         # so the exact span_dim of deep pieces is where elimination does the most work
         argv = ["verify", "--n", "3", "--k", "2", "--max-degree", "6", "--exclude", "H1,1", "--output", "machine"]
         assert run(capsys, *argv) == (1, (GOLDEN_DIR / "verify_n3_k2_d6_exclude_H11.txt").read_text(), "")
+
+    def test_deep_k_plus_one_output_matches_golden(self, capsys):
+        # n = k + 1 is decided on its own blocks at every degree, so degree 12 at k = 2
+        # counts least monomials in one table of depth 12 and ranks the pieces it leaves short
+        argv = ["verify", "--n", "3", "--k", "2", "--max-degree", "12"]
+        assert run(capsys, *argv) == (0, (GOLDEN_DIR / "verify_n3_k2_d12.txt").read_text(), "")
+
+    def test_run_of_six_blocks_output_matches_golden(self, capsys):
+        # without J1,2 the stable swaps join blocks 3..8 into one run of six, which the
+        # least-monomial table prunes at every joined pair of blocks
+        argv = ["verify", "--n", "8", "--k", "1", "--max-degree", "8", "--exclude", "J1,2"]
+        assert run(capsys, *argv) == (1, (GOLDEN_DIR / "verify_n8_k1_d8_exclude_J12.txt").read_text(), "")
 
     def test_single_degree_flag(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "2", "--k", "1", "--degree", "2")
@@ -226,7 +238,7 @@ class TestCensus:
         assert all("complete" not in json.dumps(r) for r in records)
 
     def test_wide_machine_output_matches_golden(self, capsys):
-        # twelve blocks, counted on the non-increasing block degrees of each degree
+        # twelve blocks, counted on the non-decreasing block degrees of each degree
         argv = ["census", "--n", "12", "--k", "1", "--max-degree", "8", "--output", "machine"]
         assert run(capsys, *argv) == (0, (GOLDEN_DIR / "census_n12_k1_d8.txt").read_text(), "")
 
@@ -515,6 +527,8 @@ def golden_calls():
         "verify_n5_k2_d4_exclude_H12.txt": "--n 5 --k 2 --max-degree 4 --exclude H1,2 --output machine",
         "verify_n6_k1_d4.txt": "--n 6 --k 1 --max-degree 4 --output machine",
         "verify_n8_k2_d8.txt": "--n 8 --k 2 --max-degree 8",
+        "verify_n3_k2_d12.txt": "--n 3 --k 2 --max-degree 12",
+        "verify_n8_k1_d8_exclude_J12.txt": "--n 8 --k 1 --max-degree 8 --exclude J1,2",
     }
     calls = {name: [["verify", *flags.split()]] for name, flags in verify.items()}
     calls["census_n2_k3.json"] = [["census", "--n", "2", "--k", "3", "--max-degree", "8", "--output", "machine"]]

@@ -13,6 +13,7 @@ from weitzenboeck import (
     Polynomial,
     UnsupportedK,
     WeitzenboeckDerivation,
+    express_in_generators,
     generator_products,
     generators,
     parse,
@@ -223,12 +224,17 @@ class TestGenerators:
             ("x1 + y1", "spans several graded pieces"),
             ("x1 + x1*x2", "mixes total degrees"),
             ("x1*CX", "involves covariant variables"),
+            # a constant would be a factor of products of every degree, any number of
+            # times, and has no lowest nonzero block to stage the least-monomial table by
+            ("3", "is a constant"),
         ],
     )
     def test_invalid_generator_is_named(self, text, reason):
         gens = GeneratorSet(2, 1, (("x1", parse("x1", A21)), ("bad", parse(text, A21))))
         with pytest.raises(NonHomogeneous, match=f"generator bad {reason}"):
             generator_products(gens, 2, piece_keys(2, 1, 2))
+        with pytest.raises(NonHomogeneous, match=f"generator bad {reason}"):
+            express_in_generators(parse("x1^2", A21), gens)
 
 
 def test_kernel_is_a_subalgebra():

@@ -686,30 +686,33 @@ class TestCompleteness:
         [(3, 2, 4, ()), (4, 1, 5, ("J1,2",)), (3, 1, 4, ("x1", "x3")), (4, 1, 6, ()), (4, 2, 4, ("H2,3",))],
     )
     def test_ranks_each_piece_that_holds_products_once(self, monkeypatch, n, k, degree, exclude):
-        # only representative pieces (block degrees non-increasing within each run
-        # of stable swaps, found by brute force) are enumerated, each decided once:
-        # the products are asked for in exactly the representative pieces with a
-        # nonzero kernel, in one request. A piece whose products show kernel_dim
-        # distinct least monomials is certified with nothing expanded; exactly the
-        # pieces that fall short are ranked, once each, on a lazy row iterator that
-        # expands a prefix of the piece's products in label order, each product once:
-        # the prefix ends at the product that brings the rank to kernel_dim, or covers
-        # every product when the rank stays below it. The least monomials (the least
-        # packed key of each) and the ranks of the prefixes (by the Fraction oracle)
-        # come from plain Polynomial products here. With no stable swap, as for
-        # (3, 1, 4) without x1 and x3, every piece is its own representative. The full
-        # k = 1 family leaves no piece short.
+        # only representative pieces (block degrees non-decreasing within each run
+        # of stable swaps, found by brute force) are counted, each decided once: one
+        # least-monomial table per degree holds exactly the least packed keys of the
+        # products in the representative pieces. A piece with kernel_dim of them is
+        # certified with nothing expanded; the products are asked for in exactly the
+        # pieces that fall short, in one request (none when no piece is short), and
+        # those are ranked, once each, on a lazy row iterator that expands a prefix
+        # of the piece's products in label order, each product once: the prefix ends
+        # at the product that brings the rank to kernel_dim, or covers every product
+        # when the rank stays below it. The least monomials (the least packed key of
+        # each) and the ranks of the prefixes (by the Fraction oracle) come from plain
+        # Polynomial products here. With no stable swap, as for (3, 1, 4) without x1
+        # and x3, every piece is its own representative. The full families of these
+        # degrees leave no representative piece short.
         # With the full family and n > k + 1 the degree is decided on k + 1 blocks, so
-        # no piece of n blocks is requested or expanded; the assertions above are then
-        # checked with that base decision forced incomplete, which runs the per-n path
+        # no table of n blocks is built and no piece of n blocks is requested or
+        # expanded; the assertions above are then checked with that base decision
+        # forced incomplete, which runs the per-n path
         if not exclude and n > k + 1:
-            blocks, expanded_blocks = set(), set()
-            real_products, real_expander = kernel.generator_products, kernel._product_expander
+            tables, blocks, expanded_blocks = set(), set(), set()
+            real_table, real_products, real_expander = kernel._least_monomials, kernel.generator_products, kernel._product_expander
             with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(kernel, "_least_monomials", lambda g, d, r: tables.add(g.n) or real_table(g, d, r))
                 patch.setattr(kernel, "generator_products", lambda g, d, p: blocks.update(len(key[0]) for key in p) or real_products(g, d, p))
                 patch.setattr(kernel, "_product_expander", lambda g, d: expanded_blocks.add(g.n) or real_expander(g, d))
                 assert completeness_check(n, k, degree).complete
-            assert blocks == {k + 1} and expanded_blocks <= {k + 1}
+            assert tables == {k + 1} and blocks <= {k + 1} and expanded_blocks <= {k + 1}
         monkeypatch.setattr(kernel, "_base_complete", lambda k, degree: False)
         gens = generators(n, k).without(*exclude)
         stable = _stable_swaps(gens)
@@ -717,7 +720,7 @@ class TestCompleteness:
         packing = packing_for(amb, degree)
 
         def representative(block_degrees):
-            return all(block_degrees[i] >= block_degrees[i + 1] for i in stable)
+            return all(block_degrees[i] <= block_degrees[i + 1] for i in stable)
 
         label_key = {labels: key for labels, key in _all_products(gens, degree)}
         assert bool(stable) == (exclude != ("x1", "x3"))
@@ -733,7 +736,7 @@ class TestCompleteness:
             values[key].append((labels, dict(value.items())))
             leads[key].add(min(packing.pack(exps) for exps, _ in value.items()))
         short = {key for key in keys if len(leads[key]) < _piece_kernel_dim(n, k, key)}
-        assert bool(short) == (exclude != () or k == 2)
+        assert bool(short) == (exclude != ())
         prefixes = {}
         for key in short:
             kdim = _piece_kernel_dim(n, k, key)
@@ -741,8 +744,8 @@ class TestCompleteness:
             prefixes[key] = [labels for labels, _ in values[key][:stop]]
 
         by_grading = {packing.grading(*key): key for key in keys}
-        ranked, expanded, requests = [], [], []
-        real_rank, real_expander, real_products = kernel._rank, kernel._product_expander, kernel.generator_products
+        ranked, expanded, requests, tables = [], [], [], []
+        real_rank, real_expander, real_products, real_table = kernel._rank, kernel._product_expander, kernel.generator_products, kernel._least_monomials
 
         def counting(rows, limit=None):
             # each row is recorded as the rank reads it, and the labels expanded meanwhile
@@ -761,11 +764,17 @@ class TestCompleteness:
             expand = real_expander(gens, degree)
             return lambda labels: expanded.append(labels) or expand(labels)
 
+        def tabling(gens, degree, runs):
+            tables.append(real_table(gens, degree, runs))
+            return tables[-1]
+
         monkeypatch.setattr(kernel, "_rank", counting)
         monkeypatch.setattr(kernel, "_product_expander", recording)
         monkeypatch.setattr(kernel, "generator_products", requesting)
+        monkeypatch.setattr(kernel, "_least_monomials", tabling)
         rep = completeness_check(n, k, degree, exclude=exclude)
-        assert requests == [wanted] and keys <= wanted
+        assert tables == [set().union(*(leads[key] for key in keys))] and keys <= wanted
+        assert requests == ([short] if short else [])
         assert sorted(key for key, _ in ranked) == sorted(short)
         assert dict(ranked) == prefixes
         assert sum(len(prefix) for prefix in prefixes.values()) == len(expanded)
@@ -775,13 +784,14 @@ class TestCompleteness:
             if piece.key in keys - short:
                 assert piece.span_dim == piece.kernel_dim
 
-    @pytest.mark.parametrize("n, k, degree, exclude", [(3, 2, 4, ()), (4, 2, 4, ("H2,3",))])
+    @pytest.mark.parametrize("n, k, degree, exclude", [(3, 2, 6, ()), (4, 2, 4, ("H2,3",))])
     def test_ranks_packed_monomials_of_the_piece(self, monkeypatch, n, k, degree, exclude):
         # the columns handed to the elimination are the expander's packed monomials
         # themselves, not renumbered, so the least-column pivot is the least monomial
         # in the packing's monomial order; every key lies in the piece being ranked.
-        # The ranked pieces are those the walk lists in full, the ones its count of
-        # least monomials leaves short. Rows are recorded as the rank reads them
+        # The ranked pieces are those whose products are listed, the ones the count of
+        # least monomials leaves short (one representative piece of the full family at
+        # (3, 2, 6)). Rows are recorded as the rank reads them
         packing = packing_for(Ambient(n, k), degree)
         ranked, pieces = [], []
         real_rank, real_products = kernel._rank, kernel.generator_products
@@ -792,7 +802,7 @@ class TestCompleteness:
 
         def listing(gens, degree, wanted):
             found = real_products(gens, degree, wanted)
-            pieces.extend(key for key, products in found.items() if products is not None)
+            pieces.extend(found)
             return found
 
         monkeypatch.setattr(kernel, "_rank", spying)
@@ -885,35 +895,43 @@ class TestCompleteness:
     @example(4, 2, 3, [])
     @settings(max_examples=40, deadline=None)
     def test_least_monomial_count_never_exceeds_the_rank(self, n, k, degree, drop):
-        # the walk's count of distinct least monomials, read off its stop count: a
-        # piece maps to None exactly when its count reaches the stop. In every piece
-        # of a random degree and exclude set, the count equals that of the least
-        # packed keys of the products expanded by plain Polynomial products, and never
-        # exceeds their exact rank by the Fraction oracle. The examples are full k = 2
-        # families in which some pieces hold products with equal least monomials
+        # the least-monomial table, cross-checked on a random degree and exclude set.
+        # Built with no two blocks in one run it prunes nothing and holds the least
+        # packed key of every product, expanded by plain Polynomial products; built on
+        # the set's runs it keeps exactly those in representative pieces (block degrees
+        # non-decreasing over every stable swap, found by brute force). In every
+        # representative piece its count equals that of the products' least keys and
+        # never exceeds their exact rank by the Fraction oracle. The examples are full
+        # k = 2 families in which some pieces hold products with equal least monomials
         degree = min(degree, 3) if n == 4 else degree
         full = generators(n, k)
         labels = full.labels()
-        gens = full.without(*{labels[i % len(labels)] for i in drop})
+        exclude = frozenset(labels[i % len(labels)] for i in drop)
+        gens = full.without(*exclude)
         amb = Ambient(n, k)
         packing = packing_for(amb, degree)
-        found = generator_products(gens, degree, piece_keys(n, k, degree))
+        stable = _stable_swaps(gens)
+        values = defaultdict(list)
+        for labels, key in _all_products(gens, degree):
+            value = Polynomial.one(amb)
+            for label in labels:
+                value = value * gens.value(label)
+            values[key].append(value)
+        leads = {key: {min(packing.pack(exps) for exps, _ in value.items()) for value in found} for key, found in values.items()}
+        unpruned = kernel._least_monomials(gens, degree, tuple((i, i + 1) for i in range(n)))
+        assert unpruned == set().union(*leads.values())
+
+        def representative(block_degrees):
+            return all(block_degrees[i] <= block_degrees[i + 1] for i in stable)
+
+        table = kernel._least_monomials(gens, degree, kernel._symmetry_runs(n, k, exclude))
+        assert table == {s for s in unpruned if representative(packing.read_grading(s >> packing.shift)[0])}
         for key in piece_keys(n, k, degree):
-            if key not in found:
-                assert generator_products(gens, degree, {key: 1}) == {}
-                continue
-            values = []
-            for labels in found[key]:
-                value = Polynomial.one(amb)
-                for label in labels:
-                    value = value * gens.value(label)
-                values.append(value)
-            count = len({min(packing.pack(exps) for exps, _ in value.items()) for value in values})
-            rank = sparse_rank(dict(value.items()) for value in values)
-            assert 1 <= count <= rank <= _piece_kernel_dim(n, k, key)
-            assert generator_products(gens, degree, {key: count}) == {key: None}
-            assert generator_products(gens, degree, {key: count + 1}) == {key: found[key]}
-            assert generator_products(gens, degree, {key: rank + 1}) == {key: found[key]}
+            if representative(key.block_degrees):
+                count = sum(s >> packing.shift == packing.grading(*key) for s in table)
+                rank = sparse_rank(dict(value.items()) for value in values.get(key, ()))
+                assert count == len(leads.get(key, ())) <= rank <= _piece_kernel_dim(n, k, key)
+                assert (count >= 1) == (key in values)
 
     def test_generator_outside_its_table_piece_is_named(self):
         # the packed generator table checks every term of a generator against its table
@@ -935,7 +953,7 @@ class TestCompleteness:
     @settings(max_examples=40, deadline=None)
     def test_totals_count_each_orbit_member(self, n, k, degree, drop):
         # the report holds the representatives only, the b of each orbit that is
-        # non-increasing within every run, and weights each by its orbit's size; the
+        # non-decreasing within every run, and weights each by its orbit's size; the
         # totals equal the sums over the expanded per_piece, and with the full family
         # the kernel total is `kernel_dim`'s count, which lists no piece
         labels = generators(n, k).labels()
@@ -947,7 +965,7 @@ class TestCompleteness:
         if not exclude:
             assert rep.kernel_dim == kernel_dim(n, k, degree)
         stable = _stable_swaps(generators(n, k).without(*exclude))
-        representatives = [b for b in compositions(degree, n) if all(b[i] >= b[i + 1] for i in stable)]
+        representatives = [b for b in compositions(degree, n) if all(b[i] <= b[i + 1] for i in stable)]
         assert list(_representatives(degree, rep.runs)) == representatives
         assert sum(_orbit_size(b, rep.runs) for b in representatives) == comb(degree + n - 1, n - 1)
         assert rep.representatives == tuple(piece for piece in rep.per_piece if piece.key.block_degrees in representatives)
@@ -956,7 +974,7 @@ class TestCompleteness:
     @settings(max_examples=15, deadline=None)
     def test_text_verify_builds_representative_reports_only(self, n, k, max_degree, drop):
         # text output reads the totals only, so verify builds one PieceReport per
-        # representative piece with a nonzero kernel (block degrees non-increasing
+        # representative piece with a nonzero kernel (block degrees non-decreasing
         # within every run of stable swaps, found by brute force) and none for the
         # other orbit members; machine output expands every orbit on top of that.
         # With the full family and n > k + 1 the base decision on k + 1 blocks builds
@@ -967,13 +985,13 @@ class TestCompleteness:
         exclude = sorted({labels[i % len(labels)] for i in drop})
         stable = _stable_swaps(generators(n, k).without(*exclude))
         pieces = [key for d in range(max_degree + 1) for key in piece_keys(n, k, d) if _piece_kernel_dim(n, k, key)]
-        wanted = [key for key in pieces if all(key.block_degrees[i] >= key.block_degrees[i + 1] for i in stable)]
+        wanted = [key for key in pieces if all(key.block_degrees[i] <= key.block_degrees[i + 1] for i in stable)]
         polarized = not exclude and n > k + 1
         base_wanted = [
             key
             for d in range(max_degree + 1)
             for key in piece_keys(k + 1, k, d)
-            if _piece_kernel_dim(k + 1, k, key) and list(key.block_degrees) == sorted(key.block_degrees, reverse=True)
+            if _piece_kernel_dim(k + 1, k, key) and list(key.block_degrees) == sorted(key.block_degrees)
         ]
         argv = ["verify", "--n", str(n), "--k", str(k), "--max-degree", str(max_degree)]
         argv += [arg for label in exclude for arg in ("--exclude", label)]
@@ -1043,12 +1061,12 @@ class TestPolarization:
         assert [completeness_check(5, 2, d, exclude=_types_left_out(5, 2, "xJH")).complete for d in (3, 4, 5)] == [False, True, False]
 
     def test_wide_full_family_ranks_only_k_plus_one_blocks(self, monkeypatch):
-        # verify --n 8 --k 2 --max-degree 8 asks for products, expands and ranks on 3
-        # blocks only, builds no 8-block generator, and prints what deciding every 8-block
-        # piece printed
-        requests, expanders, ranked, built = [], [], [], []
+        # verify --n 8 --k 2 --max-degree 8 counts least monomials, asks for products,
+        # expands and ranks on 3 blocks only, one table per degree, builds no 8-block
+        # generator, and prints what deciding every 8-block piece printed
+        tables, requests, expanders, ranked, built = [], [], [], [], []
         real_products, real_expander, real_rank = kernel.generator_products, kernel._product_expander, kernel._rank
-        real_generators = kernel.generators
+        real_generators, real_table = kernel.generators, kernel._least_monomials
 
         def requesting(gens, degree, pieces):
             requests.append((gens.n, degree, list(pieces)))
@@ -1074,9 +1092,13 @@ class TestPolarization:
         monkeypatch.setattr(kernel, "_product_expander", recording)
         monkeypatch.setattr(kernel, "_rank", counting)
         monkeypatch.setattr(kernel, "generators", lambda n, k: built.append(n) or real_generators(n, k))
+        monkeypatch.setattr(kernel, "_least_monomials", lambda g, d, r: tables.append((g.n, d)) or real_table(g, d, r))
         assert _verify_stdout("--n", "8", "--k", "2", "--max-degree", "8") == (0, (GOLDEN_DIR / "verify_n8_k2_d8.txt").read_text())
         assert built and set(built) == {3}
-        assert [n for n, _, _ in requests] == [3] * 9
+        assert tables == [(3, d) for d in range(9)]
+        # a request per degree with a short piece, each for 3-block pieces only
+        assert requests and [n for n, _, _ in requests] == [3] * len(requests)
+        assert len({degree for _, degree, _ in requests}) == len(requests)
         assert all(len(key.block_degrees) == 3 for _, _, pieces in requests for key in pieces)
         assert expanders and set(expanders) == {3}
         assert ranked and set(ranked) == {3}
@@ -1084,14 +1106,17 @@ class TestPolarization:
     @pytest.mark.parametrize("golden, n, k, top", [("verify_n6_k1_d4.txt", 6, 1, 4), ("verify_n4_k1_d6.txt", 4, 1, 6)])
     def test_incomplete_base_decides_on_n_blocks(self, monkeypatch, golden, n, k, top):
         # a base decision that reads incomplete sends the degree down the per-n path,
-        # which asks for products of n-block pieces and prints the frozen report
+        # which counts the least monomials of n-block products, one table per degree,
+        # and prints the frozen report; the full k = 1 family leaves no piece short, so
+        # no products are listed
         monkeypatch.setattr(kernel, "_base_complete", lambda k, degree: False)
-        blocks = []
-        real_products = kernel.generator_products
-        monkeypatch.setattr(kernel, "generator_products", lambda g, d, p: blocks.append(g.n) or real_products(g, d, p))
+        blocks, requests = [], []
+        real_table, real_products = kernel._least_monomials, kernel.generator_products
+        monkeypatch.setattr(kernel, "_least_monomials", lambda g, d, r: blocks.append(g.n) or real_table(g, d, r))
+        monkeypatch.setattr(kernel, "generator_products", lambda g, d, p: requests.append(g.n) or real_products(g, d, p))
         argv = ("--n", str(n), "--k", str(k), "--max-degree", str(top), "--output", "machine")
         assert _verify_stdout(*argv) == (0, (GOLDEN_DIR / golden).read_text())
-        assert blocks == [n] * (top + 1)
+        assert blocks == [n] * (top + 1) and requests == []
 
     @pytest.mark.parametrize("n, k, top", [(4, 1, 5), (5, 1, 5), (6, 1, 5), (4, 2, 4), (5, 2, 4)])
     def test_machine_output_equals_the_per_n_path(self, n, k, top):
@@ -1354,7 +1379,7 @@ class TestCensus:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_kernel_dim_is_the_composition_sum(self, k):
-        # kernel_dim counts on the non-increasing b, each weighted by its number of
+        # kernel_dim counts on the non-decreasing b, each weighted by its number of
         # rearrangements; the sum over every composition of the degree, written out
         # here, agrees, and so does the certificate's kernel total for k <= 2
         for n in range(1, 6):
@@ -1364,15 +1389,15 @@ class TestCensus:
                 if k <= 2:
                     assert completeness_check(n, k, d).kernel_dim == total, (n, k, d)
 
-    def test_census_reads_non_increasing_block_degrees_only(self, monkeypatch, capsys):
+    def test_census_reads_non_decreasing_block_degrees_only(self, monkeypatch, capsys):
         asked = []
         real = kernel._weight_counts
         monkeypatch.setattr(kernel, "_weight_counts", lambda b, k: asked.append(b) or real(b, k))
         assert cli.main(["census", "--n", "6", "--k", "2", "--max-degree", "6"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 7
-        assert all(list(b) == sorted(b, reverse=True) for b in asked)
-        non_increasing = {b for d in range(7) for b in compositions(d, 6) if list(b) == sorted(b, reverse=True)}
-        assert {b for b in asked if len(b) == 6} == non_increasing
+        assert all(list(b) == sorted(b) for b in asked)
+        non_decreasing = {b for d in range(7) for b in compositions(d, 6) if list(b) == sorted(b)}
+        assert {b for b in asked if len(b) == 6} == non_decreasing
 
     def test_open_case_matches_ungraded_oracle(self):
         assert kernel_dim(2, 3, 2) == ungraded_kernel_dimension(2, 3, 2)

@@ -248,13 +248,13 @@ VALUE_CLASSES = [
             "kernel_dim": 4,
             "span_dim": 4,
             "complete": True,
-            "representatives": tuple(PieceReport(GradedPieceKey(b, w), 1, 1) for b, w in (((1, 1), 0), ((1, 1), 1), ((2, 0), 0))),
+            "representatives": tuple(PieceReport(GradedPieceKey(b, w), 1, 1) for b, w in (((0, 2), 0), ((1, 1), 0), ((1, 1), 1))),
             "runs": ((0, 2),),
         },
         "CompletenessReport(n=2, k=1, degree=2, kernel_dim=4, span_dim=4, complete=True, representatives=("
+        "PieceReport(key=GradedPieceKey(block_degrees=(0, 2), weight=0), kernel_dim=1, span_dim=1), "
         "PieceReport(key=GradedPieceKey(block_degrees=(1, 1), weight=0), kernel_dim=1, span_dim=1), "
-        "PieceReport(key=GradedPieceKey(block_degrees=(1, 1), weight=1), kernel_dim=1, span_dim=1), "
-        "PieceReport(key=GradedPieceKey(block_degrees=(2, 0), weight=0), kernel_dim=1, span_dim=1)), runs=((0, 2),))",
+        "PieceReport(key=GradedPieceKey(block_degrees=(1, 1), weight=1), kernel_dim=1, span_dim=1)), runs=((0, 2),))",
     ),
 ]
 
