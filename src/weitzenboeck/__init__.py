@@ -31,7 +31,6 @@ from .kernel import (
     completeness_check,
     evaluate_combination,
     express_in_generators,
-    generator_products,
     graded_monomials,
     kernel_basis,
     kernel_dim,
@@ -78,7 +77,6 @@ __all__ = [
     "completeness_check",
     "evaluate_combination",
     "express_in_generators",
-    "generator_products",
     "generators",
     "graded_monomials",
     "jacobian",

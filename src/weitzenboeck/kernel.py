@@ -11,12 +11,12 @@ from a cached table of weight counts per (b, k), the convolution over
 the blocks of one cached table per (block degree, k).  Ranks, bases and
 `express` all go through one sparse forward elimination (`_echelon`,
 least-column pivoting), fraction-free in Python ints, which returns
-primitive pivot rows keyed by lead column.  A rank is their number
-(`_rank`).  A kernel basis reduces them bottom up into the unique reduced
-echelon basis (`nullspace`), so bases are deterministic and
-reproducible.  `express` tags each product row with a column of its own
-past every monomial and reads the combination off the tag columns of
-the input's reduced row, one graded piece at a time.
+primitive pivot rows keyed by lead column.  A rank is their number.  A
+kernel basis reduces them bottom up into the unique reduced echelon
+basis (`nullspace`), so bases are deterministic and reproducible.
+`express` tags each product row with a column of its own past every
+monomial and reads the combination off the tag columns of the input's
+reduced row, one graded piece at a time.
 
 A completeness certificate for a degree d compares, piece by piece, the
 kernel dimension against the dimension spanned by all degree-d products
@@ -37,32 +37,30 @@ distinct least monomials are linearly independent, so a piece whose
 products show kernel_dim of them is complete.  This is the SAGBI test
 (Robbiano-Sweedler; Kapur-Madlener) on one graded piece, in the packed
 order `_echelon` pivots on.  Only a piece whose count is short of
-kernel_dim but not 0 has its products listed (`generator_products`) and
-ranked by `_rank`, lazily in label order: each is expanded when the rank
-reads it, by one expander that multiplies a memoised prefix by a single
-generator (`_product_expander`), and the rank stops at kernel_dim.  Only
-that path reports a piece short.
+kernel_dim but not 0 has its products ranked: the walk of the piece
+(`_products`) feeds `_echelon` lazily in label order, each product is
+expanded when the elimination reads it, by one expander that multiplies a
+memoised prefix by a single generator (`_product_expander`), and both stop
+at kernel_dim.  Only that path reports a piece short.
 
-Products are enumerated as label multisets on packed gradings
-(`generator_products`), piece by wanted piece: a piece (b, w) is one int,
-the grading that `poly.Packing` puts in a packed monomial's high digits,
-so adding a generator to a partial product is one integer subtraction
-from what the branch still needs.  One depth-first walk per wanted piece
-adds one factor per level, a generator at or after the last one, so its
-depth is the number of factors and the products come out in label order.
-A table cached per label set and degree (`_reach`) of the gradings each
-suffix of the generator list reaches prunes exactly the branches with no
-product in the piece, so every branch it keeps ends in a product.  Wanted
-pieces and complete products are gradings of degree-d monomials, whose
-fields do not carry, so packed keys agree only when their components do.
-`express` packs its input once and splits it by piece, the gradings
-`key >> shift` of its monomials (`Packing.read_grading`), and a
-certificate lists only the products of its short representative pieces.
+Products are enumerated as label multisets on packed gradings, one piece
+per walk (`_products`): a piece (b, w) is one int, the grading that
+`poly.Packing` puts in a packed monomial's high digits, so adding a
+generator to a partial product is one integer subtraction from what the
+branch still needs.  The walk adds one factor per level, a generator at
+or after the last one, so its depth is the number of factors and the
+products come out in label order.  A table cached per label set and
+degree (`_reach`) of the gradings each suffix of the generator list
+reaches prunes exactly the branches with no product in the piece, so
+every branch it keeps ends in a product.  `express` packs its input once
+and splits it by piece, the gradings `key >> shift` of its monomials
+(`Packing.read_grading`), and a certificate walks only its short
+representative pieces.
 
 `express` solves each of its input's pieces on its own (pieces have
 disjoint support, so the greedy basis is the union of the pieces' own).
-A piece's products are expanded lazily, in label order, and its
-elimination stops at kernel_dim; its products and pivot rows are kept
+A piece's products are walked and expanded lazily, in label order, and
+its elimination stops at kernel_dim; its products and pivot rows are kept
 per label set and degree (`_piece_bases`), so a later call only reduces
 its own row.  A combination of products of kernel generators lies in
 ker D, so D(p) is computed only on the way to an error (the argument is
@@ -113,7 +111,7 @@ from math import factorial, gcd, lcm, prod
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .derivation import GeneratorSet, WeitzenboeckDerivation, generators
-from .errors import InvalidKey, NonHomogeneous, NotInKernel, NotInSpan
+from .errors import InvalidKey, NonHomogeneous, NotInKernel, NotInSpan, UnknownLabel
 from .poly import Ambient, Exponents, PackedTerms, Polynomial, _Frozen, monomial_sort_key, mul_terms, packing_for
 
 
@@ -363,11 +361,6 @@ def _echelon(
     return pivot_rows
 
 
-def _rank(rows: Iterable[dict[int, int]], limit: int | None = None) -> int:
-    """Exact rank over Q of sparse integer rows, or `limit` if it reaches it: the number of pivot rows."""
-    return len(_echelon(rows, limit=limit))
-
-
 def nullspace(rows: Sequence[SparseRow], ncols: int) -> list[tuple[Fraction, ...]]:
     """Canonical basis of {v : M v = 0}, exact, for the sparse rows of M (int or Fraction entries).
 
@@ -410,7 +403,7 @@ def kernel_piece_basis(n: int, k: int, key: GradedPieceKey) -> list[Polynomial]:
     return [Polynomial(amb, {mono: c for mono, c in zip(cols, vec) if c}) for vec in nullspace(rows, len(cols))]
 
 
-def _piece_kernel_dim(n: int, k: int, key: GradedPieceKey) -> int:
+def _piece_kernel_dim(k: int, key: GradedPieceKey) -> int:
     """dim ker D on piece (b, w): N(b, w) - N(b, w-1) if 2w <= k|b|, else 0; N counts monomials.
 
     D is the lowering element of an sl2-triple (Jacobson-Morozov); each b
@@ -523,73 +516,54 @@ def _reach(gens: GeneratorSet, degree: int) -> tuple[tuple[frozenset[int], ...],
     return tuple(table)
 
 
-def generator_products(
-    gens: GeneratorSet, degree: int, pieces: Iterable[GradedPieceKey]
-) -> dict[GradedPieceKey, list[tuple[str, ...]]]:
-    """The monomials in the generators of total ring degree exactly `degree` in each wanted piece.
+def _products(gens: GeneratorSet, degree: int, grading: int) -> Iterator[tuple[str, ...]]:
+    """The label multisets of the products of total ring degree exactly `degree` in one piece, lazily, in label order.
 
-    Maps each piece of `pieces` that holds at least one such product, once
-    however often it is given and keyed by a GradedPieceKey with tuple
-    block degrees, to its label multisets in label order (higher
-    multiplicity of earlier generators first), in the order the pieces are
-    first given.  Nothing is expanded, and the values may be linearly
-    dependent.
+    The piece is the packed grading of a degree-`degree` monomial
+    (`Packing.grading` of the degree's packing, the one
+    `_packed_generators` checks terms against).  Label order is higher
+    multiplicity of earlier generators first.  Nothing is expanded, the
+    products may be linearly dependent, and a piece that holds none yields
+    nothing.  A reader that stops early stops the walk with it.
 
-    One depth-first walk per wanted piece adds one factor per level: a
-    branch whose last factor is generator idx adds a generator j >= idx and
-    goes on at j, so a product is its nondecreasing sequence of generator
-    indices, its depth is its number of factors, and a generator it holds
-    no copy of costs no level.  Trying j in ascending order lists the
-    sequences in ascending lex order, which is label order: where two
-    sequences of one degree first differ, the one with the smaller index
-    holds the same number of every earlier generator and more copies of
-    that one (a sequence of positive degrees is never a prefix of another
-    of the same degree).
+    The walk adds one factor per level: a branch whose last factor is
+    generator idx adds a generator j >= idx and goes on at j, so a product
+    is its nondecreasing sequence of generator indices, its depth is its
+    number of factors, and a generator it holds no copy of costs no level.
+    Trying j in ascending order yields the sequences in ascending lex
+    order, which is label order: where two sequences of one degree first
+    differ, the one with the smaller index holds the same number of every
+    earlier generator and more copies of that one (a sequence of positive
+    degrees is never a prefix of another of the same degree).
 
-    The walk carries what the branch still needs, the piece's packed
-    grading (`Packing.grading` of the degree's packing, the one
-    `_packed_generators` checks terms against) minus the gradings of
-    its factors, so adding a factor is one integer subtraction.  Adding
-    generator j with r degrees left after it keeps the child only if
-    need - g_j is in reach[j][r], the gradings of the multisets of
-    generators j.. (j included) of degree r: one set lookup per child.  The
-    prune is exact: the completions of the child are exactly those
-    multisets, so a child is dropped only when no product below it lies in
-    the piece, and every child kept ends in one.  The generator table
+    The walk carries what the branch still needs, the piece's grading
+    minus the gradings of its factors, so adding a factor is one integer
+    subtraction.  Adding generator j with r degrees left after it keeps
+    the child only if need - g_j is in reach[j][r], the gradings of the
+    multisets of generators j.. (j included) of degree r: one set lookup
+    per child.  The prune is exact: the completions of the child are
+    exactly those multisets, so a child is dropped only when no product
+    below it lies in the piece, and every child kept ends in one.  The
+    piece and every completion are gradings of degree-`degree` monomials,
+    so each field is at most k*degree < 2^bits, no field carries, and
+    packed equality is componentwise equality.  The generator table
     (`_packed_generators`) and `_reach` are cached and shared by the walks.
     """
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
-    n, k = gens.n, gens.k
-    packing = packing_for(Ambient(n, k), degree)
     table = _packed_generators(gens, degree)
     reach = _reach(gens, degree)
-    out: dict[GradedPieceKey, list[tuple[str, ...]]] = {}
 
-    def walk(idx: int, remaining: int, labels: tuple[str, ...], need: int) -> None:
+    def walk(idx: int, remaining: int, labels: tuple[str, ...], need: int) -> Iterator[tuple[str, ...]]:
         if remaining == 0:
-            found.append(labels)
+            yield labels
             return
         for j in range(idx, len(table)):
             label, d, g, _, _ = table[j]
             r = remaining - d
             if r >= 0 and (left := need - g) in reach[j][r]:
-                walk(j, r, labels + (label,), left)
+                yield from walk(j, r, labels + (label,), left)
 
-    for piece in pieces:
-        bd, w = piece
-        # a reachable grading and every completion are gradings of degree-`degree` monomials,
-        # so each field is at most k*degree < 2^bits and packed equality is componentwise
-        # equality; a key of another degree or with a negative field is not a piece of them
-        if len(bd) != n or sum(bd) != degree or min(bd) < 0 or not 0 <= w <= k * degree:
-            continue
-        key = GradedPieceKey(tuple(bd), w)
-        target = packing.grading(bd, w)
-        if key not in out and target in reach[0][degree]:
-            found: list[tuple[str, ...]] = []
-            walk(0, degree, (), target)
-            out[key] = found
-    return out
+    if grading in reach[0][degree]:
+        yield from walk(0, degree, (), grading)
 
 
 def _least_monomials(gens: GeneratorSet, degree: int, runs: tuple[tuple[int, int], ...]) -> set[int]:
@@ -651,9 +625,16 @@ def _least_monomials(gens: GeneratorSet, degree: int, runs: tuple[tuple[int, int
 
 
 def _label_degree(gens: GeneratorSet) -> Callable[[tuple[str, ...]], int]:
-    """Total degree of a label multiset of `gens`; KeyError on an unknown label."""
+    """Total degree of a label multiset of `gens`; UnknownLabel (a KeyError) on an unknown label."""
     degrees = {row.label: row.degree for row in gens.table}
-    return lambda labels: sum(map(degrees.__getitem__, labels))
+
+    def label_degree(labels: tuple[str, ...]) -> int:
+        try:
+            return sum(map(degrees.__getitem__, labels))
+        except KeyError as exc:
+            raise UnknownLabel(*exc.args) from None
+
+    return label_degree
 
 
 def _product_expander(gens: GeneratorSet, degree: int) -> Callable[[tuple[str, ...]], PackedTerms]:
@@ -667,7 +648,7 @@ def _product_expander(gens: GeneratorSet, degree: int) -> Callable[[tuple[str, .
     <= `degree`, so no digit carries (see `Packing`); a multiset above the
     bound raises ValueError instead of carrying.  The generators' integral
     coefficients are `int`, so products of integer generators are expanded
-    in integer arithmetic.  Raises KeyError on an unknown label.
+    in integer arithmetic.  Raises UnknownLabel on an unknown label.
     """
     label_degree = _label_degree(gens)
     values = {gen.label: gen.terms for gen in _packed_generators(gens, degree)}
@@ -845,7 +826,7 @@ def completeness_check(n: int, k: int, degree: int, exclude: Sequence[str] = ())
         key: kdim
         for b in orbit
         for w in weights
-        if (kdim := _piece_kernel_dim(n, k, key := GradedPieceKey(b, w)))
+        if (kdim := _piece_kernel_dim(k, key := GradedPieceKey(b, w)))
     }
     span = kernel_dims if polarized else _span_dims(gens, degree, kernel_dims, runs)
     # a piece that holds no product spans nothing; each orbit member counts its representative's dims
@@ -863,10 +844,12 @@ def _span_dims(
     The pieces are the representatives of `runs`, whose least monomials
     `_least_monomials` lists.  A piece with kernel_dim of them has span_dim
     = kernel_dim with nothing expanded: that many products are linearly
-    independent and, lying in ker D, no more can be.  The products of the
-    other pieces with one or more are listed by one `generator_products`
-    call and ranked by `_rank`, expanded lazily in label order; the rank
-    stops at kernel_dim, still exact.
+    independent and, lying in ker D, no more can be.  Each other piece with
+    one or more is walked (`_products`) straight into `_echelon`, its
+    products expanded as the elimination reads them, in label order; the
+    elimination stops at kernel_dim, still exact, and the walk with it.
+    Its pivot rows are untagged and not kept: `_piece_bases` is
+    `express`'s.
     """
     packing = packing_for(Ambient(gens.n, gens.k), degree)
     counts = Counter(s >> packing.shift for s in _least_monomials(gens, degree, runs))
@@ -879,8 +862,8 @@ def _span_dims(
             short[key] = kdim
     if short:
         expand = _product_expander(gens, degree)
-        for key, products in generator_products(gens, degree, short).items():
-            span[key] = _rank(map(expand, products), short[key])
+        for key, kdim in short.items():
+            span[key] = len(_echelon(map(expand, _products(gens, degree, packing.grading(*key))), limit=kdim))
     return span
 
 
@@ -900,10 +883,11 @@ def _piece_bases(gens: GeneratorSet, degree: int) -> dict[int, tuple[list[tuple[
     """Packed grading -> (products, pivot rows) of each piece `express_in_generators` has met, filled by it.
 
     Kept per label set and degree next to `_packed_generators` and `_reach`:
-    a piece's products in label order, up to its last greedy basis
-    product, and the pivot rows `_echelon` built from them with product j's
-    tag in column tag + 1 + j (tag = the degree's `Packing.end`).  A stored
-    pivot row is only read, never changed.
+    a piece's products in label order as its walk (`_products`) yielded
+    them, up to its last greedy basis product, and the pivot rows
+    `_echelon` built from them with product j's tag in column tag + 1 + j
+    (tag = the degree's `Packing.end`).  A stored pivot row is only read,
+    never changed.  Certificates neither fill nor read it.
     """
     return {}
 
@@ -925,12 +909,12 @@ def express_in_generators(p: Polynomial, gens: GeneratorSet) -> Combination:
     monomial support, so the greedy basis of all degree-d products is the
     union of the pieces' own bases, and a product outside p's pieces gets
     0.  A piece's basis is built once per label set and degree
-    (`_piece_bases`): its products go to `_echelon` in label order, each
-    expanded when it is read, and when every generator lies in ker D the
-    elimination stops at the piece's kernel_dim, since no more products can
-    be independent; the products after that one are dependent, get 0, and
-    are neither expanded nor kept.  Each call reduces only p's part in a
-    piece against that piece's pivot rows.
+    (`_piece_bases`): its walk (`_products`) feeds `_echelon` in label
+    order, each product expanded when it is read, and when every generator
+    lies in ker D the elimination stops at the piece's kernel_dim, since no
+    more products can be independent; the products after that one are
+    dependent, get 0, and are neither listed, expanded nor kept.  Each call
+    reduces only p's part in a piece against that piece's pivot rows.
 
     D(p) is computed only where this would raise.  A combination of
     products of kernel generators is itself in ker D, so a found one
@@ -976,15 +960,19 @@ def _combination(p: Polynomial, gens: GeneratorSet, stop: bool) -> Combination:
     # products before it, so the kept ones are the piece's greedy basis in label order
     tag = packing.end
     bases = _piece_bases(gens, degree)
-    missing = {g: GradedPieceKey(bd, w) for g, (bd, w, _) in gradings.items() if g not in bases}
-    if missing:
-        found = generator_products(gens, degree, missing.values())
-        expand = _product_expander(gens, degree)
-        for g, key in missing.items():
-            products = found.get(key, [])
-            rows = (expand(labels) | {tag + 1 + j: 1} for j, labels in enumerate(products))
-            limit = _piece_kernel_dim(gens.n, gens.k, key) if stop else None
-            pivot_rows = _echelon(rows, bound=tag, limit=limit)
+    expand = _product_expander(gens, degree) if parts.keys() - bases.keys() else None
+
+    def rows(grading: int, products: list[tuple[str, ...]]) -> Iterator[dict[int, int]]:
+        # the walk's products as the elimination reads them, each one kept
+        for j, labels in enumerate(_products(gens, degree, grading)):
+            products.append(labels)
+            yield expand(labels) | {tag + 1 + j: 1}
+
+    for g, (bd, w, _) in gradings.items():
+        if g not in bases:
+            products: list[tuple[str, ...]] = []
+            limit = _piece_kernel_dim(gens.k, GradedPieceKey(bd, w)) if stop else None
+            pivot_rows = _echelon(rows(g, products), bound=tag, limit=limit)
             # a pivot row's last column is its own product's tag
             bases[g] = products[: max(map(max, pivot_rows.values()), default=tag) - tag], pivot_rows
 

@@ -41,7 +41,8 @@ from weitzenboeck import (
     y,
     z,
 )
-from weitzenboeck.poly import Exponents, Scalar, Terms
+from weitzenboeck.kernel import _products, piece_keys
+from weitzenboeck.poly import Exponents, Scalar, Terms, packing_for
 
 
 def random_rational(rng, lo=-9, hi=9, max_den=9):
@@ -112,6 +113,13 @@ def product_family(n, k):
             )
             items.append((f"D{i},{j},{l}", det))
     return items
+
+
+def products_by_piece(gens, degree):
+    """Every piece of the degree that holds a product, in `piece_keys` order, mapped to the label multisets its walk yields."""
+    packing = packing_for(Ambient(gens.n, gens.k), degree)
+    found = {key: list(_products(gens, degree, packing.grading(*key))) for key in piece_keys(gens.n, gens.k, degree)}
+    return {key: labels for key, labels in found.items() if labels}
 
 
 def all_ring_monomials(ambient, degree):

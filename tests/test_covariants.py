@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import random_covariant_polynomial, random_rational
+from conftest import products_by_piece, random_covariant_polynomial, random_rational
 from weitzenboeck import (
     Ambient,
     Covariant,
@@ -12,12 +12,10 @@ from weitzenboeck import (
     NonHomogeneousOrder,
     WeitzenboeckDerivation,
     evaluate_combination,
-    generator_products,
     generators,
     jacobian,
     linear_form,
     parse,
-    piece_keys,
     tau,
     transvectant,
 )
@@ -222,7 +220,7 @@ def test_closure_of_transvection_with_linear_forms():
                     if degree not in span_pivots:
                         span_pivots[degree] = _sparse_pivots(
                             evaluate_combination({labels: 1}, gens)
-                            for found in generator_products(gens, degree, piece_keys(n, 1, degree)).values()
+                            for found in products_by_piece(gens, degree).values()
                             for labels in found
                         )
                     assert not _sparse_reduce(dict(image.items()), span_pivots[degree])

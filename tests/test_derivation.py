@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import product_family, random_polynomial, random_rational
+from conftest import product_family, products_by_piece, random_polynomial, random_rational
 from weitzenboeck import (
     Ambient,
     AmbientMismatch,
@@ -14,10 +14,8 @@ from weitzenboeck import (
     UnsupportedK,
     WeitzenboeckDerivation,
     express_in_generators,
-    generator_products,
     generators,
     parse,
-    piece_keys,
     ring_var,
 )
 
@@ -232,7 +230,7 @@ class TestGenerators:
     def test_invalid_generator_is_named(self, text, reason):
         gens = GeneratorSet(2, 1, (("x1", parse("x1", A21)), ("bad", parse(text, A21))))
         with pytest.raises(NonHomogeneous, match=f"generator bad {reason}"):
-            generator_products(gens, 2, piece_keys(2, 1, 2))
+            products_by_piece(gens, 2)
         with pytest.raises(NonHomogeneous, match=f"generator bad {reason}"):
             express_in_generators(parse("x1^2", A21), gens)
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import fraction_rref, sparse_rank, ungraded_kernel_dimension
+from conftest import fraction_rref, products_by_piece, sparse_rank, ungraded_kernel_dimension
 from weitzenboeck import (
     Ambient,
     GradedPieceKey,
@@ -22,13 +22,13 @@ from weitzenboeck import (
     NotInKernel,
     NotInSpan,
     Polynomial,
+    UnknownLabel,
     UnsupportedK,
     Variable,
     WeitzenboeckDerivation,
     completeness_check,
     evaluate_combination,
     express_in_generators,
-    generator_products,
     generators,
     graded_monomials,
     kernel_basis,
@@ -44,7 +44,6 @@ from weitzenboeck.kernel import (
     _echelon,
     _orbit_size,
     _piece_kernel_dim,
-    _rank,
     _representatives,
     compositions,
     matrix_rows,
@@ -260,7 +259,7 @@ PRIME = (1 << 61) - 1
 
 
 def _integer_rows(rows):
-    """Each row scaled by the lcm of its denominators: the integer rows `_rank` takes."""
+    """Each row scaled by the lcm of its denominators: the integer rows `_echelon` takes."""
     out = []
     for row in rows:
         scale = lcm(*(Fraction(v).denominator for v in row.values()))
@@ -275,12 +274,16 @@ class TestRank:
     def test_equals_fraction_rank(self, matrix, limit):
         rows = _integer_rows(matrix[0])
         rank = sparse_rank(rows)
-        assert _rank(rows) == rank
-        # the elimination stops at its limit, so a limit below the rank is returned
-        assert _rank(rows, limit) == min(rank, limit)
+        assert len(_echelon(rows)) == rank
+        # the elimination stops at its limit, so a limit below the rank is returned, and
+        # it reads no row past the shortest prefix whose rank reaches the limit
+        read = []
+        assert len(_echelon((read.append(row) or row for row in rows), limit=limit)) == min(rank, limit)
+        reached = next((i for i in range(len(rows) + 1) if sparse_rank(rows[:i]) == limit), len(rows))
+        assert read == rows[:reached]
         # rows scaled by multiples of the prime 2^61 - 1 keep their rank over Q,
         # which a rank modulo that prime would lose
-        assert _rank([{c: v * PRIME * (i + 1) for c, v in row.items()} for i, row in enumerate(rows)]) == rank
+        assert len(_echelon([{c: v * PRIME * (i + 1) for c, v in row.items()} for i, row in enumerate(rows)])) == rank
 
     @given(st.one_of(sparse_matrices(), dependent_matrices()), st.integers(0, 8))
     @settings(max_examples=300, deadline=None)
@@ -376,7 +379,7 @@ def _all_products(gens, degree):
     Label order is by multiplicity vector, higher multiplicity of earlier
     generators first, as in the itertools oracle.
     """
-    by_piece = generator_products(gens, degree, piece_keys(gens.n, gens.k, degree))
+    by_piece = products_by_piece(gens, degree)
     order = gens.labels()
     products = [(labels, key) for key, found in by_piece.items() for labels in found]
     return sorted(products, key=lambda pr: [-pr[0].count(label) for label in order])
@@ -394,8 +397,8 @@ class TestGeneratorProducts:
             GradedPieceKey((0, 2), 0),
             GradedPieceKey((1, 1), 1),
         ]
-        # one entry per piece that holds products, in the order the pieces are given
-        by_piece = generator_products(gens, 2, piece_keys(2, 1, 2))
+        # one entry per piece that holds products, in piece order
+        by_piece = products_by_piece(gens, 2)
         assert list(by_piece) == sorted(key for _, key in prods)
 
     def test_degree_one_products(self):
@@ -410,7 +413,7 @@ class TestGeneratorProducts:
             full = generators(n, k)
             for gens in (full, full.without(full.labels()[0]), full.without(full.labels()[-1])):
                 for d in range(5):
-                    for key, found in generator_products(gens, d, piece_keys(n, k, d)).items():
+                    for key, found in products_by_piece(gens, d).items():
                         assert found
                         for labels in found:
                             ((bd, w, cov),) = _expand(labels, gens).gradings()
@@ -419,36 +422,33 @@ class TestGeneratorProducts:
     @given(st.integers(1, 4), st.sampled_from([1, 2]), st.integers(0, 6), st.data())
     @settings(max_examples=60, deadline=None)
     def test_pieces_prune_matches_filtered_enumeration(self, n, k, degree, data):
-        # the pruned enumeration must give exactly the pieces of the full one
-        # that lie in `pieces`, each with the same products in the same order,
-        # in the order the pieces are first given
+        # the pruned walk of each piece must yield exactly the products of the unpruned
+        # enumeration that lie in that piece, in the same order, and a piece that holds
+        # none must yield nothing. The unpruned enumeration is every nondecreasing
+        # sequence of generator indices of total degree `degree`, in ascending lex
+        # order, and a product's piece is the packed sum of its rows' gradings
         full = generators(n, k)
         exclude = data.draw(st.lists(st.sampled_from(full.labels()), unique=True, max_size=3))
         gens = full.without(*exclude)
-        every = generator_products(gens, degree, piece_keys(n, k, degree))
-        reachable = sorted(every)
-        candidates = piece_keys(n, k, degree) + piece_keys(n, k, degree + 1)  # reachable, unreachable and other-degree keys
-        if degree:
-            candidates += piece_keys(n, k, degree - 1)
-        pieces = data.draw(st.sets(st.sampled_from(candidates), max_size=6))
-        if reachable and data.draw(st.booleans()):
-            # keys past every reachable component: each moves m units of one
-            # component into its neighbour, which aliases a reachable key
-            # under any packing whose fields hold m = 2^bits values
-            top = max(max(*key.block_degrees, key.weight) for key in reachable)
-            base = data.draw(st.sampled_from(reachable))
-            comps = [*base.block_degrees, base.weight]
-            for i in range(n):
-                for m in range(1, 4 * top + 5):
-                    for lo, hi in ((m, -1), (-m, 1)):
-                        shifted = comps[:i] + [comps[i] + lo, comps[i + 1] + hi] + comps[i + 2 :]
-                        pieces.add(GradedPieceKey(tuple(shifted[:n]), shifted[n]))
-        selected = generator_products(gens, degree, pieces)
-        assert selected == {key: every[key] for key in pieces if key in every}
-        assert list(selected) == [key for key in pieces if key in every]
-        assert generator_products(gens, degree, set()) == {}
-        assert generator_products(gens, degree, set(reachable)) == every
-        assert all(every.values())
+        rows = gens.table
+        packing = packing_for(Ambient(n, k), degree)
+        unpruned = sorted(
+            combo
+            for size in range(degree + 1)
+            for combo in itertools.combinations_with_replacement(range(len(rows)), size)
+            if sum(rows[i].degree for i in combo) == degree
+        )
+
+        by_piece = defaultdict(list)
+        for combo in unpruned:
+            blocks = [sum(rows[i].block_degrees[b] for i in combo) for b in range(n)]
+            by_piece[packing.grading(blocks, sum(rows[i].weight for i in combo))].append(tuple(rows[i].label for i in combo))
+        walked = 0
+        for key in piece_keys(n, k, degree):
+            found = list(kernel._products(gens, degree, packing.grading(*key)))
+            assert found == by_piece.get(packing.grading(*key), [])
+            walked += len(found)
+        assert walked == len(unpruned)
 
     @given(st.integers(1, 4), st.sampled_from([1, 2]), st.integers(0, 5), st.data())
     @settings(max_examples=40, deadline=None)
@@ -476,37 +476,14 @@ class TestGeneratorProducts:
                 sum(rows[i].weight for i in combo),
             )
             expected[key].append(tuple(rows[i].label for i in combo))
-        by_piece = generator_products(gens, degree, piece_keys(n, k, degree))
+        by_piece = products_by_piece(gens, degree)
         assert by_piece == expected
         index = {row.label: i for i, row in enumerate(rows)}
         merged = sorted((labels for found in by_piece.values() for labels in found), key=lambda labels: [index[label] for label in labels])
         assert merged == [tuple(rows[i].label for i in combo) for combo in multisets]
 
-    def test_repeated_or_list_pieces_give_each_product_once(self):
-        # a piece listed twice, or with list block degrees, selects its products once,
-        # in one entry keyed by a GradedPieceKey with tuple block degrees
-        gens = generators(3, 2)
-        wanted = GradedPieceKey((2, 1, 1), 2)
-        selected = generator_products(gens, 4, piece_keys(3, 2, 4))[wanted]
-        assert len(selected) > 1
-        for pieces in ([wanted, wanted], [([2, 1, 1], 2)], [([2, 1, 1], 2), wanted, ((2, 1, 1), 2)]):
-            products = generator_products(gens, 4, pieces)
-            assert products == {wanted: selected}
-            ((key, _),) = products.items()
-            assert type(key) is GradedPieceKey and type(key.block_degrees) is tuple
-
-    def test_targets_that_pack_like_a_reachable_piece(self):
-        # at k*degree = 3 the fields hold 2 bits, so (18, -15) with weight 3 packs
-        # like the reachable (2, 1) with weight 0; its block sum is the degree
-        # too, and only the sign of its blocks marks it unreachable
-        packing = packing_for(Ambient(2, 1), 3)
-        assert packing.grading((18, -15), 3) == packing.grading((2, 1), 0)
-        gens = generators(2, 1)
-        assert generator_products(gens, 3, {GradedPieceKey((18, -15), 3)}) == {}
-        assert generator_products(gens, 3, {GradedPieceKey((2, 1), 0)}) == {GradedPieceKey((2, 1), 0): [("x1", "x1", "x2")]}
-
     def test_degree_four_multisets(self):
-        assert generator_products(generators(1, 2), 4, piece_keys(1, 2, 4)) == {
+        assert products_by_piece(generators(1, 2), 4) == {
             GradedPieceKey((4,), 0): [("x1", "x1", "x1", "x1")],
             GradedPieceKey((4,), 2): [("x1", "x1", "H1,1")],
             GradedPieceKey((4,), 4): [("H1,1", "H1,1")],
@@ -514,7 +491,7 @@ class TestGeneratorProducts:
 
     def test_degree_zero(self):
         gens = generators(2, 1)
-        assert generator_products(gens, 0, piece_keys(2, 1, 0)) == {GradedPieceKey((0, 0), 0): [()]}
+        assert products_by_piece(gens, 0) == {GradedPieceKey((0, 0), 0): [()]}
         assert _expand((), gens) == 1
 
     def test_monotone_consistency(self):
@@ -588,7 +565,7 @@ class TestProductExpander:
             kernel._product_expander(generators(2, 2), 1)(("H1,1",))
 
     def test_unknown_label(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(UnknownLabel, match="H1,1"):
             kernel._product_expander(generators(2, 1), 3)(("x1", "H1,1"))
 
 
@@ -615,6 +592,17 @@ class TestEvaluateCombination:
                         term = term * gens.value(label)
                     expected = expected + term
                 assert evaluate_combination(combination, gens) == expected
+
+    def test_unknown_label(self):
+        # a label outside the set is named by UnknownLabel, a KeyError, as
+        # GeneratorSet.without names one
+        gens = generators(2, 1)
+        for combination, label in (({("x1", "J9,9"): 1}, "J9,9"), ({("x1",): 1, ("H1,1",): 2}, "H1,1")):
+            with pytest.raises(UnknownLabel) as caught:
+                evaluate_combination(combination, gens)
+            assert isinstance(caught.value, KeyError) and caught.value.args == (label,)
+        with pytest.raises(UnknownLabel, match="J9,9"):
+            gens.without("J9,9")
 
 
 class TestCompleteness:
@@ -657,16 +645,16 @@ class TestCompleteness:
         gens = full.without(*exclude)
         amb = Ambient(n, k)
         by_piece = defaultdict(list)
-        for key, found in generator_products(gens, degree, piece_keys(n, k, degree)).items():
+        for key, found in products_by_piece(gens, degree).items():
             for labels in found:
                 value = Polynomial.one(amb)
                 for label in labels:
                     value = value * gens.value(label)
                 by_piece[key].append(value)
         rep = completeness_check(n, k, degree, exclude=exclude)
-        assert [piece.key for piece in rep.per_piece] == [key for key in piece_keys(n, k, degree) if _piece_kernel_dim(n, k, key)]
+        assert [piece.key for piece in rep.per_piece] == [key for key in piece_keys(n, k, degree) if _piece_kernel_dim(k, key)]
         for piece in rep.per_piece:
-            assert piece.kernel_dim == _piece_kernel_dim(n, k, piece.key)
+            assert piece.kernel_dim == _piece_kernel_dim(k, piece.key)
             assert piece.span_dim == sparse_rank(dict(p.items()) for p in by_piece[piece.key])
         reported = {piece.key for piece in rep.per_piece}
         assert all(sparse_rank(dict(p.items()) for p in polys) == 0 for key, polys in by_piece.items() if key not in reported)
@@ -690,12 +678,12 @@ class TestCompleteness:
         # of stable swaps, found by brute force) are counted, each decided once: one
         # least-monomial table per degree holds exactly the least packed keys of the
         # products in the representative pieces. A piece with kernel_dim of them is
-        # certified with nothing expanded; the products are asked for in exactly the
-        # pieces that fall short, in one request (none when no piece is short), and
-        # those are ranked, once each, on a lazy row iterator that expands a prefix
-        # of the piece's products in label order, each product once: the prefix ends
-        # at the product that brings the rank to kernel_dim, or covers every product
-        # when the rank stays below it. The least monomials (the least packed key of
+        # certified with nothing expanded; exactly the pieces that fall short are
+        # walked, once each (none when no piece is short), and ranked, once each, on a
+        # lazy row iterator that expands a prefix of the piece's products in label
+        # order, each product once: the prefix ends at the product that brings the
+        # rank to kernel_dim, or covers every product when the rank stays below it,
+        # and the walk yields that prefix and no more. The least monomials (the least packed key of
         # each) and the ranks of the prefixes (by the Fraction oracle) come from plain
         # Polynomial products here. With no stable swap, as for (3, 1, 4) without x1
         # and x3, every piece is its own representative. The full families of these
@@ -706,10 +694,10 @@ class TestCompleteness:
         # forced incomplete, which runs the per-n path
         if not exclude and n > k + 1:
             tables, blocks, expanded_blocks = set(), set(), set()
-            real_table, real_products, real_expander = kernel._least_monomials, kernel.generator_products, kernel._product_expander
+            real_table, real_products, real_expander = kernel._least_monomials, kernel._products, kernel._product_expander
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(kernel, "_least_monomials", lambda g, d, r: tables.add(g.n) or real_table(g, d, r))
-                patch.setattr(kernel, "generator_products", lambda g, d, p: blocks.update(len(key[0]) for key in p) or real_products(g, d, p))
+                patch.setattr(kernel, "_products", lambda g, d, grading: blocks.add(g.n) or real_products(g, d, grading))
                 patch.setattr(kernel, "_product_expander", lambda g, d: expanded_blocks.add(g.n) or real_expander(g, d))
                 assert completeness_check(n, k, degree).complete
             assert tables == {k + 1} and blocks <= {k + 1} and expanded_blocks <= {k + 1}
@@ -724,7 +712,7 @@ class TestCompleteness:
 
         label_key = {labels: key for labels, key in _all_products(gens, degree)}
         assert bool(stable) == (exclude != ("x1", "x3"))
-        wanted = {key for key in piece_keys(n, k, degree) if _piece_kernel_dim(n, k, key) and representative(key.block_degrees)}
+        wanted = {key for key in piece_keys(n, k, degree) if _piece_kernel_dim(k, key) and representative(key.block_degrees)}
         keys = {key for key in label_key.values() if representative(key.block_degrees)}
         if not stable:
             assert keys == set(label_key.values())
@@ -735,30 +723,31 @@ class TestCompleteness:
                 value = value * gens.value(label)
             values[key].append((labels, dict(value.items())))
             leads[key].add(min(packing.pack(exps) for exps, _ in value.items()))
-        short = {key for key in keys if len(leads[key]) < _piece_kernel_dim(n, k, key)}
+        short = {key for key in keys if len(leads[key]) < _piece_kernel_dim(k, key)}
         assert bool(short) == (exclude != ())
         prefixes = {}
         for key in short:
-            kdim = _piece_kernel_dim(n, k, key)
+            kdim = _piece_kernel_dim(k, key)
             stop = next((i for i in range(1, len(values[key]) + 1) if sparse_rank(row for _, row in values[key][:i]) == kdim), len(values[key]))
             prefixes[key] = [labels for labels, _ in values[key][:stop]]
 
         by_grading = {packing.grading(*key): key for key in keys}
-        ranked, expanded, requests, tables = [], [], [], []
-        real_rank, real_expander, real_products, real_table = kernel._rank, kernel._product_expander, kernel.generator_products, kernel._least_monomials
+        ranked, expanded, walks, tables = [], [], [], []
+        real_echelon, real_expander, real_products, real_table = kernel._echelon, kernel._product_expander, kernel._products, kernel._least_monomials
 
-        def counting(rows, limit=None):
-            # each row is recorded as the rank reads it, and the labels expanded meanwhile
+        def counting(rows, bound=None, limit=None):
+            # each row is recorded as the elimination reads it, and the labels expanded meanwhile
             read, start = [], len(expanded)
-            rank = real_rank((read.append(row) or row for row in rows), limit)
+            pivot_rows = real_echelon((read.append(row) or row for row in rows), bound, limit)
             (grading,) = {mono >> packing.shift for row in read for mono in row}
             ranked.append((by_grading[grading], expanded[start:]))
             assert len(read) == len(expanded) - start
-            return rank
+            return pivot_rows
 
-        def requesting(gens, degree, pieces):
-            requests.append(set(pieces))
-            return real_products(gens, degree, pieces)
+        def walking(gens, degree, grading):
+            # each walk is recorded with the labels it yields, as they are drawn
+            walks.append((by_grading[grading], yielded := []))
+            return (yielded.append(labels) or labels for labels in real_products(gens, degree, grading))
 
         def recording(gens, degree):
             expand = real_expander(gens, degree)
@@ -768,13 +757,14 @@ class TestCompleteness:
             tables.append(real_table(gens, degree, runs))
             return tables[-1]
 
-        monkeypatch.setattr(kernel, "_rank", counting)
+        monkeypatch.setattr(kernel, "_echelon", counting)
         monkeypatch.setattr(kernel, "_product_expander", recording)
-        monkeypatch.setattr(kernel, "generator_products", requesting)
+        monkeypatch.setattr(kernel, "_products", walking)
         monkeypatch.setattr(kernel, "_least_monomials", tabling)
         rep = completeness_check(n, k, degree, exclude=exclude)
         assert tables == [set().union(*(leads[key] for key in keys))] and keys <= wanted
-        assert requests == ([short] if short else [])
+        assert sorted(key for key, _ in walks) == sorted(short)
+        assert dict(walks) == prefixes
         assert sorted(key for key, _ in ranked) == sorted(short)
         assert dict(ranked) == prefixes
         assert sum(len(prefix) for prefix in prefixes.values()) == len(expanded)
@@ -789,31 +779,66 @@ class TestCompleteness:
         # the columns handed to the elimination are the expander's packed monomials
         # themselves, not renumbered, so the least-column pivot is the least monomial
         # in the packing's monomial order; every key lies in the piece being ranked.
-        # The ranked pieces are those whose products are listed, the ones the count of
+        # The ranked pieces are those whose products are walked, the ones the count of
         # least monomials leaves short (one representative piece of the full family at
-        # (3, 2, 6)). Rows are recorded as the rank reads them
+        # (3, 2, 6)). Rows are recorded as the elimination reads them
         packing = packing_for(Ambient(n, k), degree)
         ranked, pieces = [], []
-        real_rank, real_products = kernel._rank, kernel.generator_products
+        real_echelon, real_products = kernel._echelon, kernel._products
 
-        def spying(rows, limit=None):
+        def spying(rows, bound=None, limit=None):
             ranked.append(read := [])
-            return real_rank((read.append(dict(row)) or row for row in rows), limit)
+            return real_echelon((read.append(dict(row)) or row for row in rows), bound, limit)
 
-        def listing(gens, degree, wanted):
-            found = real_products(gens, degree, wanted)
-            pieces.extend(found)
-            return found
+        def walking(gens, degree, grading):
+            pieces.append(grading)
+            return real_products(gens, degree, grading)
 
-        monkeypatch.setattr(kernel, "_rank", spying)
-        monkeypatch.setattr(kernel, "generator_products", listing)
+        monkeypatch.setattr(kernel, "_echelon", spying)
+        monkeypatch.setattr(kernel, "_products", walking)
         completeness_check(n, k, degree, exclude=exclude)
         assert len(ranked) == len(pieces) >= 1
-        for (b, w), rows in zip(pieces, ranked):
-            piece = packing.grading(b, w)
+        for piece, rows in zip(pieces, ranked):
             keys = {key for row in rows for key in row}
             assert keys and all(key >> packing.shift == piece for key in keys)
             assert all(packing.pack(packing.unpack(key)) == key for key in keys)
+
+    def test_walk_stops_where_the_rank_reaches_kernel_dim(self, monkeypatch):
+        # the one short representative piece of the full family at (3, 2, 6), ((2, 2, 2), 4),
+        # holds 21 products and 10 least monomials against kernel_dim 11. Its rank, by the
+        # Fraction oracle on plain Polynomial products, reaches 11 at the 13th product in
+        # label order, so its one walk yields those 13 and stops, and they are exactly the
+        # products expanded
+        key = GradedPieceKey((2, 2, 2), 4)
+        gens = generators(3, 2)
+        amb = Ambient(3, 2)
+        grading = packing_for(amb, 6).grading(*key)
+        every = list(kernel._products(gens, 6, grading))
+        values = []
+        for labels in every[:13]:
+            value = Polynomial.one(amb)
+            for label in labels:
+                value = value * gens.value(label)
+            values.append(dict(value.items()))
+        assert len(every) == 21 and _piece_kernel_dim(2, key) == 11
+        assert (sparse_rank(values[:12]), sparse_rank(values)) == (10, 11)
+        walked, yielded, expanded = [], [], []
+        real_products, real_expander = kernel._products, kernel._product_expander
+
+        def walking(gens, degree, grading):
+            walked.append(grading)
+            return (yielded.append(labels) or labels for labels in real_products(gens, degree, grading))
+
+        def recording(gens, degree):
+            expand = real_expander(gens, degree)
+            return lambda labels: expanded.append(labels) or expand(labels)
+
+        monkeypatch.setattr(kernel, "_products", walking)
+        monkeypatch.setattr(kernel, "_product_expander", recording)
+        rep = completeness_check(3, 2, 6)
+        assert walked == [grading]
+        assert yielded == expanded == every[:13]
+        assert rep.complete and PieceReport(key, 11, 11) in rep.representatives
 
     @pytest.mark.parametrize(
         "n, k, exclude, runs",
@@ -886,7 +911,8 @@ class TestCompleteness:
         # without x1 at (2, 2, 3), piece ((1, 2), 2) holds one product, x2*H1,2, so its
         # one least monomial falls short of kernel_dim 2 and the rank reports 1
         short = GradedPieceKey((1, 2), 2)
-        assert generator_products(generators(2, 2).without("x1"), 3, {short: 2})[short] == [("x2", "H1,2")]
+        grading = packing_for(Ambient(2, 2), 3).grading(*short)
+        assert list(kernel._products(generators(2, 2).without("x1"), 3, grading)) == [("x2", "H1,2")]
         pieces = {piece.key: piece for piece in completeness_check(2, 2, 3, exclude=["x1"]).per_piece}
         assert (pieces[short].kernel_dim, pieces[short].span_dim) == (2, 1)
 
@@ -930,7 +956,7 @@ class TestCompleteness:
             if representative(key.block_degrees):
                 count = sum(s >> packing.shift == packing.grading(*key) for s in table)
                 rank = sparse_rank(dict(value.items()) for value in values.get(key, ()))
-                assert count == len(leads.get(key, ())) <= rank <= _piece_kernel_dim(n, k, key)
+                assert count == len(leads.get(key, ())) <= rank <= _piece_kernel_dim(k, key)
                 assert (count >= 1) == (key in values)
 
     def test_generator_outside_its_table_piece_is_named(self):
@@ -941,11 +967,11 @@ class TestCompleteness:
         gens = GeneratorSet(2, 1, (("x1", parse("x1", amb)), ("skew", parse("x1*y2 - x2*y1", amb))))
         object.__setattr__(gens, "table", (gens.table[0], gens.table[1]._replace(weight=0)))
         with pytest.raises(NonHomogeneous, match=r"generator skew has monomial \(1, 0, 0, 1, 0, 0\) outside its table piece"):
-            generator_products(gens, 2, piece_keys(2, 1, 2))
+            products_by_piece(gens, 2)
         with pytest.raises(NonHomogeneous, match="generator skew "):
             kernel._product_expander(gens, 2)
         # at degree 1 the skewed generator is in no product and is not packed
-        assert generator_products(gens, 1, piece_keys(2, 1, 1)) == {GradedPieceKey((1, 0), 0): [("x1",)]}
+        assert products_by_piece(gens, 1) == {GradedPieceKey((1, 0), 0): [("x1",)]}
 
     @given(st.integers(1, 5), st.sampled_from([1, 2]), st.integers(0, 4), st.lists(st.integers(0, 60), unique=True, max_size=3))
     @example(5, 2, 4, [])
@@ -984,14 +1010,14 @@ class TestCompleteness:
         labels = generators(n, k).labels()
         exclude = sorted({labels[i % len(labels)] for i in drop})
         stable = _stable_swaps(generators(n, k).without(*exclude))
-        pieces = [key for d in range(max_degree + 1) for key in piece_keys(n, k, d) if _piece_kernel_dim(n, k, key)]
+        pieces = [key for d in range(max_degree + 1) for key in piece_keys(n, k, d) if _piece_kernel_dim(k, key)]
         wanted = [key for key in pieces if all(key.block_degrees[i] <= key.block_degrees[i + 1] for i in stable)]
         polarized = not exclude and n > k + 1
         base_wanted = [
             key
             for d in range(max_degree + 1)
             for key in piece_keys(k + 1, k, d)
-            if _piece_kernel_dim(k + 1, k, key) and list(key.block_degrees) == sorted(key.block_degrees)
+            if _piece_kernel_dim(k, key) and list(key.block_degrees) == sorted(key.block_degrees)
         ]
         argv = ["verify", "--n", str(n), "--k", str(k), "--max-degree", str(max_degree)]
         argv += [arg for label in exclude for arg in ("--exclude", label)]
@@ -1061,47 +1087,45 @@ class TestPolarization:
         assert [completeness_check(5, 2, d, exclude=_types_left_out(5, 2, "xJH")).complete for d in (3, 4, 5)] == [False, True, False]
 
     def test_wide_full_family_ranks_only_k_plus_one_blocks(self, monkeypatch):
-        # verify --n 8 --k 2 --max-degree 8 counts least monomials, asks for products,
+        # verify --n 8 --k 2 --max-degree 8 counts least monomials, walks products,
         # expands and ranks on 3 blocks only, one table per degree, builds no 8-block
         # generator, and prints what deciding every 8-block piece printed
         tables, requests, expanders, ranked, built = [], [], [], [], []
-        real_products, real_expander, real_rank = kernel.generator_products, kernel._product_expander, kernel._rank
+        real_products, real_expander, real_echelon = kernel._products, kernel._product_expander, kernel._echelon
         real_generators, real_table = kernel.generators, kernel._least_monomials
 
-        def requesting(gens, degree, pieces):
-            requests.append((gens.n, degree, list(pieces)))
-            return real_products(gens, degree, pieces)
+        def requesting(gens, degree, grading):
+            requests.append((gens.n, degree, grading))
+            return real_products(gens, degree, grading)
 
         def recording(gens, degree):
             expanders.append(gens.n)
             return real_expander(gens, degree)
 
-        def counting(rows, limit=None):
-            # the ranked piece is one of the pieces of the request it comes from; its
-            # gradings are read off each row as the rank reads it
-            n, degree, pieces = requests[-1]
+        def counting(rows, bound=None, limit=None):
+            # the ranked piece is the piece last walked; its gradings are read off each
+            # row as the elimination reads it
+            n, degree, grading = requests[-1]
             packing = packing_for(Ambient(n, 2), degree)
             gradings = set()
-            rank = real_rank((gradings.update(mono >> packing.shift for mono in row) or row for row in rows), limit)
-            (grading,) = gradings
-            assert grading in {packing.grading(*key) for key in pieces}
+            pivot_rows = real_echelon((gradings.update(mono >> packing.shift for mono in row) or row for row in rows), bound, limit)
+            assert gradings == {grading}
             ranked.append(n)
-            return rank
+            return pivot_rows
 
-        monkeypatch.setattr(kernel, "generator_products", requesting)
+        monkeypatch.setattr(kernel, "_products", requesting)
         monkeypatch.setattr(kernel, "_product_expander", recording)
-        monkeypatch.setattr(kernel, "_rank", counting)
+        monkeypatch.setattr(kernel, "_echelon", counting)
         monkeypatch.setattr(kernel, "generators", lambda n, k: built.append(n) or real_generators(n, k))
         monkeypatch.setattr(kernel, "_least_monomials", lambda g, d, r: tables.append((g.n, d)) or real_table(g, d, r))
         assert _verify_stdout("--n", "8", "--k", "2", "--max-degree", "8") == (0, (GOLDEN_DIR / "verify_n8_k2_d8.txt").read_text())
         assert built and set(built) == {3}
         assert tables == [(3, d) for d in range(9)]
-        # a request per degree with a short piece, each for 3-block pieces only
+        # one walk per short piece, each of 3 blocks, and one elimination per walk
         assert requests and [n for n, _, _ in requests] == [3] * len(requests)
-        assert len({degree for _, degree, _ in requests}) == len(requests)
-        assert all(len(key.block_degrees) == 3 for _, _, pieces in requests for key in pieces)
+        assert len(set(requests)) == len(requests)
         assert expanders and set(expanders) == {3}
-        assert ranked and set(ranked) == {3}
+        assert ranked == [3] * len(requests)
 
     @pytest.mark.parametrize("golden, n, k, top", [("verify_n6_k1_d4.txt", 6, 1, 4), ("verify_n4_k1_d6.txt", 4, 1, 6)])
     def test_incomplete_base_decides_on_n_blocks(self, monkeypatch, golden, n, k, top):
@@ -1111,9 +1135,9 @@ class TestPolarization:
         # no products are listed
         monkeypatch.setattr(kernel, "_base_complete", lambda k, degree: False)
         blocks, requests = [], []
-        real_table, real_products = kernel._least_monomials, kernel.generator_products
+        real_table, real_products = kernel._least_monomials, kernel._products
         monkeypatch.setattr(kernel, "_least_monomials", lambda g, d, r: blocks.append(g.n) or real_table(g, d, r))
-        monkeypatch.setattr(kernel, "generator_products", lambda g, d, p: requests.append(g.n) or real_products(g, d, p))
+        monkeypatch.setattr(kernel, "_products", lambda g, d, grading: requests.append(g.n) or real_products(g, d, grading))
         argv = ("--n", str(n), "--k", str(k), "--max-degree", str(top), "--output", "machine")
         assert _verify_stdout(*argv) == (0, (GOLDEN_DIR / golden).read_text())
         assert blocks == [n] * (top + 1) and requests == []
@@ -1234,10 +1258,11 @@ class TestExpress:
     )
     def test_each_piece_expands_the_prefix_that_reaches_kernel_dim(self, monkeypatch, n, k, degree, exclude, truncated):
         # p holds every product of the degree, so it lies in every piece that holds one.
-        # Its first express builds each piece's basis once: one generator_products call
-        # asks for exactly p's pieces, and each piece expands, once each and in label
-        # order, the prefix of its products that ends at the product bringing the rank to
-        # kernel_dim, or all of them when the rank stays below it. The ranks of the
+        # Its first express builds each piece's basis once: exactly p's pieces are walked,
+        # once each, and each piece expands, once each and in label order, the prefix of
+        # its products that ends at the product bringing the rank to kernel_dim, or all
+        # of them when the rank stays below it; the walks yield exactly the products
+        # expanded, in the same order. The ranks of the
         # prefixes come from the Fraction oracle on plain Polynomial products. At (2, 1, 6)
         # every product is independent, so every piece expands all of its products
         gens = generators(n, k).without(*exclude)
@@ -1252,29 +1277,31 @@ class TestExpress:
             values[key].append((labels, dict(value.items())))
         prefixes = {}
         for key, rows in values.items():
-            kdim = _piece_kernel_dim(n, k, key)
+            kdim = _piece_kernel_dim(k, key)
             stop = next((i for i in range(1, len(rows) + 1) if sparse_rank(row for _, row in rows[:i]) == kdim), len(rows))
             prefixes[key] = [labels for labels, _ in rows[:stop]]
         assert any(len(prefix) < len(values[key]) for key, prefix in prefixes.items()) == truncated
 
-        requests, expanded = [], []
-        real_products, real_expander = kernel.generator_products, kernel._product_expander
+        packing = packing_for(amb, degree)
+        requests, yielded, expanded = [], [], []
+        real_products, real_expander = kernel._products, kernel._product_expander
 
-        def requesting(gens, degree, pieces):
-            requests.append(list(pieces))
-            return real_products(gens, degree, requests[-1])
+        def requesting(gens, degree, grading):
+            requests.append(grading)
+            return (yielded.append(labels) or labels for labels in real_products(gens, degree, grading))
 
         def recording(gens, degree):
             expand = real_expander(gens, degree)
             return lambda labels: expanded.append(labels) or expand(labels)
 
         kernel._piece_bases.cache_clear()
-        monkeypatch.setattr(kernel, "generator_products", requesting)
+        monkeypatch.setattr(kernel, "_products", requesting)
         monkeypatch.setattr(kernel, "_product_expander", recording)
         combination = express_in_generators(p, gens)
         monkeypatch.undo()
         assert evaluate_combination(combination, gens) == p
-        assert len(requests) == 1 and set(requests[0]) == set(values) and len(requests[0]) == len(values)
+        assert sorted(requests) == sorted(packing.grading(*key) for key in values)
+        assert yielded == expanded
         key_of = dict(products)
         by_piece = defaultdict(list)
         for labels in expanded:
@@ -1295,7 +1322,7 @@ class TestExpress:
         def boom(*args):
             raise AssertionError("a cached piece lists and expands no product")
 
-        monkeypatch.setattr(kernel, "generator_products", boom)
+        monkeypatch.setattr(kernel, "_products", boom)
         monkeypatch.setattr(kernel, "_product_expander", boom)
         assert express_in_generators(first, gens) == expected
         combination = express_in_generators(second, gens)
@@ -1419,7 +1446,7 @@ class TestCensus:
         for key in piece_keys(n, k, degree):
             cols = graded_monomials(n, k, key)
             images = [dict(deriv.apply(Polynomial(amb, {m: 1})).items()) for m in cols]
-            assert _piece_kernel_dim(n, k, key) == len(kernel_piece_basis(n, k, key)) == len(cols) - sparse_rank(images)
+            assert _piece_kernel_dim(k, key) == len(kernel_piece_basis(n, k, key)) == len(cols) - sparse_rank(images)
         assert kernel_dim(n, k, degree) == ungraded_kernel_dimension(n, k, degree)
 
     @given(st.lists(st.integers(0, 3), min_size=1, max_size=3), st.integers(1, 4))
@@ -1445,7 +1472,7 @@ class TestCensus:
         dims = [1, 2, 8, 20, 50]
         assert capsys.readouterr().out.splitlines() == [f"degree {d}: kernel_dim={dim}" for d, dim in enumerate(dims)]
         # with span ranks stubbed out, what remains of the certificate is the count
-        monkeypatch.setattr(kernel, "_rank", lambda rows, limit=None: 0)
+        monkeypatch.setattr(kernel, "_echelon", lambda rows, bound=None, limit=None: {})
         assert completeness_check(2, 2, 3).kernel_dim == kernel_dim(2, 2, 3) == 12
 
 
@@ -1505,4 +1532,4 @@ class TestClassicalHilbertSeries:
         for d in range(self.TOP + 1):
             for w in range(3 * d + 1):
                 order = 3 * d - 2 * w
-                assert _piece_kernel_dim(1, 3, GradedPieceKey((d,), w)) == series.get((d, order), 0), (d, w)
+                assert _piece_kernel_dim(3, GradedPieceKey((d,), w)) == series.get((d, order), 0), (d, w)
