@@ -24,7 +24,7 @@ from .covariants import Covariant, tau, transvectant
 from .derivation import WeitzenboeckDerivation, generators
 from .errors import IndexOutOfRange, NotInKernel, NotInSpan, UnknownLabel, UnsupportedK
 from .kernel import completeness_check, express_in_generators, kernel_dim
-from .poly import Ambient, parse
+from .poly import Ambient, _signed_sum, parse
 
 
 class _Flag:
@@ -152,17 +152,13 @@ def _machine(args, result) -> str:
 def _degree_range(args) -> range:
     if args.degree is not None:
         if args.degree < 0:
-            raise SystemExit2(f"--degree must be >= 0, got {args.degree}")
+            raise ValueError(f"--degree must be >= 0, got {args.degree}")
         return range(args.degree, args.degree + 1)
     if args.max_degree is None:
-        raise SystemExit2("one of --max-degree or --degree is required")
+        raise ValueError("one of --max-degree or --degree is required")
     if args.max_degree < 0:
-        raise SystemExit2(f"--max-degree must be >= 0, got {args.max_degree}")
+        raise ValueError(f"--max-degree must be >= 0, got {args.max_degree}")
     return range(args.max_degree + 1)
-
-
-class SystemExit2(Exception):
-    """Usage error detected after the command line is read (exit code 2)."""
 
 
 def cmd_gens(args) -> int:
@@ -237,20 +233,6 @@ def cmd_tau(args) -> int:
     return 0
 
 
-def _format_combination(combination) -> str:
-    if not combination:
-        return "0"
-    parts = []
-    for labels, coeff in combination.items():
-        # the coefficient prints unless it is +-1 on a nonempty product
-        body = "*".join(labels if labels and abs(coeff) == 1 else (str(abs(coeff)),) + labels)
-        if not parts:
-            parts.append(f"-{body}" if coeff < 0 else body)
-        else:
-            parts.append(f" - {body}" if coeff < 0 else f" + {body}")
-    return "".join(parts)
-
-
 def cmd_express(args) -> int:
     amb = Ambient(args.n, args.k)
     p = parse(args.poly, amb)
@@ -272,7 +254,7 @@ def cmd_express(args) -> int:
         }
         print(_machine(args, result))
     else:
-        print(_format_combination(combination))
+        print(_signed_sum((coeff, labels) for labels, coeff in combination.items()))
     return 0
 
 
@@ -320,7 +302,7 @@ def main(argv=None) -> int:
     except (NotInKernel, NotInSpan) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, IndexOutOfRange, SystemExit2) as exc:
+    except (ValueError, IndexOutOfRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

@@ -15,11 +15,10 @@ implemented for k >= 3; use the kernel census for that open case.
 
 from __future__ import annotations
 
-from functools import cache, cached_property
+from functools import cache
 from itertools import combinations, combinations_with_replacement, permutations
-from typing import NamedTuple
 
-from .errors import AmbientMismatch, NonHomogeneous, UnknownLabel, UnsupportedK
+from .errors import AmbientMismatch, UnknownLabel, UnsupportedK
 from .poly import Ambient, Polynomial, Terms, _Frozen, x, y, z
 
 
@@ -80,33 +79,6 @@ class WeitzenboeckDerivation(_Frozen):
         return r
 
 
-class GeneratorRow(NamedTuple):
-    """One generator's label, total degree and graded piece (block degrees, weight)."""
-
-    label: str
-    degree: int
-    block_degrees: tuple[int, ...]
-    weight: int
-
-
-def _generator_row(label: str, p: Polynomial) -> GeneratorRow:
-    """The table row of one generator; NonHomogeneous unless p is a ring polynomial of positive degree in one piece."""
-    if p.is_zero:
-        raise NonHomogeneous(f"generator {label} is zero")
-    degree = p.homogeneous_degree()
-    if degree is None:
-        raise NonHomogeneous(f"generator {label} mixes total degrees: {p}")
-    if degree == 0:  # it would be a factor of products of every degree, any number of times
-        raise NonHomogeneous(f"generator {label} is a constant: {p}")
-    gradings = p.gradings()
-    if any(cov for _, _, cov in gradings):
-        raise NonHomogeneous(f"generator {label} involves covariant variables: {p}")
-    if len(gradings) > 1:
-        raise NonHomogeneous(f"generator {label} spans several graded pieces: {p}")
-    ((block_degrees, weight, _),) = gradings
-    return GeneratorRow(label, sum(block_degrees), block_degrees, weight)
-
-
 class GeneratorSet(_Frozen):
     """Labeled kernel generators for D on (n, k), in deterministic order."""
 
@@ -132,25 +104,13 @@ class GeneratorSet(_Frozen):
     def value(self, label: str) -> Polynomial:
         return self._by_label[label]
 
-    @cached_property
-    def table(self) -> tuple[GeneratorRow, ...]:
-        """Each generator's row (label, degree, block_degrees, weight), built once per set.
-
-        Raises NonHomogeneous, naming the label, for a generator that is
-        zero or constant, mixes degrees or graded pieces, or involves CX/CY.
-        """
-        return tuple(_generator_row(label, p) for label, p in self.items)
-
     def without(self, *labels: str) -> "GeneratorSet":
         """A copy with the given generators removed (UnknownLabel, a KeyError, if a label is unknown)."""
         for lab in labels:
             if lab not in self._by_label:
                 raise UnknownLabel(lab)
         dropped = set(labels)
-        subset = GeneratorSet(self.n, self.k, tuple(it for it in self.items if it[0] not in dropped))
-        # the rows of the kept generators are the parent's; cached_property reads them from __dict__
-        subset.__dict__["table"] = tuple(row for row in self.table if row.label not in dropped)
-        return subset
+        return GeneratorSet(self.n, self.k, tuple(it for it in self.items if it[0] not in dropped))
 
 
 @cache

@@ -26,9 +26,11 @@ products are grouped by piece from their labels alone.  Monomials are
 packed (`poly.Packing`), one int per monomial whose high digits are its
 grading, in a monomial order that int addition keeps, and the
 generators are packed once per label set and degree
-(`_packed_generators`), each with its least packed monomial and each of
-its terms checked to lie in its piece; packing is linear, so every
-monomial of a product then lies in the piece its labels name.
+(`_packed_generators`, the one place where a generator's degree and
+piece are read and checked), each with its least packed monomial and its
+piece, the one grading `key >> shift` of all its packed terms; packing
+is linear, so every monomial of a product then lies in the piece its
+labels name.
 
 A piece is first certified by counting least monomials, with nothing
 expanded (`_least_monomials`, where the argument is): a product's least
@@ -457,7 +459,7 @@ def kernel_basis(n: int, k: int, degree: int) -> list[Polynomial]:
 
 
 class _PackedGenerator(NamedTuple):
-    """One generator in the packing of a degree: its grading, least monomial and terms as packed ints."""
+    """One generator in the packing of a degree: its total degree, grading, least monomial and terms as packed ints."""
 
     label: str
     degree: int
@@ -466,33 +468,51 @@ class _PackedGenerator(NamedTuple):
     terms: PackedTerms
 
 
+def _generator_degree(label: str, p: Polynomial) -> int:
+    """The total degree of generator `label`; NonHomogeneous, naming it, unless p is nonzero, non-constant and of one degree."""
+    if p.is_zero:
+        raise NonHomogeneous(f"generator {label} is zero")
+    degree = p.homogeneous_degree()
+    if degree is None:
+        raise NonHomogeneous(f"generator {label} mixes total degrees: {p}")
+    if degree == 0:  # it would be a factor of products of every degree, any number of times
+        raise NonHomogeneous(f"generator {label} is a constant: {p}")
+    return degree
+
+
 @cache
 def _packed_generators(gens: GeneratorSet, degree: int) -> tuple[_PackedGenerator, ...]:
-    """The generators of total degree <= `degree`, in table order, packed by `packing_for(Ambient(n, k), degree)`.
+    """The generators of total degree <= `degree`, in label order, packed by `packing_for(Ambient(n, k), degree)`.
 
-    Built once per label set and degree and shared by the least-monomial
-    table, the walk and the expander.  A row holds the generator's packed
-    grading (`Packing.grading` of its table row), its least packed
-    monomial (the min over its full packed term map, the monomial
-    `_echelon` pivots on) and its packed terms.  Every packed term is
-    checked to have the row's grading in its high digits (`>> shift`);
-    packing is linear, so every monomial of a product of these generators
-    then lies in the piece that is the sum of its factors' gradings.  Raises NonHomogeneous, naming
-    the label, for a term outside its generator's table grading.
+    The one place where a generator's degree and piece are read, built
+    once per label set and degree and shared by the least-monomial table,
+    the walk and the expander.  Every generator's degree is checked
+    (`_generator_degree`); one above `degree` is in no product of this
+    degree, too large to pack, and skipped.  A row holds the rest's
+    packed grading, the one `key >> shift` of all its packed terms, its
+    least packed monomial (the monomial `_echelon` pivots on) and its
+    packed terms.  Packing is linear, so every monomial of a product of
+    these generators lies in the piece that is the sum of its factors'
+    gradings.  Raises NonHomogeneous, naming the label, for a generator
+    that is zero or constant or mixes degrees, and for one of degree <=
+    `degree` whose terms involve CX/CY or span several gradings.
     """
     packing = packing_for(Ambient(gens.n, gens.k), degree)
+    # the covariant degree is a grading's top field, so a grading involves CX/CY
+    # exactly when it is at least that of covariant degree 1
+    covariant = packing.grading((0,) * gens.n, 0, 1)
     table = []
-    for row in gens.table:
-        if row.degree > degree:  # in no product of this degree, and too large to pack
+    for label, p in gens:
+        d = _generator_degree(label, p)
+        if d > degree:
             continue
-        grading = packing.grading(row.block_degrees, row.weight)
-        terms = packing.pack_terms(gens.value(row.label))
-        for mono in terms:
-            if mono >> packing.shift != grading:
-                stray = packing.unpack(mono)
-                piece = GradedPieceKey(row.block_degrees, row.weight)
-                raise NonHomogeneous(f"generator {row.label} has monomial {stray} outside its table piece {piece}")
-        table.append(_PackedGenerator(row.label, row.degree, grading, min(terms), terms))
+        terms = packing.pack_terms(p)
+        gradings = {mono >> packing.shift for mono in terms}
+        if max(gradings) >= covariant:
+            raise NonHomogeneous(f"generator {label} involves covariant variables: {p}")
+        if len(gradings) > 1:
+            raise NonHomogeneous(f"generator {label} spans several graded pieces: {p}")
+        table.append(_PackedGenerator(label, d, gradings.pop(), min(terms), terms))
     return tuple(table)
 
 
@@ -521,10 +541,12 @@ def _products(gens: GeneratorSet, degree: int, grading: int) -> Iterator[tuple[s
 
     The piece is the packed grading of a degree-`degree` monomial
     (`Packing.grading` of the degree's packing, the one
-    `_packed_generators` checks terms against).  Label order is higher
-    multiplicity of earlier generators first.  Nothing is expanded, the
-    products may be linearly dependent, and a piece that holds none yields
-    nothing.  A reader that stops early stops the walk with it.
+    `_packed_generators` reads the generators' gradings in).  Label order
+    is higher multiplicity of earlier generators first.  Every label is a
+    row of that table, so `_product_expander` takes the products
+    unchecked.  Nothing is expanded, the products may be linearly
+    dependent, and a piece that holds none yields nothing.  A reader that
+    stops early stops the walk with it.
 
     The walk adds one factor per level: a branch whose last factor is
     generator idx adds a generator j >= idx and goes on at j, so a product
@@ -596,11 +618,12 @@ def _least_monomials(gens: GeneratorSet, degree: int, runs: tuple[tuple[int, int
     ker D.  This is the SAGBI test (Robbiano-Sweedler) on one piece.
 
     Generators are added in stages by their lowest nonzero block, lowest
-    first (a generator of degree 0 has none and is rejected by its table
-    row).  A later stage adds nothing to blocks <= i, so after stage i their
-    degrees are final in every completion of a sum; a sum whose blocks
-    i - 1 and i share a run and are out of order (b_(i-1) > b_i) has no
-    completion in a representative piece and is dropped, at every level.
+    first (a generator of degree 0 has none and is rejected by
+    `_generator_degree`).  A later stage adds nothing to blocks <= i, so
+    after stage i their degrees are final in every completion of a sum; a
+    sum whose blocks i - 1 and i share a run and are out of order
+    (b_(i-1) > b_i) has no completion in a representative piece and is
+    dropped, at every level.
     The prune is exact: every sum of a representative piece has all its
     blocks in order within each run at every stage, so it is kept.
     """
@@ -624,33 +647,20 @@ def _least_monomials(gens: GeneratorSet, degree: int, runs: tuple[tuple[int, int
     return levels[degree]
 
 
-def _label_degree(gens: GeneratorSet) -> Callable[[tuple[str, ...]], int]:
-    """Total degree of a label multiset of `gens`; UnknownLabel (a KeyError) on an unknown label."""
-    degrees = {row.label: row.degree for row in gens.table}
-
-    def label_degree(labels: tuple[str, ...]) -> int:
-        try:
-            return sum(map(degrees.__getitem__, labels))
-        except KeyError as exc:
-            raise UnknownLabel(*exc.args) from None
-
-    return label_degree
-
-
 def _product_expander(gens: GeneratorSet, degree: int) -> Callable[[tuple[str, ...]], PackedTerms]:
     """The one expander of generator products of total degree <= `degree`: label multiset -> packed term map.
 
     Monomials are packed by `packing_for(Ambient(gens.n, gens.k), degree)`.  A
     multiset's terms are those of its prefix labels[:-1], memoised for the
     expander's lifetime, times one generator's terms, read from the cached
-    `_packed_generators` table and multiplied by `mul_terms`.  Every
-    monomial of a product of total degree <= `degree` has total degree
-    <= `degree`, so no digit carries (see `Packing`); a multiset above the
-    bound raises ValueError instead of carrying.  The generators' integral
+    `_packed_generators` table and multiplied by `mul_terms`.  Every label
+    must be in that table and the multiset's total degree at most
+    `degree`, so that no digit carries (see `Packing`): the walk
+    (`_products`) yields only such multisets, and `evaluate_combination`
+    takes its bound from the labels it is given.  The generators' integral
     coefficients are `int`, so products of integer generators are expanded
-    in integer arithmetic.  Raises UnknownLabel on an unknown label.
+    in integer arithmetic.
     """
-    label_degree = _label_degree(gens)
     values = {gen.label: gen.terms for gen in _packed_generators(gens, degree)}
     prefixes: dict[tuple[str, ...], PackedTerms] = {}
 
@@ -663,12 +673,7 @@ def _product_expander(gens: GeneratorSet, degree: int) -> Callable[[tuple[str, .
             terms = prefixes[head] = times(head)
         return mul_terms(terms, values[last])
 
-    def expand(labels: tuple[str, ...]) -> PackedTerms:
-        if label_degree(labels) > degree:
-            raise ValueError(f"product {labels} exceeds the expander's degree bound {degree}")
-        return times(labels)
-
-    return expand
+    return times
 
 
 # -- block-permutation orbits -------------------------------------------------
@@ -995,8 +1000,16 @@ def _combination(p: Polynomial, gens: GeneratorSet, stop: bool) -> Combination:
 
 
 def evaluate_combination(combination: Combination, gens: GeneratorSet) -> Polynomial:
-    """Expand a label-multiset combination: sum(coeff * prod(generators))."""
-    degree = max(map(_label_degree(gens), combination), default=0)
+    """Expand a label-multiset combination: sum(coeff * prod(generators)).
+
+    The expander's degree bound is the largest total degree of the
+    combination's multisets (`_generator_degree` of each label); a label
+    outside the set raises UnknownLabel, a KeyError.
+    """
+    try:
+        degree = max((sum(_generator_degree(label, gens.value(label)) for label in labels) for labels in combination), default=0)
+    except KeyError as exc:
+        raise UnknownLabel(*exc.args) from None
     packing = packing_for(Ambient(gens.n, gens.k), degree)
     expand = _product_expander(gens, degree)
     total: PackedTerms = {}

@@ -491,36 +491,36 @@ class Polynomial:
         return hash((self.ambient, frozenset(self._terms.items())))
 
     def __str__(self):
-        if not self._terms:
-            return "0"
         amb = self.ambient
-        parts: list[str] = []
-        for exps, coeff in self.terms():
+
+        def factors(exps: Exponents) -> list[str]:
             # factors print layer by layer (x's, then y's, ...), covariants last
-            order = sorted(
-                (i for i, e in enumerate(exps) if e),
-                key=lambda i: (i >= amb.ring_width, amb.level_at(i), i),
-            )
-            factors = []
-            for idx in order:
-                e = exps[idx]
-                name = amb.variable_at(idx).name
-                factors.append(name if e == 1 else f"{name}^{e}")
-            mag = abs(coeff)
-            if factors and mag == 1:
-                body = "*".join(factors)
-            elif factors:
-                body = "*".join([str(mag)] + factors)
-            else:
-                body = str(mag)
-            if not parts:
-                parts.append(f"-{body}" if coeff < 0 else body)
-            else:
-                parts.append(f" - {body}" if coeff < 0 else f" + {body}")
-        return "".join(parts)
+            order = sorted((i for i, e in enumerate(exps) if e), key=lambda i: (i >= amb.ring_width, amb.level_at(i), i))
+            named = ((amb.variable_at(i).name, exps[i]) for i in order)
+            return [name if e == 1 else f"{name}^{e}" for name, e in named]
+
+        return _signed_sum((coeff, factors(exps)) for exps, coeff in self.terms())
 
     def __repr__(self):
         return f"Polynomial(n={self.ambient.n}, k={self.ambient.k}, {str(self)!r})"
+
+
+def _signed_sum(terms: Iterable[tuple[Scalar, Sequence[str]]]) -> str:
+    """Coefficient-and-factors terms as text, the one format of polynomials and combinations.
+
+    A term's body is its factors joined by "*", after its coefficient's
+    absolute value unless that is 1 on a nonempty product.  The first body
+    is signed "-" only when negative, the others are joined by " + " or
+    " - ", and no term at all reads "0".
+    """
+    parts: list[str] = []
+    for coeff, factors in terms:
+        body = "*".join(factors if factors and abs(coeff) == 1 else (str(abs(coeff)), *factors))
+        if parts:
+            parts.append(f" - {body}" if coeff < 0 else f" + {body}")
+        else:
+            parts.append(f"-{body}" if coeff < 0 else body)
+    return "".join(parts) or "0"
 
 
 def _wrap(ambient: Ambient, terms: Terms) -> Polynomial:

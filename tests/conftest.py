@@ -8,13 +8,16 @@ oracle (`fraction_rref`) is plain Gauss-Jordan over Fraction, against
 which the library's fraction-free elimination is compared: the kernel
 bases of `nullspace` entry for entry, and the combinations of `express`.
 The product oracle (`naive_mul`) multiplies on exponent tuples, with none
-of the library's monomial packing.  The family oracle (`product_family`)
-builds the k = 1, 2 generators with Polynomial products and differences,
-against which the library's closed-form terms are compared.  The parser
-oracle (`reference_parse`) is the earlier recursive-descent parser, one
-`re.match` per token and one method call per grammar step, against which
-the library's one-scan parser is compared: the same polynomials, or the
-same exception with the same message and position.  The command line
+of the library's monomial packing, and the generator-row oracle
+(`generator_rows`) reads each generator's degree and piece with
+Polynomial methods, with none of the packed generator table.  The family
+oracle (`product_family`) builds the k = 1, 2 generators with Polynomial
+products and differences, against which the library's closed-form terms
+are compared.  The parser oracle (`reference_parse`) is the earlier
+recursive-descent parser, one `re.match` per token and one method call
+per grammar step, against which the library's one-scan parser is
+compared: the same polynomials, or the same exception with the same
+message and position.  The command line
 oracle (`reference_parser`) is the earlier argparse-only parser, against
 which the CLI's table reader and its table-built parser are compared: the
 same namespace, the same usage errors and the same `--help`, byte for byte.
@@ -25,6 +28,7 @@ import itertools
 import re
 from fractions import Fraction
 from functools import cache
+from typing import NamedTuple
 
 from weitzenboeck import (
     COV_X,
@@ -113,6 +117,22 @@ def product_family(n, k):
             )
             items.append((f"D{i},{j},{l}", det))
     return items
+
+
+class GeneratorRow(NamedTuple):
+    label: str
+    degree: int
+    block_degrees: tuple[int, ...]
+    weight: int
+
+
+def generator_rows(gens):
+    """Each generator's label, total degree and piece, in label order, from `homogeneous_degree` and `gradings`."""
+    rows = []
+    for label, p in gens:
+        ((block_degrees, weight, _),) = p.gradings()
+        rows.append(GeneratorRow(label, p.homogeneous_degree(), block_degrees, weight))
+    return rows
 
 
 def products_by_piece(gens, degree):

@@ -58,6 +58,14 @@ class TestCovariantType:
         assert (f1 * f2).order == 2
         assert (3 * f1).order == 1
 
+    def test_difference_and_text(self):
+        f1, f2 = linear_form(1, 2), linear_form(2, 2)
+        diff = f1 - f2
+        assert diff.order == 1
+        assert str(diff) == str(diff.value) == "x1*CX + y1*CY - x2*CX - y2*CY"
+        assert (f1 - f1).value.is_zero
+        assert f1.__sub__(f1.value) is NotImplemented
+
 
 class TestTransvectant:
     def test_order_zero_is_product(self):

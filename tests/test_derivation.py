@@ -9,6 +9,7 @@ from weitzenboeck import (
     Ambient,
     AmbientMismatch,
     GeneratorSet,
+    GradedPieceKey,
     NonHomogeneous,
     Polynomial,
     UnsupportedK,
@@ -18,6 +19,8 @@ from weitzenboeck import (
     parse,
     ring_var,
 )
+from weitzenboeck import kernel
+from weitzenboeck.poly import packing_for
 
 D1 = WeitzenboeckDerivation(2, 1)
 A21 = Ambient(2, 1)
@@ -202,18 +205,26 @@ class TestGenerators:
         with pytest.raises(KeyError):
             gens.without("H9,9")
 
-    def test_table(self):
+    def test_packed_generators(self):
+        # the one table of each generator's degree and piece, read from its packed
+        # terms, in label order; `homogeneous_degree` and `gradings` are the oracle
         gens = generators(2, 2)
-        assert [row.label for row in gens.table] == gens.labels()
-        for row, (_, p) in zip(gens.table, gens):
-            assert p.gradings() == {(row.block_degrees, row.weight, 0)}
-            assert row.degree == p.homogeneous_degree()
-            assert all(type(c) is int for _, c in p.items())
-        assert gens.table is gens.table  # built once per set
+        for degree in (1, 2, 3):
+            packing = packing_for(Ambient(2, 2), degree)
+            table = kernel._packed_generators(gens, degree)
+            # a generator above the degree is in no product of it and is not packed
+            assert [gen.label for gen in table] == [label for label, p in gens if p.homogeneous_degree() <= degree]
+            for gen in table:
+                p = gens.value(gen.label)
+                assert gen.degree == p.homogeneous_degree()
+                assert {packing.grading(*grading) for grading in p.gradings()} == {gen.grading}
+                assert gen.terms == packing.pack_terms(p) and gen.lead == min(gen.terms)
+                assert all(type(c) is int for c in gen.terms.values())
+            # built once per set and degree, for an equal set too
+            assert kernel._packed_generators(gens, degree) is table
+            assert kernel._packed_generators(GeneratorSet(2, 2, gens.items), degree) is table
         subset = gens.without("x2", "H1,1")
-        assert [row.label for row in subset.table] == subset.labels()
-        # a subset reuses its parent's rows
-        assert all(any(row is parent_row for parent_row in gens.table) for row in subset.table)
+        assert [gen.label for gen in kernel._packed_generators(subset, 2)] == subset.labels()
 
     @pytest.mark.parametrize(
         "text, reason",
@@ -233,6 +244,28 @@ class TestGenerators:
             products_by_piece(gens, 2)
         with pytest.raises(NonHomogeneous, match=f"generator bad {reason}"):
             express_in_generators(parse("x1^2", A21), gens)
+
+    @pytest.mark.parametrize(
+        "text, reason, named_from",
+        [
+            ("x1*y2*CX", r"involves covariant variables: x1\*y2\*CX", 3),
+            ("x1*x2 + x1*y1", r"spans several graded pieces: x1\*y1 \+ x1\*x2", 2),
+            ("0", "is zero", 0),
+            ("x1 + x1*x2", "mixes total degrees", 0),
+            ("3", "is a constant", 0),
+        ],
+        ids=["covariant", "several-pieces", "zero", "mixed-degrees", "constant"],
+    )
+    def test_generator_is_named_from_the_first_degree_that_reads_it(self, text, reason, named_from):
+        # a generator's piece is read from its packed terms, which are packed only for a
+        # degree that can hold it: below its own degree it is in no product. Its degree is
+        # read at every degree, so a zero, constant or mixed-degree generator is named at all
+        gens = GeneratorSet(2, 1, (("x1", parse("x1", A21)), ("bad", parse(text, A21))))
+        for degree in range(named_from):
+            assert products_by_piece(gens, degree) == {GradedPieceKey((degree, 0), 0): [("x1",) * degree]}
+        for degree in (named_from, named_from + 1):
+            with pytest.raises(NonHomogeneous, match=f"generator bad {reason}"):
+                products_by_piece(gens, degree)
 
 
 def test_kernel_is_a_subalgebra():

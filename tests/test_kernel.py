@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import fraction_rref, products_by_piece, sparse_rank, ungraded_kernel_dimension
+from conftest import fraction_rref, generator_rows, products_by_piece, sparse_rank, ungraded_kernel_dimension
 from weitzenboeck import (
     Ambient,
     GradedPieceKey,
@@ -430,7 +430,7 @@ class TestGeneratorProducts:
         full = generators(n, k)
         exclude = data.draw(st.lists(st.sampled_from(full.labels()), unique=True, max_size=3))
         gens = full.without(*exclude)
-        rows = gens.table
+        rows = generator_rows(gens)
         packing = packing_for(Ambient(n, k), degree)
         unpruned = sorted(
             combo
@@ -461,7 +461,7 @@ class TestGeneratorProducts:
         full = generators(n, k)
         exclude = data.draw(st.lists(st.sampled_from(full.labels()), unique=True, max_size=3))
         gens = full.without(*exclude)
-        rows = gens.table
+        rows = generator_rows(gens)
         multisets = [
             combo
             for size in range(degree + 1)
@@ -515,7 +515,7 @@ class TestProductExpander:
         n, k = nk
         full = generators(n, k)
         gens = full.without(*data.draw(st.lists(st.sampled_from(full.labels()), unique=True, max_size=len(full) - 1)))
-        rows = {row.label: row for row in gens.table}
+        rows = {row.label: row for row in generator_rows(gens)}
         amb = Ambient(n, k)
         # k*D = 2^bits - 1 at D = 1, 3, 7, 15 for k = 1; at D >= 12 every multiset of up to 4 labels fits
         degree = data.draw(st.sampled_from([1, 3, 7, 12, 15]))
@@ -555,18 +555,6 @@ class TestProductExpander:
             for label in labels:
                 expected = expected * gens.value(label)
             assert packing.unpack_terms(expand(labels)) == dict(expected.items())
-
-    def test_over_the_bound_raises(self):
-        expand = kernel._product_expander(generators(2, 1), 3)
-        assert expand(("x1", "J1,2"))
-        with pytest.raises(ValueError, match="exceeds the expander's degree bound 3"):
-            expand(("x1", "x1", "J1,2"))
-        with pytest.raises(ValueError):
-            kernel._product_expander(generators(2, 2), 1)(("H1,1",))
-
-    def test_unknown_label(self):
-        with pytest.raises(UnknownLabel, match="H1,1"):
-            kernel._product_expander(generators(2, 1), 3)(("x1", "H1,1"))
 
 
 class TestEvaluateCombination:
@@ -958,20 +946,6 @@ class TestCompleteness:
                 rank = sparse_rank(dict(value.items()) for value in values.get(key, ()))
                 assert count == len(leads.get(key, ())) <= rank <= _piece_kernel_dim(k, key)
                 assert (count >= 1) == (key in values)
-
-    def test_generator_outside_its_table_piece_is_named(self):
-        # the packed generator table checks every term of a generator against its table
-        # row once, which by linearity places each product in the piece its labels name;
-        # a row naming another piece than its generator's terms is caught there
-        amb = Ambient(2, 1)
-        gens = GeneratorSet(2, 1, (("x1", parse("x1", amb)), ("skew", parse("x1*y2 - x2*y1", amb))))
-        object.__setattr__(gens, "table", (gens.table[0], gens.table[1]._replace(weight=0)))
-        with pytest.raises(NonHomogeneous, match=r"generator skew has monomial \(1, 0, 0, 1, 0, 0\) outside its table piece"):
-            products_by_piece(gens, 2)
-        with pytest.raises(NonHomogeneous, match="generator skew "):
-            kernel._product_expander(gens, 2)
-        # at degree 1 the skewed generator is in no product and is not packed
-        assert products_by_piece(gens, 1) == {GradedPieceKey((1, 0), 0): [("x1",)]}
 
     @given(st.integers(1, 5), st.sampled_from([1, 2]), st.integers(0, 4), st.lists(st.integers(0, 60), unique=True, max_size=3))
     @example(5, 2, 4, [])

@@ -74,6 +74,17 @@ class TestAdd:
         with pytest.raises(AmbientMismatch):
             parse("x1", A21) + parse("x1", A12)
 
+    def test_duplicate_terms_cancel_in_the_constructor(self):
+        # terms given twice are added, and a sum of 0 leaves no term behind
+        mono = (1, 0, 0, 0, 0, 0)
+        assert Polynomial(A21, [(mono, 2), (mono, -2)]).is_zero
+        assert Polynomial(A21, [(mono, 2), (mono, -2), (mono, 3)]) == parse("3*x1", A21)
+
+    def test_scalar_minus_polynomial(self):
+        p = parse("x1 - 2*y1", A21)
+        assert 3 - p == parse("3 - x1 + 2*y1", A21)
+        assert Fraction(1, 2) - p == -(p - Fraction(1, 2))
+
 
 class TestMul:
     def test_monomials(self):
@@ -92,6 +103,10 @@ class TestMul:
         assert 2 * p == parse("2*x1 - 2*y1", A21)
         assert p**2 == p * p
         assert p**0 == Polynomial.one(A21)
+
+    def test_negative_power_raises(self):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            parse("x1", A21) ** -1
 
     def test_ambient_mismatch(self):
         with pytest.raises(AmbientMismatch):
@@ -215,6 +230,12 @@ def test_variable_names_and_indices():
         assert amb.index(v) == idx
     assert ring_var(1, 3).name == "v1.3"
     assert COV_X.name == "CX" and COV_Y.name == "CY"
+
+    with pytest.raises(UnknownVariable, match="unknown covariant variable"):
+        amb.index(Variable(0, 2))
+    for idx in (-1, amb.width):
+        with pytest.raises(UnknownVariable, match=f"no variable at slot {idx}"):
+            amb.variable_at(idx)
 
 
 def test_immutability():
