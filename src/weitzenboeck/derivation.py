@@ -85,12 +85,17 @@ class GeneratorSet(_Frozen):
     _fields = ("n", "k", "items")
 
     def __init__(self, n: int, k: int, items: tuple[tuple[str, Polynomial], ...]):
-        self.__dict__.update(n=n, k=k, items=items, _by_label=dict(items))
+        by_label = dict(items)
+        # equal sets have equal labels; hashing the labels alone, once, keeps caches keyed
+        # on a set from hashing every polynomial (equality still compares the polynomials)
+        self.__dict__.update(n=n, k=k, items=items, _by_label=by_label, _hash=hash((n, k, tuple(by_label))))
 
     def __hash__(self):
-        # equal sets have equal labels; hashing the labels alone keeps caches keyed on a
-        # set from hashing every polynomial (equality still compares the polynomials)
-        return hash((self.n, self.k, tuple(self._by_label)))
+        return self._hash
+
+    def __reduce__(self):
+        # a clone is rebuilt, so its hash is that of the interpreter that loads it
+        return GeneratorSet, (self.n, self.k, self.items)
 
     def __iter__(self):
         return iter(self.items)

@@ -25,12 +25,17 @@ in that degree.  A product's piece is the sum of its factors' pieces, so
 products are grouped by piece from their labels alone.  Monomials are
 packed (`poly.Packing`), one int per monomial whose high digits are its
 grading, in a monomial order that int addition keeps, and the
-generators are packed once per label set and degree
+generators are packed once per label set and packing
 (`_packed_generators`, the one place where a generator's degree and
 piece are read and checked), each with its least packed monomial and its
 piece, the one grading `key >> shift` of all its packed terms; packing
 is linear, so every monomial of a product then lies in the piece its
-labels name.
+labels name.  There is one packing per bit width (`poly.packing_for`),
+shared by every degree that width holds, and the tables a label set
+needs are built once per packing and grow with the degree asked: the
+packed generators, the reach table of the walk and the least-monomial
+table.  A table grown to degree D holds, for each d <= D, exactly the
+table of d alone, so a degree reads the same whatever was asked before.
 
 A piece is first certified by counting least monomials, with nothing
 expanded (`_least_monomials`, where the argument is): a product's least
@@ -51,13 +56,13 @@ per walk (`_products`): a piece (b, w) is one int, the grading that
 generator to a partial product is one integer subtraction from what the
 branch still needs.  The walk adds one factor per level, a generator at
 or after the last one, so its depth is the number of factors and the
-products come out in label order.  A table cached per label set and
-degree (`_reach`) of the gradings each suffix of the generator list
-reaches prunes exactly the branches with no product in the piece, so
-every branch it keeps ends in a product.  `express` packs its input once
-and splits it by piece, the gradings `key >> shift` of its monomials
-(`Packing.read_grading`), and a certificate walks only its short
-representative pieces.
+products come out in label order.  A table kept per label set and
+packing, grown with the degree (`_reach`), of the gradings each suffix
+of the generator list reaches prunes exactly the branches with no
+product in the piece, so every branch it keeps ends in a product.
+`express` packs its input once and splits it by piece, the gradings
+`key >> shift` of its monomials (`Packing.read_grading`), and a
+certificate walks only its short representative pieces.
 
 `express` solves each of its input's pieces on its own (pieces have
 disjoint support, so the greedy basis is the union of the pieces' own).
@@ -114,7 +119,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .derivation import GeneratorSet, WeitzenboeckDerivation, generators
 from .errors import InvalidKey, NonHomogeneous, NotInKernel, NotInSpan, UnknownLabel
-from .poly import Ambient, Exponents, PackedTerms, Polynomial, _Frozen, monomial_sort_key, mul_terms, packing_for
+from .poly import Ambient, Exponents, PackedTerms, Packing, Polynomial, _Frozen, monomial_sort_key, mul_terms, packing_for
 
 
 class GradedPieceKey(NamedTuple):
@@ -481,39 +486,73 @@ def _generator_degree(label: str, p: Polynomial) -> int:
 
 
 @cache
+def _generator_degrees(gens: GeneratorSet) -> dict[str, int]:
+    """Label -> total degree of every generator, each checked by `_generator_degree` once per label set.
+
+    A set with a zero, constant or mixed-degree generator raises at every
+    call: a call that raises is not cached.
+    """
+    return {label: _generator_degree(label, p) for label, p in gens}
+
+
+@cache
+def _generator_rows(gens: GeneratorSet, packing: Packing) -> dict[str, _PackedGenerator]:
+    """Label -> packed row of each generator of `gens` that `_packed_generators` has packed by `packing`, filled by it."""
+    return {}
+
+
+@cache
 def _packed_generators(gens: GeneratorSet, degree: int) -> tuple[_PackedGenerator, ...]:
     """The generators of total degree <= `degree`, in label order, packed by `packing_for(Ambient(n, k), degree)`.
 
-    The one place where a generator's degree and piece are read, built
-    once per label set and degree and shared by the least-monomial table,
-    the walk and the expander.  Every generator's degree is checked
-    (`_generator_degree`); one above `degree` is in no product of this
-    degree, too large to pack, and skipped.  A row holds the rest's
-    packed grading, the one `key >> shift` of all its packed terms, its
-    least packed monomial (the monomial `_echelon` pivots on) and its
-    packed terms.  Packing is linear, so every monomial of a product of
-    these generators lies in the piece that is the sum of its factors'
-    gradings.  Raises NonHomogeneous, naming the label, for a generator
-    that is zero or constant or mixes degrees, and for one of degree <=
-    `degree` whose terms involve CX/CY or span several gradings.
+    The one place where a generator's degree and piece are read, shared by
+    the least-monomial table, the walk and the expander.  Every
+    generator's degree is checked once per label set
+    (`_generator_degrees`); one above `degree` is in no product of this
+    degree and skipped.  A row holds the rest's packed grading, the one
+    `key >> shift` of all its packed terms, its least packed monomial (the
+    monomial `_echelon` pivots on) and its packed terms.  Packing is
+    linear, so every monomial of a product of these generators lies in
+    the piece that is the sum of its factors' gradings.  Raises
+    NonHomogeneous, naming the label, for a generator that is zero or
+    constant or mixes degrees, and for one of degree <= `degree` whose
+    terms involve CX/CY or span several gradings.
+
+    This is a view, cached per label set and degree.  Each row is packed
+    and checked once per label set and packing (`_generator_rows`), when
+    the first degree that holds its generator asks for it, and every
+    degree of one bit width (`packing_for`) reads the same rows; a
+    generator above every degree asked so far is neither packed nor
+    checked, so its error waits for a degree that holds it.
     """
     packing = packing_for(Ambient(gens.n, gens.k), degree)
+    degrees = _generator_degrees(gens)
+    rows = _generator_rows(gens, packing)
     # the covariant degree is a grading's top field, so a grading involves CX/CY
     # exactly when it is at least that of covariant degree 1
     covariant = packing.grading((0,) * gens.n, 0, 1)
     table = []
     for label, p in gens:
-        d = _generator_degree(label, p)
+        d = degrees[label]
         if d > degree:
             continue
-        terms = packing.pack_terms(p)
-        gradings = {mono >> packing.shift for mono in terms}
-        if max(gradings) >= covariant:
-            raise NonHomogeneous(f"generator {label} involves covariant variables: {p}")
-        if len(gradings) > 1:
-            raise NonHomogeneous(f"generator {label} spans several graded pieces: {p}")
-        table.append(_PackedGenerator(label, d, gradings.pop(), min(terms), terms))
+        gen = rows.get(label)
+        if gen is None:
+            terms = packing.pack_terms(p)
+            gradings = {mono >> packing.shift for mono in terms}
+            if max(gradings) >= covariant:
+                raise NonHomogeneous(f"generator {label} involves covariant variables: {p}")
+            if len(gradings) > 1:
+                raise NonHomogeneous(f"generator {label} spans several graded pieces: {p}")
+            gen = rows[label] = _PackedGenerator(label, d, gradings.pop(), min(terms), terms)
+        table.append(gen)
     return tuple(table)
+
+
+@cache
+def _reach_rows(gens: GeneratorSet, packing: Packing) -> dict[str, tuple[frozenset[int], ...]]:
+    """Label -> reach row, by total degree, of each generator of `gens` in `packing`, filled and grown by `_reach`."""
+    return {}
 
 
 @cache
@@ -524,14 +563,30 @@ def _reach(gens: GeneratorSet, degree: int) -> tuple[tuple[frozenset[int], ...],
     runs over 0..degree.  A multiset of generators idx.. either holds no
     copy of generator idx (reach[idx+1][r]) or is one copy of it times a
     multiset of generators idx.. of degree r - d.
+
+    This is a view, cached per label set and degree, of one table per
+    label set and packing (`_reach_rows`), which grows to the largest
+    degree asked.  Entry r of a generator's row is a set of multisets of
+    degree r, and a generator of degree above r is in none, so it does not
+    depend on the degree the table was built for: the rows r <= `degree`
+    of a table grown further are the table of `degree` alone.  A row too
+    short for `degree` is replaced by a longer copy: a generator new to the
+    table gets its whole row, and every other row only the entries past
+    those it has.  A stored row is never changed, so a row read stays valid.
     """
-    table = [tuple(frozenset({0} if r == 0 else ()) for r in range(degree + 1))]
+    grown = _reach_rows(gens, packing_for(Ambient(gens.n, gens.k), degree))
+    later = (frozenset({0}), *[frozenset()] * degree)  # no generator: only the empty multiset
+    table = [later]
     for gen in reversed(_packed_generators(gens, degree)):
-        d, g, later = gen.degree, gen.grading, table[-1]
-        row: list[frozenset[int]] = []
-        for r in range(degree + 1):
-            row.append(later[r] | {s + g for s in row[r - d]} if r >= d else later[r])
-        table.append(tuple(row))
+        d, g = gen.degree, gen.grading
+        row = grown.get(gen.label, ())
+        if len(row) <= degree:
+            row = list(row)
+            for r in range(len(row), degree + 1):
+                row.append(later[r] | {s + g for s in row[r - d]} if r >= d else later[r])
+            row = grown[gen.label] = tuple(row)
+        table.append(row[: degree + 1])
+        later = row
     table.reverse()
     return tuple(table)
 
@@ -588,6 +643,12 @@ def _products(gens: GeneratorSet, degree: int, grading: int) -> Iterator[tuple[s
         yield from walk(0, degree, (), grading)
 
 
+@cache
+def _least_levels(gens: GeneratorSet, runs: tuple[tuple[int, int], ...], packing: Packing) -> dict[int, set[int]]:
+    """Degree -> level of the least-monomial tables `_least_monomials` built for `gens` and `runs` in `packing`, filled by it."""
+    return {}
+
+
 def _least_monomials(gens: GeneratorSet, degree: int, runs: tuple[tuple[int, int], ...]) -> set[int]:
     """The least packed monomials of the degree-`degree` products in the pieces whose b is non-decreasing in every run.
 
@@ -626,9 +687,21 @@ def _least_monomials(gens: GeneratorSet, degree: int, runs: tuple[tuple[int, int
     dropped, at every level.
     The prune is exact: every sum of a representative piece has all its
     blocks in order within each run at every stage, so it is kept.
+
+    The levels are kept per label set, runs and packing (`_least_levels`),
+    and a degree that a table built before reached is read from them.
+    Level d of a table built up to D >= d is the table of d alone: no sum
+    of a level is made from a higher one, a generator of degree above d
+    adds nothing to it, and the stages and the prune act on each sum
+    alone.  A degree above every table built before builds the table
+    again, up to that degree.  The returned set is shared: it is read,
+    never changed.
     """
     n = gens.n
     packing = packing_for(Ambient(n, gens.k), degree)
+    kept = _least_levels(gens, runs, packing)
+    if (level := kept.get(degree)) is not None:
+        return level
     bits, mask = packing.bits, (1 << packing.bits) - 1
     stages: list[list[_PackedGenerator]] = [[] for _ in range(n)]
     for gen in _packed_generators(gens, degree):
@@ -644,7 +717,9 @@ def _least_monomials(gens: GeneratorSet, degree: int, runs: tuple[tuple[int, int
         if i in joined:
             low, high = packing.shift + bits * (i - 1), packing.shift + bits * i
             levels = [{s for s in level if s >> low & mask <= s >> high & mask} for level in levels]
-    return levels[degree]
+    for d, level in enumerate(levels):
+        kept.setdefault(d, level)
+    return kept[degree]
 
 
 def _product_expander(gens: GeneratorSet, degree: int) -> Callable[[tuple[str, ...]], PackedTerms]:
@@ -826,13 +901,15 @@ def completeness_check(n: int, k: int, degree: int, exclude: Sequence[str] = ())
     # the representatives in ascending order with their orbit sizes; with the weights
     # ascending inside, that is `piece_keys` order
     orbit = {b: _orbit_size(b, runs) for b in _representatives(degree, runs)}
-    weights = range(k * degree // 2 + 1)  # a piece of weight 2w > k*degree has no kernel
-    kernel_dims = {
-        key: kdim
-        for b in orbit
-        for w in weights
-        if (kdim := _piece_kernel_dim(k, key := GradedPieceKey(b, w)))
-    }
+    # kernel_dim of (b, w) is N(b, w) - N(b, w - 1) (`_piece_kernel_dim`), read off one
+    # row of counts per b; a piece of weight 2w > k*degree has no kernel
+    top = k * degree // 2 + 1
+    kernel_dims = {}
+    for b in orbit:
+        counts = _weight_counts(b, k)[:top]
+        for w, (below, here) in enumerate(zip((0, *counts), counts)):
+            if here != below:
+                kernel_dims[GradedPieceKey(b, w)] = here - below
     span = kernel_dims if polarized else _span_dims(gens, degree, kernel_dims, runs)
     # a piece that holds no product spans nothing; each orbit member counts its representative's dims
     pieces = tuple(PieceReport(key, kdim, span.get(key, 0)) for key, kdim in kernel_dims.items())
@@ -887,12 +964,12 @@ def _generators_in_kernel(gens: GeneratorSet) -> bool:
 def _piece_bases(gens: GeneratorSet, degree: int) -> dict[int, tuple[list[tuple[str, ...]], dict[int, dict[int, int]]]]:
     """Packed grading -> (products, pivot rows) of each piece `express_in_generators` has met, filled by it.
 
-    Kept per label set and degree next to `_packed_generators` and `_reach`:
-    a piece's products in label order as its walk (`_products`) yielded
-    them, up to its last greedy basis product, and the pivot rows
-    `_echelon` built from them with product j's tag in column tag + 1 + j
-    (tag = the degree's `Packing.end`).  A stored pivot row is only read,
-    never changed.  Certificates neither fill nor read it.
+    Kept per label set and degree: a piece's products in label order as
+    its walk (`_products`) yielded them, up to its last greedy basis
+    product, and the pivot rows `_echelon` built from them with product
+    j's tag in column tag + 1 + j (tag = the degree's `Packing.end`).  A
+    stored pivot row is only read, never changed.  Certificates neither
+    fill nor read it.
     """
     return {}
 

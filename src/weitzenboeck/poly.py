@@ -225,6 +225,8 @@ class Packing:
     int sums, keep: a < b implies a + c < b + c.
     `pack` raises ValueError for a monomial above the degree bound; a
     product of packed monomials whose total degree exceeds it would carry.
+    The library's packings come from `packing_for`, one per ambient and
+    bit width, each with the largest degree its width holds.
     """
 
     __slots__ = ("ambient", "degree", "bits", "shift", "end", "slots", "_digits", "_fields", "_mask")
@@ -276,10 +278,27 @@ class Packing:
         return {self.unpack(key): c for key, c in terms.items()}
 
 
-@cache
 def packing_for(ambient: Ambient, degree: int) -> Packing:
-    """The `Packing` of `ambient` for total degree <= `degree`, built once per pair and shared."""
-    return Packing(ambient, degree)
+    """The shared `Packing` of `ambient` for total degree <= `degree`: one per ambient and bit width.
+
+    The bit width is the one `Packing(ambient, degree)` takes, and the
+    packing's `degree` is the largest that width holds, (2^bits - 1) // k,
+    so every degree of one width shares one packing, and the tables built
+    on it (`kernel._packed_generators`) serve them all.  That changes no
+    order: a key is its fields, most significant first, and no field
+    carries while every value is below 2^bits, so two packings that both
+    hold degree d order the monomials of degree <= d alike and read the
+    same grading from each.
+    """
+    if type(degree) is not int or degree < 0:
+        raise ValueError(f"packing degree must be a non-negative int, got {degree!r}")
+    return _packing(ambient, max(1, (ambient.k * degree).bit_length()))
+
+
+@cache
+def _packing(ambient: Ambient, bits: int) -> Packing:
+    """The `Packing` of `ambient` for the largest degree that `bits` bits hold, built once per pair."""
+    return Packing(ambient, ((1 << bits) - 1) // ambient.k)
 
 
 def mul_terms(a: PackedTerms, b: PackedTerms) -> PackedTerms:

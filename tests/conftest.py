@@ -45,8 +45,16 @@ from weitzenboeck import (
     y,
     z,
 )
+from weitzenboeck import kernel
 from weitzenboeck.kernel import _products, piece_keys
 from weitzenboeck.poly import Exponents, Scalar, Terms, packing_for
+
+
+def clear_kernel_caches():
+    """Empty every functools cache the kernel module holds, so its next calls build their tables from nothing."""
+    for value in vars(kernel).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
 
 
 def random_rational(rng, lo=-9, hi=9, max_den=9):

@@ -6,13 +6,14 @@ import os
 import shlex
 import subprocess
 import sys
+from functools import cache
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_parser
+from conftest import clear_kernel_caches, reference_parser
 from weitzenboeck import UnknownLabel, cli, generators, kernel_basis
 from weitzenboeck.cli import build_parser, main
 
@@ -144,6 +145,38 @@ class TestVerify:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "not allowed with" in captured.err
+
+
+@cache
+def fresh_verify_reports(n, k, exclude):
+    """The per-degree reports of `verify --max-degree 6 --output machine` in a fresh interpreter."""
+    argv = ["verify", "--n", str(n), "--k", str(k), "--max-degree", "6", "--output", "machine"]
+    argv += [flag for label in exclude for flag in ("--exclude", label)]
+    src = Path(__file__).parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "weitzenboeck", *argv], env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True
+    )
+    assert proc.stderr == ""
+    return json.loads(proc.stdout)["result"]
+
+
+class TestDegreeOrder:
+    @given(st.sampled_from([(3, 2, ()), (3, 2, ("H1,1",)), (4, 2, ()), (4, 2, ("H2,3",))]), st.permutations(range(7)))
+    @settings(max_examples=25, deadline=None)
+    def test_any_degree_order_prints_what_a_fresh_run_prints(self, case, degrees):
+        # the kernel's tables are kept and grown across calls of one process; asked one
+        # degree at a time in any order, from empty caches, each call prints that degree's
+        # report of a fresh --max-degree run, and exits 1 exactly when it is incomplete
+        n, k, exclude = case
+        fresh = fresh_verify_reports(n, k, exclude)
+        clear_kernel_caches()
+        for degree in degrees:
+            argv = ["verify", "--n", str(n), "--k", str(k), "--degree", str(degree), "--output", "machine"]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(argv + [flag for label in exclude for flag in ("--exclude", label)])
+            assert json.loads(out.getvalue())["result"] == [fresh[degree]]
+            assert code == (0 if fresh[degree]["complete"] else 1)
 
 
 class TestCensus:

@@ -1,6 +1,11 @@
 import math
+import os
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -204,6 +209,38 @@ class TestGenerators:
             gens.without("H1,1").value("H1,1")
         with pytest.raises(KeyError):
             gens.without("H9,9")
+
+    def test_equal_sets_hash_equal_and_share_cache_entries(self):
+        # the hash is taken once, at construction, from n, k and the labels; a set built
+        # apart from polynomials built apart is equal, hashes equal and reads the same
+        # cached tables
+        first = generators(3, 2).without("H1,1")
+        amb = Ambient(3, 2)
+        second = GeneratorSet(3, 2, tuple((label, parse(str(p), amb)) for label, p in first))
+        assert second is not first and second == first and hash(second) == hash(first)
+        assert vars(second)["_hash"] == hash(first) == hash((3, 2, tuple(first.labels())))
+        runs = kernel._symmetry_runs(3, 2, frozenset({"H1,1"}))
+        for degree in (2, 5):
+            packing = packing_for(amb, degree)
+            assert kernel._packed_generators(second, degree) is kernel._packed_generators(first, degree)
+            assert kernel._generator_rows(second, packing) is kernel._generator_rows(first, packing)
+            assert kernel._reach(second, degree) is kernel._reach(first, degree)
+            assert kernel._least_monomials(second, degree, runs) is kernel._least_monomials(first, degree, runs)
+        # the same labels with other polynomials hash alike but are another key
+        other = GeneratorSet(3, 2, tuple((label, -p) for label, p in first))
+        assert hash(other) == hash(first) and other != first
+        assert kernel._packed_generators(other, 2) is not kernel._packed_generators(first, 2)
+
+    def test_set_pickled_under_another_hash_seed_hashes_as_here(self):
+        # the stored hash of str labels depends on the interpreter's hash seed, so a set
+        # pickled by another interpreter is rebuilt here and hashes as an equal set here
+        src = Path(__file__).parents[1] / "src"
+        script = "import pickle, sys; from weitzenboeck import generators; sys.stdout.buffer.write(pickle.dumps(generators(2, 1)))"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        dumps = [subprocess.run([sys.executable, "-c", script], env={**env, "PYTHONHASHSEED": seed}, capture_output=True, check=True).stdout for seed in ("1", "2")]
+        for data in dumps:
+            loaded = pickle.loads(data)
+            assert loaded == generators(2, 1) and hash(loaded) == hash(generators(2, 1))
 
     def test_packed_generators(self):
         # the one table of each generator's degree and piece, read from its packed

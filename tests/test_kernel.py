@@ -2,6 +2,8 @@ import io
 import itertools
 import json
 import random
+import sys
+import threading
 from collections import defaultdict
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import fraction_rref, generator_rows, products_by_piece, sparse_rank, ungraded_kernel_dimension
+from conftest import clear_kernel_caches, fraction_rref, generator_rows, products_by_piece, sparse_rank, ungraded_kernel_dimension
 from weitzenboeck import (
     Ambient,
     GradedPieceKey,
@@ -503,6 +505,102 @@ class TestGeneratorProducts:
             for labels, _ in smaller:
                 for g in linear:
                     assert _expand(labels, gens) * g in larger
+
+
+class TestGrownTables:
+    """The generator, reach and least-monomial tables of a label set grow with the degree asked."""
+
+    @pytest.mark.parametrize(
+        "n, k, exclude", [(3, 2, ()), (3, 2, ("H1,1",)), (4, 2, ("H2,3",)), (4, 1, ("J1,2",)), (5, 1, ())]
+    )
+    def test_grown_tables_equal_tables_built_at_their_degree(self, n, k, exclude):
+        # level d of the least-monomial table and rows r <= d of the reach table, read
+        # from tables grown to a larger degree of the same packing, ascending or in one
+        # step, equal the tables built at d alone
+        gens = generators(n, k).without(*exclude)
+        runs = kernel._symmetry_runs(n, k, frozenset(exclude))
+        amb = Ambient(n, k)
+        top = 7
+        fresh = {}
+        for degree in range(top + 1):
+            clear_kernel_caches()
+            fresh[degree] = (kernel._reach(gens, degree), kernel._least_monomials(gens, degree, runs))
+        try:
+            for grow in (range(top + 1), [top, *range(top)]):
+                clear_kernel_caches()
+                for big in grow:
+                    packing = packing_for(amb, big)
+                    kernel._reach(gens, big), kernel._least_monomials(gens, big, runs)
+                    rows = kernel._reach_rows(gens, packing)
+                    for degree in range(big + 1):
+                        if packing_for(amb, degree) is not packing:
+                            continue
+                        reach, least = fresh[degree]
+                        assert kernel._least_monomials(gens, degree, runs) == least
+                        assert kernel._reach(gens, degree) == reach
+                        labels = [gen.label for gen in kernel._packed_generators(gens, degree)]
+                        assert [rows[label][: degree + 1] for label in labels] == list(reach[:-1])
+            # every degree of one bit width reads the same packed rows
+            assert kernel._packed_generators(gens, 4) == kernel._packed_generators(gens, 7)[: len(kernel._packed_generators(gens, 4))]
+            assert all(row is kernel._generator_rows(gens, packing_for(amb, 4))[row.label] for row in kernel._packed_generators(gens, 5))
+        finally:
+            clear_kernel_caches()
+
+    def test_threads_growing_one_label_set_read_the_tables_one_thread_builds(self):
+        # threads that grow one label set's tables at once, each asking the degrees of one
+        # bit width in its own order with a short switch interval, read at each degree the
+        # tables one thread builds at that degree alone
+        gens = generators(4, 1)
+        runs = kernel._symmetry_runs(4, 1, frozenset())
+        degrees = list(range(8, 16))  # one packing for k = 1
+
+        def tables(degree):
+            return kernel._reach(gens, degree), kernel._least_monomials(gens, degree, runs)
+
+        expected = {}
+        for degree in degrees:
+            clear_kernel_caches()
+            expected[degree] = tables(degree)
+        interval = sys.getswitchinterval()
+        try:
+            for trial in range(3):
+                clear_kernel_caches()
+                results, errors = [], []
+
+                def work(order):
+                    try:
+                        results.extend((degree, tables(degree)) for degree in order)
+                    except Exception as exc:  # reported by the assertion below
+                        errors.append(exc)
+
+                orders = [random.Random(10 * trial + i).sample(degrees, len(degrees)) for i in range(6)]
+                threads = [threading.Thread(target=work, args=(order,)) for order in orders]
+                sys.setswitchinterval(1e-6)
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                sys.setswitchinterval(interval)
+                assert not any(thread.is_alive() for thread in threads) and errors == []
+                assert len(results) == len(threads) * len(degrees)
+                assert all(found == expected[degree] for degree, found in results)
+        finally:
+            sys.setswitchinterval(interval)
+            clear_kernel_caches()
+
+    def test_each_generator_is_packed_once_per_packing(self, monkeypatch):
+        # certificates of degrees 4..7 (one bit width for k = 2), in any order, pack every generator once
+        clear_kernel_caches()
+        packed = []
+        real = kernel.Packing.pack_terms
+        monkeypatch.setattr(kernel.Packing, "pack_terms", lambda self, terms: packed.append(terms) or real(self, terms))
+        try:
+            gens = generators(3, 2).without("H1,1")
+            for degree in (7, 4, 6, 5):
+                completeness_check(3, 2, degree, exclude=["H1,1"])
+            assert sorted(map(str, packed)) == sorted(str(p) for _, p in gens)
+        finally:
+            clear_kernel_caches()
 
 
 class TestProductExpander:

@@ -32,7 +32,7 @@ from weitzenboeck import (
     y,
     z,
 )
-from weitzenboeck.poly import Packing
+from weitzenboeck.poly import Packing, packing_for
 
 A21 = Ambient(2, 1)
 A12 = Ambient(1, 2)
@@ -487,6 +487,36 @@ class TestPacking:
             Packing(A21, 2).pack((1, 1, 1, 0, 0, 0))
         with pytest.raises(ValueError):
             Packing(A21, -1)
+
+    def test_one_shared_packing_per_bit_width(self):
+        # every degree of one bit width gets one packing, which holds the largest of them
+        for amb in (A21, A12, Ambient(2, 3)):
+            for degree in range(20):
+                packing = packing_for(amb, degree)
+                assert packing is packing_for(amb, packing.degree)
+                assert packing.bits == Packing(amb, degree).bits
+                assert packing.degree == (2**packing.bits - 1) // amb.k >= degree
+                assert packing_for(amb, packing.degree + 1).bits == packing.bits + 1
+        assert packing_for(A21, 0) is packing_for(A21, 1) and packing_for(A12, 0).degree == 0
+        with pytest.raises(ValueError):
+            packing_for(A21, -1)
+
+    @given(st.sampled_from(PACKINGS), st.integers(0, 3), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_packings_that_hold_a_degree_agree_on_it(self, nkd, wider, data):
+        # two bit widths that both hold degree d order the monomials of degree <= d alike
+        # and read the same grading from each: no field carries in either
+        n, k, degree = nkd
+        amb = Ambient(n, k)
+        narrow = Packing(amb, degree)
+        wide = Packing(amb, (2 ** (narrow.bits + wider) - 1) // k)
+        assert wide.bits == narrow.bits + wider
+        monos = [_monomials_up_to(data.draw, amb, degree) for _ in range(data.draw(st.integers(1, 8)))]
+        assert sorted(monos, key=narrow.pack) == sorted(monos, key=wide.pack)
+        for e in monos:
+            fields = (amb.block_degrees(e), amb.weight(e), amb.cov_degree(e))
+            assert narrow.read_grading(narrow.pack(e) >> narrow.shift) == fields
+            assert wide.read_grading(wide.pack(e) >> wide.shift) == fields
 
 
 def test_ambient_requires_int_shape():
