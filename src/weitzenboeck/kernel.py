@@ -67,11 +67,14 @@ certificate walks only its short representative pieces.
 `express` solves each of its input's pieces on its own (pieces have
 disjoint support, so the greedy basis is the union of the pieces' own).
 A piece's products are walked and expanded lazily, in label order, and
-its elimination stops at kernel_dim; its products and pivot rows are kept
-per label set and degree (`_piece_bases`), so a later call only reduces
-its own row.  A combination of products of kernel generators lies in
-ker D, so D(p) is computed only on the way to an error (the argument is
-at `express_in_generators`).
+its elimination stops at kernel_dim; its products and pivot rows, and
+the expander with its memoised prefixes, are kept per label set and
+degree (`_piece_bases`), so a later call only reduces its own row, and a
+new piece reuses the prefixes earlier ones expanded.  A combination of
+products of kernel generators lies in ker D, so D(p) is computed only on
+the way to an error (the argument is at `express_in_generators`), and D is
+applied to the generators only for a set that is not made of the built-in
+family's own polynomials (`_generators_in_kernel`).
 
 A certificate ranks one piece per orbit of the generators' block
 symmetry.  A block permutation that maps every generator to plus or minus
@@ -734,7 +737,10 @@ def _product_expander(gens: GeneratorSet, degree: int) -> Callable[[tuple[str, .
     (`_products`) yields only such multisets, and `evaluate_combination`
     takes its bound from the labels it is given.  The generators' integral
     coefficients are `int`, so products of integer generators are expanded
-    in integer arithmetic.
+    in integer arithmetic.  `express_in_generators` keeps one expander per
+    label set and degree (`_piece_bases`), so a prefix it expanded serves
+    every later call; `_span_dims` and `evaluate_combination` build one per
+    call, so a certificate's prefixes go with its walk.
     """
     values = {gen.label: gen.terms for gen in _packed_generators(gens, degree)}
     prefixes: dict[tuple[str, ...], PackedTerms] = {}
@@ -954,24 +960,43 @@ Combination = dict[tuple[str, ...], Fraction]
 
 @cache
 def _generators_in_kernel(gens: GeneratorSet) -> bool:
-    """Whether D annihilates every generator of the set (each in the set's own ambient), decided once per set."""
+    """Whether D annihilates every generator of the set (each in the set's own ambient), decided once per set.
+
+    A set whose every (label, value) is the very object that the built-in
+    family `generators(n, k)` holds for that label (k = 1 or 2), such as the
+    family itself or a `without` of it, lies in ker D by the family's closed
+    forms, which `test_membership_up_to_n6` checks, so no D is applied.  Any
+    other set, a pickled copy or a hand-built set among them, has D applied
+    to each generator, unless an equal set was decided before: the decision
+    is cached per set, and equal sets share it.
+    """
+    if gens.k in (1, 2) and gens.n >= 1:
+        family = dict(generators(gens.n, gens.k))
+        if all(family.get(label) is value for label, value in gens):
+            return True
     deriv = WeitzenboeckDerivation(gens.n, gens.k)
     amb = deriv.ambient
     return all(g.ambient == amb and deriv.is_in_kernel(g) for _, g in gens)
 
 
 @cache
-def _piece_bases(gens: GeneratorSet, degree: int) -> dict[int, tuple[list[tuple[str, ...]], dict[int, dict[int, int]]]]:
-    """Packed grading -> (products, pivot rows) of each piece `express_in_generators` has met, filled by it.
+def _piece_bases(
+    gens: GeneratorSet, degree: int
+) -> tuple[Callable[[tuple[str, ...]], PackedTerms], dict[int, tuple[list[tuple[str, ...]], dict[int, dict[int, int]]]]]:
+    """`express_in_generators`'s expander and its packed grading -> (products, pivot rows) of each piece met, filled by it.
 
-    Kept per label set and degree: a piece's products in label order as
-    its walk (`_products`) yielded them, up to its last greedy basis
-    product, and the pivot rows `_echelon` built from them with product
-    j's tag in column tag + 1 + j (tag = the degree's `Packing.end`).  A
-    stored pivot row is only read, never changed.  Certificates neither
-    fill nor read it.
+    Kept per label set and degree.  The expander (`_product_expander`) is
+    the one every piece of the degree is expanded by, so a product whose
+    prefix an earlier call expanded multiplies that prefix by one generator.
+    A piece's entry holds its products in label order as its walk
+    (`_products`) yielded them, up to its last greedy basis product, and the
+    pivot rows `_echelon` built from them with product j's tag in column
+    tag + 1 + j (tag = the degree's `Packing.end`).  A stored pivot row is
+    only read, never changed.  Certificates neither fill nor read it: each
+    `completeness_check` expands with an expander of its own, so no prefix
+    outlives its walk.
     """
-    return {}
+    return _product_expander(gens, degree), {}
 
 
 def express_in_generators(p: Polynomial, gens: GeneratorSet) -> Combination:
@@ -1041,8 +1066,7 @@ def _combination(p: Polynomial, gens: GeneratorSet, stop: bool) -> Combination:
     # left with tag columns only is dropped (bound = tag): it is a combination of the
     # products before it, so the kept ones are the piece's greedy basis in label order
     tag = packing.end
-    bases = _piece_bases(gens, degree)
-    expand = _product_expander(gens, degree) if parts.keys() - bases.keys() else None
+    expand, bases = _piece_bases(gens, degree)
 
     def rows(grading: int, products: list[tuple[str, ...]]) -> Iterator[dict[int, int]]:
         # the walk's products as the elimination reads them, each one kept

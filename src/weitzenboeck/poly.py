@@ -34,7 +34,7 @@ import re
 from fractions import Fraction
 from functools import cache
 from operator import attrgetter, lshift, mul
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, NoReturn, Sequence, Union
 
 from .errors import AmbientMismatch, ParseError, UnknownVariable
 
@@ -223,8 +223,9 @@ class Packing:
     key lies below `end` = 2^(shift + bits*(n + 2)).  Keys compare as ints
     in a monomial order (grading first, then exponents), which products,
     int sums, keep: a < b implies a + c < b + c.
-    `pack` raises ValueError for a monomial above the degree bound; a
-    product of packed monomials whose total degree exceeds it would carry.
+    `pack` raises ValueError for a monomial above the degree bound, and
+    `pack_terms` leaves that bound to its callers; a monomial or a product
+    of packed monomials whose total degree exceeds it would carry.
     The library's packings come from `packing_for`, one per ambient and
     bit width, each with the largest degree its width holds.
     """
@@ -272,7 +273,18 @@ class Packing:
         return tuple(block_degrees), weight, cov_degree
 
     def pack_terms(self, terms: "Polynomial | Terms") -> PackedTerms:
-        return {self.pack(exps): c for exps, c in terms.items()}
+        """The packed term map of `terms`, unchecked: every term must be of total degree <= `degree`.
+
+        Unlike `pack`, no term's degree is tested; one above the bound would
+        carry into the next field.  Each caller picks its packing from a
+        bound on the terms it packs: `kernel._packed_generators` packs only
+        generators of one total degree <= its packing's, `kernel._combination`
+        a homogeneous p in the packing of p's degree, and
+        `Polynomial.__mul__` each operand in the packing of the sum of their
+        total degrees.
+        """
+        slots = self.slots
+        return {sum(map(mul, exps, slots)): c for exps, c in terms.items()}
 
     def unpack_terms(self, terms: PackedTerms) -> Terms:
         return {self.unpack(key): c for key, c in terms.items()}
@@ -530,15 +542,18 @@ def _signed_sum(terms: Iterable[tuple[Scalar, Sequence[str]]]) -> str:
     A term's body is its factors joined by "*", after its coefficient's
     absolute value unless that is 1 on a nonempty product.  The first body
     is signed "-" only when negative, the others are joined by " + " or
-    " - ", and no term at all reads "0".
+    " - ", and no term at all reads "0".  Each coefficient's sign and
+    magnitude are taken once.
     """
     parts: list[str] = []
     for coeff, factors in terms:
-        body = "*".join(factors if factors and abs(coeff) == 1 else (str(abs(coeff)), *factors))
+        negative = coeff < 0
+        magnitude = -coeff if negative else coeff
+        body = "*".join(factors if factors and magnitude == 1 else (str(magnitude), *factors))
         if parts:
-            parts.append(f" - {body}" if coeff < 0 else f" + {body}")
+            parts.append(f" - {body}" if negative else f" + {body}")
         else:
-            parts.append(f"-{body}" if coeff < 0 else body)
+            parts.append(f"-{body}" if negative else body)
     return "".join(parts) or "0"
 
 
@@ -552,20 +567,33 @@ def _wrap(ambient: Ambient, terms: Terms) -> Polynomial:
 
 # -- parsing ----------------------------------------------------------------
 
+# a space between two characters that a token may join, in text whose whitespace
+# runs are single spaces: well-formed text has none, since an int or a name is
+# never followed by an int or a name (the literal space first makes the search fast)
+_GLUED = re.compile(r" (?<=[\w.] )[\w.]")
+
+# The two patterns below are kept as text, compiled by `re` on first use and
+# cached there, so the import compiles neither: only a factor new to its table
+# and text the scan did not take read them.
+
+# one factor of a term, whole: a variable name, optionally raised to a power
+_FACTOR = r"([xyz]\d+|v\d+\.\d+|CX|CY)(?:\^(\d+))?"
+_FACTORS_MAX = 4096  # texts kept in one ambient's factor table
+
 # one match per token, leading whitespace skipped: an unsigned integer, a
 # variable name, an operator, or (last group) any other character, which no
 # rule of the grammar accepts
-_TOKENS = re.compile(r"\s*(?:(\d+)|([xyz]\d+|v\d+\.\d+|CX|CY)|([-+*/^])|(\S))")
+_TOKENS = r"\s*(?:(\d+)|([xyz]\d+|v\d+\.\d+|CX|CY)|([-+*/^])|(\S))"
 _END = ("", "", "", "")  # appended after the last token
 
-_SIGNS = {"+": 1, "-": -1}
+_SIGNS = ("+", "-")
 
 _LEVEL_BY_LETTER = {"x": 0, "y": 1, "z": 2}
 
 
 def _position(text: str, index: int) -> int:
     """0-based character offset of token `index` of `text`; len(text) for the end."""
-    for i, m in enumerate(_TOKENS.finditer(text)):
+    for i, m in enumerate(re.finditer(_TOKENS, text)):
         if i == index:
             return m.start(m.lastindex)
     return len(text)
@@ -584,17 +612,92 @@ def _variable_from_name(name: str) -> Variable:
 
 
 @cache
-def _slots(ambient: Ambient) -> Callable[[str], int]:
-    """Name token -> dense slot in `ambient`, cached per name; UnknownVariable, not cached, if there is none.
+def _factor_table(ambient: Ambient) -> dict[str, tuple[int, int]]:
+    """Factor text -> (slot, exponent) in `ambient`, such as "y2^2" -> (slot of y2, 2), filled by `_factor`.
 
-    One table per ambient, so a parse hashes its ambient once, not once per factor.
+    One table per ambient, so a parse hashes its ambient once, not once per
+    factor; it keeps at most _FACTORS_MAX texts.
     """
+    return {}
 
-    @cache
-    def slot(name: str) -> int:
-        return ambient.index(_variable_from_name(name))
 
-    return slot
+def _factor(table: dict[str, tuple[int, int]], ambient: Ambient, text: str) -> tuple[int, int] | None:
+    """(slot, exponent) of a factor text new to `table`, kept there while it has room; None unless well formed.
+
+    Well formed is what the token loop reads as one factor: `_FACTOR` matches
+    the whole text, the name is a variable of `ambient` and the exponent is
+    positive.
+    """
+    match = re.fullmatch(_FACTOR, text)
+    if match is None:
+        return None
+    name, power = match.groups()
+    exponent = int(power) if power else 1
+    if exponent < 1:
+        return None
+    try:
+        slot = ambient.index(_variable_from_name(name))
+    except UnknownVariable:
+        return None
+    if len(table) < _FACTORS_MAX:
+        table[text] = (slot, exponent)
+    return slot, exponent
+
+
+def _scan(text: str, ambient: Ambient) -> Terms | None:
+    """The term map of well-formed `text`, terms added in text order; None for any other text.
+
+    Whitespace is dropped first, once `_GLUED` finds none between two
+    characters that a token may join, so dropping it changes no token.  The
+    text is split into terms on '+'/'-' (a leading sign leaves an empty first
+    piece, which is dropped), and each term on '*'.  A term's head is its
+    coefficient when it reads digits or digits/digits with a nonzero
+    denominator; digits are the decimal characters (str.isdecimal) that the
+    token regex reads as digits.
+    Every other piece is a factor, looked up in the ambient's factor table
+    (`_factor_table`, `_factor` for a text new to it).  An empty piece, a
+    head or factor of any other form (a glued token, a zero exponent or
+    denominator, an unknown or out-of-ambient name, an unexpected character)
+    gives None.  So the scan takes exactly the well-formed texts, and reads
+    the terms the grammar does.
+    """
+    words = text.split()
+    if len(words) > 1 and _GLUED.search(" ".join(words)):
+        return None
+    table = _factor_table(ambient)
+    zero = [0] * ambient.width
+    terms: Terms = {}
+    pieces = "".join(words).replace("-", "+-").split("+")
+    if len(pieces) > 1 and not pieces[0]:
+        del pieces[0]
+    for piece in pieces:
+        negative = piece.startswith("-")
+        factors = (piece[1:] if negative else piece).split("*")
+        head = factors[0]
+        coeff: Scalar = 1
+        if head.isdecimal():
+            coeff = int(head)
+            del factors[0]
+        elif "/" in head:
+            numerator, _, denominator = head.partition("/")
+            if not (numerator.isdecimal() and denominator.isdecimal() and int(denominator)):
+                return None
+            coeff = Fraction(int(numerator), int(denominator))
+            del factors[0]
+        exps = zero.copy()
+        for factor in factors:
+            entry = table.get(factor) or _factor(table, ambient, factor)
+            if entry is None:
+                return None
+            slot, exponent = entry
+            exps[slot] += exponent
+        key = tuple(exps)
+        acc = terms.get(key, 0) + (-coeff if negative else coeff)
+        if acc:
+            terms[key] = acc
+        else:
+            terms.pop(key, None)
+    return terms
 
 
 def _name_error(text: str, index: int, name: str, ambient: Ambient) -> ValueError:
@@ -609,12 +712,60 @@ def _name_error(text: str, index: int, name: str, ambient: Ambient) -> ValueErro
     )
 
 
-def _posint(text: str, tokens: list[tuple[str, str, str, str]], index: int, what: str) -> int:
-    """The value of token `index`, which must be a positive integer `what`."""
+def _posint(text: str, tokens: list[tuple[str, str, str, str]], index: int, what: str) -> None:
+    """Raise ParseError unless token `index` is a positive integer `what`."""
     digits = tokens[index][0]
     if not digits or int(digits) < 1:
         raise ParseError(f"expected a positive integer {what}", _position(text, index))
-    return int(digits)
+
+
+def _raise_syntax_error(text: str, ambient: Ambient) -> NoReturn:
+    """Raise the error of text that `_scan` did not take, found by one loop over its tokens.
+
+    An unexpected character anywhere is the error; else the tokens are read
+    in grammar order, and the first one the grammar does not accept there is.
+    Every well-formed text is taken by `_scan` but one holding an int too
+    long for `int` to convert, where the loop raises that ValueError at the
+    first such int, as reading it does; so the loop never reaches the end
+    without an error.
+    """
+    tokens = re.findall(_TOKENS, text)
+    for index, token in enumerate(tokens):
+        if token[3]:
+            raise ParseError(f"unexpected character {token[3]!r}", _position(text, index))
+    tokens.append(_END)
+    i = 1 if tokens[0][2] in _SIGNS else 0
+    while True:
+        more = True
+        if digits := tokens[i][0]:  # a coefficient
+            int(digits)  # raises ValueError where reading an int too long to convert does
+            i += 1
+            if tokens[i][2] == "/":
+                _posint(text, tokens, i + 1, "denominator")
+                i += 2
+            more = tokens[i][2] == "*"  # else a bare constant term
+            i += more
+        while more:
+            name = tokens[i][1]
+            if not name:
+                value = "".join(tokens[i])
+                raise ParseError(f"expected a variable, got {value!r}" if value else "expected a variable", _position(text, i))
+            try:
+                ambient.index(_variable_from_name(name))
+            except UnknownVariable:
+                raise _name_error(text, i, name, ambient) from None
+            i += 1
+            if tokens[i][2] == "^":
+                _posint(text, tokens, i + 1, "exponent")
+                i += 2
+            more = tokens[i][2] == "*"
+            i += more
+        token = tokens[i]
+        if token is _END:
+            raise AssertionError(f"the scan did not take well-formed text {text!r}")
+        if token[2] not in _SIGNS:
+            raise ParseError(f"expected '+' or '-', got {''.join(token)!r}", _position(text, i))
+        i += 1
 
 
 def parse(text: str, ambient: Ambient) -> Polynomial:
@@ -628,61 +779,16 @@ def parse(text: str, ambient: Ambient) -> Polynomial:
     character offset of the offending token (len(text) at the end); an
     unexpected character anywhere is reported before any syntax error.
 
-    The text is tokenised by one regex scan, and one loop over the tokens
-    builds each term's exponent list; a token's offset is found only when
-    an error is raised.
+    Well-formed text is read by one scan (`_scan`): whitespace dropped, the
+    text split on signs and '*', and each factor read from a per-ambient
+    table of factor texts.  Any other text goes to one loop over its regex
+    tokens (`_raise_syntax_error`), the only code that raises, which finds the
+    error and its offset.
     """
-    tokens = _TOKENS.findall(text)
-    for index, token in enumerate(tokens):
-        if token[3]:
-            raise ParseError(f"unexpected character {token[3]!r}", _position(text, index))
-    tokens.append(_END)
-    width = ambient.width
-    slot_of = _slots(ambient)
-    terms: Terms = {}
-    sign = _SIGNS.get(tokens[0][2])
-    i = 0 if sign is None else 1
-    sign = sign or 1
-    while True:
-        coeff: Scalar = 1
-        exps = [0] * width
-        digits = tokens[i][0]
-        more = True
-        if digits:
-            coeff = int(digits)
-            i += 1
-            if tokens[i][2] == "/":
-                coeff = Fraction(coeff, _posint(text, tokens, i + 1, "denominator"))
-                i += 2
-            more = tokens[i][2] == "*"  # else a bare constant term
-            i += more
-        while more:
-            name = tokens[i][1]
-            if not name:
-                value = "".join(tokens[i])
-                raise ParseError(f"expected a variable, got {value!r}" if value else "expected a variable", _position(text, i))
-            try:
-                slot = slot_of(name)
-            except UnknownVariable:
-                raise _name_error(text, i, name, ambient) from None
-            i += 1
-            if tokens[i][2] == "^":
-                exps[slot] += _posint(text, tokens, i + 1, "exponent")
-                i += 2
-            else:
-                exps[slot] += 1
-            more = tokens[i][2] == "*"
-            i += more
-        key = tuple(exps)
-        acc = terms.get(key, 0) + sign * coeff
-        if acc:
-            terms[key] = acc
-        else:
-            terms.pop(key, None)
-        token = tokens[i]
-        if token is _END:  # the term map is zero-free with non-negative int exponents
-            return _wrap(ambient, terms)
-        sign = _SIGNS.get(token[2])
-        if sign is None:
-            raise ParseError(f"expected '+' or '-', got {''.join(token)!r}", _position(text, i))
-        i += 1
+    try:
+        terms = _scan(text, ambient)
+    except ValueError:  # an int longer than `int` converts (sys.get_int_max_str_digits): the token loop raises in order
+        terms = None
+    if terms is None:
+        _raise_syntax_error(text, ambient)
+    return _wrap(ambient, terms)  # the term map is zero-free with non-negative int exponents

@@ -431,6 +431,24 @@ class TestContract:
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout.splitlines()[-1] == "[0, 1] 0"
 
+    def test_express_applies_no_d_to_the_built_in_family(self):
+        # the family's generators lie in ker D by their closed forms, so a one-shot express
+        # applies D to none of its 376 generators, and to no input it finds a combination
+        # for. A fresh interpreter, so no decision cached by an earlier test hides a call
+        spy = (
+            "from weitzenboeck import cli\n"
+            "from weitzenboeck.derivation import WeitzenboeckDerivation\n"
+            "calls = []\n"
+            "real = WeitzenboeckDerivation.apply\n"
+            "WeitzenboeckDerivation.apply = lambda self, p: calls.append(p) or real(self, p)\n"
+            "code = cli.main(['express', '--n', '12', '--k', '2', '--poly', 'x1*x2*x3*x4'])\n"
+            "print(code, len(calls))\n"
+        )
+        src = Path(__file__).parents[1] / "src"
+        proc = subprocess.run([sys.executable, "-c", spy], env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines() == ["x1*x2*x3*x4", "0 0"]
+
 
 COMMANDS = ("gens", "verify", "census", "apply", "nilpotency", "transvect", "tau", "express")
 REQUIRED = {"apply": ("--poly",), "nilpotency": ("--poly",), "tau": ("--poly",), "express": ("--poly",), "transvect": ("--r", "--u", "--v")}

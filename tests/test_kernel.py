@@ -1,6 +1,7 @@
 import io
 import itertools
 import json
+import pickle
 import random
 import sys
 import threading
@@ -1415,9 +1416,10 @@ class TestExpress:
             results = {gens: express_in_generators(p, gens) for gens in order}
             assert results[plain] == {("g", "g"): 1, ("J",): 1}
             assert results[doubled] == {("g", "g"): Fraction(1, 4), ("J",): 1}
-            assert kernel._piece_bases(plain, 2) is not kernel._piece_bases(doubled, 2)
-            assert kernel._piece_bases(plain, 2).keys() == kernel._piece_bases(doubled, 2).keys()
-            assert kernel._piece_bases(plain, 2) != kernel._piece_bases(doubled, 2)
+            (_, plain_bases), (_, doubled_bases) = kernel._piece_bases(plain, 2), kernel._piece_bases(doubled, 2)
+            assert plain_bases is not doubled_bases
+            assert plain_bases.keys() == doubled_bases.keys()
+            assert plain_bases != doubled_bases
 
     def test_hand_built_generator_outside_the_kernel(self):
         # a set holding a generator outside ker D is checked against D(p) first, and its
@@ -1433,6 +1435,33 @@ class TestExpress:
         assert express_in_generators(j, ahead) == {("J",): 1}
         with pytest.raises(NotInKernel):
             express_in_generators(parse("2*x1*y2 + x2*y1", amb), ahead)
+
+    def test_only_the_built_in_family_skips_d_on_its_generators(self, monkeypatch):
+        # a set made of the very polynomials generators(n, k) holds lies in ker D by the
+        # closed forms (test_membership_up_to_n6), so no D is applied to its generators;
+        # a pickled copy or a hand-built set, one under the family's labels included, is
+        # checked with D on every generator. The decision is cached per set, and an equal
+        # set reads it, so each set is asked with the cache empty
+        family = generators(3, 2)
+        amb = Ambient(3, 2)
+        applied = []
+        real_apply = WeitzenboeckDerivation.apply
+        monkeypatch.setattr(WeitzenboeckDerivation, "apply", lambda self, p: applied.append(p) or real_apply(self, p))
+        try:
+            for members in (family, family.without("H1,1", "x2")):
+                kernel._generators_in_kernel.cache_clear()
+                assert kernel._generators_in_kernel(members)
+            assert applied == []
+            copied = pickle.loads(pickle.dumps(family))
+            kernel._generators_in_kernel.cache_clear()
+            assert copied == family and kernel._generators_in_kernel(copied)
+            assert applied == [p for _, p in family]
+            impostor = GeneratorSet(3, 2, (("x1", family.value("x1")), ("J1,2", parse("x1*y1", amb))))
+            assert not kernel._generators_in_kernel(impostor)
+            with pytest.raises(NotInKernel):
+                express_in_generators(parse("y1", amb), impostor)
+        finally:
+            kernel._generators_in_kernel.cache_clear()
 
     @pytest.mark.parametrize("text", ["y1", "x1 + y1", "CX*y1", "x1*y2", "y1^2 + x1*y1"])
     def test_not_in_kernel_comes_before_every_other_error(self, text):

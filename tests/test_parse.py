@@ -5,7 +5,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_parse
-from weitzenboeck import Ambient, AmbientMismatch, ParseError, Polynomial, parse, ring_var
+from test_cli import express_golden_calls
+from weitzenboeck import Ambient, AmbientMismatch, ParseError, Polynomial, parse, poly, ring_var
 
 # (n, k, input text, canonical form) - the canonical column is also reparsed,
 # so this doubles as the format/parse round-trip corpus
@@ -147,9 +148,14 @@ def test_coefficient_format_random(p):
     assert as_fractions == p and hash(as_fractions) == hash(p)
 
 
-# the grammar's alphabet, its whitespace (with U+3000) and a few characters it rejects
-_ALPHABET = "0123456789xyzv.CXY+-*/^ \t\u3000&()#"
-_TOKENS = ["x1", "y2", "z1", "x3", "x0", "v1.3", "v2.0", "CX", "CY", "0", "1", "3", "12", "+", "-", "*", "/", "^", " ", "\t"]
+# the grammar's alphabet, its whitespace (with U+3000, U+00A0, U+001C and U+2028), a
+# non-ASCII decimal digit (U+0663) and a few characters it rejects, among them a
+# superscript digit that is a digit but not a decimal one (U+00B2)
+_ALPHABET = "0123456789xyzv.CXY+-*/^ \t\u3000\u00a0\u001c\u2028\u0663\u00b2&()#"
+_TOKENS = [
+    "x1", "y2", "z1", "x3", "x0", "v1.3", "v2.0", "CX", "CY", "0", "1", "3", "12", "+", "-", "*", "/", "^", " ", "\t",
+    "\u0663", "\u00b2", "\u00a0", "\u001c", "\u2028",
+]
 
 
 def _outcome(parser, text, amb):
@@ -175,6 +181,58 @@ def _outcome(parser, text, amb):
 @example("2/3/4*x1", 2, 1)
 @example("1/2*x1 + 1/2*x1 - x3", 3, 1)
 @example("v1.3^2 *\u3000CY - 4/2", 1, 3)
+@example("\u00b2*x1", 2, 1)
+@example("x\u0661^\u0662*y2", 2, 1)
+@example("1/\u0663*x1 + y2", 2, 1)
 def test_parse_matches_reference_parser(text, n, k):
     amb = Ambient(n, k)
     assert _outcome(parse, text, amb) == _outcome(reference_parse, text, amb)
+
+
+@pytest.mark.parametrize(
+    "template",
+    ["{}*x1", "{}*x1 + &", "x1^{}", "x1^{} + &", "x{} + &", "x{} + 3 x1", "3/{}*x1", "{}/2 + x1^0", "x1^0 + {}", "v1.{}", "y1 - {}*CX"],
+)
+def test_ints_too_long_to_convert_fail_where_the_reference_fails(template):
+    # an int one digit past the default limit of int's string conversion raises
+    # ValueError when it is read, so an error before it in token order, or an
+    # unexpected character anywhere, still comes first
+    text = template.format("1" * 4301)
+    amb = Ambient(2, 1)
+    assert _outcome(parse, text, amb) == _outcome(reference_parse, text, amb)
+
+
+def _token_loop_entered(text, ambient):
+    raise AssertionError(f"well-formed text reached the token loop: {text!r}")
+
+
+def test_express_golden_inputs_are_read_by_the_scan(monkeypatch):
+    # every --poly of the express golden is well formed, so the token loop, which only
+    # looks for the error of text the scan did not take, is never entered
+    monkeypatch.setattr(poly, "_raise_syntax_error", _token_loop_entered)
+    for argv in express_golden_calls():
+        n, k, text = int(argv[argv.index("--n") + 1]), int(argv[argv.index("--k") + 1]), argv[argv.index("--poly") + 1]
+        amb = Ambient(n, k)
+        assert _outcome(parse, text, amb) == _outcome(reference_parse, text, amb)
+
+
+@given(_polynomials())
+@settings(max_examples=150, deadline=None)
+def test_printed_polynomials_are_read_by_the_scan(p):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(poly, "_raise_syntax_error", _token_loop_entered)
+        assert parse(str(p), p.ambient) == p
+
+
+def test_factor_table_is_bounded(monkeypatch):
+    # once an ambient's factor table is full, a factor new to it is read and not kept
+    amb = Ambient(2, 1)
+    poly._factor_table.cache_clear()
+    monkeypatch.setattr(poly, "_FACTORS_MAX", 3)
+    text = " + ".join(f"x1^{e}*y2" for e in range(1, 8))
+    try:
+        assert _outcome(parse, text, amb) == _outcome(reference_parse, text, amb)
+        assert list(poly._factor_table(amb)) == ["x1^1", "y2", "x1^2"]
+        assert _outcome(parse, text, amb) == _outcome(reference_parse, text, amb)
+    finally:
+        poly._factor_table.cache_clear()

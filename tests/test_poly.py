@@ -482,6 +482,22 @@ class TestPacking:
         assert [Packing(A21, d).bits for d in (0, 1, 2, 3, 4, 7, 8)] == [1, 1, 2, 2, 3, 3, 4]
         assert Packing(A12, 3).bits == 3  # k*D = 6
 
+    @given(st.sampled_from(PACKINGS), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_pack_terms_packs_as_pack_without_its_check(self, nkd, data):
+        # inside the bound, pack_terms gives pack's key for every term, and it calls no
+        # pack: the degree bound is its callers'
+        n, k, degree = nkd
+        amb = Ambient(n, k)
+        packing = Packing(amb, degree)
+        count = data.draw(st.integers(0, 6))
+        p = Polynomial(amb, {_monomials_up_to(data.draw, amb, degree): data.draw(st.integers(-9, 9)) for _ in range(count)})
+        expected = {packing.pack(e): c for e, c in p.items()}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Packing, "pack", lambda self, exps: pytest.fail("pack_terms called pack"))
+            assert packing.pack_terms(p) == expected
+            assert packing.pack_terms(dict(p.items())) == expected
+
     def test_monomial_over_the_bound_raises(self):
         with pytest.raises(ValueError, match="exceeds the packing degree 2"):
             Packing(A21, 2).pack((1, 1, 1, 0, 0, 0))
