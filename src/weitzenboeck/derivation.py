@@ -19,7 +19,7 @@ from functools import cache
 from itertools import combinations, combinations_with_replacement, permutations
 
 from .errors import AmbientMismatch, UnknownLabel, UnsupportedK
-from .poly import Ambient, Polynomial, Terms, _Frozen, x, y, z
+from .poly import Ambient, Polynomial, Terms, _Frozen, _wrap
 
 
 class WeitzenboeckDerivation(_Frozen):
@@ -127,32 +127,39 @@ def generators(n: int, k: int) -> GeneratorSet:
     a generating family is an open problem.  Each generator's terms are
     written from its closed form, with no polynomial arithmetic (D_{i,j,l}
     is the signed sum of x_a*y_b*z_c over the permutations (a, b, c) of
-    (i, j, l)).  Built once per (n, k) and shared: the set and its
-    polynomials are immutable.
+    (i, j, l)): every exponent tuple is built from its slots' indices and
+    wrapped unchecked, its monomials distinct and its coefficients nonzero
+    ints.  Built once per (n, k) and shared: the set and its polynomials
+    are immutable.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if k not in (1, 2):
         raise UnsupportedK(f"no generator family for k = {k} (only k = 1 and k = 2)")
     amb = Ambient(n, k)
+    width = amb.width
 
-    def mono(*variables) -> tuple[int, ...]:
-        exps = [0] * amb.width
-        for v in variables:
-            exps[amb.index(v)] += 1
+    def mono(*slots: int) -> tuple[int, ...]:
+        # the slot of level l in block i is (i - 1) * (k + 1) + l (`Ambient.index`)
+        exps = [0] * width
+        for slot in slots:
+            exps[slot] += 1
         return tuple(exps)
 
     blocks = range(1, n + 1)
-    items = [(f"x{i}", Polynomial(amb, {mono(x(i)): 1})) for i in blocks]
+    xs, ys, zs = ({i: (i - 1) * (k + 1) + level for i in blocks} for level in range(3))  # zs is read for k = 2 only
+    items = [(f"x{i}", _wrap(amb, {mono(xs[i]): 1})) for i in blocks]
     for i, j in combinations(blocks, 2):
-        items.append((f"J{i},{j}", Polynomial(amb, [(mono(x(i), y(j)), 1), (mono(x(j), y(i)), -1)])))
+        items.append((f"J{i},{j}", _wrap(amb, {mono(xs[i], ys[j]): 1, mono(xs[j], ys[i]): -1})))
     if k == 2:
         for i, j in combinations_with_replacement(blocks, 2):
-            # at i = j the constructor adds the two x_i*z_i terms: 2*x_i*z_i - y_i^2
-            terms = [(mono(x(i), z(j)), 1), (mono(y(i), y(j)), -1), (mono(z(i), x(j)), 1)]
-            items.append((f"H{i},{j}", Polynomial(amb, terms)))
+            if i == j:  # x_i*z_i twice: 2*x_i*z_i - y_i^2
+                terms = {mono(xs[i], zs[i]): 2, mono(ys[i], ys[i]): -1}
+            else:
+                terms = {mono(xs[i], zs[j]): 1, mono(ys[i], ys[j]): -1, mono(zs[i], xs[j]): 1}
+            items.append((f"H{i},{j}", _wrap(amb, terms)))
         for i, j, l in combinations(blocks, 3):
             # a permutation of i < j < l is odd when it has an odd number of inversions
-            terms = [(mono(x(a), y(b), z(c)), (-1) ** ((a > b) + (a > c) + (b > c))) for a, b, c in permutations((i, j, l))]
-            items.append((f"D{i},{j},{l}", Polynomial(amb, terms)))
+            terms = {mono(xs[a], ys[b], zs[c]): (-1) ** ((a > b) + (a > c) + (b > c)) for a, b, c in permutations((i, j, l))}
+            items.append((f"D{i},{j},{l}", _wrap(amb, terms)))
     return GeneratorSet(n, k, tuple(items))

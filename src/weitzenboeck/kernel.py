@@ -24,21 +24,20 @@ of the known generators; equality certifies that they span the kernel
 in that degree.  A product's piece is the sum of its factors' pieces, so
 products are grouped by piece from their labels alone.  Monomials are
 packed (`poly.Packing`), one int per monomial whose high digits are its
-grading, in a monomial order that int addition keeps, and the
-generators are packed once per label set and packing
-(`_packed_generators`, the one place where a generator's degree and
-piece are read and checked), each with its least packed monomial and its
-piece, the one grading `key >> shift` of all its packed terms; packing
-is linear, so every monomial of a product then lies in the piece its
-labels name.  There is one packing per bit width (`poly.packing_for`),
-shared by every degree that width holds, and the tables a label set
-needs are built once per packing and grow with the degree asked: the
-packed generators, the reach table of the walk and the least-monomial
-table.  A table grown to degree D holds, for each d <= D, exactly the
-table of d alone, so a degree reads the same whatever was asked before.
+grading, in a monomial order that int addition keeps; packing is linear,
+so every monomial of a product lies in the piece its labels name.  There
+is one packing per bit width (`poly.packing_for`), shared by every degree
+that width holds, and what a label set needs in a packing is one object,
+built once per label set and packing (`_Tables`, by `_tables`): the
+packed generators, each with its least packed monomial and its piece
+(`_Tables.row`, the one place where they are read and checked), the
+walk's reach table, the least-monomial tables, `express`'s piece bases
+and the one product expander.  Each grows with the degree asked, and a
+degree reads the same whatever was asked before (the argument is on the
+class).
 
 A piece is first certified by counting least monomials, with nothing
-expanded (`_least_monomials`, where the argument is): a product's least
+expanded (`_Tables.least`, where the argument is): a product's least
 monomial is the sum of its factors' least monomials, and products with
 distinct least monomials are linearly independent, so a piece whose
 products show kernel_dim of them is complete.  This is the SAGBI test
@@ -46,9 +45,10 @@ products show kernel_dim of them is complete.  This is the SAGBI test
 order `_echelon` pivots on.  Only a piece whose count is short of
 kernel_dim but not 0 has its products ranked: the walk of the piece
 (`_products`) feeds `_echelon` lazily in label order, each product is
-expanded when the elimination reads it, by one expander that multiplies a
-memoised prefix by a single generator (`_product_expander`), and both stop
-at kernel_dim.  Only that path reports a piece short.
+expanded when the elimination reads it, by the tables' expander, which
+multiplies a memoised prefix by one generator at a time
+(`_Tables.expand`), and both stop at kernel_dim.  Only that path reports
+a piece short.
 
 Products are enumerated as label multisets on packed gradings, one piece
 per walk (`_products`): a piece (b, w) is one int, the grading that
@@ -56,10 +56,10 @@ per walk (`_products`): a piece (b, w) is one int, the grading that
 generator to a partial product is one integer subtraction from what the
 branch still needs.  The walk adds one factor per level, a generator at
 or after the last one, so its depth is the number of factors and the
-products come out in label order.  A table kept per label set and
-packing, grown with the degree (`_reach`), of the gradings each suffix
-of the generator list reaches prunes exactly the branches with no
-product in the piece, so every branch it keeps ends in a product.
+products come out in label order.  The reach table (`_Tables.walk`),
+of the gradings each suffix of the generator list reaches, prunes
+exactly the branches with no product in the piece, so every branch it
+keeps ends in a product.
 `express` packs its input once and splits it by piece, the gradings
 `key >> shift` of its monomials (`Packing.read_grading`), and a
 certificate walks only its short representative pieces.
@@ -67,10 +67,11 @@ certificate walks only its short representative pieces.
 `express` solves each of its input's pieces on its own (pieces have
 disjoint support, so the greedy basis is the union of the pieces' own).
 A piece's products are walked and expanded lazily, in label order, and
-its elimination stops at kernel_dim; its products and pivot rows, and
-the expander with its memoised prefixes, are kept per label set and
-degree (`_piece_bases`), so a later call only reduces its own row, and a
-new piece reuses the prefixes earlier ones expanded.  A combination of
+its elimination stops at kernel_dim; its products and pivot rows are
+kept with the tables (`_Tables.bases`), so a later call only reduces its
+own row.  The expander's memoised prefixes are kept there too, so a
+product reuses the prefixes that any certificate, `express` or
+`evaluate_combination` call expanded in the packing.  A combination of
 products of kernel generators lies in ker D, so D(p) is computed only on
 the way to an error (the argument is at `express_in_generators`), and D is
 applied to the generators only for a set that is not made of the built-in
@@ -118,7 +119,7 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import cache, cached_property
 from math import factorial, gcd, lcm, prod
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .derivation import GeneratorSet, WeitzenboeckDerivation, generators
 from .errors import InvalidKey, NonHomogeneous, NotInKernel, NotInSpan, UnknownLabel
@@ -467,7 +468,7 @@ def kernel_basis(n: int, k: int, degree: int) -> list[Polynomial]:
 
 
 class _PackedGenerator(NamedTuple):
-    """One generator in the packing of a degree: its total degree, grading, least monomial and terms as packed ints."""
+    """One generator in a packing: its total degree, grading, least monomial and terms as packed ints."""
 
     label: str
     degree: int
@@ -488,123 +489,218 @@ def _generator_degree(label: str, p: Polynomial) -> int:
     return degree
 
 
-@cache
-def _generator_degrees(gens: GeneratorSet) -> dict[str, int]:
-    """Label -> total degree of every generator, each checked by `_generator_degree` once per label set.
+# the walk's view of one degree: (label, degree, grading, reach row) per generator, and reach[0][degree]
+_WalkView = tuple[tuple[tuple[str, int, int, tuple[frozenset[int], ...]], ...], frozenset[int]]
 
-    A set with a zero, constant or mixed-degree generator raises at every
-    call: a call that raises is not cached.
+
+class _Tables:
+    """Everything one label set needs in one packing, each table grown with the degree asked.
+
+    Built once per label set and packing (`_tables`), and shared by every
+    degree of the packing's bit width (`packing_for`).  Building it checks
+    every generator's degree (`_generator_degree`), so a set with a zero,
+    constant or mixed-degree generator raises at every call: a call that
+    raises is not cached.  It holds
+    - `rows`: each generator's packed row (`row`), packed and checked when a
+      degree that holds it first asks for it;
+    - `reach`: each generator's reach row, and `walks`, the walk's view of
+      every degree asked (`walk`);
+    - `least_levels`: the least-monomial levels of each symmetry runs (`least`);
+    - `bases`: `express`'s pieces met, keyed by packed grading, which names
+      the degree too: each piece's products in label order up to its last
+      greedy basis product, and the pivot rows `_echelon` built from them
+      with product j's tag in column `packing.end` + 1 + j;
+    - `prefixes`: the one expander's memoised prefixes (`expand`), shared
+      by certificates, `express` and `evaluate_combination`.
+
+    Growth changes no answer: what a degree d reads is the table of d
+    alone, whatever was asked before.  A generator of degree above d is in
+    no multiset of degree d and is not read; entry r of a reach row and
+    level r of a least-monomial table are built from entries r' <= r and
+    generators of degree <= r only; and a product's terms are those of its
+    labels, in a packing that holds every degree it serves with no carry.
+    So a row grown to D >= d agrees at r <= d with the row of d alone.
+    A stored entry is never changed: a grown reach row replaces a shorter
+    one it agrees with, so a row or view read stays valid.  Threads that
+    fill one entry at once store equal values.
     """
-    return {label: _generator_degree(label, p) for label, p in gens}
 
+    def __init__(self, gens: GeneratorSet, packing: Packing):
+        self.gens, self.packing = gens, packing
+        self.degrees = {label: _generator_degree(label, p) for label, p in gens}
+        self.rows: dict[str, _PackedGenerator] = {}
+        self.reach: dict[str, tuple[frozenset[int], ...]] = {}
+        self.walks: dict[int, _WalkView] = {}
+        self.least_levels: dict[tuple[tuple[int, int], ...], dict[int, set[int]]] = {}
+        self.bases: dict[int, tuple[list[tuple[str, ...]], dict[int, dict[int, int]]]] = {}
+        self.prefixes: dict[tuple[str, ...], PackedTerms] = {(): {0: 1}}
 
-@cache
-def _generator_rows(gens: GeneratorSet, packing: Packing) -> dict[str, _PackedGenerator]:
-    """Label -> packed row of each generator of `gens` that `_packed_generators` has packed by `packing`, filled by it."""
-    return {}
+    def row(self, label: str) -> _PackedGenerator:
+        """The packed row of generator `label`: the one place where a generator's piece is read.
 
-
-@cache
-def _packed_generators(gens: GeneratorSet, degree: int) -> tuple[_PackedGenerator, ...]:
-    """The generators of total degree <= `degree`, in label order, packed by `packing_for(Ambient(n, k), degree)`.
-
-    The one place where a generator's degree and piece are read, shared by
-    the least-monomial table, the walk and the expander.  Every
-    generator's degree is checked once per label set
-    (`_generator_degrees`); one above `degree` is in no product of this
-    degree and skipped.  A row holds the rest's packed grading, the one
-    `key >> shift` of all its packed terms, its least packed monomial (the
-    monomial `_echelon` pivots on) and its packed terms.  Packing is
-    linear, so every monomial of a product of these generators lies in
-    the piece that is the sum of its factors' gradings.  Raises
-    NonHomogeneous, naming the label, for a generator that is zero or
-    constant or mixes degrees, and for one of degree <= `degree` whose
-    terms involve CX/CY or span several gradings.
-
-    This is a view, cached per label set and degree.  Each row is packed
-    and checked once per label set and packing (`_generator_rows`), when
-    the first degree that holds its generator asks for it, and every
-    degree of one bit width (`packing_for`) reads the same rows; a
-    generator above every degree asked so far is neither packed nor
-    checked, so its error waits for a degree that holds it.
-    """
-    packing = packing_for(Ambient(gens.n, gens.k), degree)
-    degrees = _generator_degrees(gens)
-    rows = _generator_rows(gens, packing)
-    # the covariant degree is a grading's top field, so a grading involves CX/CY
-    # exactly when it is at least that of covariant degree 1
-    covariant = packing.grading((0,) * gens.n, 0, 1)
-    table = []
-    for label, p in gens:
-        d = degrees[label]
-        if d > degree:
-            continue
-        gen = rows.get(label)
+        The row holds its degree, its packed grading, the one `key >> shift`
+        of all its packed terms, its least packed monomial (the monomial
+        `_echelon` pivots on) and its packed terms.  Packing is linear, so
+        every monomial of a product lies in the piece that is the sum of its
+        factors' gradings.  Raises NonHomogeneous, naming the label, for a
+        generator whose terms involve CX/CY or span several gradings; the
+        packing must hold the generator's degree.
+        """
+        gen = self.rows.get(label)
         if gen is None:
+            packing, p = self.packing, self.gens.value(label)
             terms = packing.pack_terms(p)
             gradings = {mono >> packing.shift for mono in terms}
-            if max(gradings) >= covariant:
+            # the covariant degree is a grading's top field, so a grading involves CX/CY
+            # exactly when it is at least that of covariant degree 1
+            if max(gradings) >= packing.grading((0,) * self.gens.n, 0, 1):
                 raise NonHomogeneous(f"generator {label} involves covariant variables: {p}")
             if len(gradings) > 1:
                 raise NonHomogeneous(f"generator {label} spans several graded pieces: {p}")
-            gen = rows[label] = _PackedGenerator(label, d, gradings.pop(), min(terms), terms)
-        table.append(gen)
-    return tuple(table)
+            gen = self.rows.setdefault(label, _PackedGenerator(label, self.degrees[label], gradings.pop(), min(terms), terms))
+        return gen
+
+    def generators(self, degree: int) -> list[_PackedGenerator]:
+        """The rows of the generators of total degree <= `degree`, in label order; one above it is in no product."""
+        return [self.row(label) for label, _ in self.gens if self.degrees[label] <= degree]
+
+    def walk(self, degree: int) -> _WalkView:
+        """The walk's view of `degree`: (label, degree, grading, reach row) per generator of `generators(degree)`, and reach[0][degree].
+
+        reach[idx][r] holds the packed gradings of every multiset of
+        generators idx.. of total degree exactly r: a multiset either holds
+        no copy of generator idx (reach[idx+1][r]) or is one copy of it
+        times a multiset of generators idx.. of degree r - d.  A row shorter
+        than degree + 1 is replaced by a longer copy: a generator new to the
+        table gets its whole row, and every other row only the entries past
+        those it has.  The view reads the rows as stored, at most as long as
+        the largest degree asked; the walk reads entries r <= `degree` only.
+        """
+        view = self.walks.get(degree)
+        if view is None:
+            later = (frozenset({0}), *[frozenset()] * degree)  # no generator: only the empty multiset
+            steps = []
+            for gen in reversed(self.generators(degree)):
+                d, g = gen.degree, gen.grading
+                row = self.reach.get(gen.label, ())
+                if len(row) <= degree:
+                    row = list(row)
+                    for r in range(len(row), degree + 1):
+                        row.append(later[r] | {s + g for s in row[r - d]} if r >= d else later[r])
+                    row = self.reach[gen.label] = tuple(row)
+                steps.append((gen.label, d, g, row))
+                later = row
+            view = self.walks.setdefault(degree, (tuple(reversed(steps)), later[degree]))
+        return view
+
+    def least(self, degree: int, runs: tuple[tuple[int, int], ...]) -> set[int]:
+        """The least packed monomials of the degree-`degree` products in the pieces whose b is non-decreasing in every run.
+
+        One table of sums of the generators' least packed monomials, one set
+        per total degree 0..`degree`, built as an unbounded knapsack: a
+        multiset either holds no copy of a generator of degree d, or is one
+        copy times a multiset of degree r - d, so adding the generator to the
+        table for r = d..`degree` in ascending order adds every multiset that
+        holds it.  The top level is returned, and `s >> shift` of a sum s is
+        its product's piece.  Nothing is expanded.
+
+        Each sum is its product's least monomial, and the products of one
+        piece with distinct least monomials are linearly independent:
+        - packed keys are ints in a monomial order that addition keeps,
+          a < b implies a + c < b + c (see `Packing`), and no digit carries in
+          a product of degree <= `degree`;
+        - so the least monomial of f*g is min f + min g: any other pair of
+          terms has one factor above its minimum and a strictly larger sum, so
+          the pair of least terms is the only pair that reaches min f + min g
+          and its coefficient, a product of two nonzero ones, cannot cancel;
+        - in a vanishing combination of products with pairwise distinct least
+          monomials, of those with a nonzero coefficient the one whose least
+          monomial is smallest is the only one holding that monomial, which
+          therefore cannot cancel.
+        Hence the number of sums in a piece is at most the rank of its
+        products, itself at most its kernel_dim when the generators lie in
+        ker D.  This is the SAGBI test (Robbiano-Sweedler) on one piece.
+
+        Generators are added in stages by their lowest nonzero block, lowest
+        first (a generator of degree 0 has none and is rejected by
+        `_generator_degree`).  A later stage adds nothing to blocks <= i, so
+        after stage i their degrees are final in every completion of a sum; a
+        sum whose blocks i - 1 and i share a run and are out of order
+        (b_(i-1) > b_i) has no completion in a representative piece and is
+        dropped, at every level.
+        The prune is exact: every sum of a representative piece has all its
+        blocks in order within each run at every stage, so it is kept.
+
+        The levels are kept per runs, those of the degrees this packing
+        serves only, and a degree that a table built before reached is read
+        from them; a degree above every table built before builds the table
+        again, up to that degree.  The returned set is shared: it is read,
+        never changed.
+        """
+        kept = self.least_levels.setdefault(runs, {})
+        if (level := kept.get(degree)) is not None:
+            return level
+        packing = self.packing
+        bits, mask = packing.bits, (1 << packing.bits) - 1
+        stages: list[list[_PackedGenerator]] = [[] for _ in range(self.gens.n)]
+        for gen in self.generators(degree):
+            # the lowest set bit of a grading lies in its lowest nonzero block's field
+            stages[((gen.grading & -gen.grading).bit_length() - 1) // bits].append(gen)
+        joined = {i for start, stop in runs for i in range(start + 1, stop)}
+        levels: list[set[int]] = [{0}] + [set() for _ in range(degree)]
+        for i, stage in enumerate(stages):
+            for gen in stage:
+                d, m = gen.degree, gen.lead
+                for r in range(d, degree + 1):
+                    levels[r].update(map(m.__add__, levels[r - d]))
+            if i in joined:
+                low, high = packing.shift + bits * (i - 1), packing.shift + bits * i
+                levels = [{s for s in level if s >> low & mask <= s >> high & mask} for level in levels]
+        for d, level in enumerate(levels):
+            if packing_for(packing.ambient, d) is packing:  # a lower degree reads its own packing's tables
+                kept.setdefault(d, level)
+        return kept[degree]
+
+    def expand(self, labels: tuple[str, ...]) -> PackedTerms:
+        """The packed terms of a label multiset's product: its longest memoised prefix times one generator at a time.
+
+        Each prefix multiplied on the way is memoised, so no prefix is
+        expanded twice in the packing, and the product itself is not kept.
+        The multiset's total degree must be at most the packing's degree, so
+        that no digit carries (see `Packing`): the walk (`_products`) yields
+        only such multisets, and `evaluate_combination` picks its packing
+        from the labels it is given.  The generators' integral coefficients
+        are `int`, so products of integer generators are expanded in integer
+        arithmetic by `mul_terms`.
+        """
+        if not labels:
+            return {0: 1}
+        prefixes, last = self.prefixes, len(labels) - 1
+        start = last
+        while labels[:start] not in prefixes:
+            start -= 1
+        terms = prefixes[labels[:start]]
+        for i in range(start, last):
+            terms = prefixes[labels[: i + 1]] = mul_terms(terms, self.row(labels[i]).terms)
+        return mul_terms(terms, self.row(labels[last]).terms)
 
 
 @cache
-def _reach_rows(gens: GeneratorSet, packing: Packing) -> dict[str, tuple[frozenset[int], ...]]:
-    """Label -> reach row, by total degree, of each generator of `gens` in `packing`, filled and grown by `_reach`."""
-    return {}
-
-
-@cache
-def _reach(gens: GeneratorSet, degree: int) -> tuple[tuple[frozenset[int], ...], ...]:
-    """reach[idx][r]: packed keys of every multiset of generators idx.. of total degree exactly r.
-
-    The generators are the rows of `_packed_generators(gens, degree)`, r
-    runs over 0..degree.  A multiset of generators idx.. either holds no
-    copy of generator idx (reach[idx+1][r]) or is one copy of it times a
-    multiset of generators idx.. of degree r - d.
-
-    This is a view, cached per label set and degree, of one table per
-    label set and packing (`_reach_rows`), which grows to the largest
-    degree asked.  Entry r of a generator's row is a set of multisets of
-    degree r, and a generator of degree above r is in none, so it does not
-    depend on the degree the table was built for: the rows r <= `degree`
-    of a table grown further are the table of `degree` alone.  A row too
-    short for `degree` is replaced by a longer copy: a generator new to the
-    table gets its whole row, and every other row only the entries past
-    those it has.  A stored row is never changed, so a row read stays valid.
-    """
-    grown = _reach_rows(gens, packing_for(Ambient(gens.n, gens.k), degree))
-    later = (frozenset({0}), *[frozenset()] * degree)  # no generator: only the empty multiset
-    table = [later]
-    for gen in reversed(_packed_generators(gens, degree)):
-        d, g = gen.degree, gen.grading
-        row = grown.get(gen.label, ())
-        if len(row) <= degree:
-            row = list(row)
-            for r in range(len(row), degree + 1):
-                row.append(later[r] | {s + g for s in row[r - d]} if r >= d else later[r])
-            row = grown[gen.label] = tuple(row)
-        table.append(row[: degree + 1])
-        later = row
-    table.reverse()
-    return tuple(table)
+def _tables(gens: GeneratorSet, packing: Packing) -> _Tables:
+    """The tables of `gens` in `packing`, built once per label set and packing; equal sets share them."""
+    return _Tables(gens, packing)
 
 
 def _products(gens: GeneratorSet, degree: int, grading: int) -> Iterator[tuple[str, ...]]:
     """The label multisets of the products of total ring degree exactly `degree` in one piece, lazily, in label order.
 
     The piece is the packed grading of a degree-`degree` monomial
-    (`Packing.grading` of the degree's packing, the one
-    `_packed_generators` reads the generators' gradings in).  Label order
-    is higher multiplicity of earlier generators first.  Every label is a
-    row of that table, so `_product_expander` takes the products
-    unchecked.  Nothing is expanded, the products may be linearly
-    dependent, and a piece that holds none yields nothing.  A reader that
-    stops early stops the walk with it.
+    (`Packing.grading` of the degree's packing, the one the generators'
+    rows are read in).  Label order is higher multiplicity of earlier
+    generators first.  Every label is a generator of degree <= `degree`,
+    so `_Tables.expand` takes the products unchecked.  Nothing is expanded,
+    the products may be linearly dependent, and a piece that holds none
+    yields nothing.  A reader that stops early stops the walk with it.
 
     The walk adds one factor per level: a branch whose last factor is
     generator idx adds a generator j >= idx and goes on at j, so a product
@@ -620,141 +716,28 @@ def _products(gens: GeneratorSet, degree: int, grading: int) -> Iterator[tuple[s
     minus the gradings of its factors, so adding a factor is one integer
     subtraction.  Adding generator j with r degrees left after it keeps
     the child only if need - g_j is in reach[j][r], the gradings of the
-    multisets of generators j.. (j included) of degree r: one set lookup
-    per child.  The prune is exact: the completions of the child are
-    exactly those multisets, so a child is dropped only when no product
-    below it lies in the piece, and every child kept ends in one.  The
-    piece and every completion are gradings of degree-`degree` monomials,
-    so each field is at most k*degree < 2^bits, no field carries, and
-    packed equality is componentwise equality.  The generator table
-    (`_packed_generators`) and `_reach` are cached and shared by the walks.
+    multisets of generators j.. (j included) of degree r (`_Tables.walk`):
+    one set lookup per child.  The prune is exact: the completions of the
+    child are exactly those multisets, so a child is dropped only when no
+    product below it lies in the piece, and every child kept ends in one.
+    The piece and every completion are gradings of degree-`degree`
+    monomials, so each field is at most k*degree < 2^bits, no field
+    carries, and packed equality is componentwise equality.
     """
-    table = _packed_generators(gens, degree)
-    reach = _reach(gens, degree)
+    steps, top = _tables(gens, packing_for(Ambient(gens.n, gens.k), degree)).walk(degree)
 
     def walk(idx: int, remaining: int, labels: tuple[str, ...], need: int) -> Iterator[tuple[str, ...]]:
         if remaining == 0:
             yield labels
             return
-        for j in range(idx, len(table)):
-            label, d, g, _, _ = table[j]
+        for j in range(idx, len(steps)):
+            label, d, g, reach = steps[j]
             r = remaining - d
-            if r >= 0 and (left := need - g) in reach[j][r]:
+            if r >= 0 and (left := need - g) in reach[r]:
                 yield from walk(j, r, labels + (label,), left)
 
-    if grading in reach[0][degree]:
+    if grading in top:
         yield from walk(0, degree, (), grading)
-
-
-@cache
-def _least_levels(gens: GeneratorSet, runs: tuple[tuple[int, int], ...], packing: Packing) -> dict[int, set[int]]:
-    """Degree -> level of the least-monomial tables `_least_monomials` built for `gens` and `runs` in `packing`, filled by it."""
-    return {}
-
-
-def _least_monomials(gens: GeneratorSet, degree: int, runs: tuple[tuple[int, int], ...]) -> set[int]:
-    """The least packed monomials of the degree-`degree` products in the pieces whose b is non-decreasing in every run.
-
-    One table of sums of the generators' least packed monomials
-    (`_packed_generators`), one set per total degree 0..`degree`, built
-    as an unbounded knapsack: a multiset either holds no copy of a
-    generator of degree d, or is one copy times a multiset of degree r - d,
-    so adding the generator to the table for r = d..`degree` in ascending
-    order adds every multiset that holds it.  The top level is returned,
-    and `s >> shift` of a sum s is its product's piece.  Nothing is
-    expanded.
-
-    Each sum is its product's least monomial, and the products of one
-    piece with distinct least monomials are linearly independent:
-    - packed keys are ints in a monomial order that addition keeps,
-      a < b implies a + c < b + c (see `Packing`), and no digit carries in
-      a product of degree <= `degree`;
-    - so the least monomial of f*g is min f + min g: any other pair of
-      terms has one factor above its minimum and a strictly larger sum, so
-      the pair of least terms is the only pair that reaches min f + min g
-      and its coefficient, a product of two nonzero ones, cannot cancel;
-    - in a vanishing combination of products with pairwise distinct least
-      monomials, of those with a nonzero coefficient the one whose least
-      monomial is smallest is the only one holding that monomial, which
-      therefore cannot cancel.
-    Hence the number of sums in a piece is at most the rank of its
-    products, itself at most its kernel_dim when the generators lie in
-    ker D.  This is the SAGBI test (Robbiano-Sweedler) on one piece.
-
-    Generators are added in stages by their lowest nonzero block, lowest
-    first (a generator of degree 0 has none and is rejected by
-    `_generator_degree`).  A later stage adds nothing to blocks <= i, so
-    after stage i their degrees are final in every completion of a sum; a
-    sum whose blocks i - 1 and i share a run and are out of order
-    (b_(i-1) > b_i) has no completion in a representative piece and is
-    dropped, at every level.
-    The prune is exact: every sum of a representative piece has all its
-    blocks in order within each run at every stage, so it is kept.
-
-    The levels are kept per label set, runs and packing (`_least_levels`),
-    and a degree that a table built before reached is read from them.
-    Level d of a table built up to D >= d is the table of d alone: no sum
-    of a level is made from a higher one, a generator of degree above d
-    adds nothing to it, and the stages and the prune act on each sum
-    alone.  A degree above every table built before builds the table
-    again, up to that degree.  The returned set is shared: it is read,
-    never changed.
-    """
-    n = gens.n
-    packing = packing_for(Ambient(n, gens.k), degree)
-    kept = _least_levels(gens, runs, packing)
-    if (level := kept.get(degree)) is not None:
-        return level
-    bits, mask = packing.bits, (1 << packing.bits) - 1
-    stages: list[list[_PackedGenerator]] = [[] for _ in range(n)]
-    for gen in _packed_generators(gens, degree):
-        # the lowest set bit of a grading lies in its lowest nonzero block's field
-        stages[((gen.grading & -gen.grading).bit_length() - 1) // bits].append(gen)
-    joined = {i for start, stop in runs for i in range(start + 1, stop)}
-    levels: list[set[int]] = [{0}] + [set() for _ in range(degree)]
-    for i, stage in enumerate(stages):
-        for gen in stage:
-            d, m = gen.degree, gen.lead
-            for r in range(d, degree + 1):
-                levels[r].update(map(m.__add__, levels[r - d]))
-        if i in joined:
-            low, high = packing.shift + bits * (i - 1), packing.shift + bits * i
-            levels = [{s for s in level if s >> low & mask <= s >> high & mask} for level in levels]
-    for d, level in enumerate(levels):
-        kept.setdefault(d, level)
-    return kept[degree]
-
-
-def _product_expander(gens: GeneratorSet, degree: int) -> Callable[[tuple[str, ...]], PackedTerms]:
-    """The one expander of generator products of total degree <= `degree`: label multiset -> packed term map.
-
-    Monomials are packed by `packing_for(Ambient(gens.n, gens.k), degree)`.  A
-    multiset's terms are those of its prefix labels[:-1], memoised for the
-    expander's lifetime, times one generator's terms, read from the cached
-    `_packed_generators` table and multiplied by `mul_terms`.  Every label
-    must be in that table and the multiset's total degree at most
-    `degree`, so that no digit carries (see `Packing`): the walk
-    (`_products`) yields only such multisets, and `evaluate_combination`
-    takes its bound from the labels it is given.  The generators' integral
-    coefficients are `int`, so products of integer generators are expanded
-    in integer arithmetic.  `express_in_generators` keeps one expander per
-    label set and degree (`_piece_bases`), so a prefix it expanded serves
-    every later call; `_span_dims` and `evaluate_combination` build one per
-    call, so a certificate's prefixes go with its walk.
-    """
-    values = {gen.label: gen.terms for gen in _packed_generators(gens, degree)}
-    prefixes: dict[tuple[str, ...], PackedTerms] = {}
-
-    def times(labels: tuple[str, ...]) -> PackedTerms:
-        if not labels:
-            return {0: 1}
-        head, last = labels[:-1], labels[-1]
-        terms = prefixes.get(head)
-        if terms is None:
-            terms = prefixes[head] = times(head)
-        return mul_terms(terms, values[last])
-
-    return times
 
 
 # -- block-permutation orbits -------------------------------------------------
@@ -930,17 +913,18 @@ def _span_dims(
     """The span dimension of every piece of `kernel_dims` that holds a product, decided on the set's own blocks.
 
     The pieces are the representatives of `runs`, whose least monomials
-    `_least_monomials` lists.  A piece with kernel_dim of them has span_dim
+    `_Tables.least` lists.  A piece with kernel_dim of them has span_dim
     = kernel_dim with nothing expanded: that many products are linearly
     independent and, lying in ker D, no more can be.  Each other piece with
     one or more is walked (`_products`) straight into `_echelon`, its
-    products expanded as the elimination reads them, in label order; the
-    elimination stops at kernel_dim, still exact, and the walk with it.
-    Its pivot rows are untagged and not kept: `_piece_bases` is
-    `express`'s.
+    products expanded by the tables' expander as the elimination reads
+    them, in label order; the elimination stops at kernel_dim, still exact,
+    and the walk with it.  Its pivot rows are untagged and not kept:
+    `_Tables.bases` is `express`'s.
     """
     packing = packing_for(Ambient(gens.n, gens.k), degree)
-    counts = Counter(s >> packing.shift for s in _least_monomials(gens, degree, runs))
+    tables = _tables(gens, packing)
+    counts = Counter(s >> packing.shift for s in tables.least(degree, runs))
     span, short = {}, {}
     for key, kdim in kernel_dims.items():
         count = counts.get(packing.grading(*key), 0)
@@ -948,10 +932,8 @@ def _span_dims(
             span[key] = kdim
         elif count:
             short[key] = kdim
-    if short:
-        expand = _product_expander(gens, degree)
-        for key, kdim in short.items():
-            span[key] = len(_echelon(map(expand, _products(gens, degree, packing.grading(*key))), limit=kdim))
+    for key, kdim in short.items():
+        span[key] = len(_echelon(map(tables.expand, _products(gens, degree, packing.grading(*key))), limit=kdim))
     return span
 
 
@@ -979,26 +961,6 @@ def _generators_in_kernel(gens: GeneratorSet) -> bool:
     return all(g.ambient == amb and deriv.is_in_kernel(g) for _, g in gens)
 
 
-@cache
-def _piece_bases(
-    gens: GeneratorSet, degree: int
-) -> tuple[Callable[[tuple[str, ...]], PackedTerms], dict[int, tuple[list[tuple[str, ...]], dict[int, dict[int, int]]]]]:
-    """`express_in_generators`'s expander and its packed grading -> (products, pivot rows) of each piece met, filled by it.
-
-    Kept per label set and degree.  The expander (`_product_expander`) is
-    the one every piece of the degree is expanded by, so a product whose
-    prefix an earlier call expanded multiplies that prefix by one generator.
-    A piece's entry holds its products in label order as its walk
-    (`_products`) yielded them, up to its last greedy basis product, and the
-    pivot rows `_echelon` built from them with product j's tag in column
-    tag + 1 + j (tag = the degree's `Packing.end`).  A stored pivot row is
-    only read, never changed.  Certificates neither fill nor read it: each
-    `completeness_check` expands with an expander of its own, so no prefix
-    outlives its walk.
-    """
-    return _product_expander(gens, degree), {}
-
-
 def express_in_generators(p: Polynomial, gens: GeneratorSet) -> Combination:
     """Write a homogeneous kernel element as a combination of generator products.
 
@@ -1015,8 +977,8 @@ def express_in_generators(p: Polynomial, gens: GeneratorSet) -> Combination:
     Only p's pieces are solved, each on its own.  Pieces have disjoint
     monomial support, so the greedy basis of all degree-d products is the
     union of the pieces' own bases, and a product outside p's pieces gets
-    0.  A piece's basis is built once per label set and degree
-    (`_piece_bases`): its walk (`_products`) feeds `_echelon` in label
+    0.  A piece's basis is built once per label set and packing
+    (`_Tables.bases`): its walk (`_products`) feeds `_echelon` in label
     order, each product expanded when it is read, and when every generator
     lies in ker D the elimination stops at the piece's kernel_dim, since no
     more products can be independent; the products after that one are
@@ -1066,13 +1028,14 @@ def _combination(p: Polynomial, gens: GeneratorSet, stop: bool) -> Combination:
     # left with tag columns only is dropped (bound = tag): it is a combination of the
     # products before it, so the kept ones are the piece's greedy basis in label order
     tag = packing.end
-    expand, bases = _piece_bases(gens, degree)
+    tables = _tables(gens, packing)
+    bases = tables.bases  # kept with the tables, so a later call only reduces its own rows
 
     def rows(grading: int, products: list[tuple[str, ...]]) -> Iterator[dict[int, int]]:
         # the walk's products as the elimination reads them, each one kept
         for j, labels in enumerate(_products(gens, degree, grading)):
             products.append(labels)
-            yield expand(labels) | {tag + 1 + j: 1}
+            yield tables.expand(labels) | {tag + 1 + j: 1}
 
     for g, (bd, w, _) in gradings.items():
         if g not in bases:
@@ -1103,16 +1066,17 @@ def _combination(p: Polynomial, gens: GeneratorSet, stop: bool) -> Combination:
 def evaluate_combination(combination: Combination, gens: GeneratorSet) -> Polynomial:
     """Expand a label-multiset combination: sum(coeff * prod(generators)).
 
-    The expander's degree bound is the largest total degree of the
-    combination's multisets (`_generator_degree` of each label); a label
-    outside the set raises UnknownLabel, a KeyError.
+    The products are expanded by the set's tables (`_Tables.expand`) in
+    the packing of the largest total degree of the combination's multisets
+    (`_generator_degree` of each label); a label outside the set raises
+    UnknownLabel, a KeyError.
     """
     try:
         degree = max((sum(_generator_degree(label, gens.value(label)) for label in labels) for labels in combination), default=0)
     except KeyError as exc:
         raise UnknownLabel(*exc.args) from None
     packing = packing_for(Ambient(gens.n, gens.k), degree)
-    expand = _product_expander(gens, degree)
+    expand = _tables(gens, packing).expand
     total: PackedTerms = {}
     for labels, coeff in combination.items():
         for mono, c in expand(labels).items():

@@ -277,7 +277,7 @@ class Packing:
 
         Unlike `pack`, no term's degree is tested; one above the bound would
         carry into the next field.  Each caller picks its packing from a
-        bound on the terms it packs: `kernel._packed_generators` packs only
+        bound on the terms it packs: `kernel._Tables.row` packs only
         generators of one total degree <= its packing's, `kernel._combination`
         a homogeneous p in the packing of p's degree, and
         `Polynomial.__mul__` each operand in the packing of the sum of their
@@ -296,7 +296,7 @@ def packing_for(ambient: Ambient, degree: int) -> Packing:
     The bit width is the one `Packing(ambient, degree)` takes, and the
     packing's `degree` is the largest that width holds, (2^bits - 1) // k,
     so every degree of one width shares one packing, and the tables built
-    on it (`kernel._packed_generators`) serve them all.  That changes no
+    on it (`kernel._Tables`) serve them all.  That changes no
     order: a key is its fields, most significant first, and no field
     carries while every value is below 2^bits, so two packings that both
     hold degree d order the monomials of degree <= d alike and read the

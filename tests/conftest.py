@@ -21,6 +21,9 @@ message and position.  The command line
 oracle (`reference_parser`) is the earlier argparse-only parser, against
 which the CLI's table reader and its table-built parser are compared: the
 same namespace, the same usage errors and the same `--help`, byte for byte.
+
+The `spy` fixture records what the kernel reads while a test runs: every
+product its tables expand, every least-monomial table and every walk.
 """
 
 import argparse
@@ -29,6 +32,8 @@ import re
 from fractions import Fraction
 from functools import cache
 from typing import NamedTuple
+
+import pytest
 
 from weitzenboeck import (
     COV_X,
@@ -55,6 +60,76 @@ def clear_kernel_caches():
     for value in vars(kernel).values():
         if hasattr(value, "cache_clear"):
             value.cache_clear()
+
+
+def kernel_tables(gens, degree):
+    """The kernel's tables of `gens` in the packing of `degree`."""
+    return kernel._tables(gens, packing_for(Ambient(gens.n, gens.k), degree))
+
+
+class Expansion(NamedTuple):
+    n: int
+    labels: tuple[str, ...]
+
+
+class LeastTable(NamedTuple):
+    n: int
+    degree: int
+    levels: set[int]
+
+
+class Walk(NamedTuple):
+    n: int
+    degree: int
+    grading: int
+    labels: list[tuple[str, ...]]  # as the walk yields them
+
+
+class KernelSpy:
+    """In call order: the products `_Tables.expand` expands, the tables `_Tables.least` returns, the walks of `_products`."""
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self):
+        self.expanded: list[Expansion] = []
+        self.tables: list[LeastTable] = []
+        self.walks: list[Walk] = []
+
+    def labels_expanded(self):
+        return [found.labels for found in self.expanded]
+
+    def labels_walked(self):
+        return [labels for walk in self.walks for labels in walk.labels]
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    """A `KernelSpy` recording the kernel's expansions, least-monomial tables and walks, from empty kernel caches.
+
+    A prefix the expander multiplies on the way to a product is not
+    recorded; `mul_terms` counts those.
+    """
+    clear_kernel_caches()
+    found = KernelSpy()
+    expand, least, products = kernel._Tables.expand, kernel._Tables.least, kernel._products
+
+    def expanding(self, labels):
+        found.expanded.append(Expansion(self.gens.n, labels))
+        return expand(self, labels)
+
+    def tabling(self, degree, runs):
+        found.tables.append(LeastTable(self.gens.n, degree, least(self, degree, runs)))
+        return found.tables[-1].levels
+
+    def walking(gens, degree, grading):
+        found.walks.append(walk := Walk(gens.n, degree, grading, []))
+        return (walk.labels.append(labels) or labels for labels in products(gens, degree, grading))
+
+    monkeypatch.setattr(kernel._Tables, "expand", expanding)
+    monkeypatch.setattr(kernel._Tables, "least", tabling)
+    monkeypatch.setattr(kernel, "_products", walking)
+    return found
 
 
 def random_rational(rng, lo=-9, hi=9, max_den=9):

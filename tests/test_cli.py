@@ -412,7 +412,7 @@ class TestContract:
 
     def test_generator_pieces_are_read_from_packed_terms(self):
         # each generator's degree and piece are read once, from its packed terms
-        # (kernel._packed_generators), and never per term with Polynomial.gradings. A
+        # (kernel._Tables.row), and never per term with Polynomial.gradings. A
         # fresh interpreter, so no generator table cached by an earlier test hides a call
         spy = (
             "import sys\n"

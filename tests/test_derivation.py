@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import pickle
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import product_family, products_by_piece, random_polynomial, random_rational
+from conftest import kernel_tables, product_family, products_by_piece, random_polynomial, random_rational
 from weitzenboeck import (
     Ambient,
     AmbientMismatch,
@@ -25,9 +26,32 @@ from weitzenboeck import (
     ring_var,
 )
 from weitzenboeck import kernel
-from weitzenboeck.poly import packing_for
+from weitzenboeck.poly import packing_for, x, y, z
 
 D1 = WeitzenboeckDerivation(2, 1)
+
+
+def constructor_family(n, k):
+    """The k = 1 or k = 2 family's closed forms as (label, polynomial) pairs, each built by the checking constructor."""
+    amb = Ambient(n, k)
+
+    def mono(*variables):
+        exps = [0] * amb.width
+        for v in variables:
+            exps[amb.index(v)] += 1
+        return tuple(exps)
+
+    blocks = range(1, n + 1)
+    items = [(f"x{i}", Polynomial(amb, {mono(x(i)): 1})) for i in blocks]
+    items += [(f"J{i},{j}", Polynomial(amb, [(mono(x(i), y(j)), 1), (mono(x(j), y(i)), -1)])) for i, j in itertools.combinations(blocks, 2)]
+    if k == 2:
+        for i, j in itertools.combinations_with_replacement(blocks, 2):
+            # at i = j the constructor adds the two x_i*z_i terms
+            items.append((f"H{i},{j}", Polynomial(amb, [(mono(x(i), z(j)), 1), (mono(y(i), y(j)), -1), (mono(z(i), x(j)), 1)])))
+        for i, j, l in itertools.combinations(blocks, 3):
+            terms = [(mono(x(a), y(b), z(c)), (-1) ** ((a > b) + (a > c) + (b > c))) for a, b, c in itertools.permutations((i, j, l))]
+            items.append((f"D{i},{j},{l}", Polynomial(amb, terms)))
+    return items
 A21 = Ambient(2, 1)
 A12 = Ambient(1, 2)
 
@@ -178,6 +202,18 @@ class TestGenerators:
                 assert p == q, label
                 assert all(type(c) is int for _, c in p.items()), label
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_closed_forms_match_the_checking_constructor(self, k):
+        # the family's terms are wrapped unchecked; the checking constructor, given the
+        # same closed forms with repeated monomials to add, builds the same term maps
+        for n in range(1, 7):
+            family = generators.__wrapped__(n, k)
+            expected = constructor_family(n, k)
+            assert family.labels() == [label for label, _ in expected]
+            for (label, p), (_, q) in zip(family, expected):
+                assert p.ambient == q.ambient and dict(p.items()) == dict(q.items()), label
+                assert all(type(c) is int and c for _, c in p.items()), label
+
     def test_family_is_built_without_polynomial_arithmetic(self, monkeypatch):
         calls = []
         for name in ("__mul__", "__rmul__", "__add__", "__sub__", "__neg__"):
@@ -213,7 +249,7 @@ class TestGenerators:
     def test_equal_sets_hash_equal_and_share_cache_entries(self):
         # the hash is taken once, at construction, from n, k and the labels; a set built
         # apart from polynomials built apart is equal, hashes equal and reads the same
-        # cached tables
+        # cached tables: packed rows, walk views and least-monomial tables
         first = generators(3, 2).without("H1,1")
         amb = Ambient(3, 2)
         second = GeneratorSet(3, 2, tuple((label, parse(str(p), amb)) for label, p in first))
@@ -221,15 +257,16 @@ class TestGenerators:
         assert vars(second)["_hash"] == hash(first) == hash((3, 2, tuple(first.labels())))
         runs = kernel._symmetry_runs(3, 2, frozenset({"H1,1"}))
         for degree in (2, 5):
-            packing = packing_for(amb, degree)
-            assert kernel._packed_generators(second, degree) is kernel._packed_generators(first, degree)
-            assert kernel._generator_rows(second, packing) is kernel._generator_rows(first, packing)
-            assert kernel._reach(second, degree) is kernel._reach(first, degree)
-            assert kernel._least_monomials(second, degree, runs) is kernel._least_monomials(first, degree, runs)
+            tables = kernel_tables(first, degree)
+            assert kernel_tables(second, degree) is tables
+            rows = tables.generators(degree)
+            assert all(a is b for a, b in zip(kernel_tables(second, degree).generators(degree), rows, strict=True))
+            assert kernel_tables(second, degree).walk(degree) is tables.walk(degree)
+            assert kernel_tables(second, degree).least(degree, runs) is tables.least(degree, runs)
         # the same labels with other polynomials hash alike but are another key
         other = GeneratorSet(3, 2, tuple((label, -p) for label, p in first))
         assert hash(other) == hash(first) and other != first
-        assert kernel._packed_generators(other, 2) is not kernel._packed_generators(first, 2)
+        assert kernel_tables(other, 2) is not kernel_tables(first, 2)
 
     def test_set_pickled_under_another_hash_seed_hashes_as_here(self):
         # the stored hash of str labels depends on the interpreter's hash seed, so a set
@@ -248,7 +285,7 @@ class TestGenerators:
         gens = generators(2, 2)
         for degree in (1, 2, 3):
             packing = packing_for(Ambient(2, 2), degree)
-            table = kernel._packed_generators(gens, degree)
+            table = kernel_tables(gens, degree).generators(degree)
             # a generator above the degree is in no product of it and is not packed
             assert [gen.label for gen in table] == [label for label, p in gens if p.homogeneous_degree() <= degree]
             for gen in table:
@@ -257,11 +294,11 @@ class TestGenerators:
                 assert {packing.grading(*grading) for grading in p.gradings()} == {gen.grading}
                 assert gen.terms == packing.pack_terms(p) and gen.lead == min(gen.terms)
                 assert all(type(c) is int for c in gen.terms.values())
-            # built once per set and degree, for an equal set too
-            assert kernel._packed_generators(gens, degree) is table
-            assert kernel._packed_generators(GeneratorSet(2, 2, gens.items), degree) is table
+            # each row is packed once per set and packing, and read by an equal set too
+            for again in (kernel_tables(gens, degree).generators(degree), kernel_tables(GeneratorSet(2, 2, gens.items), degree).generators(degree)):
+                assert all(a is b for a, b in zip(again, table, strict=True))
         subset = gens.without("x2", "H1,1")
-        assert [gen.label for gen in kernel._packed_generators(subset, 2)] == subset.labels()
+        assert [gen.label for gen in kernel_tables(subset, 2).generators(2)] == subset.labels()
 
     @pytest.mark.parametrize(
         "text, reason",

@@ -16,7 +16,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import clear_kernel_caches, fraction_rref, generator_rows, products_by_piece, sparse_rank, ungraded_kernel_dimension
+from conftest import (
+    clear_kernel_caches,
+    fraction_rref,
+    generator_rows,
+    kernel_tables,
+    products_by_piece,
+    sparse_rank,
+    ungraded_kernel_dimension,
+)
 from weitzenboeck import (
     Ambient,
     GradedPieceKey,
@@ -508,16 +516,47 @@ class TestGeneratorProducts:
                     assert _expand(labels, gens) * g in larger
 
 
+def _walk_and_least(gens, degree, runs):
+    """The walk view of `degree`, each reach row cut to the entries the degree reads, and its least-monomial table."""
+    tables = kernel_tables(gens, degree)
+    steps, top = tables.walk(degree)
+    return [(label, d, g, row[: degree + 1]) for label, d, g, row in steps], top, tables.least(degree, runs)
+
+
 class TestGrownTables:
-    """The generator, reach and least-monomial tables of a label set grow with the degree asked."""
+    """The packed rows, reach rows and least-monomial tables of a label set grow with the degree asked."""
+
+    @pytest.mark.parametrize("text", ["x1*y2*CX", "x1^2*y2 + x1*x2*y2"], ids=["covariant", "several-pieces"])
+    def test_a_bad_generator_raises_from_the_first_degree_that_holds_it(self, text):
+        # a hand-built set whose degree-3 generator has no one piece of the ring: its row
+        # is packed and checked only when a degree >= 3 asks for it, so degrees 1 and 2
+        # are answered before and after, and every call that reads it raises, those of
+        # degree 3, in the packing degree 2 shares, included
+        amb = Ambient(2, 1)
+        gens = GeneratorSet(2, 1, (("x1", parse("x1", amb)), ("J", parse("x1*y2 - x2*y1", amb)), ("bad", parse(text, amb))))
+        assert packing_for(amb, 2) is packing_for(amb, 3)
+        clear_kernel_caches()
+        for _ in range(2):
+            assert products_by_piece(gens, 1) == {GradedPieceKey((1, 0), 0): [("x1",)]}
+            assert products_by_piece(gens, 2) == {GradedPieceKey((2, 0), 0): [("x1", "x1")], GradedPieceKey((1, 1), 1): [("J",)]}
+            assert express_in_generators(parse("x1^2 + x1*y2 - x2*y1", amb), gens) == {("x1", "x1"): 1, ("J",): 1}
+            for call in (
+                lambda: products_by_piece(gens, 3),
+                lambda: products_by_piece(gens, 4),
+                lambda: express_in_generators(parse("x1^3", amb), gens),
+                lambda: evaluate_combination({("bad",): 1}, gens),
+                lambda: evaluate_combination({("x1", "bad"): 1}, gens),
+            ):
+                with pytest.raises(NonHomogeneous, match="^generator bad "):
+                    call()
 
     @pytest.mark.parametrize(
         "n, k, exclude", [(3, 2, ()), (3, 2, ("H1,1",)), (4, 2, ("H2,3",)), (4, 1, ("J1,2",)), (5, 1, ())]
     )
     def test_grown_tables_equal_tables_built_at_their_degree(self, n, k, exclude):
-        # level d of the least-monomial table and rows r <= d of the reach table, read
-        # from tables grown to a larger degree of the same packing, ascending or in one
-        # step, equal the tables built at d alone
+        # the walk view and the least-monomial table of degree d, read from tables grown
+        # to a larger degree of the same packing, ascending or in one step, equal the
+        # tables built at d alone; the view reads the stored reach rows themselves
         gens = generators(n, k).without(*exclude)
         runs = kernel._symmetry_runs(n, k, frozenset(exclude))
         amb = Ambient(n, k)
@@ -525,25 +564,28 @@ class TestGrownTables:
         fresh = {}
         for degree in range(top + 1):
             clear_kernel_caches()
-            fresh[degree] = (kernel._reach(gens, degree), kernel._least_monomials(gens, degree, runs))
+            fresh[degree] = _walk_and_least(gens, degree, runs)
+            assert all(len(row) == degree + 1 for *_, row in kernel_tables(gens, degree).walk(degree)[0])
         try:
             for grow in (range(top + 1), [top, *range(top)]):
                 clear_kernel_caches()
                 for big in grow:
                     packing = packing_for(amb, big)
-                    kernel._reach(gens, big), kernel._least_monomials(gens, big, runs)
-                    rows = kernel._reach_rows(gens, packing)
+                    tables = kernel_tables(gens, big)
+                    _walk_and_least(gens, big, runs)
                     for degree in range(big + 1):
                         if packing_for(amb, degree) is not packing:
                             continue
-                        reach, least = fresh[degree]
-                        assert kernel._least_monomials(gens, degree, runs) == least
-                        assert kernel._reach(gens, degree) == reach
-                        labels = [gen.label for gen in kernel._packed_generators(gens, degree)]
-                        assert [rows[label][: degree + 1] for label in labels] == list(reach[:-1])
+                        assert _walk_and_least(gens, degree, runs) == fresh[degree]
+                        assert all(row[: degree + 1] == tables.reach[label][: degree + 1] for label, _, _, row in tables.walk(degree)[0])
+                if grow[0] == top:
+                    # grown in one step, the views of the smaller degrees of its packing read its rows, uncopied
+                    tables = kernel_tables(gens, top)
+                    assert all(row is tables.reach[label] for degree in range(4, top) for label, _, _, row in tables.walk(degree)[0])
             # every degree of one bit width reads the same packed rows
-            assert kernel._packed_generators(gens, 4) == kernel._packed_generators(gens, 7)[: len(kernel._packed_generators(gens, 4))]
-            assert all(row is kernel._generator_rows(gens, packing_for(amb, 4))[row.label] for row in kernel._packed_generators(gens, 5))
+            tables = kernel_tables(gens, 4)
+            assert tables.generators(4) == tables.generators(7)[: len(tables.generators(4))]
+            assert all(row is tables.rows[row.label] for row in tables.generators(5))
         finally:
             clear_kernel_caches()
 
@@ -556,7 +598,7 @@ class TestGrownTables:
         degrees = list(range(8, 16))  # one packing for k = 1
 
         def tables(degree):
-            return kernel._reach(gens, degree), kernel._least_monomials(gens, degree, runs)
+            return _walk_and_least(gens, degree, runs)
 
         expected = {}
         for degree in degrees:
@@ -604,7 +646,43 @@ class TestGrownTables:
             clear_kernel_caches()
 
 
+def _one_per_product_and_prefix(expanded):
+    """The `mul_terms` calls that expand each product read once per read and each of its proper prefixes once in all."""
+    return len(expanded) + len({labels[:i] for labels in expanded for i in range(1, len(labels))})
+
+
 class TestProductExpander:
+    @pytest.mark.parametrize("calls", ["express at degrees 5 and 6", "verify then express"])
+    def test_no_prefix_is_expanded_twice(self, monkeypatch, spy, calls):
+        # each mul_terms call of the expander gives one label multiset's terms: a product
+        # an elimination reads, or a prefix on the way to one. k = 1 express calls at
+        # degrees 5 and 6 (one packing), or a certificate and then express in its one
+        # short piece, make one call per product read and one per distinct prefix, so
+        # no prefix is expanded twice, and together fewer than each from empty tables
+        if calls == "verify then express":
+            gens = generators(3, 2)
+            short = products_by_piece(gens, 6)[GradedPieceKey((2, 2, 2), 4)]
+            p = evaluate_combination({labels: j + 1 for j, labels in enumerate(short)}, gens)
+            steps = [lambda: completeness_check(3, 2, 6), lambda: express_in_generators(p, gens)]
+        else:
+            gens = generators(3, 1)
+            assert packing_for(Ambient(3, 1), 5) is packing_for(Ambient(3, 1), 6)
+            inputs = [evaluate_combination({labels: j + 1 for j, (labels, _) in enumerate(_all_products(gens, d))}, gens) for d in (5, 6)]
+            steps = [lambda p=p: express_in_generators(p, gens) for p in inputs]
+        multiplied = []
+        real = kernel.mul_terms
+        monkeypatch.setattr(kernel, "mul_terms", lambda a, b: multiplied.append(a) or real(a, b))
+        alone = 0
+        for step in [*steps, None]:
+            clear_kernel_caches()
+            spy.clear()
+            multiplied.clear()
+            for run in [step] if step else steps:
+                run()
+            assert spy.expanded and len(multiplied) == _one_per_product_and_prefix(spy.labels_expanded())
+            alone += len(multiplied) if step else 0
+        assert len(multiplied) < alone
+
     @given(st.sampled_from([(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2)]), st.data())
     @settings(max_examples=60, deadline=None)
     def test_equals_polynomial_products(self, nk, data):
@@ -619,7 +697,7 @@ class TestProductExpander:
         # k*D = 2^bits - 1 at D = 1, 3, 7, 15 for k = 1; at D >= 12 every multiset of up to 4 labels fits
         degree = data.draw(st.sampled_from([1, 3, 7, 12, 15]))
         packing = packing_for(amb, degree)
-        expand = kernel._product_expander(gens, degree)
+        expand = kernel_tables(gens, degree).expand
         linear = [label for label in gens.labels() if rows[label].degree == 1]
         for _ in range(3):
             labels = []
@@ -647,7 +725,7 @@ class TestProductExpander:
     def test_products_at_the_degree_bound(self):
         # D = 7 gives 3-bit fields: x1^7 fills its exponent field, the others reach D with J factors
         gens = generators(2, 1)
-        expand = kernel._product_expander(gens, 7)
+        expand = kernel_tables(gens, 7).expand
         packing = packing_for(Ambient(2, 1), 7)
         for labels in (("x1",) * 7, ("x1", "J1,2", "J1,2", "J1,2"), ("x2",) * 3 + ("J1,2",) * 2):
             expected = Polynomial.one(Ambient(2, 1))
@@ -760,7 +838,7 @@ class TestCompleteness:
         "n, k, degree, exclude",
         [(3, 2, 4, ()), (4, 1, 5, ("J1,2",)), (3, 1, 4, ("x1", "x3")), (4, 1, 6, ()), (4, 2, 4, ("H2,3",))],
     )
-    def test_ranks_each_piece_that_holds_products_once(self, monkeypatch, n, k, degree, exclude):
+    def test_ranks_each_piece_that_holds_products_once(self, monkeypatch, spy, n, k, degree, exclude):
         # only representative pieces (block degrees non-decreasing within each run
         # of stable swaps, found by brute force) are counted, each decided once: one
         # least-monomial table per degree holds exactly the least packed keys of the
@@ -780,14 +858,9 @@ class TestCompleteness:
         # expanded; the assertions above are then checked with that base decision
         # forced incomplete, which runs the per-n path
         if not exclude and n > k + 1:
-            tables, blocks, expanded_blocks = set(), set(), set()
-            real_table, real_products, real_expander = kernel._least_monomials, kernel._products, kernel._product_expander
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(kernel, "_least_monomials", lambda g, d, r: tables.add(g.n) or real_table(g, d, r))
-                patch.setattr(kernel, "_products", lambda g, d, grading: blocks.add(g.n) or real_products(g, d, grading))
-                patch.setattr(kernel, "_product_expander", lambda g, d: expanded_blocks.add(g.n) or real_expander(g, d))
-                assert completeness_check(n, k, degree).complete
-            assert tables == {k + 1} and blocks <= {k + 1} and expanded_blocks <= {k + 1}
+            assert completeness_check(n, k, degree).complete
+            assert {table.n for table in spy.tables} == {k + 1}
+            assert {walk.n for walk in spy.walks} <= {k + 1} and {found.n for found in spy.expanded} <= {k + 1}
         monkeypatch.setattr(kernel, "_base_complete", lambda k, degree: False)
         gens = generators(n, k).without(*exclude)
         stable = _stable_swaps(gens)
@@ -819,42 +892,28 @@ class TestCompleteness:
             prefixes[key] = [labels for labels, _ in values[key][:stop]]
 
         by_grading = {packing.grading(*key): key for key in keys}
-        ranked, expanded, walks, tables = [], [], [], []
-        real_echelon, real_expander, real_products, real_table = kernel._echelon, kernel._product_expander, kernel._products, kernel._least_monomials
+        ranked = []
+        real_echelon = kernel._echelon
 
         def counting(rows, bound=None, limit=None):
             # each row is recorded as the elimination reads it, and the labels expanded meanwhile
-            read, start = [], len(expanded)
+            read, start = [], len(spy.expanded)
             pivot_rows = real_echelon((read.append(row) or row for row in rows), bound, limit)
             (grading,) = {mono >> packing.shift for row in read for mono in row}
-            ranked.append((by_grading[grading], expanded[start:]))
-            assert len(read) == len(expanded) - start
+            ranked.append((by_grading[grading], spy.labels_expanded()[start:]))
+            assert len(read) == len(spy.expanded) - start
             return pivot_rows
 
-        def walking(gens, degree, grading):
-            # each walk is recorded with the labels it yields, as they are drawn
-            walks.append((by_grading[grading], yielded := []))
-            return (yielded.append(labels) or labels for labels in real_products(gens, degree, grading))
-
-        def recording(gens, degree):
-            expand = real_expander(gens, degree)
-            return lambda labels: expanded.append(labels) or expand(labels)
-
-        def tabling(gens, degree, runs):
-            tables.append(real_table(gens, degree, runs))
-            return tables[-1]
-
         monkeypatch.setattr(kernel, "_echelon", counting)
-        monkeypatch.setattr(kernel, "_product_expander", recording)
-        monkeypatch.setattr(kernel, "_products", walking)
-        monkeypatch.setattr(kernel, "_least_monomials", tabling)
+        spy.clear()
         rep = completeness_check(n, k, degree, exclude=exclude)
-        assert tables == [set().union(*(leads[key] for key in keys))] and keys <= wanted
+        assert [table.levels for table in spy.tables] == [set().union(*(leads[key] for key in keys))] and keys <= wanted
+        walks = [(by_grading[walk.grading], walk.labels) for walk in spy.walks]
         assert sorted(key for key, _ in walks) == sorted(short)
         assert dict(walks) == prefixes
         assert sorted(key for key, _ in ranked) == sorted(short)
         assert dict(ranked) == prefixes
-        assert sum(len(prefix) for prefix in prefixes.values()) == len(expanded)
+        assert sum(len(prefix) for prefix in prefixes.values()) == len(spy.expanded)
         spanning = {piece.key for piece in rep.per_piece if piece.span_dim}
         assert {key for key in spanning if representative(key.block_degrees)} <= keys
         for piece in rep.per_piece:
@@ -862,7 +921,7 @@ class TestCompleteness:
                 assert piece.span_dim == piece.kernel_dim
 
     @pytest.mark.parametrize("n, k, degree, exclude", [(3, 2, 6, ()), (4, 2, 4, ("H2,3",))])
-    def test_ranks_packed_monomials_of_the_piece(self, monkeypatch, n, k, degree, exclude):
+    def test_ranks_packed_monomials_of_the_piece(self, monkeypatch, spy, n, k, degree, exclude):
         # the columns handed to the elimination are the expander's packed monomials
         # themselves, not renumbered, so the least-column pivot is the least monomial
         # in the packing's monomial order; every key lies in the piece being ranked.
@@ -870,27 +929,23 @@ class TestCompleteness:
         # least monomials leaves short (one representative piece of the full family at
         # (3, 2, 6)). Rows are recorded as the elimination reads them
         packing = packing_for(Ambient(n, k), degree)
-        ranked, pieces = [], []
-        real_echelon, real_products = kernel._echelon, kernel._products
+        ranked = []
+        real_echelon = kernel._echelon
 
         def spying(rows, bound=None, limit=None):
             ranked.append(read := [])
             return real_echelon((read.append(dict(row)) or row for row in rows), bound, limit)
 
-        def walking(gens, degree, grading):
-            pieces.append(grading)
-            return real_products(gens, degree, grading)
-
         monkeypatch.setattr(kernel, "_echelon", spying)
-        monkeypatch.setattr(kernel, "_products", walking)
         completeness_check(n, k, degree, exclude=exclude)
+        pieces = [walk.grading for walk in spy.walks]
         assert len(ranked) == len(pieces) >= 1
         for piece, rows in zip(pieces, ranked):
             keys = {key for row in rows for key in row}
             assert keys and all(key >> packing.shift == piece for key in keys)
             assert all(packing.pack(packing.unpack(key)) == key for key in keys)
 
-    def test_walk_stops_where_the_rank_reaches_kernel_dim(self, monkeypatch):
+    def test_walk_stops_where_the_rank_reaches_kernel_dim(self, spy):
         # the one short representative piece of the full family at (3, 2, 6), ((2, 2, 2), 4),
         # holds 21 products and 10 least monomials against kernel_dim 11. Its rank, by the
         # Fraction oracle on plain Polynomial products, reaches 11 at the 13th product in
@@ -900,7 +955,7 @@ class TestCompleteness:
         gens = generators(3, 2)
         amb = Ambient(3, 2)
         grading = packing_for(amb, 6).grading(*key)
-        every = list(kernel._products(gens, 6, grading))
+        every = products_by_piece(gens, 6)[key]
         values = []
         for labels in every[:13]:
             value = Polynomial.one(amb)
@@ -909,22 +964,9 @@ class TestCompleteness:
             values.append(dict(value.items()))
         assert len(every) == 21 and _piece_kernel_dim(2, key) == 11
         assert (sparse_rank(values[:12]), sparse_rank(values)) == (10, 11)
-        walked, yielded, expanded = [], [], []
-        real_products, real_expander = kernel._products, kernel._product_expander
-
-        def walking(gens, degree, grading):
-            walked.append(grading)
-            return (yielded.append(labels) or labels for labels in real_products(gens, degree, grading))
-
-        def recording(gens, degree):
-            expand = real_expander(gens, degree)
-            return lambda labels: expanded.append(labels) or expand(labels)
-
-        monkeypatch.setattr(kernel, "_products", walking)
-        monkeypatch.setattr(kernel, "_product_expander", recording)
         rep = completeness_check(3, 2, 6)
-        assert walked == [grading]
-        assert yielded == expanded == every[:13]
+        assert [walk.grading for walk in spy.walks] == [grading]
+        assert spy.labels_walked() == spy.labels_expanded() == every[:13]
         assert rep.complete and PieceReport(key, 11, 11) in rep.representatives
 
     @pytest.mark.parametrize(
@@ -1031,13 +1073,13 @@ class TestCompleteness:
                 value = value * gens.value(label)
             values[key].append(value)
         leads = {key: {min(packing.pack(exps) for exps, _ in value.items()) for value in found} for key, found in values.items()}
-        unpruned = kernel._least_monomials(gens, degree, tuple((i, i + 1) for i in range(n)))
+        unpruned = kernel_tables(gens, degree).least(degree, tuple((i, i + 1) for i in range(n)))
         assert unpruned == set().union(*leads.values())
 
         def representative(block_degrees):
             return all(block_degrees[i] <= block_degrees[i + 1] for i in stable)
 
-        table = kernel._least_monomials(gens, degree, kernel._symmetry_runs(n, k, exclude))
+        table = kernel_tables(gens, degree).least(degree, kernel._symmetry_runs(n, k, exclude))
         assert table == {s for s in unpruned if representative(packing.read_grading(s >> packing.shift)[0])}
         for key in piece_keys(n, k, degree):
             if representative(key.block_degrees):
@@ -1159,26 +1201,17 @@ class TestPolarization:
         # without D the family is complete in degree 4 but not in 3 or 5, at every n
         assert [completeness_check(5, 2, d, exclude=_types_left_out(5, 2, "xJH")).complete for d in (3, 4, 5)] == [False, True, False]
 
-    def test_wide_full_family_ranks_only_k_plus_one_blocks(self, monkeypatch):
+    def test_wide_full_family_ranks_only_k_plus_one_blocks(self, monkeypatch, spy):
         # verify --n 8 --k 2 --max-degree 8 counts least monomials, walks products,
         # expands and ranks on 3 blocks only, one table per degree, builds no 8-block
         # generator, and prints what deciding every 8-block piece printed
-        tables, requests, expanders, ranked, built = [], [], [], [], []
-        real_products, real_expander, real_echelon = kernel._products, kernel._product_expander, kernel._echelon
-        real_generators, real_table = kernel.generators, kernel._least_monomials
-
-        def requesting(gens, degree, grading):
-            requests.append((gens.n, degree, grading))
-            return real_products(gens, degree, grading)
-
-        def recording(gens, degree):
-            expanders.append(gens.n)
-            return real_expander(gens, degree)
+        ranked, built = [], []
+        real_echelon, real_generators = kernel._echelon, kernel.generators
 
         def counting(rows, bound=None, limit=None):
             # the ranked piece is the piece last walked; its gradings are read off each
             # row as the elimination reads it
-            n, degree, grading = requests[-1]
+            n, degree, grading, _ = spy.walks[-1]
             packing = packing_for(Ambient(n, 2), degree)
             gradings = set()
             pivot_rows = real_echelon((gradings.update(mono >> packing.shift for mono in row) or row for row in rows), bound, limit)
@@ -1186,34 +1219,28 @@ class TestPolarization:
             ranked.append(n)
             return pivot_rows
 
-        monkeypatch.setattr(kernel, "_products", requesting)
-        monkeypatch.setattr(kernel, "_product_expander", recording)
         monkeypatch.setattr(kernel, "_echelon", counting)
         monkeypatch.setattr(kernel, "generators", lambda n, k: built.append(n) or real_generators(n, k))
-        monkeypatch.setattr(kernel, "_least_monomials", lambda g, d, r: tables.append((g.n, d)) or real_table(g, d, r))
         assert _verify_stdout("--n", "8", "--k", "2", "--max-degree", "8") == (0, (GOLDEN_DIR / "verify_n8_k2_d8.txt").read_text())
         assert built and set(built) == {3}
-        assert tables == [(3, d) for d in range(9)]
+        assert [(table.n, table.degree) for table in spy.tables] == [(3, d) for d in range(9)]
         # one walk per short piece, each of 3 blocks, and one elimination per walk
+        requests = [(walk.n, walk.degree, walk.grading) for walk in spy.walks]
         assert requests and [n for n, _, _ in requests] == [3] * len(requests)
         assert len(set(requests)) == len(requests)
-        assert expanders and set(expanders) == {3}
+        assert spy.expanded and {found.n for found in spy.expanded} == {3}
         assert ranked == [3] * len(requests)
 
     @pytest.mark.parametrize("golden, n, k, top", [("verify_n6_k1_d4.txt", 6, 1, 4), ("verify_n4_k1_d6.txt", 4, 1, 6)])
-    def test_incomplete_base_decides_on_n_blocks(self, monkeypatch, golden, n, k, top):
+    def test_incomplete_base_decides_on_n_blocks(self, monkeypatch, spy, golden, n, k, top):
         # a base decision that reads incomplete sends the degree down the per-n path,
         # which counts the least monomials of n-block products, one table per degree,
         # and prints the frozen report; the full k = 1 family leaves no piece short, so
         # no products are listed
         monkeypatch.setattr(kernel, "_base_complete", lambda k, degree: False)
-        blocks, requests = [], []
-        real_table, real_products = kernel._least_monomials, kernel._products
-        monkeypatch.setattr(kernel, "_least_monomials", lambda g, d, r: blocks.append(g.n) or real_table(g, d, r))
-        monkeypatch.setattr(kernel, "_products", lambda g, d, grading: requests.append(g.n) or real_products(g, d, grading))
         argv = ("--n", str(n), "--k", str(k), "--max-degree", str(top), "--output", "machine")
         assert _verify_stdout(*argv) == (0, (GOLDEN_DIR / golden).read_text())
-        assert blocks == [n] * (top + 1) and requests == []
+        assert [table.n for table in spy.tables] == [n] * (top + 1) and spy.walks == []
 
     @pytest.mark.parametrize("n, k, top", [(4, 1, 5), (5, 1, 5), (6, 1, 5), (4, 2, 4), (5, 2, 4)])
     def test_machine_output_equals_the_per_n_path(self, n, k, top):
@@ -1329,7 +1356,7 @@ class TestExpress:
             (4, 1, 5, ("J1,2",), True),
         ],
     )
-    def test_each_piece_expands_the_prefix_that_reaches_kernel_dim(self, monkeypatch, n, k, degree, exclude, truncated):
+    def test_each_piece_expands_the_prefix_that_reaches_kernel_dim(self, spy, n, k, degree, exclude, truncated):
         # p holds every product of the degree, so it lies in every piece that holds one.
         # Its first express builds each piece's basis once: exactly p's pieces are walked,
         # once each, and each piece expands, once each and in label order, the prefix of
@@ -1356,25 +1383,13 @@ class TestExpress:
         assert any(len(prefix) < len(values[key]) for key, prefix in prefixes.items()) == truncated
 
         packing = packing_for(amb, degree)
-        requests, yielded, expanded = [], [], []
-        real_products, real_expander = kernel._products, kernel._product_expander
-
-        def requesting(gens, degree, grading):
-            requests.append(grading)
-            return (yielded.append(labels) or labels for labels in real_products(gens, degree, grading))
-
-        def recording(gens, degree):
-            expand = real_expander(gens, degree)
-            return lambda labels: expanded.append(labels) or expand(labels)
-
-        kernel._piece_bases.cache_clear()
-        monkeypatch.setattr(kernel, "_products", requesting)
-        monkeypatch.setattr(kernel, "_product_expander", recording)
+        clear_kernel_caches()
+        spy.clear()
         combination = express_in_generators(p, gens)
-        monkeypatch.undo()
+        expanded = spy.labels_expanded()
         assert evaluate_combination(combination, gens) == p
-        assert sorted(requests) == sorted(packing.grading(*key) for key in values)
-        assert yielded == expanded
+        assert sorted(walk.grading for walk in spy.walks) == sorted(packing.grading(*key) for key in values)
+        assert spy.labels_walked() == expanded
         key_of = dict(products)
         by_piece = defaultdict(list)
         for labels in expanded:
@@ -1382,24 +1397,19 @@ class TestExpress:
         assert dict(by_piece) == {key: prefix for key, prefix in prefixes.items() if prefix}
         assert len(expanded) == sum(map(len, prefixes.values()))
 
-    def test_second_express_into_the_same_pieces_reuses_their_bases(self, monkeypatch):
-        # the bases are kept per label set and degree, so a second input in the same
+    def test_second_express_into_the_same_pieces_reuses_their_bases(self, spy):
+        # the bases are kept per label set and packing, so a second input in the same
         # pieces, or the same input again, lists and expands no product
         gens = generators(3, 2)
         amb = Ambient(3, 2)
         first = sum((b * (i + 1) for i, b in enumerate(kernel_basis(3, 2, 4))), Polynomial.zero(amb))
         second = sum((b * (i - 5) for i, b in enumerate(kernel_basis(3, 2, 4))), Polynomial.zero(amb))
-        kernel._piece_bases.cache_clear()
         expected = express_in_generators(first, gens)
-
-        def boom(*args):
-            raise AssertionError("a cached piece lists and expands no product")
-
-        monkeypatch.setattr(kernel, "_products", boom)
-        monkeypatch.setattr(kernel, "_product_expander", boom)
+        assert spy.walks and spy.expanded
+        spy.clear()
         assert express_in_generators(first, gens) == expected
         combination = express_in_generators(second, gens)
-        monkeypatch.undo()
+        assert spy.walks == [] and spy.expanded == []
         assert evaluate_combination(combination, gens) == second
 
     def test_hand_built_sets_with_equal_labels_keep_their_own_bases(self):
@@ -1412,11 +1422,11 @@ class TestExpress:
         assert hash(plain) == hash(doubled) and plain != doubled
         p = parse("x1^2 + x1*y2 - x2*y1", amb)
         for order in ((plain, doubled), (doubled, plain)):
-            kernel._piece_bases.cache_clear()
+            clear_kernel_caches()
             results = {gens: express_in_generators(p, gens) for gens in order}
             assert results[plain] == {("g", "g"): 1, ("J",): 1}
             assert results[doubled] == {("g", "g"): Fraction(1, 4), ("J",): 1}
-            (_, plain_bases), (_, doubled_bases) = kernel._piece_bases(plain, 2), kernel._piece_bases(doubled, 2)
+            plain_bases, doubled_bases = kernel_tables(plain, 2).bases, kernel_tables(doubled, 2).bases
             assert plain_bases is not doubled_bases
             assert plain_bases.keys() == doubled_bases.keys()
             assert plain_bases != doubled_bases
