@@ -31,10 +31,9 @@ that width holds, and what a label set needs in a packing is one object,
 built once per label set and packing (`_Tables`, by `_tables`): the
 packed generators, each with its least packed monomial and its piece
 (`_Tables.row`, the one place where they are read and checked), the
-walk's reach table, the least-monomial tables, `express`'s piece bases
-and the one product expander.  Each grows with the degree asked, and a
-degree reads the same whatever was asked before (the argument is on the
-class).
+walk's reach table, the least-monomial tables and `express`'s piece
+bases.  Each grows with the degree asked, and a degree reads the same
+whatever was asked before (the argument is on the class).
 
 A piece is first certified by counting least monomials, with nothing
 expanded (`_Tables.least`, where the argument is): a product's least
@@ -44,11 +43,9 @@ products show kernel_dim of them is complete.  This is the SAGBI test
 (Robbiano-Sweedler; Kapur-Madlener) on one graded piece, in the packed
 order `_echelon` pivots on.  Only a piece whose count is short of
 kernel_dim but not 0 has its products ranked: the walk of the piece
-(`_products`) feeds `_echelon` lazily in label order, each product is
-expanded when the elimination reads it, by the tables' expander, which
-multiplies a memoised prefix by one generator at a time
-(`_Tables.expand`), and both stop at kernel_dim.  Only that path reports
-a piece short.
+(`_products`) feeds `_echelon` lazily in label order, expanding as it
+goes, and both stop at kernel_dim.  Only that path reports a piece
+short.
 
 Products are enumerated as label multisets on packed gradings, one piece
 per walk (`_products`): a piece (b, w) is one int, the grading that
@@ -56,7 +53,10 @@ per walk (`_products`): a piece (b, w) is one int, the grading that
 generator to a partial product is one integer subtraction from what the
 branch still needs.  The walk adds one factor per level, a generator at
 or after the last one, so its depth is the number of factors and the
-products come out in label order.  The reach table (`_Tables.walk`),
+products come out in label order.  Each level multiplies its parent's
+terms by the one generator it adds, so a product is expanded when it is
+yielded, each prefix on its path once per walk, and nothing expanded
+outlives the walk.  The reach table (`_Tables.walk`),
 of the gradings each suffix of the generator list reaches, prunes
 exactly the branches with no product in the piece, so every branch it
 keeps ends in a product.
@@ -69,13 +69,11 @@ disjoint support, so the greedy basis is the union of the pieces' own).
 A piece's products are walked and expanded lazily, in label order, and
 its elimination stops at kernel_dim; its products and pivot rows are
 kept with the tables (`_Tables.bases`), so a later call only reduces its
-own row.  The expander's memoised prefixes are kept there too, so a
-product reuses the prefixes that any certificate, `express` or
-`evaluate_combination` call expanded in the packing.  A combination of
-products of kernel generators lies in ker D, so D(p) is computed only on
-the way to an error (the argument is at `express_in_generators`), and D is
-applied to the generators only for a set that is not made of the built-in
-family's own polynomials (`_generators_in_kernel`).
+own row.  A combination of products of kernel generators lies in ker D,
+so D(p) is computed only on the way to an error (the argument is at
+`express_in_generators`), and D is applied to the generators only for a
+set that is not made of the built-in family's own polynomials
+(`_generators_in_kernel`).
 
 A certificate ranks one piece per orbit of the generators' block
 symmetry.  A block permutation that maps every generator to plus or minus
@@ -117,7 +115,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from math import factorial, gcd, lcm, prod
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -489,8 +487,8 @@ def _generator_degree(label: str, p: Polynomial) -> int:
     return degree
 
 
-# the walk's view of one degree: (label, degree, grading, reach row) per generator, and reach[0][degree]
-_WalkView = tuple[tuple[tuple[str, int, int, tuple[frozenset[int], ...]], ...], frozenset[int]]
+# the walk's view of one degree: (label, degree, grading, reach row, packed terms) per generator, and reach[0][degree]
+_WalkView = tuple[tuple[tuple[str, int, int, tuple[frozenset[int], ...], PackedTerms], ...], frozenset[int]]
 
 
 class _Tables:
@@ -501,17 +499,19 @@ class _Tables:
     every generator's degree (`_generator_degree`), so a set with a zero,
     constant or mixed-degree generator raises at every call: a call that
     raises is not cached.  It holds
+    - `integral`: whether every generator's coefficients are ints, so that
+      its products' rows go to `_echelon` unscaled;
     - `rows`: each generator's packed row (`row`), packed and checked when a
-      degree that holds it first asks for it;
+      degree that holds it first asks for it; its terms are shared with
+      every walk view and every one-label product, and never changed;
     - `reach`: each generator's reach row, and `walks`, the walk's view of
       every degree asked (`walk`);
     - `least_levels`: the least-monomial levels of each symmetry runs (`least`);
     - `bases`: `express`'s pieces met, keyed by packed grading, which names
       the degree too: each piece's products in label order up to its last
       greedy basis product, and the pivot rows `_echelon` built from them
-      with product j's tag in column `packing.end` + 1 + j;
-    - `prefixes`: the one expander's memoised prefixes (`expand`), shared
-      by certificates, `express` and `evaluate_combination`.
+      with product j's tag in column `packing.end` + 1 + j.
+    No product is kept: each walk expands its own (`_products`).
 
     Growth changes no answer: what a degree d reads is the table of d
     alone, whatever was asked before.  A generator of degree above d is in
@@ -528,12 +528,13 @@ class _Tables:
     def __init__(self, gens: GeneratorSet, packing: Packing):
         self.gens, self.packing = gens, packing
         self.degrees = {label: _generator_degree(label, p) for label, p in gens}
+        # Polynomial stores an integral coefficient as an int
+        self.integral = all(type(c) is int for _, p in gens for _, c in p.items())
         self.rows: dict[str, _PackedGenerator] = {}
         self.reach: dict[str, tuple[frozenset[int], ...]] = {}
         self.walks: dict[int, _WalkView] = {}
         self.least_levels: dict[tuple[tuple[int, int], ...], dict[int, set[int]]] = {}
         self.bases: dict[int, tuple[list[tuple[str, ...]], dict[int, dict[int, int]]]] = {}
-        self.prefixes: dict[tuple[str, ...], PackedTerms] = {(): {0: 1}}
 
     def row(self, label: str) -> _PackedGenerator:
         """The packed row of generator `label`: the one place where a generator's piece is read.
@@ -565,7 +566,7 @@ class _Tables:
         return [self.row(label) for label, _ in self.gens if self.degrees[label] <= degree]
 
     def walk(self, degree: int) -> _WalkView:
-        """The walk's view of `degree`: (label, degree, grading, reach row) per generator of `generators(degree)`, and reach[0][degree].
+        """The walk's view of `degree`: (label, degree, grading, reach row, packed terms) per generator of `generators(degree)`, and reach[0][degree].
 
         reach[idx][r] holds the packed gradings of every multiset of
         generators idx.. of total degree exactly r: a multiset either holds
@@ -588,7 +589,7 @@ class _Tables:
                     for r in range(len(row), degree + 1):
                         row.append(later[r] | {s + g for s in row[r - d]} if r >= d else later[r])
                     row = self.reach[gen.label] = tuple(row)
-                steps.append((gen.label, d, g, row))
+                steps.append((gen.label, d, g, row, gen.terms))
                 later = row
             view = self.walks.setdefault(degree, (tuple(reversed(steps)), later[degree]))
         return view
@@ -661,29 +662,6 @@ class _Tables:
                 kept.setdefault(d, level)
         return kept[degree]
 
-    def expand(self, labels: tuple[str, ...]) -> PackedTerms:
-        """The packed terms of a label multiset's product: its longest memoised prefix times one generator at a time.
-
-        Each prefix multiplied on the way is memoised, so no prefix is
-        expanded twice in the packing, and the product itself is not kept.
-        The multiset's total degree must be at most the packing's degree, so
-        that no digit carries (see `Packing`): the walk (`_products`) yields
-        only such multisets, and `evaluate_combination` picks its packing
-        from the labels it is given.  The generators' integral coefficients
-        are `int`, so products of integer generators are expanded in integer
-        arithmetic by `mul_terms`.
-        """
-        if not labels:
-            return {0: 1}
-        prefixes, last = self.prefixes, len(labels) - 1
-        start = last
-        while labels[:start] not in prefixes:
-            start -= 1
-        terms = prefixes[labels[:start]]
-        for i in range(start, last):
-            terms = prefixes[labels[: i + 1]] = mul_terms(terms, self.row(labels[i]).terms)
-        return mul_terms(terms, self.row(labels[last]).terms)
-
 
 @cache
 def _tables(gens: GeneratorSet, packing: Packing) -> _Tables:
@@ -691,16 +669,24 @@ def _tables(gens: GeneratorSet, packing: Packing) -> _Tables:
     return _Tables(gens, packing)
 
 
-def _products(gens: GeneratorSet, degree: int, grading: int) -> Iterator[tuple[str, ...]]:
-    """The label multisets of the products of total ring degree exactly `degree` in one piece, lazily, in label order.
+def _products(gens: GeneratorSet, degree: int, grading: int) -> Iterator[tuple[tuple[str, ...], PackedTerms]]:
+    """(labels, packed terms) of the products of total ring degree exactly `degree` in one piece, lazily, in label order.
 
     The piece is the packed grading of a degree-`degree` monomial
     (`Packing.grading` of the degree's packing, the one the generators'
     rows are read in).  Label order is higher multiplicity of earlier
-    generators first.  Every label is a generator of degree <= `degree`,
-    so `_Tables.expand` takes the products unchecked.  Nothing is expanded,
-    the products may be linearly dependent, and a piece that holds none
-    yields nothing.  A reader that stops early stops the walk with it.
+    generators first.  The products may be linearly dependent, and a piece
+    that holds none yields nothing.  A reader that stops early stops the
+    walk with it.
+
+    Each level multiplies its parent's terms by the packed terms of the
+    generator it adds (`mul_terms`), so a product is expanded as the walk
+    reaches it, and each prefix of two or more labels on the way once per
+    walk; a prefix is freed when the walk leaves its branch.  Every
+    product's degree is `degree`, which the packing holds, so no digit
+    carries (see `Packing`).  Integer generators give int coefficients.  A
+    one-label product is its generator's own term map (`_Tables.row`),
+    shared: a reader copies a product before changing it.
 
     The walk adds one factor per level: a branch whose last factor is
     generator idx adds a generator j >= idx and goes on at j, so a product
@@ -726,18 +712,20 @@ def _products(gens: GeneratorSet, degree: int, grading: int) -> Iterator[tuple[s
     """
     steps, top = _tables(gens, packing_for(Ambient(gens.n, gens.k), degree)).walk(degree)
 
-    def walk(idx: int, remaining: int, labels: tuple[str, ...], need: int) -> Iterator[tuple[str, ...]]:
+    def walk(
+        idx: int, remaining: int, labels: tuple[str, ...], terms: PackedTerms, need: int
+    ) -> Iterator[tuple[tuple[str, ...], PackedTerms]]:
         if remaining == 0:
-            yield labels
+            yield labels, terms
             return
         for j in range(idx, len(steps)):
-            label, d, g, reach = steps[j]
+            label, d, g, reach, factor = steps[j]
             r = remaining - d
             if r >= 0 and (left := need - g) in reach[r]:
-                yield from walk(j, r, labels + (label,), left)
+                yield from walk(j, r, labels + (label,), mul_terms(terms, factor) if labels else factor, left)
 
     if grading in top:
-        yield from walk(0, degree, (), grading)
+        yield from walk(0, degree, (), {0: 1}, grading)
 
 
 # -- block-permutation orbits -------------------------------------------------
@@ -917,9 +905,9 @@ def _span_dims(
     = kernel_dim with nothing expanded: that many products are linearly
     independent and, lying in ker D, no more can be.  Each other piece with
     one or more is walked (`_products`) straight into `_echelon`, its
-    products expanded by the tables' expander as the elimination reads
-    them, in label order; the elimination stops at kernel_dim, still exact,
-    and the walk with it.  Its pivot rows are untagged and not kept:
+    products expanded by the walk as the elimination reads them, in label
+    order; the elimination stops at kernel_dim, still exact, and the walk
+    with it.  Its pivot rows are untagged and not kept:
     `_Tables.bases` is `express`'s.
     """
     packing = packing_for(Ambient(gens.n, gens.k), degree)
@@ -933,7 +921,8 @@ def _span_dims(
         elif count:
             short[key] = kdim
     for key, kdim in short.items():
-        span[key] = len(_echelon(map(tables.expand, _products(gens, degree, packing.grading(*key))), limit=kdim))
+        rows = (terms for _, terms in _products(gens, degree, packing.grading(*key)))
+        span[key] = len(_echelon(rows, limit=kdim))
     return span
 
 
@@ -1026,16 +1015,19 @@ def _combination(p: Polynomial, gens: GeneratorSet, stop: bool) -> Combination:
     # tag + 1 + j.  Every packed monomial lies below the packing's end, so tag lies past
     # every one, a row's lead is a monomial until it has none left, and a product row
     # left with tag columns only is dropped (bound = tag): it is a combination of the
-    # products before it, so the kept ones are the piece's greedy basis in label order
+    # products before it, so the kept ones are the piece's greedy basis in label order.
+    # A set with a non-integral coefficient scales each product row to integers and puts
+    # the scale in its tag column, which still holds the product's coefficient
     tag = packing.end
     tables = _tables(gens, packing)
     bases = tables.bases  # kept with the tables, so a later call only reduces its own rows
 
     def rows(grading: int, products: list[tuple[str, ...]]) -> Iterator[dict[int, int]]:
         # the walk's products as the elimination reads them, each one kept
-        for j, labels in enumerate(_products(gens, degree, grading)):
+        for j, (labels, terms) in enumerate(_products(gens, degree, grading)):
             products.append(labels)
-            yield tables.expand(labels) | {tag + 1 + j: 1}
+            row, scale = (terms, 1) if tables.integral else _integer_row(terms)
+            yield row | {tag + 1 + j: scale}
 
     for g, (bd, w, _) in gradings.items():
         if g not in bases:
@@ -1066,8 +1058,9 @@ def _combination(p: Polynomial, gens: GeneratorSet, stop: bool) -> Combination:
 def evaluate_combination(combination: Combination, gens: GeneratorSet) -> Polynomial:
     """Expand a label-multiset combination: sum(coeff * prod(generators)).
 
-    The products are expanded by the set's tables (`_Tables.expand`) in
-    the packing of the largest total degree of the combination's multisets
+    Each product is folded with `mul_terms` over its generators' packed
+    rows (`_Tables.row`, which checks each generator it reads) in the
+    packing of the largest total degree of the combination's multisets
     (`_generator_degree` of each label); a label outside the set raises
     UnknownLabel, a KeyError.
     """
@@ -1076,9 +1069,9 @@ def evaluate_combination(combination: Combination, gens: GeneratorSet) -> Polyno
     except KeyError as exc:
         raise UnknownLabel(*exc.args) from None
     packing = packing_for(Ambient(gens.n, gens.k), degree)
-    expand = _tables(gens, packing).expand
+    row = _tables(gens, packing).row
     total: PackedTerms = {}
     for labels, coeff in combination.items():
-        for mono, c in expand(labels).items():
+        for mono, c in reduce(mul_terms, (row(label).terms for label in labels), {0: 1}).items():
             total[mono] = total.get(mono, 0) + coeff * c
     return Polynomial(packing.ambient, packing.unpack_terms(total))

@@ -23,7 +23,7 @@ which the CLI's table reader and its table-built parser are compared: the
 same namespace, the same usage errors and the same `--help`, byte for byte.
 
 The `spy` fixture records what the kernel reads while a test runs: every
-product its tables expand, every least-monomial table and every walk.
+least-monomial table and every walk, with the products it yields.
 """
 
 import argparse
@@ -67,11 +67,6 @@ def kernel_tables(gens, degree):
     return kernel._tables(gens, packing_for(Ambient(gens.n, gens.k), degree))
 
 
-class Expansion(NamedTuple):
-    n: int
-    labels: tuple[str, ...]
-
-
 class LeastTable(NamedTuple):
     n: int
     degree: int
@@ -86,18 +81,14 @@ class Walk(NamedTuple):
 
 
 class KernelSpy:
-    """In call order: the products `_Tables.expand` expands, the tables `_Tables.least` returns, the walks of `_products`."""
+    """In call order: the tables `_Tables.least` returns and the walks of `_products`, each with the products it yields."""
 
     def __init__(self):
         self.clear()
 
     def clear(self):
-        self.expanded: list[Expansion] = []
         self.tables: list[LeastTable] = []
         self.walks: list[Walk] = []
-
-    def labels_expanded(self):
-        return [found.labels for found in self.expanded]
 
     def labels_walked(self):
         return [labels for walk in self.walks for labels in walk.labels]
@@ -105,18 +96,14 @@ class KernelSpy:
 
 @pytest.fixture
 def spy(monkeypatch):
-    """A `KernelSpy` recording the kernel's expansions, least-monomial tables and walks, from empty kernel caches.
+    """A `KernelSpy` recording the kernel's least-monomial tables and walks, from empty kernel caches.
 
-    A prefix the expander multiplies on the way to a product is not
-    recorded; `mul_terms` counts those.
+    A walk expands exactly the products it yields, and the prefixes on their
+    paths; `mul_terms` counts those.
     """
     clear_kernel_caches()
     found = KernelSpy()
-    expand, least, products = kernel._Tables.expand, kernel._Tables.least, kernel._products
-
-    def expanding(self, labels):
-        found.expanded.append(Expansion(self.gens.n, labels))
-        return expand(self, labels)
+    least, products = kernel._Tables.least, kernel._products
 
     def tabling(self, degree, runs):
         found.tables.append(LeastTable(self.gens.n, degree, least(self, degree, runs)))
@@ -124,9 +111,8 @@ def spy(monkeypatch):
 
     def walking(gens, degree, grading):
         found.walks.append(walk := Walk(gens.n, degree, grading, []))
-        return (walk.labels.append(labels) or labels for labels in products(gens, degree, grading))
+        return (walk.labels.append(labels) or (labels, terms) for labels, terms in products(gens, degree, grading))
 
-    monkeypatch.setattr(kernel._Tables, "expand", expanding)
     monkeypatch.setattr(kernel._Tables, "least", tabling)
     monkeypatch.setattr(kernel, "_products", walking)
     return found
@@ -221,7 +207,7 @@ def generator_rows(gens):
 def products_by_piece(gens, degree):
     """Every piece of the degree that holds a product, in `piece_keys` order, mapped to the label multisets its walk yields."""
     packing = packing_for(Ambient(gens.n, gens.k), degree)
-    found = {key: list(_products(gens, degree, packing.grading(*key))) for key in piece_keys(gens.n, gens.k, degree)}
+    found = {key: [labels for labels, _ in _products(gens, degree, packing.grading(*key))] for key in piece_keys(gens.n, gens.k, degree)}
     return {key: labels for key, labels in found.items() if labels}
 
 

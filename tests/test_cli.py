@@ -539,6 +539,9 @@ def golden_calls():
         # n = k + 1 is decided on its own blocks at every degree, so degree 12 at k = 2
         # counts least monomials in one table of depth 12 and ranks the pieces it leaves short
         "verify_n3_k2_d12.txt": (0, "--n 3 --k 2 --max-degree 12"),
+        # degrees 13..16 rank deep short pieces, each walked and expanded as its
+        # elimination reads it, until the rank reaches kernel_dim
+        "verify_n3_k2_d16.txt": (0, "--n 3 --k 2 --max-degree 16"),
         # without J1,2 the stable swaps join blocks 3..8 into one run of six, which the
         # least-monomial table prunes at every joined pair of blocks
         "verify_n8_k1_d8_exclude_J12.txt": (1, "--n 8 --k 1 --max-degree 8 --exclude J1,2"),
