@@ -26,14 +26,15 @@ products are grouped by piece from their labels alone.  Monomials are
 packed (`poly.Packing`), one int per monomial whose high digits are its
 grading, in a monomial order that int addition keeps; packing is linear,
 so every monomial of a product lies in the piece its labels name.  There
-is one packing per bit width (`poly.packing_for`), shared by every degree
-that width holds, and what a label set needs in a packing is one object,
-built once per label set and packing (`_Tables`, by `_tables`): the
-packed generators, each with its least packed monomial and its piece
-(`_Tables.row`, the one place where they are read and checked), the
-walk's reach table, the least-monomial tables and `express`'s piece
-bases.  Each grows with the degree asked, and a degree reads the same
-whatever was asked before (the argument is on the class).
+is one packing for every degree with k*d <= 15, then one per bit width
+(`poly.packing_for`), shared by every degree it holds, and what a label
+set needs in a packing is one object, built once per label set and
+packing (`_Tables`, by `_tables`): the packed generators, each with its
+least packed monomial and its piece (`_Tables.row`, the one place where
+they are read and checked), the walk's reach table, the least-monomial
+tables and `express`'s piece bases.  Each grows with the degree asked,
+and a degree reads the same whatever was asked before (the argument is
+on the class).
 
 A piece is first certified by counting least monomials, with nothing
 expanded (`_Tables.least`, where the argument is): a product's least
@@ -495,10 +496,12 @@ class _Tables:
     """Everything one label set needs in one packing, each table grown with the degree asked.
 
     Built once per label set and packing (`_tables`), and shared by every
-    degree of the packing's bit width (`packing_for`).  Building it checks
-    every generator's degree (`_generator_degree`), so a set with a zero,
-    constant or mixed-degree generator raises at every call: a call that
-    raises is not cached.  It holds
+    degree the packing serves (`packing_for`): all the small degrees
+    (k*d <= 15) of a label set share one, and every larger degree of one
+    bit width another.  Building it checks every generator's degree
+    (`_generator_degree`), so a set with a zero, constant or mixed-degree
+    generator raises at every call: a call that raises is not cached.  It
+    holds
     - `integral`: whether every generator's coefficients are ints, so that
       its products' rows go to `_echelon` unscaled;
     - `rows`: each generator's packed row (`row`), packed and checked when a
@@ -633,10 +636,11 @@ class _Tables:
         blocks in order within each run at every stage, so it is kept.
 
         The levels are kept per runs, those of the degrees this packing
-        serves only, and a degree that a table built before reached is read
-        from them; a degree above every table built before builds the table
-        again, up to that degree.  The returned set is shared: it is read,
-        never changed.
+        serves only (every small degree, for the floor packing), and a degree
+        that a table built before reached is read from them; a degree above
+        every table built before builds the table again, up to that degree.
+        A lower degree of another packing reads that packing's own table.
+        The returned set is shared: it is read, never changed.
         """
         kept = self.least_levels.setdefault(runs, {})
         if (level := kept.get(degree)) is not None:

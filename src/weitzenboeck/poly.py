@@ -226,8 +226,11 @@ class Packing:
     `pack` raises ValueError for a monomial above the degree bound, and
     `pack_terms` leaves that bound to its callers; a monomial or a product
     of packed monomials whose total degree exceeds it would carry.
-    The library's packings come from `packing_for`, one per ambient and
-    bit width, each with the largest degree its width holds.
+    The library's packings come from `packing_for`: per ambient, one for
+    every degree with k*D <= 15, then one per bit width, each with the
+    largest degree its width holds.  A packing read for a lower degree
+    than its own has fields wider than that degree needs, which still
+    hold every digit, so nothing above changes.
     """
 
     __slots__ = ("ambient", "degree", "bits", "shift", "end", "slots", "_digits", "_fields", "_mask")
@@ -290,26 +293,36 @@ class Packing:
         return {self.unpack(key): c for key, c in terms.items()}
 
 
-def packing_for(ambient: Ambient, degree: int) -> Packing:
-    """The shared `Packing` of `ambient` for total degree <= `degree`: one per ambient and bit width.
+# the bit width of the small degrees' one packing; a wider floor makes every key a wider int
+_FLOOR_BITS = 4
 
-    The bit width is the one `Packing(ambient, degree)` takes, and the
-    packing's `degree` is the largest that width holds, (2^bits - 1) // k,
-    so every degree of one width shares one packing, and the tables built
-    on it (`kernel._Tables`) serve them all.  That changes no
+
+def packing_for(ambient: Ambient, degree: int) -> Packing:
+    """The shared `Packing` of `ambient` for total degree <= `degree`: one for every small degree, then one per bit width.
+
+    The bit width is the one `Packing(ambient, degree)` takes, but at least
+    `_FLOOR_BITS`, and the packing's `degree` is the largest that width
+    holds, (2^bits - 1) // k.  So every degree with k*degree <= 15 (d <= 7
+    at k = 2, d <= 15 at k = 1) shares the one floor packing, every larger
+    degree of one width shares one packing, and the tables built on a
+    packing (`kernel._Tables`) serve all its degrees.  That changes no
     order: a key is its fields, most significant first, and no field
     carries while every value is below 2^bits, so two packings that both
     hold degree d order the monomials of degree <= d alike and read the
-    same grading from each.
+    same grading from each; a wider field still holds every digit.
     """
     if type(degree) is not int or degree < 0:
         raise ValueError(f"packing degree must be a non-negative int, got {degree!r}")
-    return _packing(ambient, max(1, (ambient.k * degree).bit_length()))
+    return _packing(ambient, max(_FLOOR_BITS, (ambient.k * degree).bit_length()))
 
 
 @cache
 def _packing(ambient: Ambient, bits: int) -> Packing:
-    """The `Packing` of `ambient` for the largest degree that `bits` bits hold, built once per pair."""
+    """The `Packing` of `ambient` for the largest degree that `bits` bits hold, built once per pair.
+
+    At k >= 16 the floor width holds degree 0 only, the one degree
+    `packing_for` asks of it there.
+    """
     return Packing(ambient, ((1 << bits) - 1) // ambient.k)
 
 

@@ -531,10 +531,10 @@ class TestGrownTables:
         # a hand-built set whose degree-3 generator has no one piece of the ring: its row
         # is packed and checked only when a degree >= 3 asks for it, so degrees 1 and 2
         # are answered before and after, and every call that reads it raises, those of
-        # degree 3, in the packing degree 2 shares, included
+        # degree 3, in the packing degree 2 shares, and of degree 16, in the next one, included
         amb = Ambient(2, 1)
         gens = GeneratorSet(2, 1, (("x1", parse("x1", amb)), ("J", parse("x1*y2 - x2*y1", amb)), ("bad", parse(text, amb))))
-        assert packing_for(amb, 2) is packing_for(amb, 3)
+        assert packing_for(amb, 2) is packing_for(amb, 3) is not packing_for(amb, 16)
         clear_kernel_caches()
         for _ in range(2):
             assert products_by_piece(gens, 1) == {GradedPieceKey((1, 0), 0): [("x1",)]}
@@ -542,7 +542,7 @@ class TestGrownTables:
             assert express_in_generators(parse("x1^2 + x1*y2 - x2*y1", amb), gens) == {("x1", "x1"): 1, ("J",): 1}
             for call in (
                 lambda: products_by_piece(gens, 3),
-                lambda: products_by_piece(gens, 4),
+                lambda: products_by_piece(gens, 16),
                 lambda: express_in_generators(parse("x1^3", amb), gens),
                 lambda: evaluate_combination({("bad",): 1}, gens),
                 lambda: evaluate_combination({("x1", "bad"): 1}, gens),
@@ -556,18 +556,20 @@ class TestGrownTables:
     def test_grown_tables_equal_tables_built_at_their_degree(self, n, k, exclude):
         # the walk view and the least-monomial table of degree d, read from tables grown
         # to a larger degree of the same packing, ascending or in one step, equal the
-        # tables built at d alone; the view reads the stored reach rows and packed terms themselves
+        # tables built at d alone; the view reads the stored reach rows and packed terms
+        # themselves. The degrees run one past the floor packing (k*d <= 15) into the next
         gens = generators(n, k).without(*exclude)
         runs = kernel._symmetry_runs(n, k, frozenset(exclude))
         amb = Ambient(n, k)
-        top = 7
+        top = 15 // k + 1
+        assert packing_for(amb, 0) is packing_for(amb, top - 1) is not packing_for(amb, top)
         fresh = {}
         for degree in range(top + 1):
             clear_kernel_caches()
             fresh[degree] = _walk_and_least(gens, degree, runs)
             assert all(len(row) == degree + 1 for _, _, _, row, _ in kernel_tables(gens, degree).walk(degree)[0])
         try:
-            for grow in (range(top + 1), [top, *range(top)]):
+            for grow in (range(top + 1), range(top, -1, -1)):
                 clear_kernel_caches()
                 for big in grow:
                     packing = packing_for(amb, big)
@@ -580,23 +582,24 @@ class TestGrownTables:
                         assert all(row[: degree + 1] == tables.reach[label][: degree + 1] for label, _, _, row, _ in tables.walk(degree)[0])
                         assert all(terms is tables.rows[label].terms for label, _, _, _, terms in tables.walk(degree)[0])
                 if grow[0] == top:
-                    # grown in one step, the views of the smaller degrees of its packing read its rows, uncopied
-                    tables = kernel_tables(gens, top)
-                    assert all(row is tables.reach[label] for degree in range(4, top) for label, _, _, row, _ in tables.walk(degree)[0])
-            # every degree of one bit width reads the same packed rows
+                    # grown in one step to the floor packing's largest degree, the views of
+                    # its smaller degrees read its rows, uncopied
+                    tables = kernel_tables(gens, top - 1)
+                    assert all(row is tables.reach[label] for degree in range(top - 1) for label, _, _, row, _ in tables.walk(degree)[0])
+            # every degree of one packing reads the same packed rows
             tables = kernel_tables(gens, 4)
-            assert tables.generators(4) == tables.generators(7)[: len(tables.generators(4))]
+            assert tables.generators(4) == tables.generators(top - 1)[: len(tables.generators(4))]
             assert all(row is tables.rows[row.label] for row in tables.generators(5))
         finally:
             clear_kernel_caches()
 
     def test_threads_growing_one_label_set_read_the_tables_one_thread_builds(self):
-        # threads that grow one label set's tables at once, each asking the degrees of one
-        # bit width in its own order with a short switch interval, read at each degree the
-        # tables one thread builds at that degree alone
+        # threads that grow one label set's tables at once, each asking the top degrees of
+        # the floor packing and the first of the next in its own order with a short switch
+        # interval, read at each degree the tables one thread builds at that degree alone
         gens = generators(4, 1)
         runs = kernel._symmetry_runs(4, 1, frozenset())
-        degrees = list(range(8, 16))  # one packing for k = 1
+        degrees = list(range(8, 17))  # degrees 8..15 share one packing for k = 1, and 16 starts the next
 
         def tables(degree):
             return _walk_and_least(gens, degree, runs)
@@ -633,16 +636,42 @@ class TestGrownTables:
             clear_kernel_caches()
 
     def test_each_generator_is_packed_once_per_packing(self, monkeypatch):
-        # certificates of degrees 4..7 (one bit width for k = 2), in any order, pack every generator once
+        # certificates of degrees 4..9, in any order, pack every generator once in each
+        # of the two packings they read at k = 2: the floor one (d <= 7) and the next
         clear_kernel_caches()
         packed = []
         real = kernel.Packing.pack_terms
-        monkeypatch.setattr(kernel.Packing, "pack_terms", lambda self, terms: packed.append(terms) or real(self, terms))
+        monkeypatch.setattr(kernel.Packing, "pack_terms", lambda self, terms: packed.append((self, terms)) or real(self, terms))
         try:
             gens = generators(3, 2).without("H1,1")
-            for degree in (7, 4, 6, 5):
+            for degree in (9, 4, 7, 8, 6, 5):
                 completeness_check(3, 2, degree, exclude=["H1,1"])
-            assert sorted(map(str, packed)) == sorted(str(p) for _, p in gens)
+            floor, wide = packing_for(Ambient(3, 2), 7), packing_for(Ambient(3, 2), 8)
+            assert {packing for packing, _ in packed} == {floor, wide}
+            for packing in (floor, wide):
+                assert sorted(str(terms) for found, terms in packed if found is packing) == sorted(str(p) for _, p in gens)
+        finally:
+            clear_kernel_caches()
+
+    def test_one_table_set_per_label_set_for_the_small_degrees(self, monkeypatch):
+        # certificates of degrees 0..7 of the full (3, 2) family and of (4, 1) without J1,2,
+        # asked in a shuffled order from empty caches, build one _Tables per label set, pack
+        # each generator once, and report what an ascending loop reports
+        cases = [(3, 2, ()), (4, 1, ("J1,2",))]
+        calls = [(n, k, exclude, degree) for n, k, exclude in cases for degree in range(8)]
+        random.Random(32).shuffle(calls)
+        packed = []
+        real = kernel.Packing.pack_terms
+        monkeypatch.setattr(kernel.Packing, "pack_terms", lambda self, terms: packed.append(terms) or real(self, terms))
+        clear_kernel_caches()
+        try:
+            shuffled = {call: completeness_check(*call[:2], call[3], exclude=call[2]) for call in calls}
+            assert kernel._tables.cache_info().currsize == len(cases)
+            assert sorted(map(str, packed)) == sorted(str(p) for n, k, exclude in cases for _, p in generators(n, k).without(*exclude))
+            clear_kernel_caches()
+            for n, k, exclude in cases:
+                for degree in range(8):
+                    assert completeness_check(n, k, degree, exclude=exclude) == shuffled[n, k, exclude, degree]
         finally:
             clear_kernel_caches()
 
@@ -738,15 +767,18 @@ class TestProductExpander:
                 assert mono >> packing.shift == packing.grading(amb.block_degrees(exps), amb.weight(exps)) == piece
 
     def test_products_at_the_degree_bound(self):
-        # D = 7 gives 3-bit fields: x1^7 fills its exponent field, the others reach D with J factors
+        # D = 15 is the floor packing's largest degree, with 4-bit fields, and D = 31 that of
+        # the next, with 5-bit ones: x1^D fills its exponent field, the others reach D with J factors
         gens = generators(2, 1)
-        for labels in (("x1",) * 7, ("x1", "J1,2", "J1,2", "J1,2"), ("x2",) * 3 + ("J1,2",) * 2):
-            expected = Polynomial.one(Ambient(2, 1))
-            for label in labels:
-                expected = expected * gens.value(label)
-            packing, terms = _walked(gens, labels)
-            assert packing is packing_for(Ambient(2, 1), 7)
-            assert packing.unpack_terms(terms) == dict(expected.items())
+        for bound in (15, 31):
+            half = bound // 2
+            for labels in (("x1",) * bound, ("x1",) + ("J1,2",) * half, ("x2",) * 3 + ("J1,2",) * (half - 1)):
+                expected = Polynomial.one(Ambient(2, 1))
+                for label in labels:
+                    expected = expected * gens.value(label)
+                packing, terms = _walked(gens, labels)
+                assert packing is packing_for(Ambient(2, 1), bound) and packing.degree == bound == 2**packing.bits - 1
+                assert packing.unpack_terms(terms) == dict(expected.items())
 
     def test_no_reader_changes_a_generator_row(self):
         # a one-label product is its generator's packed row itself. After certificates

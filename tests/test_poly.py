@@ -505,15 +505,33 @@ class TestPacking:
             Packing(A21, -1)
 
     def test_one_shared_packing_per_bit_width(self):
+        # every degree with k*d <= 15 gets the one 4-bit floor packing; above the floor,
         # every degree of one bit width gets one packing, which holds the largest of them
-        for amb in (A21, A12, Ambient(2, 3)):
-            for degree in range(20):
+        for amb in (A21, A12, Ambient(2, 3), Ambient(1, 5), Ambient(1, 9)):
+            floor = packing_for(amb, 0)
+            assert floor.bits == 4 and floor.degree == 15 // amb.k
+            for degree in range(40):
                 packing = packing_for(amb, degree)
-                assert packing is packing_for(amb, packing.degree)
-                assert packing.bits == Packing(amb, degree).bits
-                assert packing.degree == (2**packing.bits - 1) // amb.k >= degree
-                assert packing_for(amb, packing.degree + 1).bits == packing.bits + 1
-        assert packing_for(A21, 0) is packing_for(A21, 1) and packing_for(A12, 0).degree == 0
+                assert packing is packing_for(amb, packing.degree) and packing.degree >= degree
+                if amb.k * degree <= 15:
+                    assert packing is floor
+                else:
+                    assert packing.bits == Packing(amb, degree).bits > 4
+                    assert packing.degree == (2**packing.bits - 1) // amb.k
+                    assert packing_for(amb, packing.degree + 1).bits == packing.bits + 1
+        assert packing_for(A21, 15) is packing_for(A21, 0) is not packing_for(A21, 16)
+        assert packing_for(A12, 7) is packing_for(A12, 0) is not packing_for(A12, 8)
+        # at k >= 16 the floor width holds degree 0 only; every degree asked is still held,
+        # its top weight k*d included
+        for k in (16, 17, 31, 40):
+            amb = Ambient(1, k)
+            assert packing_for(amb, 0).degree == 0
+            for degree in range(5):
+                packing = packing_for(amb, degree)
+                assert packing.degree >= degree
+                top = (0,) * k + (degree,) + (0, 0)  # v1.k^degree: weight k*degree
+                assert packing.unpack(packing.pack(top)) == top
+                assert packing.read_grading(packing.pack(top) >> packing.shift) == ((degree,), k * degree, 0)
         with pytest.raises(ValueError):
             packing_for(A21, -1)
 
