@@ -8,7 +8,11 @@ kernel in degree d is the direct sum of the per-piece kernels.  Their
 dimensions are counted from numbers of monomials (`_piece_kernel_dim`),
 with no matrix: the number N(b, w) of monomials in piece (b, w) is read
 from a cached table of weight counts per (b, k), the convolution over
-the blocks of one cached table per (block degree, k).  Ranks, bases and
+the blocks of one cached table per (block degree, k).  Summed over every
+piece of degree d they telescope to one coefficient, M(d, floor(k*d/2)),
+the number of degree-d monomials of middle weight, which `kernel_dim`
+reads off one table of counts by degree and weight, with no piece, block
+degree or per-b table (the argument is at `kernel_dim`).  Ranks, bases and
 `express` all go through one sparse forward elimination (`_echelon`,
 least-column pivoting), fraction-free in Python ints, which returns
 primitive pivot rows keyed by lead column.  A rank is their number.  A
@@ -84,11 +88,11 @@ there (the argument is at `completeness_check`).  The swaps of adjacent
 blocks that keep the set stable are found by permuting the excluded
 generators only (`_symmetry_runs`); runs of consecutive stable swaps
 generate a Young subgroup, and the representative of an orbit is the b
-that is non-decreasing within each run.  The full family is one run of
-all n blocks, on which `kernel_dim` counts too.  Only the representatives
-are listed (`_representatives`), and the least-monomial table drops, block
-by block, every sum that cannot end in a representative piece.  A piece
-without products spans nothing.  The report keeps the representatives' dimensions and the runs;
+that is non-decreasing within each run; the full family is one run of
+all n blocks.  Only `completeness_check` counts on the representatives.
+They alone are listed (`_representatives`), and the least-monomial table
+drops, block by block, every sum that cannot end in a representative
+piece.  A piece without products spans nothing.  The report keeps the representatives' dimensions and the runs;
 its totals weight each representative by its orbit's size, one
 multinomial per run, and `per_piece` lists the orbit members, in piece
 order, only when read.
@@ -117,7 +121,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import cache, cached_property, reduce
-from math import factorial, gcd, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .derivation import GeneratorSet, WeitzenboeckDerivation, generators
@@ -436,17 +440,50 @@ def _piece_kernel_dim(k: int, key: GradedPieceKey) -> int:
 def kernel_dim(n: int, k: int, degree: int) -> int:
     """Dimension of the degree-d homogeneous component of ker D; ValueError for invalid n, k or degree.
 
-    For each b the counts of `_piece_kernel_dim` over 2w <= k|b| telescope
-    to N(b, floor(k|b|/2)), so no matrix is built and no piece is listed.
-    N(b, w) does not depend on the order of the blocks (`completeness_check`),
-    so the sum runs over the non-decreasing b, each weighted by its number
-    of rearrangements: the representatives of the one run of all n blocks.
+    It is one coefficient, M(d, floor(k*d/2)), where M(d, w) counts the
+    ring monomials of degree d and weight w.  The sum of
+    `_piece_kernel_dim` over the pieces of degree d telescopes twice:
+    - for each b, the counts N(b, w) - N(b, w-1) over 2w <= k|b| sum to
+      N(b, floor(k|b|/2)), with N(b, -1) = 0;
+    - every degree-d monomial lies in exactly one piece (b, w), so the
+      sum of N(b, floor(k*d/2)) over the compositions b of d is
+      M(d, floor(k*d/2)).
+    So no matrix is built, no piece or block degree is listed and no
+    per-b table is read.
+
+    M(d, w) is the coefficient of t^d q^w in prod_(l=0..k) (1 - t q^l)^(-n)
+    (Springer 1980; Sturmfels, Algorithms in Invariant Theory).  One table
+    counts[j][w], of degrees j <= d and weights w <= top = floor(k*d/2),
+    adds the levels one at a time: the n variables of level l are the factor
+    (1 - t q^l)^(-n) = sum_i C(n+i-1, i) t^i q^(i*l), so after level l
+    counts[j][w] = sum_i C(n+i-1, i) * counts[j-i][w-i*l] over level l-1's
+    table, whatever n is.  Rows are updated in place from the top degree
+    down, so the rows j - i still hold level l-1's counts.  Only entries
+    that can reach (d, top) and can be nonzero are computed; one left out
+    is never read again:
+    - a level above top adds nothing;
+    - after level l, levels l+1..k add weight (l+1)(d-j) to k(d-j) to a
+      degree-j monomial, so only top - k(d-j) <= w <= top - (l+1)(d-j)
+      can reach (d, top), and the entries level l reads lie in level
+      l-1's range;
+    - a monomial of degree j in levels 0..l has weight <= l*j, so w <= l*j,
+      and term i is zero unless w - i*l <= (l-1)(j-i), i >= w - (l-1)j.
     """
     Ambient(n, k)  # validates n and k
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    runs = ((0, n),)
-    return sum(_orbit_size(b, runs) * _weight_counts(b, k)[k * degree // 2] for b in _representatives(degree, runs))
+    top = k * degree // 2
+    series = [comb(n + i - 1, i) for i in range(degree + 1)]  # degree-i monomials of one level
+    counts = [[c] + [0] * top for c in series]  # level 0: weight 0 only
+    for level in range(1, min(k, top) + 1):
+        for j in range(degree, 0, -1):
+            row = counts[j]
+            for w in range(max(level, top - k * (degree - j)), min(level * j, top - (level + 1) * (degree - j)) + 1):
+                total = row[w]
+                for i in range(max(1, w - (level - 1) * j), min(j, w // level) + 1):
+                    total += series[i] * counts[j - i][w - i * level]
+                row[w] = total
+    return counts[degree][top]
 
 
 def kernel_basis(n: int, k: int, degree: int) -> list[Polynomial]:

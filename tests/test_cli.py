@@ -370,11 +370,23 @@ class TestContract:
         assert proc.stdout.splitlines()[-1] == "J1,2 = x1*y2 - x2*y1"
 
     @pytest.mark.parametrize(
+        "argv, dim",
+        [
+            ("census --n 1 --k 1500 --degree 1", 1),
+            ("census --n 1 --k 1 --degree 1500", 1),
+            ("census --n 1200 --k 1 --degree 1", 1200),
+        ],
+    )
+    def test_census_answers_past_the_recursion_limit(self, argv, dim):
+        # census reads one coefficient off a table built in loops, so no size recurses.
+        # A fresh interpreter each, as in the usage-error test below
+        proc = subprocess.run([sys.executable, "-m", "weitzenboeck", *argv.split()], capture_output=True, text=True)
+        degree = argv.split()[-1]
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"degree {degree}: kernel_dim={dim}\n", "")
+
+    @pytest.mark.parametrize(
         "argv",
         [
-            "census --n 1 --k 1500 --degree 1",
-            "census --n 1 --k 1 --degree 1500",
-            "census --n 1200 --k 1 --degree 1",
             "verify --n 1200 --k 1 --degree 1",
             "verify --n 2 --k 1 --degree 1100",
         ],
@@ -548,8 +560,10 @@ def golden_calls():
     }
     calls = {name: [(["verify", *flags.split()], code)] for name, (code, flags) in verify.items()}
     calls["census_n2_k3.json"] = [(["census", "--n", "2", "--k", "3", "--max-degree", "8", "--output", "machine"], 0)]
-    # twelve blocks, counted on the non-decreasing block degrees of each degree
+    # twelve blocks, one coefficient of the monomial counts per degree
     calls["census_n12_k1_d8.txt"] = [(["census", "--n", "12", "--k", "1", "--max-degree", "8", "--output", "machine"], 0)]
+    # three blocks of the open case k = 3, up to degree 40
+    calls["census_n3_k3_d40.txt"] = [(["census", "--n", "3", "--k", "3", "--max-degree", "40"], 0)]
     # the README examples, every kernel basis element of (2, 1) and (1, 2) up to
     # degree 4, a rational input and, last, a NOT IN SPAN case
     express = express_golden_calls()

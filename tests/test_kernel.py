@@ -1615,9 +1615,9 @@ class TestCensus:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_kernel_dim_is_the_composition_sum(self, k):
-        # kernel_dim counts on the non-decreasing b, each weighted by its number of
-        # rearrangements; the sum over every composition of the degree, written out
-        # here, agrees, and so does the certificate's kernel total for k <= 2
+        # kernel_dim reads one coefficient of the monomial counts; the sum over every
+        # composition of the degree of the per-b tables, written out here, agrees, and
+        # so does the certificate's kernel total for k <= 2
         for n in range(1, 6):
             for d in range(6):
                 total = sum(kernel._weight_counts(b, k)[k * d // 2] for b in itertools.product(range(d + 1), repeat=n) if sum(b) == d)
@@ -1625,15 +1625,34 @@ class TestCensus:
                 if k <= 2:
                     assert completeness_check(n, k, d).kernel_dim == total, (n, k, d)
 
-    def test_census_reads_non_decreasing_block_degrees_only(self, monkeypatch, capsys):
+    def test_census_reads_one_coefficient(self, monkeypatch, capsys):
+        # census reads M(d, floor(k*d/2)) off one table of monomial counts: no per-b
+        # table, no orbit representative and no orbit size
         asked = []
-        real = kernel._weight_counts
-        monkeypatch.setattr(kernel, "_weight_counts", lambda b, k: asked.append(b) or real(b, k))
+        for name in ("_weight_counts", "_block_weight_counts", "_representatives", "_orbit_size"):
+            monkeypatch.setattr(kernel, name, lambda *args, name=name: asked.append(name))
         assert cli.main(["census", "--n", "6", "--k", "2", "--max-degree", "6"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 7
-        assert all(list(b) == sorted(b) for b in asked)
-        non_decreasing = {b for d in range(7) for b in compositions(d, 6) if list(b) == sorted(b)}
-        assert {b for b in asked if len(b) == 6} == non_decreasing
+        assert asked == []
+
+    @given(st.sampled_from(SMALL_AMBIENTS), st.integers(0, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_kernel_dim_is_the_sum_over_pieces(self, ambient, degree):
+        # the telescoped coefficient against the per-piece Cayley-Sylvester counts
+        n, k = ambient
+        assert kernel_dim(n, k, degree) == sum(_piece_kernel_dim(k, key) for key in piece_keys(n, k, degree))
+
+    def test_closed_forms_past_the_old_recursion_limit(self):
+        # one block at k = 1 is generated by x; at k = 2 by x and H1,1, one monomial
+        # x^a H^c per a + 2c = d; in degree 1 only the n variables x_i lie in ker D.
+        # Every small size, then a spread up to the largest
+        for d in [*range(100), *range(100, 1000, 37), 1000]:
+            assert kernel_dim(1, 1, d) == 1, d
+            assert kernel_dim(1, 2, d) == d // 2 + 1, d
+        for n in range(1, 1201):
+            assert kernel_dim(n, 1, 1) == n, n
+        for k in [*range(1, 200), *range(200, 1500, 53), 1500]:
+            assert kernel_dim(1, k, 1) == 1, k
 
     def test_open_case_matches_ungraded_oracle(self):
         assert kernel_dim(2, 3, 2) == ungraded_kernel_dimension(2, 3, 2)
