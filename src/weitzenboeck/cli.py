@@ -2,10 +2,12 @@
 
 Exit codes: 0 success (verify: all degrees complete), 1 verification
 failure (incomplete degree, NOT IN SPAN, not in kernel), 2 usage, parse,
-or ambient errors, and n, k or a degree too large for Python's recursion
-limit.  Output is byte-identical across runs; `--output machine` emits
-JSON objects with keys command/params/result (one document per run,
-except `census`, which streams one record per line).
+or ambient errors, and a k or degree too large for Python's recursion
+limit: the per-block counts recurse over k and the degree, and the
+product walk once per factor.  Output is byte-identical across runs;
+`--output machine` emits JSON objects with keys command/params/result
+(one document per run, except `census`, which streams one record per
+line).
 
 Every command's options are one table, `_COMMANDS`.  `main` reads a
 well-formed command line from it directly (`_read`); anything else, `--help`
@@ -306,7 +308,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # the weight counts recurse over k and the degree, the orbit representatives over n
+        # the per-block counts recurse over k and the degree, the product walk once per factor
         degree = getattr(args, "degree", None)
         if degree is None:
             degree = getattr(args, "max_degree", None)

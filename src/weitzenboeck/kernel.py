@@ -6,9 +6,9 @@ degree-d ring monomials therefore splits into graded pieces keyed by
 (block_degrees, weight), D maps the piece (b, w) into (b, w-1), and the
 kernel in degree d is the direct sum of the per-piece kernels.  Their
 dimensions are counted from numbers of monomials (`_piece_kernel_dim`),
-with no matrix: the number N(b, w) of monomials in piece (b, w) is read
-from a cached table of weight counts per (b, k), the convolution over
-the blocks of one cached table per (block degree, k).  Summed over every
+with no matrix: N(b, w) - N(b, w-1), N(b, w) the number of monomials in
+piece (b, w), is read from one cached table per multiset of nonzero block
+degrees and k (`_kernel_dims`), built in a loop.  Summed over every
 piece of degree d they telescope to one coefficient, M(d, floor(k*d/2)),
 the number of degree-d monomials of middle weight, which `kernel_dim`
 reads off one table of counts by degree and weight, with no piece, block
@@ -193,19 +193,8 @@ class CompletenessReport(_Frozen):
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of `parts` non-negative integers summing to `total`, ascending lex; none if total < 0."""
-    if total < 0:
-        return
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in compositions(total - head, parts - 1):
-            yield (head,) + tail
+    """All tuples of `parts` non-negative integers summing to `total`, ascending lex; none if total < 0 (`_representatives`, one run per block)."""
+    return _representatives(total, tuple((i, i + 1) for i in range(parts)))
 
 
 def graded_monomials(n: int, k: int, key: GradedPieceKey) -> list[Exponents]:
@@ -251,13 +240,8 @@ def piece_keys(n: int, k: int, degree: int) -> list[GradedPieceKey]:
     Ambient(n, k)  # validates n and k
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    keys = [
-        GradedPieceKey(bd, w)
-        for bd in compositions(degree, n)
-        for w in range(k * degree + 1)
-    ]
-    keys.sort()
-    return keys
+    # compositions come in ascending order, so the keys do
+    return [GradedPieceKey(bd, w) for bd in compositions(degree, n) for w in range(k * degree + 1)]
 
 
 @cache
@@ -276,17 +260,22 @@ def _block_weight_counts(degree: int, k: int) -> tuple[int, ...]:
 
 
 @cache
-def _weight_counts(block_degrees: tuple[int, ...], k: int) -> tuple[int, ...]:
-    """N(b, w) for w = 0..k|b|: the block counts convolved over the blocks of b."""
-    if not block_degrees:
-        return (1,)
-    head = _weight_counts(block_degrees[:-1], k)
-    last = _block_weight_counts(block_degrees[-1], k)
-    counts = [0] * (len(head) + len(last) - 1)
-    for i, a in enumerate(head):
-        for j, c in enumerate(last):
-            counts[i + j] += a * c
-    return tuple(counts)
+def _kernel_dims(degrees: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """N(b, w) - N(b, w-1) for w = 0..floor(k|b|/2), for every b whose sorted nonzero block degrees are `degrees`.
+
+    N(b, w), the number of monomials of piece (b, w), is the coefficient of
+    q^w in a product of one Gaussian binomial per block, 1 for a block of
+    degree 0 (`_block_weight_counts`), so it depends on that multiset only.
+    """
+    top = k * sum(degrees) // 2
+    counts = [1]
+    for d in degrees:
+        block, head = _block_weight_counts(d, k), counts
+        counts = [0] * min(len(head) + len(block) - 1, top + 1)
+        for i, a in enumerate(head):
+            for j, c in enumerate(block[: len(counts) - i]):
+                counts[i + j] += a * c
+    return tuple(here - below for below, here in zip((0, *counts), counts))
 
 
 # -- exact linear algebra ----------------------------------------------------
@@ -426,15 +415,14 @@ def _piece_kernel_dim(k: int, key: GradedPieceKey) -> int:
     when 2w > k|b| (Cayley-Sylvester).  Certificates rest on span_dim <=
     kernel_dim, which holds because generator products lie in ker D.
 
-    N(b, w) and N(b, w-1) are read from the cached table `_weight_counts(b, k)`,
+    It is read off the table of b's nonzero block degrees (`_kernel_dims`),
     so no monomial is listed; `graded_monomials` enumerates the same
     numbers independently (the tests compare the two).
     """
     block_degrees, weight = key
     if 2 * weight > k * sum(block_degrees):
         return 0
-    counts = _weight_counts(tuple(block_degrees), k)
-    return counts[weight] - (counts[weight - 1] if weight else 0)
+    return _kernel_dims(tuple(sorted(d for d in block_degrees if d)), k)[weight]
 
 
 def kernel_dim(n: int, k: int, degree: int) -> int:
@@ -799,23 +787,36 @@ def _symmetry_runs(n: int, k: int, excluded: frozenset[str]) -> tuple[tuple[int,
 
 
 def _representatives(total: int, runs: tuple[tuple[int, int], ...]) -> Iterator[tuple[int, ...]]:
-    """The b of `compositions(total, n)` that are non-decreasing within every run, ascending."""
-    n = runs[-1][1]
-    stops = {i: stop for start, stop in runs for i in range(start, stop)}
+    """The b of n = runs[-1][1] degrees summing to `total` that are non-decreasing within every run, ascending lex.
+
+    A depth-first walk with a stack of the values left to blocks 0..n-2.
+    Block i is at least block i - 1 unless it starts its run, and at most
+    what the blocks i.. of its run leave over, each being at least block i,
+    so every value kept has a completion and the last block takes the rest.
+    """
+    stops = [stop for start, stop in runs for _ in range(start, stop)]
     starts = {start for start, _ in runs}
-
-    def rec(i: int, left: int, floor: int) -> Iterator[tuple[int, ...]]:
-        low = 0 if i in starts else floor
-        if i == n - 1:
-            if left >= low:
-                yield (left,)
-            return
-        # the blocks i.. of the run are each at least block i's degree
-        for v in range(low, left // (stops[i] - i) + 1):
-            for tail in rec(i + 1, left - v, v):
-                yield (v, *tail)
-
-    return rec(0, total, 0)
+    n = len(stops)
+    if n < 2:  # no block: () for a total of 0; one block: the total
+        if total == 0 or n and total > 0:
+            yield (total,) * n
+        return
+    b, lefts = [], [total]  # the blocks below the top entry; lefts[i]: what blocks i.. share
+    stack = [iter(range(total // stops[0] + 1))]
+    while stack:
+        i = len(stack) - 1
+        del b[i:]
+        for v in stack[i]:
+            if i == n - 2:
+                yield (*b, v, lefts[i] - v)
+                continue
+            b.append(v)
+            lefts.append(left := lefts[i] - v)
+            stack.append(iter(range(0 if i + 1 in starts else v, left // (stops[i + 1] - i - 1) + 1)))
+            break
+        else:
+            stack.pop()
+            lefts.pop()
 
 
 def _orbit_size(b: tuple[int, ...], runs: tuple[tuple[int, int], ...]) -> int:
@@ -863,14 +864,14 @@ def completeness_check(n: int, k: int, degree: int, exclude: Sequence[str] = ())
     (b, w) bijectively onto those of (s b, w), each product to plus or
     minus the image multiset's product, so it maps the span of the first
     piece's products linearly and bijectively onto the second's, and the
-    span dimensions agree.  N(b, w) is a convolution of one table per
-    block degree, which does not depend on the blocks' order, so
-    `_piece_kernel_dim` agrees too.  Every block permutation maps the full
-    family onto itself up to sign and is a bijection on its labels (x_i
-    goes to x_(s i), and J, H and D to plus or minus the generator of the
-    permuted indices), so it keeps the generators left after `exclude`
-    stable exactly when it maps every excluded one to plus or minus an
-    excluded one, which is all `_symmetry_runs` tests.
+    span dimensions agree.  `_piece_kernel_dim` agrees too: b and s b read
+    the one table of their multiset of nonzero block degrees
+    (`_kernel_dims`).  Every block permutation maps the full family onto
+    itself up to sign and is a bijection on its labels (x_i goes to
+    x_(s i), and J, H and D to plus or minus the generator of the permuted
+    indices), so it keeps the generators left after `exclude` stable
+    exactly when it maps every excluded one to plus or minus an excluded
+    one, which is all `_symmetry_runs` tests.
 
     Deciding on k + 1 blocks is exact too, by polarization.  Each block is
     a copy of V = K^(k+1), on which D acts alike, so the ring is K[V^n] and
@@ -919,15 +920,13 @@ def completeness_check(n: int, k: int, degree: int, exclude: Sequence[str] = ())
     # the representatives in ascending order with their orbit sizes; with the weights
     # ascending inside, that is `piece_keys` order
     orbit = {b: _orbit_size(b, runs) for b in _representatives(degree, runs)}
-    # kernel_dim of (b, w) is N(b, w) - N(b, w - 1) (`_piece_kernel_dim`), read off one
-    # row of counts per b; a piece of weight 2w > k*degree has no kernel
-    top = k * degree // 2 + 1
+    # kernel_dim of (b, w) (`_piece_kernel_dim`), read off one table per multiset of
+    # nonzero block degrees; a piece of weight 2w > k*degree has no kernel
     kernel_dims = {}
     for b in orbit:
-        counts = _weight_counts(b, k)[:top]
-        for w, (below, here) in enumerate(zip((0, *counts), counts)):
-            if here != below:
-                kernel_dims[GradedPieceKey(b, w)] = here - below
+        for w, kdim in enumerate(_kernel_dims(tuple(sorted(d for d in b if d)), k)):
+            if kdim:
+                kernel_dims[GradedPieceKey(b, w)] = kdim
     span = kernel_dims if polarized else _span_dims(gens, degree, kernel_dims, runs)
     # a piece that holds no product spans nothing; each orbit member counts its representative's dims
     pieces = tuple(PieceReport(key, kdim, span.get(key, 0)) for key, kdim in kernel_dims.items())

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import clear_kernel_caches, reference_parser
-from weitzenboeck import UnknownLabel, cli, generators, kernel_basis
+from weitzenboeck import UnknownLabel, cli, generators, kernel_basis, kernel_dim
 from weitzenboeck.cli import build_parser, main
 
 
@@ -385,17 +385,33 @@ class TestContract:
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"degree {degree}: kernel_dim={dim}\n", "")
 
     @pytest.mark.parametrize(
+        "argv, dim",
+        [
+            ("verify --n 1200 --k 1 --degree 1", 1200),
+            ("verify --n 1200 --k 2 --degree 2", 2160600),
+        ],
+    )
+    def test_verify_answers_past_the_recursion_limit(self, argv, dim):
+        # the orbit representatives are listed and the kernel dims counted in loops, so
+        # 1200 blocks answer; the kernel total is the one census prints. A fresh
+        # interpreter each, as in the usage-error test below
+        proc = subprocess.run([sys.executable, "-m", "weitzenboeck", *argv.split()], capture_output=True, text=True)
+        _, _, n, _, k, _, degree = argv.split()
+        assert kernel_dim(int(n), int(k), int(degree)) == dim
+        expected = f"degree {degree}: kernel_dim={dim} span_dim={dim} OK\nverify: all degrees complete\n"
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, "")
+
+    @pytest.mark.parametrize(
         "argv",
         [
-            "verify --n 1200 --k 1 --degree 1",
             "verify --n 2 --k 1 --degree 1100",
         ],
     )
     def test_sizes_past_the_recursion_limit_are_a_usage_error(self, argv):
-        # the weight counts recurse over k and the degree and the orbit representatives
-        # over n; past Python's recursion limit that is one error line and exit 2 (exit 1
-        # is a failed certificate), with no traceback. A fresh interpreter each, so no
-        # count cached by an earlier call shortens the recursion
+        # the per-block counts recurse over k and the degree, and the product walk once
+        # per factor; past Python's recursion limit that is one error line and exit 2
+        # (exit 1 is a failed certificate), with no traceback. A fresh interpreter each,
+        # so no count cached by an earlier call shortens the recursion
         proc = subprocess.run([sys.executable, "-m", "weitzenboeck", *argv.split()], capture_output=True, text=True)
         _, _, n, _, k, _, degree = argv.split()
         assert (proc.returncode, proc.stdout) == (2, "")

@@ -136,6 +136,46 @@ def test_compositions():
     assert [list(compositions(-1, parts)) for parts in range(4)] == [[], [], [], []]
 
 
+def _runs_of(cuts, n):
+    edges = [0, *cuts, n]
+    return tuple(zip(edges, edges[1:]))
+
+
+def test_one_lister_against_a_filtered_product():
+    # compositions is _representatives with one run per block; both list, in ascending
+    # lex order, exactly the tuples of the product that sum to the total and are
+    # non-decreasing within every run, for every split of up to 5 blocks into runs
+    for n in range(1, 6):
+        for cut_count in range(n):
+            for cuts in itertools.combinations(range(1, n), cut_count):
+                runs = _runs_of(cuts, n)
+                for total in range(-1, 6):
+                    wanted = [
+                        b for b in itertools.product(range(total + 1), repeat=n)
+                        if sum(b) == total and all(b[i] <= b[i + 1] for start, stop in runs for i in range(start, stop - 1))
+                    ]
+                    assert list(_representatives(total, runs)) == wanted, (total, runs)
+                    if cut_count == n - 1:
+                        assert list(compositions(total, n)) == wanted, (total, n)
+
+
+def test_listers_answer_past_the_recursion_limit():
+    # the one lister keeps its branch on a stack, so 1200 blocks, far past Python's
+    # recursion limit, list like 3
+    n = 1200
+    unit = [(0,) * (n - 1 - i) + (1,) + (0,) * i for i in range(n)]
+    assert list(compositions(1, n)) == unit
+    assert list(_representatives(1, ((0, n),))) == [unit[0]]
+    assert list(_representatives(2, ((0, n),))) == [(0,) * (n - 1) + (2,), (0,) * (n - 2) + (1, 1)]
+    # two runs of 600: each run's part of b is non-decreasing, the first run's ascending first
+    half = (0,) * 600
+    low, high = (0,) * 599 + (1,), (0,) * 598 + (1, 1)
+    two = (0,) * 599 + (2,)
+    assert list(_representatives(2, _runs_of([600], n))) == [
+        half + two, half + high, low + low, two + half, high + half
+    ]
+
+
 def test_negative_degree_is_rejected_before_orbits_are_built(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("no symmetry or block-degree table may be built for a negative degree")
@@ -1616,20 +1656,22 @@ class TestCensus:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_kernel_dim_is_the_composition_sum(self, k):
         # kernel_dim reads one coefficient of the monomial counts; the sum over every
-        # composition of the degree of the per-b tables, written out here, agrees, and
-        # so does the certificate's kernel total for k <= 2
+        # composition of the degree of its pieces' kernel dims, read off the table of its
+        # nonzero block degrees and written out here, agrees, and so does the
+        # certificate's kernel total for k <= 2
         for n in range(1, 6):
             for d in range(6):
-                total = sum(kernel._weight_counts(b, k)[k * d // 2] for b in itertools.product(range(d + 1), repeat=n) if sum(b) == d)
+                tables = (kernel._kernel_dims(tuple(sorted(v for v in b if v)), k) for b in itertools.product(range(d + 1), repeat=n) if sum(b) == d)
+                total = sum(map(sum, tables))
                 assert kernel_dim(n, k, d) == total, (n, k, d)
                 if k <= 2:
                     assert completeness_check(n, k, d).kernel_dim == total, (n, k, d)
 
     def test_census_reads_one_coefficient(self, monkeypatch, capsys):
-        # census reads M(d, floor(k*d/2)) off one table of monomial counts: no per-b
-        # table, no orbit representative and no orbit size
+        # census reads M(d, floor(k*d/2)) off one table of monomial counts: no table of
+        # kernel dims or block counts, no orbit representative and no orbit size
         asked = []
-        for name in ("_weight_counts", "_block_weight_counts", "_representatives", "_orbit_size"):
+        for name in ("_kernel_dims", "_block_weight_counts", "_representatives", "_orbit_size"):
             monkeypatch.setattr(kernel, name, lambda *args, name=name: asked.append(name))
         assert cli.main(["census", "--n", "6", "--k", "2", "--max-degree", "6"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 7
@@ -1677,15 +1719,22 @@ class TestCensus:
             assert _piece_kernel_dim(k, key) == len(kernel_piece_basis(n, k, key)) == len(cols) - sparse_rank(images)
         assert kernel_dim(n, k, degree) == ungraded_kernel_dimension(n, k, degree)
 
-    @given(st.lists(st.integers(0, 3), min_size=1, max_size=3), st.integers(1, 4))
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=3), st.integers(1, 4), st.data())
     @settings(max_examples=40, deadline=None)
-    def test_weight_table_matches_enumeration(self, block_degrees, k):
-        # the count reads N(b, w) from the table; graded_monomials lists the
-        # monomials themselves, a path independent of the table's recurrence
-        b = tuple(block_degrees)
-        top = k * sum(b)
-        counts = kernel._weight_counts(b, k)
-        assert list(counts) == [len(graded_monomials(len(b), k, GradedPieceKey(b, w))) for w in range(top + 1)]
+    def test_weight_table_matches_enumeration(self, block_degrees, k, data):
+        # the count reads N(b, w) - N(b, w-1) from the table of b's sorted nonzero block
+        # degrees; graded_monomials lists the monomials themselves, a path independent of
+        # the table's recurrence. The key's premise: a permutation of b, or b with a zero
+        # block added, has the same counts, so it reads the same table
+        degrees = tuple(sorted(d for d in block_degrees if d))
+        dims = kernel._kernel_dims(degrees, k)
+        assert len(dims) == k * sum(degrees) // 2 + 1
+        permuted = data.draw(st.permutations(block_degrees))
+        zero_at = data.draw(st.integers(0, len(block_degrees)))
+        for b in (tuple(block_degrees), tuple(permuted), (*permuted[:zero_at], 0, *permuted[zero_at:])):
+            counts = [len(graded_monomials(len(b), k, GradedPieceKey(b, w))) for w in range(len(dims))]
+            assert list(dims) == [here - below for below, here in zip([0, *counts], counts)], b
+            assert [_piece_kernel_dim(k, GradedPieceKey(b, w)) for w in range(len(dims))] == list(dims)
 
     def test_dimensions_need_no_elimination(self, monkeypatch, capsys):
         def boom(*args, **kwargs):
