@@ -37,12 +37,13 @@ packing (`_Tables`, by `_tables`): the packed generators, each with its
 least packed monomial and its piece (`_Tables.row`, the one place where
 they are read and checked), the walk's reach table, the least-monomial
 tables and `express`'s piece bases.  Each grows with the degree asked,
-and a degree reads the same whatever was asked before (the argument is
-on the class).
+and a degree reads the same whatever was asked before, but for the
+count's items below, which change no answer (the argument is on the
+class).
 
 A piece is first certified by counting least monomials, with nothing
 expanded (`_Tables.least`, where the argument is): a product's least
-monomial is the sum of its factors' least monomials, and products with
+monomial is the sum of its factors' least monomials, and elements with
 distinct least monomials are linearly independent, so a piece whose
 products show kernel_dim of them is complete.  This is the SAGBI test
 (Robbiano-Sweedler; Kapur-Madlener) on one graded piece, in the packed
@@ -50,7 +51,11 @@ order `_echelon` pivots on.  Only a piece whose count is short of
 kernel_dim but not 0 has its products ranked: the walk of the piece
 (`_products`) feeds `_echelon` lazily in label order, expanding as it
 goes, and both stop at kernel_dim.  Only that path reports a piece
-short.
+short.  A label set's degrees are decided once each, lowest first
+(`_Decisions`), and each pivot lead of a rank that the count did not
+hold joins the count of every higher degree (truncated SAGBI
+subduction): with the full family on k + 1 = 3 blocks, one piece is
+ranked, in degree 3.
 
 Products are enumerated as label multisets on packed gradings, one piece
 per walk (`_products`): a piece (b, w) is one int, the grading that
@@ -121,7 +126,10 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import cache, cached_property, reduce
+from itertools import chain, product
 from math import comb, factorial, gcd, lcm, prod
+from operator import itemgetter
+from threading import Lock
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .derivation import GeneratorSet, WeitzenboeckDerivation, generators
@@ -160,14 +168,31 @@ class CompletenessReport(_Frozen):
     @cached_property
     def per_piece(self) -> tuple[PieceReport, ...]:
         """Every piece with a nonzero kernel in `piece_keys` order, each with its representative's dims."""
-        by_rep = defaultdict(list)
-        for piece in self.representatives:
-            by_rep[piece.key.block_degrees].append(piece)
-        return tuple(
-            PieceReport(GradedPieceKey(b, w), kdim, sdim)
-            for b in compositions(self.degree, self.n)
-            for (_, w), kdim, sdim in by_rep[tuple(v for i, j in self.runs for v in sorted(b[i:j]))]
-        )
+        return tuple(PieceReport(GradedPieceKey(b, w), kdim, sdim) for b, dims in self._orbits() for w, kdim, sdim in dims)
+
+    def _orbits(self) -> list[tuple[tuple[int, ...], list[tuple[int, int, int]]]]:
+        """Every b with a piece of nonzero kernel, in `compositions` order, with its representative's (weight, kernel_dim, span_dim) in weight order.
+
+        A representative's orbit is the choices of one distinct
+        rearrangement of its part in each run (`_arrangements`, listed once
+        per part); the members of all orbits, sorted, are in `compositions`
+        order, ascending lex.
+        """
+        dims: dict[tuple[int, ...], list[tuple[int, int, int]]] = defaultdict(list)
+        for (b, w), kdim, sdim in self.representatives:
+            dims[b].append((w, kdim, sdim))
+        arrangements: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        members = []
+        for b, found in dims.items():
+            parts = []
+            for i, j in self.runs:
+                part = b[i:j]
+                if part not in arrangements:
+                    arrangements[part] = _arrangements(part)
+                parts.append(arrangements[part])
+            members += [(tuple(chain.from_iterable(member)), found) for member in product(*parts)]
+        members.sort(key=itemgetter(0))
+        return members
 
     def to_dict(self) -> dict:
         return {
@@ -177,16 +202,35 @@ class CompletenessReport(_Frozen):
             "kernel_dim": self.kernel_dim,
             "span_dim": self.span_dim,
             "complete": self.complete,
-            "per_piece": [
-                {
-                    "block_degrees": list(piece.key.block_degrees),
-                    "weight": piece.key.weight,
-                    "kernel_dim": piece.kernel_dim,
-                    "span_dim": piece.span_dim,
-                }
-                for piece in self.per_piece
+            "per_piece": [  # `per_piece`, with no PieceReport built
+                {"block_degrees": list(b), "weight": w, "kernel_dim": kdim, "span_dim": sdim}
+                for b, dims in self._orbits()
+                for w, kdim, sdim in dims
             ],
         }
+
+
+def _arrangements(part: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The distinct rearrangements of a non-decreasing tuple, ascending lex.
+
+    Each is the next permutation of the one before (Narayana): the longest
+    non-increasing tail is reversed after its left neighbour is swapped
+    with the least larger value in it; none is left after the
+    non-increasing one.
+    """
+    a, out = list(part), []
+    while True:
+        out.append(tuple(a))
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return out
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1 :] = a[:i:-1]
 
 
 # -- monomial enumeration ----------------------------------------------------
@@ -534,7 +578,9 @@ class _Tables:
       every walk view and every one-label product, and never changed;
     - `reach`: each generator's reach row, and `walks`, the walk's view of
       every degree asked (`walk`);
-    - `least_levels`: the least-monomial levels of each symmetry runs (`least`);
+    - `least_levels`: the generators' least-monomial levels of each symmetry
+      runs, and `item_levels` the levels of the sums with items over them,
+      with the number of items read (`least`);
     - `bases`: `express`'s pieces met, keyed by packed grading, which names
       the degree too: each piece's products in label order up to its last
       greedy basis product, and the pivot rows `_echelon` built from them
@@ -550,7 +596,9 @@ class _Tables:
     So a row grown to D >= d agrees at r <= d with the row of d alone.
     A stored entry is never changed: a grown reach row replaces a shorter
     one it agrees with, so a row or view read stays valid.  Threads that
-    fill one entry at once store equal values.
+    fill one entry at once store equal values.  The one exception is the
+    items' table, which holds what the degrees decided so far found
+    (`_Decisions`): it changes which pieces are ranked, never a span_dim.
     """
 
     def __init__(self, gens: GeneratorSet, packing: Packing):
@@ -561,7 +609,8 @@ class _Tables:
         self.rows: dict[str, _PackedGenerator] = {}
         self.reach: dict[str, tuple[frozenset[int], ...]] = {}
         self.walks: dict[int, _WalkView] = {}
-        self.least_levels: dict[tuple[tuple[int, int], ...], dict[int, set[int]]] = {}
+        self.least_levels: dict[tuple[tuple[int, int], ...], list[set[int]]] = {}
+        self.item_levels: dict[tuple[tuple[int, int], ...], tuple[int, list[set[int]]]] = {}
         self.bases: dict[int, tuple[list[tuple[str, ...]], dict[int, dict[int, int]]]] = {}
 
     def row(self, label: str) -> _PackedGenerator:
@@ -622,19 +671,16 @@ class _Tables:
             view = self.walks.setdefault(degree, (tuple(reversed(steps)), later[degree]))
         return view
 
-    def least(self, degree: int, runs: tuple[tuple[int, int], ...]) -> set[int]:
-        """The least packed monomials of the degree-`degree` products in the pieces whose b is non-decreasing in every run.
+    def least(self, degree: int, runs: tuple[tuple[int, int], ...], items: Sequence[tuple[int, Exponents]] = (), top: int = 0) -> set[int]:
+        """The least packed monomials counted at `degree` in the pieces whose b is non-decreasing in every run.
 
-        One table of sums of the generators' least packed monomials, one set
-        per total degree 0..`degree`, built as an unbounded knapsack: a
-        multiset either holds no copy of a generator of degree d, or is one
-        copy times a multiset of degree r - d, so adding the generator to the
-        table for r = d..`degree` in ascending order adds every multiset that
-        holds it.  The top level is returned, and `s >> shift` of a sum s is
-        its product's piece.  Nothing is expanded.
+        They are the sums of the generators' least packed monomials over all
+        multisets and, with `items` (`_Decisions`), the sums that also hold
+        items.  `s >> shift` of a sum s is its piece.  Nothing is expanded.
 
-        Each sum is its product's least monomial, and the products of one
-        piece with distinct least monomials are linearly independent:
+        Each sum is the least monomial of an element of the algebra the
+        generators span, and elements of one piece with distinct least
+        monomials are linearly independent:
         - packed keys are ints in a monomial order that addition keeps,
           a < b implies a + c < b + c (see `Packing`), and no digit carries in
           a product of degree <= `degree`;
@@ -642,7 +688,7 @@ class _Tables:
           terms has one factor above its minimum and a strictly larger sum, so
           the pair of least terms is the only pair that reaches min f + min g
           and its coefficient, a product of two nonzero ones, cannot cancel;
-        - in a vanishing combination of products with pairwise distinct least
+        - in a vanishing combination of elements with pairwise distinct least
           monomials, of those with a nonzero coefficient the one whose least
           monomial is smallest is the only one holding that monomial, which
           therefore cannot cancel.
@@ -650,46 +696,72 @@ class _Tables:
         products, itself at most its kernel_dim when the generators lie in
         ker D.  This is the SAGBI test (Robbiano-Sweedler) on one piece.
 
-        Generators are added in stages by their lowest nonzero block, lowest
-        first (a generator of degree 0 has none and is rejected by
-        `_generator_degree`).  A later stage adds nothing to blocks <= i, so
-        after stage i their degrees are final in every completion of a sum; a
-        sum whose blocks i - 1 and i share a run and are out of order
-        (b_(i-1) > b_i) has no completion in a representative piece and is
-        dropped, at every level.
-        The prune is exact: every sum of a representative piece has all its
-        blocks in order within each run at every stage, so it is kept.
-
-        The levels are kept per runs, those of the degrees this packing
-        serves only (every small degree, for the floor packing), and a degree
-        that a table built before reached is read from them; a degree above
-        every table built before builds the table again, up to that degree.
-        A lower degree of another packing reads that packing's own table.
-        The returned set is shared: it is read, never changed.
+        The generators' sums are one table, one set per total degree 0..top,
+        built as an unbounded knapsack (`_generator_sums`); it holds every
+        generator of degree <= top, so a piece with no sum in it holds no
+        product.  The items' sums are a second table over it, in the same
+        knapsack: an item m of degree e adds m + s for every sum s of degree
+        r - e of either table.  Items and the first table's sums lie in
+        representative pieces, whose sums do too, so nothing is pruned; a
+        sum whose generator part is not a representative is not counted,
+        which only lowers the count.  Both are kept per runs, every level
+        from 0; a degree above the first frees both and builds them again,
+        up to that degree or `top`, and a new item extends the second in
+        place.  A returned set is shared: it is read, never changed.
         """
-        kept = self.least_levels.setdefault(runs, {})
-        if (level := kept.get(degree)) is not None:
-            return level
+        levels = self.least_levels.get(runs, ())
+        if len(levels) <= degree:
+            # the new tables repeat the kept ones, which are freed first
+            del levels
+            self.least_levels.pop(runs, None)
+            self.item_levels.pop(runs, None)
+            levels = self.least_levels[runs] = self._generator_sums(max(degree, top), runs)
+        if not items:
+            return levels[degree]
+        applied, extra = self.item_levels.get(runs, (0, ()))
+        if len(extra) != len(levels):
+            applied, extra = 0, [set() for _ in levels]
+        for d, exps in items[applied:]:
+            m = self.packing.pack(exps)
+            for r in range(d, len(extra)):
+                extra[r].update(map(m.__add__, levels[r - d]))
+                extra[r].update(map(m.__add__, extra[r - d]))
+        self.item_levels[runs] = len(items), extra
+        return levels[degree] | extra[degree]
+
+    def _generator_sums(self, top: int, runs: tuple[tuple[int, int], ...]) -> list[set[int]]:
+        """The levels 0..`top` of the generators' least-monomial sums in the representative pieces of `runs` (`least`).
+
+        A multiset either holds no copy of a generator of degree d, or is one
+        copy times a multiset of degree r - d, so adding the generator to the
+        levels r = d..top in ascending order adds every multiset that holds
+        it.  Generators are added in stages by their lowest nonzero block,
+        lowest first (a generator of degree 0 has none and is rejected by
+        `_generator_degree`).  A later stage adds nothing to blocks <= i, so
+        after stage i their degrees are final in every completion of a sum;
+        a sum whose blocks i - 1 and i share a run and are out of order
+        (b_(i-1) > b_i) has no completion in a representative piece and is
+        dropped, at every level.  The prune is exact: every sum of a
+        representative piece has all its blocks in order within each run at
+        every stage, so it is kept.
+        """
         packing = self.packing
         bits, mask = packing.bits, (1 << packing.bits) - 1
         stages: list[list[_PackedGenerator]] = [[] for _ in range(self.gens.n)]
-        for gen in self.generators(degree):
+        for gen in self.generators(top):
             # the lowest set bit of a grading lies in its lowest nonzero block's field
             stages[((gen.grading & -gen.grading).bit_length() - 1) // bits].append(gen)
         joined = {i for start, stop in runs for i in range(start + 1, stop)}
-        levels: list[set[int]] = [{0}] + [set() for _ in range(degree)]
+        levels: list[set[int]] = [{0}] + [set() for _ in range(top)]
         for i, stage in enumerate(stages):
             for gen in stage:
                 d, m = gen.degree, gen.lead
-                for r in range(d, degree + 1):
+                for r in range(d, top + 1):
                     levels[r].update(map(m.__add__, levels[r - d]))
             if i in joined:
                 low, high = packing.shift + bits * (i - 1), packing.shift + bits * i
                 levels = [{s for s in level if s >> low & mask <= s >> high & mask} for level in levels]
-        for d, level in enumerate(levels):
-            if packing_for(packing.ambient, d) is packing:  # a lower degree reads its own packing's tables
-                kept.setdefault(d, level)
-        return kept[degree]
+        return levels
 
 
 @cache
@@ -829,8 +901,9 @@ def _base_complete(k: int, degree: int) -> bool:
     """Whether the full family of k + 1 blocks spans ker D in degree `degree`.
 
     The one decision `completeness_check` reads for every n > k + 1 with
-    the full family (the argument is there); the report it comes from is
-    not kept.
+    the full family (the argument is there), read from the record of the
+    family of k + 1 blocks (`_Decisions`), which a `completeness_check` of
+    k + 1 blocks reads too.
     """
     return completeness_check(k + 1, k, degree).complete
 
@@ -849,8 +922,8 @@ def completeness_check(n: int, k: int, degree: int, exclude: Sequence[str] = ())
     is complete there, the runs are the one run of all n blocks and every
     representative reports span_dim = kernel_dim, with no generator of n
     blocks built and nothing enumerated, expanded or ranked.  Otherwise, and with any
-    `exclude`, the degree is decided on its own n blocks (`_span_dims`), so
-    a short piece keeps its exact span_dim.  The report keeps the
+    `exclude`, the degree is decided on its own n blocks, once per label
+    set and runs (`_Decisions`), so a short piece keeps its exact span_dim.  The report keeps the
     representatives' PieceReports and the runs; its totals count each
     representative once per orbit member (`_orbit_size`).  Raises
     ValueError for a negative degree, before any symmetry or composition
@@ -917,53 +990,88 @@ def completeness_check(n: int, k: int, degree: int, exclude: Sequence[str] = ())
     polarized = not exclude and n > k + 1 and _base_complete(k, degree)
     gens = None if polarized else generators(n, k).without(*exclude)
     runs = _symmetry_runs(n, k, frozenset(exclude))
-    # the representatives in ascending order with their orbit sizes; with the weights
-    # ascending inside, that is `piece_keys` order
-    orbit = {b: _orbit_size(b, runs) for b in _representatives(degree, runs)}
-    # kernel_dim of (b, w) (`_piece_kernel_dim`), read off one table per multiset of
-    # nonzero block degrees; a piece of weight 2w > k*degree has no kernel
-    kernel_dims = {}
-    for b in orbit:
-        for w, kdim in enumerate(_kernel_dims(tuple(sorted(d for d in b if d)), k)):
-            if kdim:
-                kernel_dims[GradedPieceKey(b, w)] = kdim
-    span = kernel_dims if polarized else _span_dims(gens, degree, kernel_dims, runs)
-    # a piece that holds no product spans nothing; each orbit member counts its representative's dims
-    pieces = tuple(PieceReport(key, kdim, span.get(key, 0)) for key, kdim in kernel_dims.items())
+    if polarized:
+        pieces = tuple(PieceReport(key, kdim, kdim) for key, kdim in _representative_kernel_dims(k, degree, runs).items())
+    else:
+        pieces = _decisions(gens, runs).pieces(degree)
+    # each orbit member counts its representative's dims
+    orbit = {b: _orbit_size(b, runs) for b in {piece.key.block_degrees for piece in pieces}}
     kernel_total = sum(piece.kernel_dim * orbit[piece.key.block_degrees] for piece in pieces)
     span_total = sum(piece.span_dim * orbit[piece.key.block_degrees] for piece in pieces)
     return CompletenessReport(n, k, degree, kernel_total, span_total, span_total == kernel_total, pieces, runs)
 
 
-def _span_dims(
-    gens: GeneratorSet, degree: int, kernel_dims: dict[GradedPieceKey, int], runs: tuple[tuple[int, int], ...]
-) -> dict[GradedPieceKey, int]:
-    """The span dimension of every piece of `kernel_dims` that holds a product, decided on the set's own blocks.
+def _representative_kernel_dims(k: int, degree: int, runs: tuple[tuple[int, int], ...]) -> dict[GradedPieceKey, int]:
+    """kernel_dim (`_piece_kernel_dim`) of every representative piece of `runs` in `degree` with a kernel, in `piece_keys` order."""
+    kernel_dims = {}
+    for b in _representatives(degree, runs):
+        for w, kdim in enumerate(_kernel_dims(tuple(sorted(d for d in b if d)), k)):
+            if kdim:
+                kernel_dims[GradedPieceKey(b, w)] = kdim
+    return kernel_dims
 
-    The pieces are the representatives of `runs`, whose least monomials
-    `_Tables.least` lists.  A piece with kernel_dim of them has span_dim
-    = kernel_dim with nothing expanded: that many products are linearly
-    independent and, lying in ker D, no more can be.  Each other piece with
-    one or more is walked (`_products`) straight into `_echelon`, its
-    products expanded by the walk as the elimination reads them, in label
-    order; the elimination stops at kernel_dim, still exact, and the walk
-    with it.  Its pivot rows are untagged and not kept:
-    `_Tables.bases` is `express`'s.
+
+class _Decisions:
+    """The representative pieces of one label set and runs, decided once per degree, lowest first, and the least monomials found on the way.
+
+    Kept per label set and symmetry runs (`_decisions`).  `pieces(d)`
+    decides each degree up to d not decided yet, lowest first, under a lock
+    so that threads decide no degree twice, on the set's own blocks: the
+    least monomials of products and items are counted per representative
+    piece (`_Tables.least`); a piece with kernel_dim of them has span_dim =
+    kernel_dim, one with none holds no product, and each other piece is
+    walked (`_products`) into `_echelon`, its products expanded as the
+    elimination reads them, until the rank reaches kernel_dim.
+    The keys of its pivot rows are the least monomials of the span of the
+    products read (`_echelon` pivots on the least column); each one the
+    count did not hold becomes an item, (degree, exponents), re-packed in
+    every packing: the least monomial of an element of the algebra A the
+    generators span.  Products of elements of A lie in A, in ker D, so
+    every higher degree counts the sums with items too (truncated SAGBI
+    subduction, Robbiano-Sweedler), and a count is still at most the rank.
     """
-    packing = packing_for(Ambient(gens.n, gens.k), degree)
-    tables = _tables(gens, packing)
-    counts = Counter(s >> packing.shift for s in tables.least(degree, runs))
-    span, short = {}, {}
-    for key, kdim in kernel_dims.items():
-        count = counts.get(packing.grading(*key), 0)
-        if count == kdim:
-            span[key] = kdim
-        elif count:
-            short[key] = kdim
-    for key, kdim in short.items():
-        rows = (terms for _, terms in _products(gens, degree, packing.grading(*key)))
-        span[key] = len(_echelon(rows, limit=kdim))
-    return span
+
+    def __init__(self, gens: GeneratorSet, runs: tuple[tuple[int, int], ...]):
+        self.gens, self.runs = gens, runs
+        self.decided: list[tuple[PieceReport, ...]] = []
+        self.items: list[tuple[int, Exponents]] = []
+        self.lock = Lock()
+
+    def pieces(self, degree: int) -> tuple[PieceReport, ...]:
+        """The PieceReports of the representative pieces of `degree`, each degree up to it decided once."""
+        with self.lock:
+            if len(self.decided) <= degree:
+                # the asked degree's kernel dims first, as without a record: past Python's
+                # recursion limit its per-block counts raise before a lower degree caches them
+                asked = _representative_kernel_dims(self.gens.k, degree, self.runs)
+                while len(self.decided) <= degree:
+                    self.decided.append(self._decide(len(self.decided), degree, asked))
+        return self.decided[degree]
+
+    def _decide(self, degree: int, top: int, asked: dict[GradedPieceKey, int]) -> tuple[PieceReport, ...]:
+        """The PieceReports of `degree`, the lowest degree not decided, in a call that decides up to `top`, whose kernel dims are `asked`."""
+        gens, runs = self.gens, self.runs
+        packing = packing_for(Ambient(gens.n, gens.k), degree)
+        counted = _tables(gens, packing).least(degree, runs, self.items, min(top, packing.degree))
+        counts = Counter(s >> packing.shift for s in counted)
+        pieces, found = [], []
+        kernel_dims = asked if degree == top else _representative_kernel_dims(gens.k, degree, runs)
+        for key, kdim in kernel_dims.items():
+            grading = packing.grading(*key)
+            span = count = counts.get(grading, 0)
+            if 0 < count < kdim:
+                pivot_rows = _echelon((terms for _, terms in _products(gens, degree, grading)), limit=kdim)
+                span = len(pivot_rows)
+                found.extend((degree, packing.unpack(lead)) for lead in pivot_rows if lead not in counted)
+            pieces.append(PieceReport(key, kdim, span))
+        self.items.extend(found)
+        return tuple(pieces)
+
+
+@cache
+def _decisions(gens: GeneratorSet, runs: tuple[tuple[int, int], ...]) -> _Decisions:
+    """The record of `gens` on `runs`, built once per label set and runs; equal sets share it."""
+    return _Decisions(gens, runs)
 
 
 Combination = dict[tuple[str, ...], Fraction]

@@ -23,7 +23,8 @@ which the CLI's table reader and its table-built parser are compared: the
 same namespace, the same usage errors and the same `--help`, byte for byte.
 
 The `spy` fixture records what the kernel reads while a test runs: every
-least-monomial table and every walk, with the products it yields.
+least-monomial count, with the items it counts, and every walk, with the
+products it yields.
 """
 
 import argparse
@@ -70,7 +71,8 @@ def kernel_tables(gens, degree):
 class LeastTable(NamedTuple):
     n: int
     degree: int
-    levels: set[int]
+    levels: set[int]  # the least monomials counted: the generators' sums and the items'
+    items: tuple[tuple[int, Exponents], ...]  # the (degree, exponents) items counted
 
 
 class Walk(NamedTuple):
@@ -81,7 +83,7 @@ class Walk(NamedTuple):
 
 
 class KernelSpy:
-    """In call order: the tables `_Tables.least` returns and the walks of `_products`, each with the products it yields."""
+    """In call order: the sets `_Tables.least` returns, with the items counted, and the walks of `_products`, each with the products it yields."""
 
     def __init__(self):
         self.clear()
@@ -105,8 +107,8 @@ def spy(monkeypatch):
     found = KernelSpy()
     least, products = kernel._Tables.least, kernel._products
 
-    def tabling(self, degree, runs):
-        found.tables.append(LeastTable(self.gens.n, degree, least(self, degree, runs)))
+    def tabling(self, degree, runs, items=(), top=0):
+        found.tables.append(LeastTable(self.gens.n, degree, least(self, degree, runs, items, top), tuple(items)))
         return found.tables[-1].levels
 
     def walking(gens, degree, grading):
@@ -222,6 +224,15 @@ def all_ring_monomials(ambient, degree):
 
 def sparse_rank(rows):
     """Rank of sparse rows (dict col -> coeff) by incremental elimination over Fraction."""
+    return len(sparse_leads(rows))
+
+
+def sparse_leads(rows):
+    """The pivot columns of sparse rows by incremental elimination over Fraction, pivoting on the least column.
+
+    They are the least columns of the nonzero vectors the rows span: with
+    packed monomials as columns, the least monomials of the span.
+    """
     pivots = {}
     for row in rows:
         row = {c: Fraction(v) for c, v in row.items()}
@@ -238,7 +249,7 @@ def sparse_rank(rows):
                     row[cc] = nv
                 else:
                     row.pop(cc, None)
-    return len(pivots)
+    return set(pivots)
 
 
 def ungraded_kernel_dimension(n, k, degree):

@@ -570,6 +570,12 @@ def golden_calls():
         # degrees 13..16 rank deep short pieces, each walked and expanded as its
         # elimination reads it, until the rank reaches kernel_dim
         "verify_n3_k2_d16.txt": (0, "--n 3 --k 2 --max-degree 16"),
+        # the frontier of the full family: one piece is ranked, in degree 3, and the
+        # least monomial its rank adds certifies every piece of degrees 4..20 by counting
+        "verify_n3_k2_d20.txt": (0, "--n 3 --k 2 --max-degree 20"),
+        # without H2,3 many pieces of degrees 5..8 fall short, and their ranks add least
+        # monomials that the counts of every higher degree read
+        "verify_n4_k2_d8_exclude_H23.txt": (1, "--n 4 --k 2 --max-degree 8 --exclude H2,3"),
         # without J1,2 the stable swaps join blocks 3..8 into one run of six, which the
         # least-monomial table prunes at every joined pair of blocks
         "verify_n8_k1_d8_exclude_J12.txt": (1, "--n 8 --k 1 --max-degree 8 --exclude J1,2"),

@@ -22,6 +22,7 @@ from conftest import (
     generator_rows,
     kernel_tables,
     products_by_piece,
+    sparse_leads,
     sparse_rank,
     ungraded_kernel_dimension,
 )
@@ -739,16 +740,17 @@ class TestProductExpander:
     def test_no_prefix_is_expanded_twice(self, monkeypatch, spy, calls):
         # each mul_terms call of a walk gives one label multiset's terms: a product an
         # elimination reads, or a prefix of two or more labels on the way to one. k = 1
-        # express calls at degrees 5 and 6 (one packing), or a certificate and then
-        # express in its one short piece, make one call per distinct such prefix of the
-        # products each walk yields, per walk, so no walk expands a prefix twice. Nothing
-        # expanded outlives its walk: the steps together make as many calls as each
-        # from empty tables
+        # express calls at degrees 5 and 6 (one packing), or a certificate without H1,1,
+        # which ranks short pieces in degrees 3..6, and then express in one of them, make
+        # one call per distinct such prefix of the products each walk yields, per walk, so
+        # no walk expands a prefix twice. Nothing expanded outlives its walk: the steps
+        # together make as many calls as each from empty tables
         if calls == "verify then express":
-            gens = generators(3, 2)
-            short = products_by_piece(gens, 6)[GradedPieceKey((2, 2, 2), 4)]
+            gens = generators(3, 2).without("H1,1")
+            short = products_by_piece(gens, 6)[GradedPieceKey((3, 1, 2), 4)]
             p = evaluate_combination({labels: j + 1 for j, labels in enumerate(short)}, gens)
-            steps = [lambda: completeness_check(3, 2, 6), lambda: express_in_generators(p, gens)]
+            grading = packing_for(Ambient(3, 2), 6).grading((3, 1, 2), 4)
+            steps = [lambda: completeness_check(3, 2, 6, exclude=["H1,1"]), lambda: express_in_generators(p, gens)]
         else:
             gens = generators(3, 1)
             assert packing_for(Ambient(3, 1), 5) is packing_for(Ambient(3, 1), 6)
@@ -765,6 +767,8 @@ class TestProductExpander:
             for run in [step] if step else steps:
                 run()
             assert spy.labels_walked() and len(multiplied) == _one_per_product_and_prefix(spy.walks)
+            if calls == "verify then express":  # both steps walk the piece
+                assert (6, grading) in {(walk.degree, walk.grading) for walk in spy.walks}
             alone += len(multiplied) if step else 0
         assert len(multiplied) == alone
 
@@ -951,19 +955,21 @@ class TestCompleteness:
     )
     def test_ranks_each_piece_that_holds_products_once(self, monkeypatch, spy, n, k, degree, exclude):
         # only representative pieces (block degrees non-decreasing within each run
-        # of stable swaps, found by brute force) are counted, each decided once: one
-        # least-monomial table per degree holds exactly the least packed keys of the
-        # products in the representative pieces. A piece with kernel_dim of them is
-        # certified with nothing expanded; exactly the pieces that fall short are
-        # walked, once each (none when no piece is short), and ranked, once each, on a
-        # lazy row iterator that expands a prefix of the piece's products in label
-        # order, each product once: the prefix ends at the product that brings the
-        # rank to kernel_dim, or covers every product when the rank stays below it,
-        # and the walk yields that prefix and no more. The least monomials (the least packed key of
-        # each) and the ranks of the prefixes (by the Fraction oracle) come from plain
-        # Polynomial products here. With no stable swap, as for (3, 1, 4) without x1
-        # and x3, every piece is its own representative. The full families of these
-        # degrees leave no representative piece short.
+        # of stable swaps, found by brute force) are counted, each decided once: a call
+        # decides every degree up to its own, lowest first, and counts one least-monomial
+        # table per degree. It holds exactly the least packed keys of the products in the
+        # representative pieces, and the sums of those of lower degrees with every multiset
+        # of the items found below: the least monomials of a ranked piece's span that the
+        # count did not hold. A piece with kernel_dim of them is certified with nothing
+        # expanded; exactly the pieces that fall short are walked, once each, and ranked,
+        # once each, on a lazy row iterator that expands a prefix of the piece's products
+        # in label order, each product once: the prefix ends at the product that brings the
+        # rank to kernel_dim, or covers every product when the rank stays below it, and the
+        # walk yields that prefix and no more. The least monomials (the least packed key of
+        # each), the ranks of the prefixes and the least monomials of the spans (by the
+        # Fraction oracle) come from plain Polynomial products here. With no stable swap,
+        # as for (3, 1, 4) without x1 and x3, every piece is its own representative. The
+        # full k = 1 family leaves no piece short and the full k = 2 family one, in degree 3.
         # With the full family and n > k + 1 the degree is decided on k + 1 blocks, so
         # no table of n blocks is built and no piece of n blocks is requested or
         # expanded; the assertions above are then checked with that base decision
@@ -976,33 +982,11 @@ class TestCompleteness:
         gens = generators(n, k).without(*exclude)
         stable = _stable_swaps(gens)
         amb = Ambient(n, k)
-        packing = packing_for(amb, degree)
 
         def representative(block_degrees):
             return all(block_degrees[i] <= block_degrees[i + 1] for i in stable)
 
-        label_key = {labels: key for labels, key in _all_products(gens, degree)}
         assert bool(stable) == (exclude != ("x1", "x3"))
-        wanted = {key for key in piece_keys(n, k, degree) if _piece_kernel_dim(k, key) and representative(key.block_degrees)}
-        keys = {key for key in label_key.values() if representative(key.block_degrees)}
-        if not stable:
-            assert keys == set(label_key.values())
-        values, leads = defaultdict(list), defaultdict(set)
-        for labels, key in label_key.items():
-            value = Polynomial.one(amb)
-            for label in labels:
-                value = value * gens.value(label)
-            values[key].append((labels, dict(value.items())))
-            leads[key].add(min(packing.pack(exps) for exps, _ in value.items()))
-        short = {key for key in keys if len(leads[key]) < _piece_kernel_dim(k, key)}
-        assert bool(short) == (exclude != ())
-        prefixes = {}
-        for key in short:
-            kdim = _piece_kernel_dim(k, key)
-            stop = next((i for i in range(1, len(values[key]) + 1) if sparse_rank(row for _, row in values[key][:i]) == kdim), len(values[key]))
-            prefixes[key] = [labels for labels, _ in values[key][:stop]]
-
-        by_grading = {packing.grading(*key): key for key in keys}
         ranked = []
         real_echelon = kernel._echelon
 
@@ -1011,26 +995,57 @@ class TestCompleteness:
             # last one, and yields one product per row read
             read = []
             pivot_rows = real_echelon((read.append(row) or row for row in rows), bound, limit)
-            (grading,) = {mono >> packing.shift for row in read for mono in row}
             walk = spy.walks[-1]
-            assert walk.grading == grading and len(read) == len(walk.labels)
-            ranked.append((by_grading[grading], walk.labels))
+            packing = packing_for(amb, walk.degree)
+            assert {mono >> packing.shift for row in read for mono in row} == {walk.grading} and len(read) == len(walk.labels)
+            ranked.append((walk.degree, walk.grading, walk.labels))
             return pivot_rows
 
         monkeypatch.setattr(kernel, "_echelon", counting)
         spy.clear()
         rep = completeness_check(n, k, degree, exclude=exclude)
-        assert [table.levels for table in spy.tables] == [set().union(*(leads[key] for key in keys))] and keys <= wanted
-        walks = [(by_grading[walk.grading], walk.labels) for walk in spy.walks]
-        assert sorted(key for key, _ in walks) == sorted(short)
-        assert dict(walks) == prefixes
-        assert sorted(key for key, _ in ranked) == sorted(short)
-        assert dict(ranked) == prefixes
+        assert [table.degree for table in spy.tables] == list(range(degree + 1))
+        leads = {}  # degree -> the least monomials, as exponents, of its representative pieces' products
+        items, prefixes = [], {}
+        for d, table in enumerate(spy.tables):
+            packing = packing_for(amb, d)
+            values = defaultdict(list)
+            for labels, key in _all_products(gens, d):
+                if representative(key.block_degrees):
+                    value = Polynomial.one(amb)
+                    for label in labels:
+                        value = value * gens.value(label)
+                    values[key].append((labels, {packing.pack(exps): c for exps, c in value.items()}))
+            leads[d] = {packing.unpack(min(row)) for found in values.values() for _, row in found}
+            assert table.items == tuple(items)
+            expected = {packing.pack(exps) for exps in leads[d]}
+            for size in range(1, d + 1):
+                for multiset in itertools.combinations_with_replacement(items, size):
+                    rest = d - sum(e for e, _ in multiset)
+                    for exps in leads.get(rest, ()) if rest >= 0 else ():
+                        expected.add(packing.pack(tuple(map(sum, zip(exps, *(item for _, item in multiset))))))
+            assert table.levels == expected
+            wanted = [key for key in piece_keys(n, k, d) if _piece_kernel_dim(k, key) and representative(key.block_degrees)]
+            assert {key for key in values if _piece_kernel_dim(k, key)} <= set(wanted)
+            for key in wanted:
+                kdim = _piece_kernel_dim(k, key)
+                count = sum(s >> packing.shift == packing.grading(*key) for s in expected)
+                assert (count == 0) == (key not in values)
+                if 0 < count < kdim:
+                    rows = [row for _, row in values[key]]
+                    stop = next((i for i in range(1, len(rows) + 1) if sparse_rank(rows[:i]) == kdim), len(rows))
+                    prefixes[d, packing.grading(*key)] = [labels for labels, _ in values[key][:stop]]
+                    items += [(d, packing.unpack(lead)) for lead in sorted(sparse_leads(rows) - expected)]
+        walks = [(walk.degree, walk.grading, walk.labels) for walk in spy.walks]
+        assert len({(d, grading) for d, grading, _ in walks}) == len(walks)
+        assert {(d, grading): labels for d, grading, labels in walks} == prefixes
+        assert ranked == walks
         assert sum(len(prefix) for prefix in prefixes.values()) == len(spy.labels_walked())
-        spanning = {piece.key for piece in rep.per_piece if piece.span_dim}
-        assert {key for key in spanning if representative(key.block_degrees)} <= keys
-        for piece in rep.per_piece:
-            if piece.key in keys - short:
+        assert bool(prefixes) == (k == 2 or exclude != ())
+        if not exclude and k == 2:
+            assert list(prefixes) == [(3, packing_for(amb, 3).grading((1, 1, 1), 2))]
+        for piece in rep.representatives:
+            if (degree, packing_for(amb, degree).grading(*piece.key)) not in prefixes and piece.span_dim:
                 assert piece.span_dim == piece.kernel_dim
 
     @pytest.mark.parametrize("n, k, degree, exclude", [(3, 2, 6, ()), (4, 2, 4, ("H2,3",))])
@@ -1039,9 +1054,9 @@ class TestCompleteness:
         # themselves, not renumbered, so the least-column pivot is the least monomial
         # in the packing's monomial order; every key lies in the piece being ranked.
         # The ranked pieces are those whose products are walked, the ones the count of
-        # least monomials leaves short (one representative piece of the full family at
-        # (3, 2, 6)). Rows are recorded as the elimination reads them
-        packing = packing_for(Ambient(n, k), degree)
+        # least monomials leaves short in the degrees the call decides, its own and those
+        # below (one representative piece of the full family at (3, 2, <=6), in degree 3).
+        # Rows are recorded as the elimination reads them
         ranked = []
         real_echelon = kernel._echelon
 
@@ -1051,41 +1066,48 @@ class TestCompleteness:
 
         monkeypatch.setattr(kernel, "_echelon", spying)
         completeness_check(n, k, degree, exclude=exclude)
-        pieces = [walk.grading for walk in spy.walks]
+        pieces = [(packing_for(Ambient(n, k), walk.degree), walk.grading) for walk in spy.walks]
         assert len(ranked) == len(pieces) >= 1
-        for piece, rows in zip(pieces, ranked):
+        if not exclude:
+            assert [walk.degree for walk in spy.walks] == [3]
+        for (packing, piece), rows in zip(pieces, ranked):
             keys = {key for row in rows for key in row}
             assert keys and all(key >> packing.shift == piece for key in keys)
             assert all(packing.pack(packing.unpack(key)) == key for key in keys)
 
     def test_walk_stops_where_the_rank_reaches_kernel_dim(self, monkeypatch, spy):
-        # the one short representative piece of the full family at (3, 2, 6), ((2, 2, 2), 4),
-        # holds 21 products and 10 least monomials against kernel_dim 11. Its rank, by the
-        # Fraction oracle on plain Polynomial products, reaches 11 at the 13th product in
-        # label order, so its one walk yields those 13 and stops, and it expands those 13
-        # and the prefixes on their paths only: one mul_terms call per distinct prefix of
-        # two or more labels
-        key = GradedPieceKey((2, 2, 2), 4)
-        gens = generators(3, 2)
-        amb = Ambient(3, 2)
-        grading = packing_for(amb, 6).grading(*key)
-        every = products_by_piece(gens, 6)[key]
+        # without H2,3, the representative piece ((1, 1, 1, 1), 2) of degree 4 holds 8
+        # products, and its count, with the items the degrees below found, falls short of
+        # kernel_dim 6. Its rank, by the Fraction oracle on plain Polynomial products,
+        # reaches 6 at the 6th product in label order, so its one walk yields those 6 and
+        # stops. Every walk of the degree expands the products it yields and the prefixes
+        # on their paths only: one mul_terms call per distinct prefix of two or more labels
+        key = GradedPieceKey((1, 1, 1, 1), 2)
+        gens = generators(4, 2).without("H2,3")
+        amb = Ambient(4, 2)
+        packing = packing_for(amb, 4)
+        grading = packing.grading(*key)
+        every = products_by_piece(gens, 4)[key]
         values = []
-        for labels in every[:13]:
+        for labels in every:
             value = Polynomial.one(amb)
             for label in labels:
                 value = value * gens.value(label)
             values.append(dict(value.items()))
-        assert len(every) == 21 and _piece_kernel_dim(2, key) == 11
-        assert (sparse_rank(values[:12]), sparse_rank(values)) == (10, 11)
+        assert len(every) == 8 and _piece_kernel_dim(2, key) == 6
+        assert [sparse_rank(values[:i]) for i in range(4, 9)] == [4, 5, 6, 6, 6]
+        completeness_check(4, 2, 3, exclude=["H2,3"])  # the degrees below, and their items
+        spy.clear()
         multiplied = []
         real = kernel.mul_terms
         monkeypatch.setattr(kernel, "mul_terms", lambda a, b: multiplied.append(a) or real(a, b))
-        rep = completeness_check(3, 2, 6)
-        assert [walk.grading for walk in spy.walks] == [grading]
-        assert spy.labels_walked() == every[:13]
-        assert len(multiplied) == len({labels[:i] for labels in every[:13] for i in range(2, len(labels) + 1)})
-        assert rep.complete and PieceReport(key, 11, 11) in rep.representatives
+        rep = completeness_check(4, 2, 4, exclude=["H2,3"])
+        (table,) = spy.tables
+        assert table.items and 0 < sum(s >> packing.shift == grading for s in table.levels) < 6
+        walks = {walk.grading: walk.labels for walk in spy.walks}
+        assert len(walks) == len(spy.walks) and walks[grading] == every[:6]
+        assert len(multiplied) == _one_per_product_and_prefix(spy.walks)
+        assert PieceReport(key, 6, 6) in rep.representatives
 
     @pytest.mark.parametrize(
         "n, k, exclude, runs",
@@ -1206,6 +1228,51 @@ class TestCompleteness:
                 assert count == len(leads.get(key, ())) <= rank <= _piece_kernel_dim(k, key)
                 assert (count >= 1) == (key in values)
 
+    @given(st.integers(1, 4), st.sampled_from([1, 2]), st.integers(0, 5), st.lists(st.integers(0, 40), unique=True, max_size=3))
+    @example(3, 2, 5, [])
+    @example(4, 2, 4, [15])  # without H2,3
+    @example(3, 2, 5, [6])  # without H1,1
+    @settings(max_examples=30, deadline=None)
+    def test_extended_count_never_exceeds_the_rank(self, n, k, degree, drop):
+        # the least-monomial count with items, cross-checked on a random degree and
+        # exclude set: a certificate decides every degree up to its own from empty caches,
+        # each on the set's own blocks, and in every representative piece of each of
+        # them (block degrees non-decreasing over every stable swap, found by brute
+        # force) the count of the generators' and items' sums is at most the exact rank,
+        # by the Fraction oracle, of the piece's products expanded by plain Polynomial
+        # products; a piece holds a sum exactly when it holds a product. The examples
+        # count items: the full k = 2 family's one, and many without H2,3 or H1,1
+        degree = min(degree, 4 if drop == [15] else 3) if n == 4 else degree
+        full = generators(n, k)
+        labels = full.labels()
+        exclude = sorted({labels[i % len(labels)] for i in drop})
+        gens = full.without(*exclude)
+        amb = Ambient(n, k)
+        stable = _stable_swaps(gens)
+        tables = []
+        least = kernel._Tables.least
+        clear_kernel_caches()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernel, "_base_complete", lambda k, degree: False)
+            patch.setattr(kernel._Tables, "least", lambda self, *args: tables.append((args[0], least(self, *args))) or tables[-1][1])
+            completeness_check(n, k, degree, exclude=exclude)
+        assert [d for d, _ in tables] == list(range(degree + 1))
+        for d, table in tables:
+            packing = packing_for(amb, d)
+            values = defaultdict(list)
+            for labels, key in _all_products(gens, d):
+                value = Polynomial.one(amb)
+                for label in labels:
+                    value = value * gens.value(label)
+                values[key].append(dict(value.items()))
+            for key in piece_keys(n, k, d):
+                if all(key.block_degrees[i] <= key.block_degrees[i + 1] for i in stable):
+                    count = sum(s >> packing.shift == packing.grading(*key) for s in table)
+                    assert count <= sparse_rank(values.get(key, ())) <= _piece_kernel_dim(k, key)
+                    assert (count >= 1) == (key in values)
+        if (n, k, degree, drop) in ((3, 2, 5, []), (4, 2, 4, [15]), (3, 2, 5, [6])):
+            assert kernel._decisions(gens, kernel._symmetry_runs(n, k, frozenset(exclude))).items
+
     @given(st.integers(1, 5), st.sampled_from([1, 2]), st.integers(0, 4), st.lists(st.integers(0, 60), unique=True, max_size=3))
     @example(5, 2, 4, [])
     @example(5, 2, 4, [16])  # without H1,2: runs of two and three blocks
@@ -1235,11 +1302,13 @@ class TestCompleteness:
         # text output reads the totals only, so verify builds one PieceReport per
         # representative piece with a nonzero kernel (block degrees non-decreasing
         # within every run of stable swaps, found by brute force) and none for the
-        # other orbit members; machine output expands every orbit on top of that.
+        # other orbit members; machine output builds no more, and writes every piece of
+        # every orbit to its JSON straight from the representatives' dims.
         # With the full family and n > k + 1 the base decision on k + 1 blocks builds
         # reports of its own, at most one per representative piece of (k + 1, k, d)
         # with a nonzero kernel (the full family is symmetric under every block
-        # permutation); they are counted apart
+        # permutation); they are counted apart. A label set's reports are kept once
+        # decided, so each call starts from empty kernel caches
         labels = generators(n, k).labels()
         exclude = sorted({labels[i % len(labels)] for i in drop})
         stable = _stable_swaps(generators(n, k).without(*exclude))
@@ -1254,14 +1323,18 @@ class TestCompleteness:
         ]
         argv = ["verify", "--n", str(n), "--k", str(k), "--max-degree", str(max_degree)]
         argv += [arg for label in exclude for arg in ("--exclude", label)]
-        for output, built in (("text", len(wanted)), ("machine", len(wanted) + len(pieces))):
+        for output in ("text", "machine"):
             reports = []
-            with pytest.MonkeyPatch.context() as patch, redirect_stdout(io.StringIO()):
+            clear_kernel_caches()
+            with pytest.MonkeyPatch.context() as patch, redirect_stdout(io.StringIO()) as out:
                 patch.setattr(kernel, "PieceReport", lambda *args: reports.append(args) or PieceReport(*args))
                 cli.main([*argv, "--output", output])
-            assert sum(len(key.block_degrees) == n for key, *_ in reports) == built
+            assert sum(len(key.block_degrees) == n for key, *_ in reports) == len(wanted)
             base = sum(len(key.block_degrees) != n for key, *_ in reports)
             assert 0 < base <= len(base_wanted) if polarized else base == 0
+            if output == "machine":
+                written = [(tuple(piece["block_degrees"]), piece["weight"]) for doc in json.loads(out.getvalue())["result"] for piece in doc["per_piece"]]
+                assert written == pieces
 
     def test_wide_reports_are_read_from_d_blocks(self, monkeypatch):
         # polarization: with the full family a product in piece (b, w) has every factor
@@ -1280,6 +1353,12 @@ class TestCompleteness:
                     compared += 1
         assert compared == 1242
 
+    @given(st.lists(st.integers(0, 3), max_size=7))
+    def test_arrangements_are_the_distinct_permutations_in_lex_order(self, values):
+        # the orbit of a representative in one run, as the report lists it
+        part = tuple(sorted(values))
+        assert kernel._arrangements(part) == sorted(set(itertools.permutations(part)))
+
     def test_serialization_fields(self):
         doc = completeness_check(2, 1, 2).to_dict()
         assert set(doc) == {"n", "k", "degree", "kernel_dim", "span_dim", "complete", "per_piece"}
@@ -1297,6 +1376,102 @@ def _verify_stdout(*argv):
     with redirect_stdout(out):
         code = cli.main(["verify", *argv])
     return code, out.getvalue()
+
+
+class TestCarriedLeastMonomials:
+    """The least monomials a rank finds are counted again in every higher degree of the label set."""
+
+    @pytest.mark.parametrize("lone", [False, True], ids=["verify loop", "lone degree"])
+    def test_full_family_at_k_plus_one_ranks_one_piece(self, spy, lone):
+        # verify --n 3 --k 2 --max-degree 12, or a lone completeness_check(3, 2, 12) from
+        # empty caches, decides degrees 0..12 once each, in ascending order, and ranks one
+        # piece: ((1, 1, 1), 2) in degree 3, whose 3 products show 2 least monomials
+        # against kernel_dim 3. Its rank adds x3*y1*y2, and with it every representative
+        # piece of degrees 4..12 is certified by its count
+        amb = Ambient(3, 2)
+        if lone:
+            assert completeness_check(3, 2, 12).complete
+        else:
+            assert _verify_stdout("--n", "3", "--k", "2", "--max-degree", "12") == (0, (GOLDEN_DIR / "verify_n3_k2_d12.txt").read_text())
+        assert [table.degree for table in spy.tables] == list(range(13))
+        assert [(walk.degree, walk.grading) for walk in spy.walks] == [(3, packing_for(amb, 3).grading((1, 1, 1), 2))]
+        assert [len(walk.labels) for walk in spy.walks] == [3]
+        (item,) = {item for table in spy.tables for item in table.items}
+        assert item == (3, next(iter(dict(parse("x3*y1*y2", amb).items()))))
+        assert [bool(table.items) for table in spy.tables] == [d > 3 for d in range(13)]
+
+    def test_threads_deciding_one_label_set_decide_each_degree_once(self, spy):
+        # threads that ask one label set's degrees at once, each in its own order with a
+        # short switch interval, read the reports an ascending loop gives; the record's
+        # lock lets one thread decide each degree, once, so no count is built twice and
+        # no item is carried twice
+        exclude = ["H1,1"]
+        degrees = list(range(8))
+        clear_kernel_caches()
+        expected = {d: completeness_check(3, 2, d, exclude=exclude) for d in degrees}
+        record = kernel._decisions(generators(3, 2).without(*exclude), kernel._symmetry_runs(3, 2, frozenset(exclude)))
+        items = list(record.items)
+        interval = sys.getswitchinterval()
+        try:
+            for trial in range(3):
+                clear_kernel_caches()
+                spy.clear()
+                results, errors = [], []
+
+                def work(order):
+                    try:
+                        results.extend((d, completeness_check(3, 2, d, exclude=exclude)) for d in order)
+                    except Exception as exc:  # reported by the assertion below
+                        errors.append(exc)
+
+                orders = [random.Random(10 * trial + i).sample(degrees, len(degrees)) for i in range(6)]
+                threads = [threading.Thread(target=work, args=(order,)) for order in orders]
+                sys.setswitchinterval(1e-6)
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                sys.setswitchinterval(interval)
+                assert not any(thread.is_alive() for thread in threads) and errors == []
+                assert len(results) == len(threads) * len(degrees)
+                assert all(found == expected[d] for d, found in results)
+                assert sorted(table.degree for table in spy.tables) == degrees
+                record = kernel._decisions(generators(3, 2).without(*exclude), kernel._symmetry_runs(3, 2, frozenset(exclude)))
+                assert record.items == items
+        finally:
+            sys.setswitchinterval(interval)
+            clear_kernel_caches()
+
+    @pytest.mark.parametrize("n, k, exclude", [(3, 2, ()), (4, 2, ("H2,3",)), (4, 1, ("J1,2",)), (3, 2, ("H1,1",))])
+    def test_a_count_of_zero_means_no_product_in_any_order(self, spy, n, k, exclude):
+        # a piece whose count is 0 reports span_dim 0 unranked, which is sound only while
+        # the generators' part of the count holds every generator of degree <= the degree
+        # counted; items only add sums to it. A table built up to a higher degree from the
+        # generators of a lower one only would miss those between, as a draft of the
+        # carried count did when verify --n 4 --k 2 --degree 2 printed span_dim=0 FAIL.
+        # Single-degree certificates asked in shuffled orders in one interpreter report
+        # what an ascending loop from empty caches reports, and every count they read holds
+        # a sum in each representative piece that holds a product
+        amb = Ambient(n, k)
+        gens = generators(n, k).without(*exclude)
+        stable = _stable_swaps(gens)
+        degrees = list(range(8 if n == 3 else 6))
+        ascending = [completeness_check(n, k, d, exclude=exclude) for d in degrees]
+        for seed in range(3):
+            clear_kernel_caches()
+            spy.clear()
+            order = random.Random(seed).sample(degrees, len(degrees))
+            assert {d: completeness_check(n, k, d, exclude=exclude) for d in order} == dict(enumerate(ascending))
+            assert sorted(table.degree for table in spy.tables) == degrees
+            for table in spy.tables:
+                packing = packing_for(amb, table.degree)
+                for key in products_by_piece(gens, table.degree):
+                    if all(key.block_degrees[i] <= key.block_degrees[i + 1] for i in stable):
+                        assert any(s >> packing.shift == packing.grading(*key) for s in table.levels), (table.degree, key)
+        if not exclude:  # the full family of 4 blocks is decided on the record of 3
+            clear_kernel_caches()
+            assert _verify_stdout("--n", "4", "--k", "2", "--degree", "1")[0] == 0
+            assert _verify_stdout("--n", "4", "--k", "2", "--degree", "2") == (0, "degree 2: kernel_dim=26 span_dim=26 OK\nverify: all degrees complete\n")
 
 
 class TestPolarization:
@@ -1322,7 +1497,8 @@ class TestPolarization:
     def test_wide_full_family_ranks_only_k_plus_one_blocks(self, monkeypatch, spy):
         # verify --n 8 --k 2 --max-degree 8 counts least monomials, walks products,
         # expands and ranks on 3 blocks only, one table per degree, builds no 8-block
-        # generator, and prints what deciding every 8-block piece printed
+        # generator, and prints what deciding every 8-block piece printed. On 3 blocks
+        # one piece is short, ((1, 1, 1), 2) in degree 3, and its rank certifies the rest
         ranked, built = [], []
         real_echelon, real_generators = kernel._echelon, kernel.generators
 
@@ -1345,7 +1521,7 @@ class TestPolarization:
         # one walk per short piece, each of 3 blocks, and one elimination per walk
         requests = [(walk.n, walk.degree, walk.grading) for walk in spy.walks]
         assert requests and [n for n, _, _ in requests] == [3] * len(requests)
-        assert len(set(requests)) == len(requests)
+        assert requests == [(3, 3, packing_for(Ambient(3, 2), 3).grading((1, 1, 1), 2))]
         assert spy.labels_walked()
         assert ranked == [3] * len(requests)
 
