@@ -97,10 +97,11 @@ that is non-decreasing within each run; the full family is one run of
 all n blocks.  Only `completeness_check` counts on the representatives.
 They alone are listed (`_representatives`), and the least-monomial table
 drops, block by block, every sum that cannot end in a representative
-piece.  A piece without products spans nothing.  The report keeps the representatives' dimensions and the runs;
-its totals weight each representative by its orbit's size, one
-multinomial per run, and `per_piece` lists the orbit members, in piece
-order, only when read.
+piece.  A piece without products spans nothing.  The report keeps the
+representatives' dimensions and the runs; its kernel total is
+`kernel_dim`'s one coefficient, less, for the span total, each short
+representative's shortfall times its orbit's size, and `per_piece` lists
+the orbit members, in piece order, only when read.
 
 With the full family on n > k + 1 blocks, a degree is decided on k + 1
 blocks, by polarization: it is complete on n >= k + 1 blocks exactly
@@ -114,9 +115,9 @@ Classical Invariant Theory, a Primer): for n >= dim V = k + 1, the
 invariants of exp(tD) on V^n are spanned by the polarizations of those
 on V^(k+1), and the span of products is closed under
 polarization.  The decision is one bool per (k, degree)
-(`_base_complete`); if it reads complete, every representative piece
-reports span_dim = kernel_dim with no generator of n blocks built and
-nothing enumerated, expanded or ranked.  An incomplete base, or any excluded generator, leaves the
+(`_base_complete`); if it reads complete, both totals are `kernel_dim`,
+with no generator of n blocks built and nothing enumerated, expanded,
+ranked or listed until read.  An incomplete base, or any excluded generator, leaves the
 degree to the pieces of its own n blocks, as above.  The argument is
 written out at `completeness_check`.
 """
@@ -152,18 +153,24 @@ class CompletenessReport(_Frozen):
     """Per-degree certificate: do generator products span the kernel?
 
     Holds the orbit representatives' reports, in piece order, and the runs of their orbits.
+    A report complete by polarization is given None and lists them on first read, each
+    with span_dim = kernel_dim; it stores fields only, so it pickles and copies either way.
     """
 
     _fields = ("n", "k", "degree", "kernel_dim", "span_dim", "complete", "representatives", "runs")
 
     def __init__(
         self, n: int, k: int, degree: int, kernel_dim: int, span_dim: int, complete: bool,
-        representatives: tuple[PieceReport, ...], runs: tuple[tuple[int, int], ...],
+        representatives: tuple[PieceReport, ...] | None, runs: tuple[tuple[int, int], ...],
     ):
-        self.__dict__.update(
-            n=n, k=k, degree=degree, kernel_dim=kernel_dim, span_dim=span_dim, complete=complete,
-            representatives=representatives, runs=runs,
-        )
+        self.__dict__.update(n=n, k=k, degree=degree, kernel_dim=kernel_dim, span_dim=span_dim, complete=complete, runs=runs)
+        if representatives is not None:
+            self.__dict__["representatives"] = representatives
+
+    @cached_property
+    def representatives(self) -> tuple[PieceReport, ...]:
+        """The representative pieces of a report complete by polarization, each spanning its kernel."""
+        return tuple(PieceReport(key, kdim, kdim) for key, kdim in _representative_kernel_dims(self.k, self.degree, self.runs).items())
 
     @cached_property
     def per_piece(self) -> tuple[PieceReport, ...]:
@@ -901,11 +908,11 @@ def _base_complete(k: int, degree: int) -> bool:
     """Whether the full family of k + 1 blocks spans ker D in degree `degree`.
 
     The one decision `completeness_check` reads for every n > k + 1 with
-    the full family (the argument is there), read from the record of the
-    family of k + 1 blocks (`_Decisions`), which a `completeness_check` of
-    k + 1 blocks reads too.
+    the full family (the argument is there): no representative piece is
+    short in the record of k + 1 blocks in one run (`_decisions`), the
+    one a `completeness_check` of k + 1 blocks reads.  No report is built.
     """
-    return completeness_check(k + 1, k, degree).complete
+    return all(piece.span_dim == piece.kernel_dim for piece in _decisions(generators(k + 1, k), ((0, k + 1),)).pieces(degree))
 
 
 def completeness_check(n: int, k: int, degree: int, exclude: Sequence[str] = ()) -> CompletenessReport:
@@ -919,17 +926,28 @@ def completeness_check(n: int, k: int, degree: int, exclude: Sequence[str] = ())
     by their counts of least monomials and, where a count falls short, by
     rank.  With the full family and n > k + 1,
     the degree is first decided on k + 1 blocks (`_base_complete`); if it
-    is complete there, the runs are the one run of all n blocks and every
-    representative reports span_dim = kernel_dim, with no generator of n
-    blocks built and nothing enumerated, expanded or ranked.  Otherwise, and with any
+    is complete there, the runs are the one run of all n blocks, no
+    generator of n blocks is built and nothing is enumerated, expanded or
+    ranked, and the representatives (span_dim = kernel_dim) are listed
+    when first read.  Otherwise, and with any
     `exclude`, the degree is decided on its own n blocks, once per label
     set and runs (`_Decisions`), so a short piece keeps its exact span_dim.  The report keeps the
-    representatives' PieceReports and the runs; its totals count each
-    representative once per orbit member (`_orbit_size`).  Raises
+    representatives' PieceReports and the runs.  Its kernel total is
+    `kernel_dim(n, k, degree)`, its span total that less (kernel_dim -
+    span_dim) times the orbit's size (`_orbit_size`) over the short
+    representatives only.  Raises
     ValueError for a negative degree, before any symmetry or composition
     is computed, TypeError if `exclude` is a bare string rather than a
     sequence of labels, and UnknownLabel for a label not in the family,
     both before the runs.
+
+    The totals are exact.  Every piece of nonzero kernel lies in one
+    representative's orbit, whose members share its kernel_dim (one
+    `_kernel_dims` table) and span_dim (below), so kernel_dim times orbit
+    size summed over the representatives telescopes to `kernel_dim` (the
+    argument is there).  span_dim <= kernel_dim in every piece, as
+    products lie in ker D, so only the short representatives lower the
+    span total, and the degree is complete exactly when none is short.
 
     The copy is exact.  A block permutation s that maps every generator to
     plus or minus a generator is a ring automorphism that commutes with D
@@ -990,15 +1008,13 @@ def completeness_check(n: int, k: int, degree: int, exclude: Sequence[str] = ())
     polarized = not exclude and n > k + 1 and _base_complete(k, degree)
     gens = None if polarized else generators(n, k).without(*exclude)
     runs = _symmetry_runs(n, k, frozenset(exclude))
+    total = kernel_dim(n, k, degree)
     if polarized:
-        pieces = tuple(PieceReport(key, kdim, kdim) for key, kdim in _representative_kernel_dims(k, degree, runs).items())
-    else:
-        pieces = _decisions(gens, runs).pieces(degree)
-    # each orbit member counts its representative's dims
-    orbit = {b: _orbit_size(b, runs) for b in {piece.key.block_degrees for piece in pieces}}
-    kernel_total = sum(piece.kernel_dim * orbit[piece.key.block_degrees] for piece in pieces)
-    span_total = sum(piece.span_dim * orbit[piece.key.block_degrees] for piece in pieces)
-    return CompletenessReport(n, k, degree, kernel_total, span_total, span_total == kernel_total, pieces, runs)
+        return CompletenessReport(n, k, degree, total, total, True, None, runs)
+    pieces = _decisions(gens, runs).pieces(degree)
+    # only a short representative's orbit lowers the span total (the totals are exact, above)
+    short = sum((kdim - span) * _orbit_size(b, runs) for (b, _), kdim, span in pieces if span < kdim)
+    return CompletenessReport(n, k, degree, total, total - short, not short, pieces, runs)
 
 
 def _representative_kernel_dims(k: int, degree: int, runs: tuple[tuple[int, int], ...]) -> dict[GradedPieceKey, int]:
@@ -1068,9 +1084,20 @@ class _Decisions:
         return tuple(pieces)
 
 
-@cache
+_RECORDS = Lock()
+
+
 def _decisions(gens: GeneratorSet, runs: tuple[tuple[int, int], ...]) -> _Decisions:
-    """The record of `gens` on `runs`, built once per label set and runs; equal sets share it."""
+    """The record of `gens` on `runs`, built once per label set and runs; equal sets share it.
+
+    Under a lock: threads missing the cache at once would each build one and decide every degree.
+    """
+    with _RECORDS:
+        return _record(gens, runs)
+
+
+@cache
+def _record(gens: GeneratorSet, runs: tuple[tuple[int, int], ...]) -> _Decisions:
     return _Decisions(gens, runs)
 
 

@@ -564,6 +564,9 @@ def golden_calls():
         # every degree of (8, 2, <=8) is decided on 3 blocks (polarization); the golden is
         # the text output of deciding every 8-block representative piece
         "verify_n8_k2_d8.txt": (0, "--n 8 --k 2 --max-degree 8"),
+        # every degree of (4, 2, <=4) is decided on 3 blocks too; the machine report lists
+        # the 4-block representatives, read only when to_dict writes them, and their orbits
+        "verify_n4_k2_d4.txt": (0, "--n 4 --k 2 --max-degree 4 --output machine"),
         # n = k + 1 is decided on its own blocks at every degree, so degree 12 at k = 2
         # counts least monomials in one table of depth 12 and ranks the pieces it leaves short
         "verify_n3_k2_d12.txt": (0, "--n 3 --k 2 --max-degree 12"),

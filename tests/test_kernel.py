@@ -1299,16 +1299,18 @@ class TestCompleteness:
     @given(st.integers(1, 5), st.sampled_from([1, 2]), st.integers(0, 4), st.lists(st.integers(0, 60), unique=True, max_size=2))
     @settings(max_examples=15, deadline=None)
     def test_text_verify_builds_representative_reports_only(self, n, k, max_degree, drop):
-        # text output reads the totals only, so verify builds one PieceReport per
+        # a certificate decided on its own n blocks builds one PieceReport per
         # representative piece with a nonzero kernel (block degrees non-decreasing
         # within every run of stable swaps, found by brute force) and none for the
-        # other orbit members; machine output builds no more, and writes every piece of
+        # other orbit members, whatever the output; machine output writes every piece of
         # every orbit to its JSON straight from the representatives' dims.
-        # With the full family and n > k + 1 the base decision on k + 1 blocks builds
-        # reports of its own, at most one per representative piece of (k + 1, k, d)
-        # with a nonzero kernel (the full family is symmetric under every block
-        # permutation); they are counted apart. A label set's reports are kept once
-        # decided, so each call starts from empty kernel caches
+        # With the full family and n > k + 1 each degree is decided on k + 1 blocks: the
+        # base record builds exactly one report per representative piece of
+        # (k + 1, k, d) with a nonzero kernel (the full family is symmetric under every
+        # block permutation), and no other; text output then builds no report of n
+        # blocks at all, machine output exactly the representatives, listed when
+        # written. A label set's reports are kept once decided, so each call starts from
+        # empty kernel caches
         labels = generators(n, k).labels()
         exclude = sorted({labels[i % len(labels)] for i in drop})
         stable = _stable_swaps(generators(n, k).without(*exclude))
@@ -1329,9 +1331,10 @@ class TestCompleteness:
             with pytest.MonkeyPatch.context() as patch, redirect_stdout(io.StringIO()) as out:
                 patch.setattr(kernel, "PieceReport", lambda *args: reports.append(args) or PieceReport(*args))
                 cli.main([*argv, "--output", output])
-            assert sum(len(key.block_degrees) == n for key, *_ in reports) == len(wanted)
-            base = sum(len(key.block_degrees) != n for key, *_ in reports)
-            assert 0 < base <= len(base_wanted) if polarized else base == 0
+            listed = [key for key, *_ in reports if len(key.block_degrees) == n]
+            assert listed == ([] if polarized and output == "text" else wanted)
+            base = [key for key, *_ in reports if len(key.block_degrees) != n]
+            assert base == (base_wanted if polarized else [])
             if output == "machine":
                 written = [(tuple(piece["block_degrees"]), piece["weight"]) for doc in json.loads(out.getvalue())["result"] for piece in doc["per_piece"]]
                 assert written == pieces
@@ -1535,6 +1538,45 @@ class TestPolarization:
         argv = ("--n", str(n), "--k", str(k), "--max-degree", str(top), "--output", "machine")
         assert _verify_stdout(*argv) == (0, (GOLDEN_DIR / golden).read_text())
         assert [table.n for table in spy.tables] == [n] * (top + 1) and spy.walks == []
+
+    @given(st.integers(1, 5), st.sampled_from([1, 2]), st.integers(0, 5), st.lists(st.integers(0, 60), unique=True, max_size=3))
+    @example(5, 2, 5, [])
+    @example(4, 2, 5, [15])  # without H2,3: short pieces in runs of one and two blocks
+    @settings(max_examples=40, deadline=None)
+    def test_totals_are_one_coefficient_less_the_short_orbits(self, n, k, degree, drop):
+        # the kernel total is `kernel_dim`'s coefficient and the span total is it less
+        # the short representatives' shortfalls, each weighed by its orbit's size; both
+        # equal the sums over the representatives read back, on the polarized path and
+        # with the base decision forced incomplete. A polarized report lists its
+        # representatives only when they are read, and they are the ones its own n
+        # blocks decide piece by piece
+        labels = generators(n, k).labels()
+        exclude = sorted({labels[i % len(labels)] for i in drop})
+        reports = []
+        for forced in (False, True):
+            with pytest.MonkeyPatch.context() as patch:
+                if forced:
+                    patch.setattr(kernel, "_base_complete", lambda k, degree: False)
+                reports.append(rep := completeness_check(n, k, degree, exclude=exclude))
+            polarized = not forced and not exclude and n > k + 1
+            assert ("representatives" in vars(rep)) != polarized
+            orbit = {piece.key: _orbit_size(piece.key.block_degrees, rep.runs) for piece in rep.representatives}
+            assert rep.kernel_dim == sum(piece.kernel_dim * orbit[piece.key] for piece in rep.representatives) == kernel_dim(n, k, degree)
+            assert rep.span_dim == sum(piece.span_dim * orbit[piece.key] for piece in rep.representatives)
+            assert rep.complete == all(piece.span_dim == piece.kernel_dim for piece in rep.representatives)
+            assert all(piece.span_dim <= piece.kernel_dim for piece in rep.representatives)
+        assert reports[0].representatives == reports[1].representatives and reports[0] == reports[1]
+
+    def test_wide_certificate_reuses_the_base_record(self, spy, capsys):
+        # verify of 4 blocks decides each degree on the (3, 2) record; verify of 3 blocks
+        # then reads that record, so each of its degrees is decided once in all, and no
+        # table of 4 blocks is built
+        assert cli.main(["verify", "--n", "4", "--k", "2", "--max-degree", "4"]) == 0
+        assert cli.main(["verify", "--n", "3", "--k", "2", "--max-degree", "4"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[:5] == [f"degree {d}: kernel_dim={kernel_dim(4, 2, d)} span_dim={kernel_dim(4, 2, d)} OK" for d in range(5)]
+        assert out[6:11] == [f"degree {d}: kernel_dim={kernel_dim(3, 2, d)} span_dim={kernel_dim(3, 2, d)} OK" for d in range(5)]
+        assert [(table.n, table.degree) for table in spy.tables] == [(3, d) for d in range(5)]
 
     @pytest.mark.parametrize("n, k, top", [(4, 1, 5), (5, 1, 5), (6, 1, 5), (4, 2, 4), (5, 2, 4)])
     def test_machine_output_equals_the_per_n_path(self, n, k, top):

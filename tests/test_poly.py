@@ -335,7 +335,13 @@ def test_values_pickle_and_copy(clone):
     p = parse("1/2*x1*y2 - x2*y1 + 3", A21)
     report = completeness_check(3, 2, 3, exclude=["H1,1"])
     report.per_piece  # cached in the instance, and cloned with it
-    values = [p, generators(3, 2), Covariant.from_polynomial(parse("x1*CX + y1*CY", A21)), report, completeness_check(2, 1, 2)]
+    # complete by polarization: its representatives are listed on first read, so it is
+    # cloned both before and after (the loop below reads them)
+    polarized = completeness_check(4, 2, 3)
+    unread = clone(polarized)
+    assert "representatives" not in vars(polarized) and "representatives" not in vars(unread)
+    assert unread == polarized and hash(unread) == hash(polarized) and unread.per_piece == polarized.per_piece
+    values = [p, generators(3, 2), Covariant.from_polynomial(parse("x1*CX + y1*CY", A21)), report, completeness_check(2, 1, 2), polarized]
     for value in values:
         cloned = clone(value)
         assert type(cloned) is type(value) and cloned == value and hash(cloned) == hash(value)
