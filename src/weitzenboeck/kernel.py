@@ -97,11 +97,14 @@ that is non-decreasing within each run; the full family is one run of
 all n blocks.  Only `completeness_check` counts on the representatives.
 They alone are listed (`_representatives`), and the least-monomial table
 drops, block by block, every sum that cannot end in a representative
-piece.  A piece without products spans nothing.  The report keeps the
-representatives' dimensions and the runs; its kernel total is
+piece.  A piece without products spans nothing.  A decided degree keeps
+only its short representatives and their span dimensions; a piece the
+count certifies is read on its packed grading, with no key made.  The
+report keeps the short pieces and the runs; its kernel total is
 `kernel_dim`'s one coefficient, less, for the span total, each short
-representative's shortfall times its orbit's size, and `per_piece` lists
-the orbit members, in piece order, only when read.
+representative's shortfall times its orbit's size, and `representatives`
+and `per_piece` list the representatives and the orbit members, in piece
+order, only when read.
 
 With the full family on n > k + 1 blocks, a degree is decided on k + 1
 blocks, by polarization: it is complete on n >= k + 1 blocks exactly
@@ -153,8 +156,9 @@ class CompletenessReport(_Frozen):
     """Per-degree certificate: do generator products span the kernel?
 
     Holds the orbit representatives' reports, in piece order, and the runs of their orbits.
-    A report complete by polarization is given None and lists them on first read, each
-    with span_dim = kernel_dim; it stores fields only, so it pickles and copies either way.
+    A report given None lists them on first read, each with span_dim = kernel_dim;
+    `completeness_check` gives None and keeps the short representatives' span_dims
+    beside the fields (`_decided`), so it pickles and copies either way.
     """
 
     _fields = ("n", "k", "degree", "kernel_dim", "span_dim", "complete", "representatives", "runs")
@@ -167,10 +171,26 @@ class CompletenessReport(_Frozen):
         if representatives is not None:
             self.__dict__["representatives"] = representatives
 
+    @classmethod
+    def _decided(
+        cls, n: int, k: int, degree: int, kernel_dim: int, span_dim: int, runs: tuple[tuple[int, int], ...], short: dict[GradedPieceKey, int]
+    ) -> CompletenessReport:
+        """A report whose representatives are listed on first read, the `short` pieces with the span_dims given there."""
+        report = cls(n, k, degree, kernel_dim, span_dim, not short, None, runs)
+        report.__dict__["_short"] = short
+        return report
+
     @cached_property
     def representatives(self) -> tuple[PieceReport, ...]:
-        """The representative pieces of a report complete by polarization, each spanning its kernel."""
-        return tuple(PieceReport(key, kdim, kdim) for key, kdim in _representative_kernel_dims(self.k, self.degree, self.runs).items())
+        """The representative pieces of `runs` in `degree` with a kernel, in `piece_keys` order, each spanning its kernel but the short ones."""
+        short = self.__dict__.get("_short", {})
+        pieces = []
+        for b in _representatives(self.degree, self.runs):
+            for w, kdim in enumerate(_kernel_dims(tuple(sorted(d for d in b if d)), self.k)):
+                if kdim:
+                    key = GradedPieceKey(b, w)
+                    pieces.append(PieceReport(key, kdim, short.get(key, kdim)))
+        return tuple(pieces)
 
     @cached_property
     def per_piece(self) -> tuple[PieceReport, ...]:
@@ -908,11 +928,11 @@ def _base_complete(k: int, degree: int) -> bool:
     """Whether the full family of k + 1 blocks spans ker D in degree `degree`.
 
     The one decision `completeness_check` reads for every n > k + 1 with
-    the full family (the argument is there): no representative piece is
-    short in the record of k + 1 blocks in one run (`_decisions`), the
-    one a `completeness_check` of k + 1 blocks reads.  No report is built.
+    the full family (the argument is there): the record of k + 1 blocks in
+    one run (`_decisions`), the one a `completeness_check` of k + 1 blocks
+    reads, keeps no short piece in the degree.  No report or key is built.
     """
-    return all(piece.span_dim == piece.kernel_dim for piece in _decisions(generators(k + 1, k), ((0, k + 1),)).pieces(degree))
+    return not _decisions(generators(k + 1, k), ((0, k + 1),)).short(degree)
 
 
 def completeness_check(n: int, k: int, degree: int, exclude: Sequence[str] = ()) -> CompletenessReport:
@@ -928,14 +948,14 @@ def completeness_check(n: int, k: int, degree: int, exclude: Sequence[str] = ())
     the degree is first decided on k + 1 blocks (`_base_complete`); if it
     is complete there, the runs are the one run of all n blocks, no
     generator of n blocks is built and nothing is enumerated, expanded or
-    ranked, and the representatives (span_dim = kernel_dim) are listed
-    when first read.  Otherwise, and with any
-    `exclude`, the degree is decided on its own n blocks, once per label
-    set and runs (`_Decisions`), so a short piece keeps its exact span_dim.  The report keeps the
-    representatives' PieceReports and the runs.  Its kernel total is
-    `kernel_dim(n, k, degree)`, its span total that less (kernel_dim -
-    span_dim) times the orbit's size (`_orbit_size`) over the short
-    representatives only.  Raises
+    ranked, and no piece is short.  Otherwise, and with any `exclude`, the
+    degree is decided on its own n blocks, once per label set and runs
+    (`_Decisions`), which keeps only the short pieces, each with its exact
+    span_dim.  The report keeps those and the runs, and lists the
+    representatives (span_dim = kernel_dim but for the short ones) when
+    first read.  Its kernel total is `kernel_dim(n, k, degree)`, its span
+    total that less (kernel_dim - span_dim) times the orbit's size
+    (`_orbit_size`) over the short pieces only.  Raises
     ValueError for a negative degree, before any symmetry or composition
     is computed, TypeError if `exclude` is a bare string rather than a
     sequence of labels, and UnknownLabel for a label not in the family,
@@ -1009,35 +1029,25 @@ def completeness_check(n: int, k: int, degree: int, exclude: Sequence[str] = ())
     gens = None if polarized else generators(n, k).without(*exclude)
     runs = _symmetry_runs(n, k, frozenset(exclude))
     total = kernel_dim(n, k, degree)
-    if polarized:
-        return CompletenessReport(n, k, degree, total, total, True, None, runs)
-    pieces = _decisions(gens, runs).pieces(degree)
-    # only a short representative's orbit lowers the span total (the totals are exact, above)
-    short = sum((kdim - span) * _orbit_size(b, runs) for (b, _), kdim, span in pieces if span < kdim)
-    return CompletenessReport(n, k, degree, total, total - short, not short, pieces, runs)
-
-
-def _representative_kernel_dims(k: int, degree: int, runs: tuple[tuple[int, int], ...]) -> dict[GradedPieceKey, int]:
-    """kernel_dim (`_piece_kernel_dim`) of every representative piece of `runs` in `degree` with a kernel, in `piece_keys` order."""
-    kernel_dims = {}
-    for b in _representatives(degree, runs):
-        for w, kdim in enumerate(_kernel_dims(tuple(sorted(d for d in b if d)), k)):
-            if kdim:
-                kernel_dims[GradedPieceKey(b, w)] = kdim
-    return kernel_dims
+    short = {} if polarized else _decisions(gens, runs).short(degree)
+    # only a short representative's orbit lowers the span total (the totals are exact, below)
+    lost = sum((_piece_kernel_dim(k, key) - span) * _orbit_size(key.block_degrees, runs) for key, span in short.items())
+    return CompletenessReport._decided(n, k, degree, total, total - lost, runs, short)
 
 
 class _Decisions:
-    """The representative pieces of one label set and runs, decided once per degree, lowest first, and the least monomials found on the way.
+    """The short representative pieces of one label set and runs, decided once per degree, lowest first, and the least monomials found on the way.
 
-    Kept per label set and symmetry runs (`_decisions`).  `pieces(d)`
+    Kept per label set and symmetry runs (`_decisions`).  `short(d)`
     decides each degree up to d not decided yet, lowest first, under a lock
     so that threads decide no degree twice, on the set's own blocks: the
     least monomials of products and items are counted per representative
     piece (`_Tables.least`); a piece with kernel_dim of them has span_dim =
     kernel_dim, one with none holds no product, and each other piece is
     walked (`_products`) into `_echelon`, its products expanded as the
-    elimination reads them, until the rank reaches kernel_dim.
+    elimination reads them, until the rank reaches kernel_dim.  A degree
+    keeps only its short pieces, those whose span_dim is below kernel_dim,
+    each mapped to its span_dim; no key is made for any other piece.
     The keys of its pivot rows are the least monomials of the span of the
     products read (`_echelon` pivots on the least column); each one the
     count did not hold becomes an item, (degree, exponents), re-packed in
@@ -1049,39 +1059,48 @@ class _Decisions:
 
     def __init__(self, gens: GeneratorSet, runs: tuple[tuple[int, int], ...]):
         self.gens, self.runs = gens, runs
-        self.decided: list[tuple[PieceReport, ...]] = []
+        self.decided: list[dict[GradedPieceKey, int]] = []
         self.items: list[tuple[int, Exponents]] = []
         self.lock = Lock()
 
-    def pieces(self, degree: int) -> tuple[PieceReport, ...]:
-        """The PieceReports of the representative pieces of `degree`, each degree up to it decided once."""
+    def short(self, degree: int) -> dict[GradedPieceKey, int]:
+        """The short representative pieces of `degree`, each mapped to its span_dim, each degree up to it decided once; read, never changed."""
         with self.lock:
             if len(self.decided) <= degree:
-                # the asked degree's kernel dims first, as without a record: past Python's
-                # recursion limit its per-block counts raise before a lower degree caches them
-                asked = _representative_kernel_dims(self.gens.k, degree, self.runs)
+                # the asked degree's one-block counts first, as without a record: past Python's
+                # recursion limit they raise before a lower degree caches the counts below them
+                _block_weight_counts(degree, self.gens.k)
                 while len(self.decided) <= degree:
-                    self.decided.append(self._decide(len(self.decided), degree, asked))
+                    self.decided.append(self._decide(len(self.decided), degree))
         return self.decided[degree]
 
-    def _decide(self, degree: int, top: int, asked: dict[GradedPieceKey, int]) -> tuple[PieceReport, ...]:
-        """The PieceReports of `degree`, the lowest degree not decided, in a call that decides up to `top`, whose kernel dims are `asked`."""
+    def _decide(self, degree: int, top: int) -> dict[GradedPieceKey, int]:
+        """The short pieces of `degree`, the lowest degree not decided, in a call that decides up to `top`.
+
+        Each representative b reads its row of kernel dims (`_kernel_dims`),
+        and the piece (b, w) is b's packed grading at weight 0 plus w weight
+        steps, so no key is made for a piece the count certifies.
+        """
         gens, runs = self.gens, self.runs
         packing = packing_for(Ambient(gens.n, gens.k), degree)
         counted = _tables(gens, packing).least(degree, runs, self.items, min(top, packing.degree))
         counts = Counter(s >> packing.shift for s in counted)
-        pieces, found = [], []
-        kernel_dims = asked if degree == top else _representative_kernel_dims(gens.k, degree, runs)
-        for key, kdim in kernel_dims.items():
-            grading = packing.grading(*key)
-            span = count = counts.get(grading, 0)
-            if 0 < count < kdim:
-                pivot_rows = _echelon((terms for _, terms in _products(gens, degree, grading)), limit=kdim)
-                span = len(pivot_rows)
-                found.extend((degree, packing.unpack(lead)) for lead in pivot_rows if lead not in counted)
-            pieces.append(PieceReport(key, kdim, span))
+        step = packing.grading((0,) * gens.n, 1)  # one unit of weight
+        short: dict[GradedPieceKey, int] = {}
+        found = []
+        for b in _representatives(degree, runs):
+            grading = packing.grading(b, 0)
+            for w, kdim in enumerate(_kernel_dims(tuple(sorted(d for d in b if d)), gens.k)):
+                span = count = counts.get(grading, 0)
+                if 0 < count < kdim:
+                    pivot_rows = _echelon((terms for _, terms in _products(gens, degree, grading)), limit=kdim)
+                    span = len(pivot_rows)
+                    found.extend((degree, packing.unpack(lead)) for lead in pivot_rows if lead not in counted)
+                if span < kdim:
+                    short[GradedPieceKey(b, w)] = span
+                grading += step
         self.items.extend(found)
-        return tuple(pieces)
+        return short
 
 
 _RECORDS = Lock()

@@ -582,6 +582,9 @@ def golden_calls():
         # without J1,2 the stable swaps join blocks 3..8 into one run of six, which the
         # least-monomial table prunes at every joined pair of blocks
         "verify_n8_k1_d8_exclude_J12.txt": (1, "--n 8 --k 1 --max-degree 8 --exclude J1,2"),
+        # without H1,2 at n = 6 the runs are blocks {1, 2} and {3..6}, and every degree
+        # from 2 up has short pieces: 138 pieces are ranked, the rest certified by counting
+        "verify_n6_k2_d7_exclude_H12.txt": (1, "--n 6 --k 2 --max-degree 7 --exclude H1,2"),
     }
     calls = {name: [(["verify", *flags.split()], code)] for name, (code, flags) in verify.items()}
     calls["census_n2_k3.json"] = [(["census", "--n", "2", "--k", "3", "--max-degree", "8", "--output", "machine"], 0)]

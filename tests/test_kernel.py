@@ -1299,45 +1299,85 @@ class TestCompleteness:
     @given(st.integers(1, 5), st.sampled_from([1, 2]), st.integers(0, 4), st.lists(st.integers(0, 60), unique=True, max_size=2))
     @settings(max_examples=15, deadline=None)
     def test_text_verify_builds_representative_reports_only(self, n, k, max_degree, drop):
-        # a certificate decided on its own n blocks builds one PieceReport per
-        # representative piece with a nonzero kernel (block degrees non-decreasing
-        # within every run of stable swaps, found by brute force) and none for the
-        # other orbit members, whatever the output; machine output writes every piece of
-        # every orbit to its JSON straight from the representatives' dims.
-        # With the full family and n > k + 1 each degree is decided on k + 1 blocks: the
-        # base record builds exactly one report per representative piece of
-        # (k + 1, k, d) with a nonzero kernel (the full family is symmetric under every
-        # block permutation), and no other; text output then builds no report of n
-        # blocks at all, machine output exactly the representatives, listed when
-        # written. A label set's reports are kept once decided, so each call starts from
-        # empty kernel caches
+        # a decided degree makes a GradedPieceKey only for its short representative
+        # pieces and builds no PieceReport, so text output builds no report at all and
+        # makes exactly the keys of the short pieces. Machine output builds one PieceReport
+        # per representative piece with a nonzero kernel (block degrees non-decreasing
+        # within every run of stable swaps, found by brute force), listed when written,
+        # and none for the other orbit members; it writes every piece of every orbit to
+        # its JSON straight from the representatives' dims. With the full family and
+        # n > k + 1 each degree is decided on k + 1 blocks, where the full family leaves
+        # no piece short, so no key or report of k + 1 blocks is made. A label set's
+        # record is kept once decided, so each call starts from empty kernel caches
         labels = generators(n, k).labels()
         exclude = sorted({labels[i % len(labels)] for i in drop})
         stable = _stable_swaps(generators(n, k).without(*exclude))
         pieces = [key for d in range(max_degree + 1) for key in piece_keys(n, k, d) if _piece_kernel_dim(k, key)]
         wanted = [key for key in pieces if all(key.block_degrees[i] <= key.block_degrees[i + 1] for i in stable)]
-        polarized = not exclude and n > k + 1
-        base_wanted = [
-            key
-            for d in range(max_degree + 1)
-            for key in piece_keys(k + 1, k, d)
-            if _piece_kernel_dim(k, key) and list(key.block_degrees) == sorted(key.block_degrees)
-        ]
         argv = ["verify", "--n", str(n), "--k", str(k), "--max-degree", str(max_degree)]
         argv += [arg for label in exclude for arg in ("--exclude", label)]
+        made = {}
         for output in ("text", "machine"):
-            reports = []
+            reports, keys = [], []
             clear_kernel_caches()
             with pytest.MonkeyPatch.context() as patch, redirect_stdout(io.StringIO()) as out:
-                patch.setattr(kernel, "PieceReport", lambda *args: reports.append(args) or PieceReport(*args))
+                patch.setattr(kernel, "PieceReport", lambda *args: reports.append(PieceReport(*args)) or reports[-1])
+                patch.setattr(kernel, "GradedPieceKey", lambda *args: keys.append(GradedPieceKey(*args)) or keys[-1])
                 cli.main([*argv, "--output", output])
-            listed = [key for key, *_ in reports if len(key.block_degrees) == n]
-            assert listed == ([] if polarized and output == "text" else wanted)
-            base = [key for key, *_ in reports if len(key.block_degrees) != n]
-            assert base == (base_wanted if polarized else [])
+            made[output] = reports, keys
             if output == "machine":
                 written = [(tuple(piece["block_degrees"]), piece["weight"]) for doc in json.loads(out.getvalue())["result"] for piece in doc["per_piece"]]
                 assert written == pieces
+        (text_reports, text_keys), (machine_reports, machine_keys) = made["text"], made["machine"]
+        assert text_reports == []
+        assert [piece.key for piece in machine_reports] == wanted
+        short = [piece.key for piece in machine_reports if piece.span_dim < piece.kernel_dim]
+        assert not short or exclude
+        assert text_keys == short
+        # machine output: the short pieces' keys as each degree is decided, then every
+        # representative's when the reports are written
+        assert machine_keys == short + wanted
+
+    @given(st.integers(1, 4), st.sampled_from([1, 2]), st.lists(st.integers(0, 60), unique=True, max_size=3))
+    @example(2, 1, [])
+    @example(3, 2, [])  # the full family on k + 1 blocks: one piece ranked, none short
+    @example(4, 2, [15])  # without H2,3: short pieces in runs of one and two blocks
+    @example(3, 2, [6])  # without H1,1
+    @settings(max_examples=30, deadline=None)
+    def test_record_keeps_exactly_the_short_pieces(self, n, k, drop):
+        # every degree <= 5 of a label set's record keeps, in piece order, exactly the
+        # representative pieces (block degrees non-decreasing over every stable swap,
+        # found by brute force) whose exact rank, by the Fraction oracle over the piece's
+        # products expanded by plain Polynomial products, is below kernel_dim, each mapped
+        # to that rank. `_base_complete(k, d)` reads the record of k + 1 blocks on one
+        # run, and is true exactly when that record keeps no short piece in degree d, by
+        # the oracle when the drawn set is the full family on k + 1 blocks
+        labels = generators(n, k).labels()
+        exclude = sorted({labels[i % len(labels)] for i in drop})
+        gens = generators(n, k).without(*exclude)
+        stable = _stable_swaps(gens)
+        amb = Ambient(n, k)
+        clear_kernel_caches()
+        record = kernel._decisions(gens, kernel._symmetry_runs(n, k, frozenset(exclude)))
+        base = kernel._decisions(generators(k + 1, k), ((0, k + 1),))
+        for d in range(6):
+            representatives = [key for key in piece_keys(n, k, d) if all(key.block_degrees[i] <= key.block_degrees[i + 1] for i in stable)]
+            values = defaultdict(list)
+            for found, key in _all_products(gens, d):
+                if key in representatives:
+                    value = Polynomial.one(amb)
+                    for label in found:
+                        value = value * gens.value(label)
+                    values[key].append(dict(value.items()))
+            expected = {}
+            for key in representatives:
+                kdim = _piece_kernel_dim(k, key)
+                if (rank := sparse_rank(values.get(key, ()))) < kdim:
+                    expected[key] = rank
+            assert list(record.short(d).items()) == list(expected.items()), d
+            assert kernel._base_complete(k, d) == (not base.short(d))
+            if n == k + 1 and not exclude:
+                assert kernel._base_complete(k, d) == (not expected)
 
     def test_wide_reports_are_read_from_d_blocks(self, monkeypatch):
         # polarization: with the full family a product in piece (b, w) has every factor
@@ -1547,9 +1587,9 @@ class TestPolarization:
         # the kernel total is `kernel_dim`'s coefficient and the span total is it less
         # the short representatives' shortfalls, each weighed by its orbit's size; both
         # equal the sums over the representatives read back, on the polarized path and
-        # with the base decision forced incomplete. A polarized report lists its
-        # representatives only when they are read, and they are the ones its own n
-        # blocks decide piece by piece
+        # with the base decision forced incomplete. Every report lists its
+        # representatives only when they are read, and a polarized report's are the ones
+        # its own n blocks decide piece by piece
         labels = generators(n, k).labels()
         exclude = sorted({labels[i % len(labels)] for i in drop})
         reports = []
@@ -1558,8 +1598,7 @@ class TestPolarization:
                 if forced:
                     patch.setattr(kernel, "_base_complete", lambda k, degree: False)
                 reports.append(rep := completeness_check(n, k, degree, exclude=exclude))
-            polarized = not forced and not exclude and n > k + 1
-            assert ("representatives" in vars(rep)) != polarized
+            assert "representatives" not in vars(rep)
             orbit = {piece.key: _orbit_size(piece.key.block_degrees, rep.runs) for piece in rep.representatives}
             assert rep.kernel_dim == sum(piece.kernel_dim * orbit[piece.key] for piece in rep.representatives) == kernel_dim(n, k, degree)
             assert rep.span_dim == sum(piece.span_dim * orbit[piece.key] for piece in rep.representatives)
