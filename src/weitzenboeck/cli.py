@@ -178,9 +178,9 @@ def cmd_gens(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    reports = [
-        completeness_check(args.n, args.k, d, exclude=args.exclude) for d in _degree_range(args)
-    ]
+    # the top degree first: its record decides every degree below it in one call, so each
+    # packing's least-monomial table is built once, up to the highest degree it serves
+    reports = [completeness_check(args.n, args.k, d, exclude=args.exclude) for d in reversed(_degree_range(args))][::-1]
     ok = all(r.complete for r in reports)
     if args.output == "machine":
         print(_machine(args, [r.to_dict() for r in reports]))
@@ -256,7 +256,8 @@ def cmd_express(args) -> int:
         }
         print(_machine(args, result))
     else:
-        print(_signed_sum((coeff, labels) for labels, coeff in combination.items()))
+        # an integral coefficient is printed as its int, which formats alike and faster
+        print(_signed_sum((coeff.numerator if coeff.denominator == 1 else coeff, labels) for labels, coeff in combination.items()))
     return 0
 
 

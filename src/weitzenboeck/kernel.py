@@ -11,8 +11,9 @@ piece (b, w), is read from one cached table per multiset of nonzero block
 degrees and k (`_kernel_dims`), built in a loop.  Summed over every
 piece of degree d they telescope to one coefficient, M(d, floor(k*d/2)),
 the number of degree-d monomials of middle weight, which `kernel_dim`
-reads off one table of counts by degree and weight, with no piece, block
-degree or per-b table (the argument is at `kernel_dim`).  Ranks, bases and
+reads off one table of counts by degree and weight, of which it keeps
+only the band of weights that can reach that coefficient, with no piece,
+block degree or per-b table (the argument is at `kernel_dim`).  Ranks, bases and
 `express` all go through one sparse forward elimination (`_echelon`,
 least-column pivoting), fraction-free in Python ints, which returns
 primitive pivot rows keyed by lead column.  A rank is their number.  A
@@ -69,15 +70,18 @@ yielded, each prefix on its path once per walk, and nothing expanded
 outlives the walk.  The reach table (`_Tables.walk`),
 of the gradings each suffix of the generator list reaches, prunes
 exactly the branches with no product in the piece, so every branch it
-keeps ends in a product.
-`express` packs its input once and splits it by piece, the gradings
+keeps ends in a product.  The walk reads its degree's view of the tables
+(the generators' rows and reach rows), which its caller reads once per
+degree and hands to every walk of that degree.  `express` packs its
+input and splits it by piece in one pass over its terms, the gradings
 `key >> shift` of its monomials (`Packing.read_grading`), and a
 certificate walks only its short representative pieces.
 
 `express` solves each of its input's pieces on its own (pieces have
 disjoint support, so the greedy basis is the union of the pieces' own).
 A piece's products are walked and expanded lazily, in label order, and
-its elimination stops at kernel_dim; its products and pivot rows are
+its elimination stops at kernel_dim, read off the `_kernel_dims` row of
+the block degrees and weight its grading names; its products and pivot rows are
 kept with the tables (`_Tables.bases`), so a later call only reduces its
 own row.  A combination of products of kernel generators lies in ker D,
 so D(p) is computed only on the way to an error (the argument is at
@@ -132,7 +136,7 @@ from fractions import Fraction
 from functools import cache, cached_property, reduce
 from itertools import chain, product
 from math import comb, factorial, gcd, lcm, prod
-from operator import itemgetter
+from operator import itemgetter, mul
 from threading import Lock
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -398,7 +402,9 @@ def _make_primitive(row: dict[int, int], lead: int) -> None:
 
 
 def _integer_row(source: SparseRow) -> tuple[dict[int, int], int]:
-    """A row scaled to integers by the lcm of its denominators, zeros dropped, and that lcm."""
+    """A row scaled to integers by the lcm of its denominators, zeros dropped, and that lcm; a row of nonzero ints is returned as it is, not copied, with 1."""
+    if all(type(v) is int and v for v in source.values()):
+        return source, 1
     scale = lcm(*(v.denominator for v in source.values()))
     return {c: v.numerator * (scale // v.denominator) for c, v in source.items() if v}, scale
 
@@ -477,8 +483,8 @@ def kernel_piece_basis(n: int, k: int, key: GradedPieceKey) -> list[Polynomial]:
     return [Polynomial(amb, {mono: c for mono, c in zip(cols, vec) if c}) for vec in nullspace(rows, len(cols))]
 
 
-def _piece_kernel_dim(k: int, key: GradedPieceKey) -> int:
-    """dim ker D on piece (b, w): N(b, w) - N(b, w-1) if 2w <= k|b|, else 0; N counts monomials.
+def _piece_kernel_dim(k: int, key: tuple[tuple[int, ...], int]) -> int:
+    """dim ker D on piece (b, w), a `GradedPieceKey` or a plain pair: N(b, w) - N(b, w-1) if 2w <= k|b|, else 0; N counts monomials.
 
     D is the lowering element of an sl2-triple (Jacobson-Morozov); each b
     gives a finite-dimensional module in which weight w has h-eigenvalue
@@ -524,25 +530,36 @@ def kernel_dim(n: int, k: int, degree: int) -> int:
     - after level l, levels l+1..k add weight (l+1)(d-j) to k(d-j) to a
       degree-j monomial, so only top - k(d-j) <= w <= top - (l+1)(d-j)
       can reach (d, top), and the entries level l reads lie in level
-      l-1's range;
+      l-1's range: w - i*l <= top - l(d-j+i) and w - i*l >= top - k(d-j+i);
+      a degree j with top - (l+1)(d-j) < l has none;
     - a monomial of degree j in levels 0..l has weight <= l*j, so w <= l*j,
       and term i is zero unless w - i*l <= (l-1)(j-i), i >= w - (l-1)j.
+    So row j holds only the band from low_j = top - k(d-j) to top - (d-j),
+    which holds every weight some level computes or reads, entry w at index
+    w - low_j, and entry w - i*l of row j - i is at index w - low_j + i(k-l)
+    of its row.  Its weights below 0 or above k*j stay zeros that no level
+    computes or reads; at k = 1 every row is one entry, so memory is linear
+    in d.
     """
     Ambient(n, k)  # validates n and k
     if degree < 0:
         raise ValueError("degree must be >= 0")
     top = k * degree // 2
     series = [comb(n + i - 1, i) for i in range(degree + 1)]  # degree-i monomials of one level
-    counts = [[c] + [0] * top for c in series]  # level 0: weight 0 only
+    counts = [[0] * ((k - 1) * (degree - j) + 1) for j in range(degree + 1)]
+    for j in range(max(0, degree - top), degree - -(-top // k) + 1):  # the rows whose band holds weight 0
+        counts[j][k * (degree - j) - top] = series[j]  # level 0: weight 0 only
     for level in range(1, min(k, top) + 1):
-        for j in range(degree, 0, -1):
-            row = counts[j]
-            for w in range(max(level, top - k * (degree - j)), min(level * j, top - (level + 1) * (degree - j)) + 1):
-                total = row[w]
+        step = k - level
+        for j in range(degree, max(0, degree - (top - level) // (level + 1) - 1), -1):
+            row, low = counts[j], top - k * (degree - j)
+            for w in range(max(level, low), min(level * j, top - (level + 1) * (degree - j)) + 1):
+                at = w - low
+                total = row[at]
                 for i in range(max(1, w - (level - 1) * j), min(j, w // level) + 1):
-                    total += series[i] * counts[j - i][w - i * level]
-                row[w] = total
-    return counts[degree][top]
+                    total += series[i] * counts[j - i][at + i * step]
+                row[at] = total
+    return counts[degree][0]  # row d's band is top alone
 
 
 def kernel_basis(n: int, k: int, degree: int) -> list[Polynomial]:
@@ -675,7 +692,9 @@ class _Tables:
         reach[idx][r] holds the packed gradings of every multiset of
         generators idx.. of total degree exactly r: a multiset either holds
         no copy of generator idx (reach[idx+1][r]) or is one copy of it
-        times a multiset of generators idx.. of degree r - d.  A row shorter
+        times a multiset of generators idx.. of degree r - d, so entry r is
+        reach[idx+1][r] united with entry r - d shifted by the generator's
+        grading, one `frozenset.union` over a `map`.  A row shorter
         than degree + 1 is replaced by a longer copy: a generator new to the
         table gets its whole row, and every other row only the entries past
         those it has.  The view reads the rows as stored, at most as long as
@@ -691,7 +710,7 @@ class _Tables:
                 if len(row) <= degree:
                     row = list(row)
                     for r in range(len(row), degree + 1):
-                        row.append(later[r] | {s + g for s in row[r - d]} if r >= d else later[r])
+                        row.append(later[r].union(map(g.__add__, row[r - d])) if r >= d else later[r])
                     row = self.reach[gen.label] = tuple(row)
                 steps.append((gen.label, d, g, row, gen.terms))
                 later = row
@@ -797,12 +816,14 @@ def _tables(gens: GeneratorSet, packing: Packing) -> _Tables:
     return _Tables(gens, packing)
 
 
-def _products(gens: GeneratorSet, degree: int, grading: int) -> Iterator[tuple[tuple[str, ...], PackedTerms]]:
+def _products(view: _WalkView, degree: int, grading: int) -> Iterator[tuple[tuple[str, ...], PackedTerms]]:
     """(labels, packed terms) of the products of total ring degree exactly `degree` in one piece, lazily, in label order.
 
-    The piece is the packed grading of a degree-`degree` monomial
-    (`Packing.grading` of the degree's packing, the one the generators'
-    rows are read in).  Label order is higher multiplicity of earlier
+    `view` is the degree's walk view, `_Tables.walk(degree)` of the label
+    set's tables in the degree's packing, which the caller reads once for
+    all the pieces of the degree it walks.  The piece is the packed grading
+    of a degree-`degree` monomial (`Packing.grading` of that packing, the
+    one the generators' rows are read in).  Label order is higher multiplicity of earlier
     generators first.  The products may be linearly dependent, and a piece
     that holds none yields nothing.  A reader that stops early stops the
     walk with it.
@@ -838,7 +859,7 @@ def _products(gens: GeneratorSet, degree: int, grading: int) -> Iterator[tuple[t
     monomials, so each field is at most k*degree < 2^bits, no field
     carries, and packed equality is componentwise equality.
     """
-    steps, top = _tables(gens, packing_for(Ambient(gens.n, gens.k), degree)).walk(degree)
+    steps, top = view
 
     def walk(
         idx: int, remaining: int, labels: tuple[str, ...], terms: PackedTerms, need: int
@@ -1079,11 +1100,15 @@ class _Decisions:
 
         Each representative b reads its row of kernel dims (`_kernel_dims`),
         and the piece (b, w) is b's packed grading at weight 0 plus w weight
-        steps, so no key is made for a piece the count certifies.
+        steps, so no key is made for a piece the count certifies.  The
+        degree's walk view (`_Tables.walk`) is read once, when its first
+        piece is ranked, and every walk of the degree reads it.
         """
         gens, runs = self.gens, self.runs
         packing = packing_for(Ambient(gens.n, gens.k), degree)
-        counted = _tables(gens, packing).least(degree, runs, self.items, min(top, packing.degree))
+        tables = _tables(gens, packing)
+        counted = tables.least(degree, runs, self.items, min(top, packing.degree))
+        view = None  # the degree's walk view, read when its first piece is ranked
         counts = Counter(s >> packing.shift for s in counted)
         step = packing.grading((0,) * gens.n, 1)  # one unit of weight
         short: dict[GradedPieceKey, int] = {}
@@ -1093,7 +1118,8 @@ class _Decisions:
             for w, kdim in enumerate(_kernel_dims(tuple(sorted(d for d in b if d)), gens.k)):
                 span = count = counts.get(grading, 0)
                 if 0 < count < kdim:
-                    pivot_rows = _echelon((terms for _, terms in _products(gens, degree, grading)), limit=kdim)
+                    view = view or tables.walk(degree)
+                    pivot_rows = _echelon((terms for _, terms in _products(view, degree, grading)), limit=kdim)
                     span = len(pivot_rows)
                     found.extend((degree, packing.unpack(lead)) for lead in pivot_rows if lead not in counted)
                 if span < kdim:
@@ -1195,12 +1221,15 @@ def _combination(p: Polynomial, gens: GeneratorSet, stop: bool) -> Combination:
     degree = p.homogeneous_degree()
     if degree is None:
         raise NonHomogeneous(f"polynomial mixes total degrees: {p}")
-    # p is packed once and split by piece, the grading in the high digits of each
-    # packed monomial; each part is the target row of its piece
+    # p is packed and split by piece in one pass over its terms, the grading in the high
+    # digits of each packed monomial (as `Packing.pack_terms`); each part is the target
+    # row of its piece
     packing = packing_for(p.ambient, degree)
+    slots, shift = packing.slots, packing.shift
     parts: dict[int, PackedTerms] = defaultdict(dict)
-    for mono, c in packing.pack_terms(p).items():
-        parts[mono >> packing.shift][mono] = c
+    for exps, c in p.items():
+        mono = sum(map(mul, exps, slots))
+        parts[mono >> shift][mono] = c
     gradings = {g: packing.read_grading(g) for g in parts}
     if any(cov for _, _, cov in gradings.values()):
         raise NotInSpan("polynomial involves covariant variables")
@@ -1215,10 +1244,11 @@ def _combination(p: Polynomial, gens: GeneratorSet, stop: bool) -> Combination:
     tag = packing.end
     tables = _tables(gens, packing)
     bases = tables.bases  # kept with the tables, so a later call only reduces its own rows
+    view = tables.walk(degree)  # read once for every piece of the call
 
     def rows(grading: int, products: list[tuple[str, ...]]) -> Iterator[dict[int, int]]:
         # the walk's products as the elimination reads them, each one kept
-        for j, (labels, terms) in enumerate(_products(gens, degree, grading)):
+        for j, (labels, terms) in enumerate(_products(view, degree, grading)):
             products.append(labels)
             row, scale = (terms, 1) if tables.integral else _integer_row(terms)
             yield row | {tag + 1 + j: scale}
@@ -1226,7 +1256,7 @@ def _combination(p: Polynomial, gens: GeneratorSet, stop: bool) -> Combination:
     for g, (bd, w, _) in gradings.items():
         if g not in bases:
             products: list[tuple[str, ...]] = []
-            limit = _piece_kernel_dim(gens.k, GradedPieceKey(bd, w)) if stop else None
+            limit = _piece_kernel_dim(gens.k, (bd, w)) if stop else None
             pivot_rows = _echelon(rows(g, products), bound=tag, limit=limit)
             # a pivot row's last column is its own product's tag
             bases[g] = products[: max(map(max, pivot_rows.values()), default=tag) - tag], pivot_rows

@@ -281,10 +281,10 @@ class Packing:
         Unlike `pack`, no term's degree is tested; one above the bound would
         carry into the next field.  Each caller picks its packing from a
         bound on the terms it packs: `kernel._Tables.row` packs only
-        generators of one total degree <= its packing's, `kernel._combination`
-        a homogeneous p in the packing of p's degree, and
+        generators of one total degree <= its packing's, and
         `Polynomial.__mul__` each operand in the packing of the sum of their
-        total degrees.
+        total degrees.  `kernel._combination` packs a homogeneous p term by
+        term, with these slots, in the packing of p's degree.
         """
         slots = self.slots
         return {sum(map(mul, exps, slots)): c for exps, c in terms.items()}

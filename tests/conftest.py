@@ -105,17 +105,24 @@ def spy(monkeypatch):
     """
     clear_kernel_caches()
     found = KernelSpy()
-    least, products = kernel._Tables.least, kernel._products
+    least, walk_view, products = kernel._Tables.least, kernel._Tables.walk, kernel._products
+    views = {}  # id of each walk view handed out -> (the view, kept alive, and its n)
 
     def tabling(self, degree, runs, items=(), top=0):
         found.tables.append(LeastTable(self.gens.n, degree, least(self, degree, runs, items, top), tuple(items)))
         return found.tables[-1].levels
 
-    def walking(gens, degree, grading):
-        found.walks.append(walk := Walk(gens.n, degree, grading, []))
-        return (walk.labels.append(labels) or (labels, terms) for labels, terms in products(gens, degree, grading))
+    def viewing(self, degree):
+        view = walk_view(self, degree)
+        views[id(view)] = view, self.gens.n
+        return view
+
+    def walking(view, degree, grading):
+        found.walks.append(walk := Walk(views[id(view)][1], degree, grading, []))
+        return (walk.labels.append(labels) or (labels, terms) for labels, terms in products(view, degree, grading))
 
     monkeypatch.setattr(kernel._Tables, "least", tabling)
+    monkeypatch.setattr(kernel._Tables, "walk", viewing)
     monkeypatch.setattr(kernel, "_products", walking)
     return found
 
@@ -206,10 +213,15 @@ def generator_rows(gens):
     return rows
 
 
+def walk_products(gens, degree, grading):
+    """The walk (`_products`) of one piece of `degree`, on the degree's view of the kernel's tables of `gens`."""
+    return _products(kernel_tables(gens, degree).walk(degree), degree, grading)
+
+
 def products_by_piece(gens, degree):
     """Every piece of the degree that holds a product, in `piece_keys` order, mapped to the label multisets its walk yields."""
     packing = packing_for(Ambient(gens.n, gens.k), degree)
-    found = {key: [labels for labels, _ in _products(gens, degree, packing.grading(*key))] for key in piece_keys(gens.n, gens.k, degree)}
+    found = {key: [labels for labels, _ in walk_products(gens, degree, packing.grading(*key))] for key in piece_keys(gens.n, gens.k, degree)}
     return {key: labels for key, labels in found.items() if labels}
 
 

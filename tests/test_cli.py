@@ -3,9 +3,11 @@ import hashlib
 import io
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
@@ -14,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import clear_kernel_caches, reference_parser
-from weitzenboeck import UnknownLabel, cli, generators, kernel_basis, kernel_dim
+from weitzenboeck import UnknownLabel, cli, evaluate_combination, generators, kernel_basis, kernel_dim
 from weitzenboeck.cli import build_parser, main
 
 
@@ -29,6 +31,42 @@ def express_golden_calls():
         cases += [(n, k, str(b)) for d in range(5) for b in kernel_basis(n, k, d)]
     cases += [(2, 1, "1/2*x1*y2 - 1/2*x2*y1 + 2/3*x1^2"), (1, 1, "x1*CX")]
     return [["express", "--n", str(n), "--k", str(k), "--poly", poly, "--output", "machine"] for n, k, poly in cases]
+
+
+def express_batch_calls():
+    """Text-mode express calls of 60 seeded kernel elements, 12 in each of five (n, k, degree) classes, shuffled.
+
+    Each input is a combination of 3 to 6 random generator products of the
+    class's degree, with small nonzero coefficients, a few of them halves or
+    thirds, expanded by `evaluate_combination` and signed so that its text
+    leads with a positive term.  Run in one interpreter, a
+    later call of a class reads the piece bases an earlier one kept.
+    """
+    rng = random.Random(20090617)
+    calls = []
+    for n, k, degree in ((3, 1, 5), (3, 1, 6), (3, 2, 4), (3, 2, 5), (4, 2, 4)):
+        gens = generators(n, k)
+        index = {label: i for i, label in enumerate(gens.labels())}
+        degrees = {label: p.total_degree() for label, p in gens}
+        for _ in range(12):
+            p = None
+            while p is None or p.is_zero:
+                combination = {}
+                for _ in range(rng.randint(3, 6)):
+                    labels, remaining = [], degree
+                    while remaining:
+                        label = rng.choice([label for label, d in degrees.items() if d <= remaining])
+                        labels.append(label)
+                        remaining -= degrees[label]
+                    key = tuple(sorted(labels, key=index.__getitem__))
+                    coeff = Fraction(rng.choice([c for c in range(-5, 6) if c]), rng.choice((1, 1, 1, 1, 2, 3)))
+                    combination[key] = combination.get(key, 0) + coeff
+                p = evaluate_combination(combination, gens)
+            # a text that starts with "-" (but not "- ") is read as a flag, so it is negated
+            text = str(p)
+            calls.append(["express", "--n", str(n), "--k", str(k), "--poly", str(-p) if text[0] == "-" else text])
+    rng.shuffle(calls)
+    return calls
 
 
 def run(capsys, *argv):
@@ -596,6 +634,9 @@ def golden_calls():
     # degree 4, a rational input and, last, a NOT IN SPAN case
     express = express_golden_calls()
     calls["express_machine.txt"] = [(argv, 0) for argv in express[:-1]] + [(express[-1], 1)]
+    # seeded kernel elements of five classes in one interpreter, in text mode: later calls
+    # reduce their rows against the piece bases earlier ones kept
+    calls["express_batch.txt"] = [(argv, 0) for argv in express_batch_calls()]
     return calls
 
 

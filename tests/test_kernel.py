@@ -25,6 +25,7 @@ from conftest import (
     sparse_leads,
     sparse_rank,
     ungraded_kernel_dimension,
+    walk_products,
 )
 from weitzenboeck import (
     Ambient,
@@ -497,7 +498,7 @@ class TestGeneratorProducts:
             by_piece[packing.grading(blocks, sum(rows[i].weight for i in combo))].append(tuple(rows[i].label for i in combo))
         walked = 0
         for key in piece_keys(n, k, degree):
-            found = [labels for labels, _ in kernel._products(gens, degree, packing.grading(*key))]
+            found = [labels for labels, _ in walk_products(gens, degree, packing.grading(*key))]
             assert found == by_piece.get(packing.grading(*key), [])
             walked += len(found)
         assert walked == len(unpruned)
@@ -732,7 +733,7 @@ def _walked(gens, labels):
     blocks = [sum(rows[label].block_degrees[i] for label in labels) for i in range(gens.n)]
     packing = packing_for(Ambient(gens.n, gens.k), degree)
     piece = packing.grading(blocks, sum(rows[label].weight for label in labels))
-    return packing, next(terms for found, terms in kernel._products(gens, degree, piece) if found == labels)
+    return packing, next(terms for found, terms in walk_products(gens, degree, piece) if found == labels)
 
 
 class TestProductExpander:
@@ -1181,7 +1182,7 @@ class TestCompleteness:
         # one least monomial falls short of kernel_dim 2 and the rank reports 1
         short = GradedPieceKey((1, 2), 2)
         grading = packing_for(Ambient(2, 2), 3).grading(*short)
-        assert [labels for labels, _ in kernel._products(generators(2, 2).without("x1"), 3, grading)] == [("x2", "H1,2")]
+        assert [labels for labels, _ in walk_products(generators(2, 2).without("x1"), 3, grading)] == [("x2", "H1,2")]
         pieces = {piece.key: piece for piece in completeness_check(2, 2, 3, exclude=["x1"]).per_piece}
         assert (pieces[short].kernel_dim, pieces[short].span_dim) == (2, 1)
 
@@ -1442,6 +1443,25 @@ class TestCarriedLeastMonomials:
         (item,) = {item for table in spy.tables for item in table.items}
         assert item == (3, next(iter(dict(parse("x3*y1*y2", amb).items()))))
         assert [bool(table.items) for table in spy.tables] == [d > 3 for d in range(13)]
+
+    def test_a_max_degree_loop_builds_each_packing_table_once(self, monkeypatch, spy):
+        # verify --n 3 --k 2 --max-degree 8 asks for degree 8 first, and its record decides
+        # degrees 0..8 in that one call, lowest first: the generators' least-monomial table
+        # is built once in the floor packing (k*d <= 15), up to degree 7, the highest it
+        # serves, and once in the 5-bit packing, up to degree 8. Asked lowest first, each
+        # degree of the floor packing would outgrow the table before it and build it anew
+        built = []
+        sums = kernel._Tables._generator_sums
+
+        def building(self, top, runs):
+            built.append((self.packing.bits, top))
+            return sums(self, top, runs)
+
+        monkeypatch.setattr(kernel._Tables, "_generator_sums", building)
+        lines = (GOLDEN_DIR / "verify_n3_k2_d12.txt").read_text().splitlines(keepends=True)
+        assert _verify_stdout("--n", "3", "--k", "2", "--max-degree", "8") == (0, "".join(lines[:9] + lines[-1:]))
+        assert built == [(4, 7), (5, 8)]
+        assert [table.degree for table in spy.tables] == list(range(9))
 
     def test_threads_deciding_one_label_set_decide_each_degree_once(self, spy):
         # threads that ask one label set's degrees at once, each in its own order with a
@@ -1952,6 +1972,24 @@ class TestCensus:
             assert kernel_dim(n, 1, 1) == n, n
         for k in [*range(1, 200), *range(200, 1500, 53), 1500]:
             assert kernel_dim(1, k, 1) == 1, k
+
+    def test_band_agrees_with_the_full_table(self):
+        # kernel_dim keeps only the band of each degree's row that some level computes or
+        # reads; the whole (d+1) x (top+1) table of M(j, w), every level added to every
+        # entry, gives the same coefficient
+        def full_table(n, k, d):
+            top = k * d // 2
+            counts = [[comb(n + j - 1, j)] + [0] * top for j in range(d + 1)]  # level 0
+            for level in range(1, k + 1):
+                for j in range(d, 0, -1):
+                    for w in range(top, 0, -1):
+                        counts[j][w] += sum(comb(n + i - 1, i) * counts[j - i][w - i * level] for i in range(1, min(j, w // level) + 1))
+            return counts[d][top]
+
+        for n in range(1, 5):
+            for k in range(1, 8):
+                for d in range(13):
+                    assert kernel_dim(n, k, d) == full_table(n, k, d), (n, k, d)
 
     def test_open_case_matches_ungraded_oracle(self):
         assert kernel_dim(2, 3, 2) == ungraded_kernel_dimension(2, 3, 2)
