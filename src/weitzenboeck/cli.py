@@ -178,8 +178,8 @@ def cmd_gens(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # the top degree first: its record decides every degree below it in one call, so each
-    # packing's least-monomial table is built once, up to the highest degree it serves
+    # the top degree first: its record decides every degree below it in one call, which
+    # builds one least-monomial table per packing, up to the highest degree it serves
     reports = [completeness_check(args.n, args.k, d, exclude=args.exclude) for d in reversed(_degree_range(args))][::-1]
     ok = all(r.complete for r in reports)
     if args.output == "machine":

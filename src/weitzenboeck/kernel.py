@@ -36,14 +36,12 @@ is one packing for every degree with k*d <= 15, then one per bit width
 set needs in a packing is one object, built once per label set and
 packing (`_Tables`, by `_tables`): the packed generators, each with its
 least packed monomial and its piece (`_Tables.row`, the one place where
-they are read and checked), the walk's reach table, the least-monomial
-tables and `express`'s piece bases.  Each grows with the degree asked,
-and a degree reads the same whatever was asked before, but for the
-count's items below, which change no answer (the argument is on the
-class).
+they are read and checked), the walk's reach table and `express`'s
+piece bases.  Each grows with the degree asked, and a degree reads the
+same whatever was asked before (the argument is on the class).
 
 A piece is first certified by counting least monomials, with nothing
-expanded (`_Tables.least`, where the argument is): a product's least
+expanded (`_Decisions`, where the argument is): a product's least
 monomial is the sum of its factors' least monomials, and elements with
 distinct least monomials are linearly independent, so a piece whose
 products show kernel_dim of them is complete.  This is the SAGBI test
@@ -56,7 +54,9 @@ short.  A label set's degrees are decided once each, lowest first
 (`_Decisions`), and each pivot lead of a rank that the count did not
 hold joins the count of every higher degree (truncated SAGBI
 subduction): with the full family on k + 1 = 3 blocks, one piece is
-ranked, in degree 3.
+ranked, in degree 3.  The count's table lives in the call that decides
+with it, one per packing: the generators' least-monomial sums, to which
+each lead found is added in place; nothing of it outlives the call.
 
 Products are enumerated as label multisets on packed gradings, one piece
 per walk (`_products`): a piece (b, w) is one int, the grading that
@@ -622,27 +622,24 @@ class _Tables:
       every walk view and every one-label product, and never changed;
     - `reach`: each generator's reach row, and `walks`, the walk's view of
       every degree asked (`walk`);
-    - `least_levels`: the generators' least-monomial levels of each symmetry
-      runs, and `item_levels` the levels of the sums with items over them,
-      with the number of items read (`least`);
     - `bases`: `express`'s pieces met, keyed by packed grading, which names
       the degree too: each piece's products in label order up to its last
       greedy basis product, and the pivot rows `_echelon` built from them
       with product j's tag in column `packing.end` + 1 + j.
-    No product is kept: each walk expands its own (`_products`).
+    No product is kept: each walk expands its own (`_products`), and no
+    least-monomial table either: `_generator_sums` builds one for its
+    caller (`_Decisions.short`) and keeps nothing.
 
     Growth changes no answer: what a degree d reads is the table of d
     alone, whatever was asked before.  A generator of degree above d is in
-    no multiset of degree d and is not read; entry r of a reach row and
-    level r of a least-monomial table are built from entries r' <= r and
-    generators of degree <= r only; and a product's terms are those of its
-    labels, in a packing that holds every degree it serves with no carry.
-    So a row grown to D >= d agrees at r <= d with the row of d alone.
-    A stored entry is never changed: a grown reach row replaces a shorter
-    one it agrees with, so a row or view read stays valid.  Threads that
-    fill one entry at once store equal values.  The one exception is the
-    items' table, which holds what the degrees decided so far found
-    (`_Decisions`): it changes which pieces are ranked, never a span_dim.
+    no multiset of degree d and is not read; entry r of a reach row is
+    built from entries r' <= r and generators of degree <= r only; and a
+    product's terms are those of its labels, in a packing that holds every
+    degree it serves with no carry.  So a row grown to D >= d agrees at
+    r <= d with the row of d alone.  A stored entry is never changed: a
+    grown reach row replaces a shorter one it agrees with, so a row or
+    view read stays valid.  Threads that fill one entry at once store
+    equal values.
     """
 
     def __init__(self, gens: GeneratorSet, packing: Packing):
@@ -653,8 +650,6 @@ class _Tables:
         self.rows: dict[str, _PackedGenerator] = {}
         self.reach: dict[str, tuple[frozenset[int], ...]] = {}
         self.walks: dict[int, _WalkView] = {}
-        self.least_levels: dict[tuple[tuple[int, int], ...], list[set[int]]] = {}
-        self.item_levels: dict[tuple[tuple[int, int], ...], tuple[int, list[set[int]]]] = {}
         self.bases: dict[int, tuple[list[tuple[str, ...]], dict[int, dict[int, int]]]] = {}
 
     def row(self, label: str) -> _PackedGenerator:
@@ -717,66 +712,8 @@ class _Tables:
             view = self.walks.setdefault(degree, (tuple(reversed(steps)), later[degree]))
         return view
 
-    def least(self, degree: int, runs: tuple[tuple[int, int], ...], items: Sequence[tuple[int, Exponents]] = (), top: int = 0) -> set[int]:
-        """The least packed monomials counted at `degree` in the pieces whose b is non-decreasing in every run.
-
-        They are the sums of the generators' least packed monomials over all
-        multisets and, with `items` (`_Decisions`), the sums that also hold
-        items.  `s >> shift` of a sum s is its piece.  Nothing is expanded.
-
-        Each sum is the least monomial of an element of the algebra the
-        generators span, and elements of one piece with distinct least
-        monomials are linearly independent:
-        - packed keys are ints in a monomial order that addition keeps,
-          a < b implies a + c < b + c (see `Packing`), and no digit carries in
-          a product of degree <= `degree`;
-        - so the least monomial of f*g is min f + min g: any other pair of
-          terms has one factor above its minimum and a strictly larger sum, so
-          the pair of least terms is the only pair that reaches min f + min g
-          and its coefficient, a product of two nonzero ones, cannot cancel;
-        - in a vanishing combination of elements with pairwise distinct least
-          monomials, of those with a nonzero coefficient the one whose least
-          monomial is smallest is the only one holding that monomial, which
-          therefore cannot cancel.
-        Hence the number of sums in a piece is at most the rank of its
-        products, itself at most its kernel_dim when the generators lie in
-        ker D.  This is the SAGBI test (Robbiano-Sweedler) on one piece.
-
-        The generators' sums are one table, one set per total degree 0..top,
-        built as an unbounded knapsack (`_generator_sums`); it holds every
-        generator of degree <= top, so a piece with no sum in it holds no
-        product.  The items' sums are a second table over it, in the same
-        knapsack: an item m of degree e adds m + s for every sum s of degree
-        r - e of either table.  Items and the first table's sums lie in
-        representative pieces, whose sums do too, so nothing is pruned; a
-        sum whose generator part is not a representative is not counted,
-        which only lowers the count.  Both are kept per runs, every level
-        from 0; a degree above the first frees both and builds them again,
-        up to that degree or `top`, and a new item extends the second in
-        place.  A returned set is shared: it is read, never changed.
-        """
-        levels = self.least_levels.get(runs, ())
-        if len(levels) <= degree:
-            # the new tables repeat the kept ones, which are freed first
-            del levels
-            self.least_levels.pop(runs, None)
-            self.item_levels.pop(runs, None)
-            levels = self.least_levels[runs] = self._generator_sums(max(degree, top), runs)
-        if not items:
-            return levels[degree]
-        applied, extra = self.item_levels.get(runs, (0, ()))
-        if len(extra) != len(levels):
-            applied, extra = 0, [set() for _ in levels]
-        for d, exps in items[applied:]:
-            m = self.packing.pack(exps)
-            for r in range(d, len(extra)):
-                extra[r].update(map(m.__add__, levels[r - d]))
-                extra[r].update(map(m.__add__, extra[r - d]))
-        self.item_levels[runs] = len(items), extra
-        return levels[degree] | extra[degree]
-
     def _generator_sums(self, top: int, runs: tuple[tuple[int, int], ...]) -> list[set[int]]:
-        """The levels 0..`top` of the generators' least-monomial sums in the representative pieces of `runs` (`least`).
+        """The levels 0..`top` of the generators' least-monomial sums in the representative pieces of `runs` (`_Decisions`), built for the caller and not kept.
 
         A multiset either holds no copy of a generator of degree d, or is one
         copy times a multiset of degree r - d, so adding the generator to the
@@ -1056,26 +993,69 @@ def completeness_check(n: int, k: int, degree: int, exclude: Sequence[str] = ())
     return CompletenessReport._decided(n, k, degree, total, total - lost, runs, short)
 
 
+def _count_item(levels: list[set[int]], degree: int, m: int) -> None:
+    """Add the packed item m of `degree` to a table of least-monomial sums in place (`_Decisions`), level r ascending from `degree`."""
+    for r in range(degree, len(levels)):
+        levels[r].update(map(m.__add__, levels[r - degree]))
+
+
 class _Decisions:
     """The short representative pieces of one label set and runs, decided once per degree, lowest first, and the least monomials found on the way.
 
     Kept per label set and symmetry runs (`_decisions`).  `short(d)`
     decides each degree up to d not decided yet, lowest first, under a lock
     so that threads decide no degree twice, on the set's own blocks: the
-    least monomials of products and items are counted per representative
-    piece (`_Tables.least`); a piece with kernel_dim of them has span_dim =
-    kernel_dim, one with none holds no product, and each other piece is
-    walked (`_products`) into `_echelon`, its products expanded as the
-    elimination reads them, until the rank reaches kernel_dim.  A degree
-    keeps only its short pieces, those whose span_dim is below kernel_dim,
-    each mapped to its span_dim; no key is made for any other piece.
-    The keys of its pivot rows are the least monomials of the span of the
-    products read (`_echelon` pivots on the least column); each one the
-    count did not hold becomes an item, (degree, exponents), re-packed in
-    every packing: the least monomial of an element of the algebra A the
-    generators span.  Products of elements of A lie in A, in ker D, so
-    every higher degree counts the sums with items too (truncated SAGBI
-    subduction, Robbiano-Sweedler), and a count is still at most the rank.
+    least packed monomials of products and items are counted per
+    representative piece, with nothing expanded; a piece with kernel_dim of
+    them has span_dim = kernel_dim, one with none holds no product, and
+    each other piece is walked (`_products`) into `_echelon`, its products
+    expanded as the elimination reads them, until the rank reaches
+    kernel_dim.  A degree keeps only its short pieces, those whose span_dim
+    is below kernel_dim, each mapped to its span_dim; no key is made for
+    any other piece.  The keys of its pivot rows are the least monomials of
+    the span of the products read (`_echelon` pivots on the least column);
+    each one the count did not hold becomes an item, (degree, exponents),
+    re-packed in every packing: the least monomial of an element of the
+    algebra A the generators span.  Products of elements of A lie in A, in
+    ker D, so every higher degree counts the sums with items too (truncated
+    SAGBI subduction, Robbiano-Sweedler).
+
+    A count is at most the rank.  Each sum counted, of the generators'
+    least packed monomials over a multiset, with or without items, is the
+    least monomial of an element of A, and elements of one piece with
+    distinct least monomials are linearly independent:
+    - packed keys are ints in a monomial order that addition keeps,
+      a < b implies a + c < b + c (see `Packing`), and no digit carries in
+      a product of degree <= the packing's;
+    - so the least monomial of f*g is min f + min g: any other pair of
+      terms has one factor above its minimum and a strictly larger sum, so
+      the pair of least terms is the only pair that reaches min f + min g
+      and its coefficient, a product of two nonzero ones, cannot cancel;
+    - in a vanishing combination of elements with pairwise distinct least
+      monomials, of those with a nonzero coefficient the one whose least
+      monomial is smallest is the only one holding that monomial, which
+      therefore cannot cancel.
+    Hence the number of sums in a piece is at most the rank of its
+    products, itself at most its kernel_dim when the generators lie in
+    ker D.  This is the SAGBI test (Robbiano-Sweedler) on one piece.
+
+    The sums are one table per call of `short` and packing, local to the
+    call: one set per total degree 0..top, where top is the degree asked or
+    the packing's largest, whichever is lower.  It starts as the
+    generators' sums (`_Tables._generator_sums`), which hold every
+    generator of degree <= top, so a piece with no sum in it holds no
+    product.  Every item found before is added when the table is built, and
+    the items a degree finds once it is decided, in place, in the same
+    unbounded knapsack (`_count_item`): an item m of degree e adds m + s to
+    level r for every sum s of level r - e, r ascending from e, so level
+    r - e already holds the sums with m.  Level d is counted when degree d
+    is decided, once every item of a lower degree is in it.  Items and the
+    generators' sums lie in representative pieces, whose sums do too, so
+    nothing is pruned; a sum whose generator part is not a representative
+    is not counted, which only lowers the count.  No table is kept: every
+    degree is decided once, in ascending order, so no later call would
+    read one, and within a call a packing's table is freed before the next
+    packing's is built.
     """
 
     def __init__(self, gens: GeneratorSet, runs: tuple[tuple[int, int], ...]):
@@ -1091,12 +1071,21 @@ class _Decisions:
                 # the asked degree's one-block counts first, as without a record: past Python's
                 # recursion limit they raise before a lower degree caches the counts below them
                 _block_weight_counts(degree, self.gens.k)
+                amb = Ambient(self.gens.n, self.gens.k)
                 while len(self.decided) <= degree:
-                    self.decided.append(self._decide(len(self.decided), degree))
+                    # one table per packing, up to the highest degree of this call it serves; the
+                    # last packing's is read no more, and is freed before this one is built
+                    packing, levels = packing_for(amb, len(self.decided)), None
+                    tables, top = _tables(self.gens, packing), min(degree, packing.degree)
+                    levels = tables._generator_sums(top, self.runs)
+                    for e, exps in self.items:
+                        _count_item(levels, e, packing.pack(exps))
+                    while len(self.decided) <= top:
+                        self.decided.append(self._decide(len(self.decided), tables, levels))
         return self.decided[degree]
 
-    def _decide(self, degree: int, top: int) -> dict[GradedPieceKey, int]:
-        """The short pieces of `degree`, the lowest degree not decided, in a call that decides up to `top`.
+    def _decide(self, degree: int, tables: _Tables, levels: list[set[int]]) -> dict[GradedPieceKey, int]:
+        """The short pieces of `degree`, the lowest degree not decided, counted on `levels[degree]`; the items found are added to `levels`.
 
         Each representative b reads its row of kernel dims (`_kernel_dims`),
         and the piece (b, w) is b's packed grading at weight 0 plus w weight
@@ -1104,16 +1093,14 @@ class _Decisions:
         degree's walk view (`_Tables.walk`) is read once, when its first
         piece is ranked, and every walk of the degree reads it.
         """
-        gens, runs = self.gens, self.runs
-        packing = packing_for(Ambient(gens.n, gens.k), degree)
-        tables = _tables(gens, packing)
-        counted = tables.least(degree, runs, self.items, min(top, packing.degree))
+        gens, packing = self.gens, tables.packing
+        counted = levels[degree]
         view = None  # the degree's walk view, read when its first piece is ranked
         counts = Counter(s >> packing.shift for s in counted)
         step = packing.grading((0,) * gens.n, 1)  # one unit of weight
         short: dict[GradedPieceKey, int] = {}
         found = []
-        for b in _representatives(degree, runs):
+        for b in _representatives(degree, self.runs):
             grading = packing.grading(b, 0)
             for w, kdim in enumerate(_kernel_dims(tuple(sorted(d for d in b if d)), gens.k)):
                 span = count = counts.get(grading, 0)
@@ -1121,11 +1108,13 @@ class _Decisions:
                     view = view or tables.walk(degree)
                     pivot_rows = _echelon((terms for _, terms in _products(view, degree, grading)), limit=kdim)
                     span = len(pivot_rows)
-                    found.extend((degree, packing.unpack(lead)) for lead in pivot_rows if lead not in counted)
+                    found.extend(lead for lead in pivot_rows if lead not in counted)
                 if span < kdim:
                     short[GradedPieceKey(b, w)] = span
                 grading += step
-        self.items.extend(found)
+        for lead in found:
+            _count_item(levels, degree, lead)
+        self.items.extend((degree, packing.unpack(lead)) for lead in found)
         return short
 
 

@@ -83,7 +83,7 @@ class Walk(NamedTuple):
 
 
 class KernelSpy:
-    """In call order: the sets `_Tables.least` returns, with the items counted, and the walks of `_products`, each with the products it yields."""
+    """In call order: the least-monomial set each decision counts (`_Decisions._decide`), with the items counted, and the walks of `_products`, each with the products it yields."""
 
     def __init__(self):
         self.clear()
@@ -105,12 +105,13 @@ def spy(monkeypatch):
     """
     clear_kernel_caches()
     found = KernelSpy()
-    least, walk_view, products = kernel._Tables.least, kernel._Tables.walk, kernel._products
+    decide, walk_view, products = kernel._Decisions._decide, kernel._Tables.walk, kernel._products
     views = {}  # id of each walk view handed out -> (the view, kept alive, and its n)
 
-    def tabling(self, degree, runs, items=(), top=0):
-        found.tables.append(LeastTable(self.gens.n, degree, least(self, degree, runs, items, top), tuple(items)))
-        return found.tables[-1].levels
+    def tabling(self, degree, tables, levels):
+        # a copy: the decision adds the items it finds to levels[degree] in place
+        found.tables.append(LeastTable(self.gens.n, degree, set(levels[degree]), tuple(self.items)))
+        return decide(self, degree, tables, levels)
 
     def viewing(self, degree):
         view = walk_view(self, degree)
@@ -121,7 +122,7 @@ def spy(monkeypatch):
         found.walks.append(walk := Walk(views[id(view)][1], degree, grading, []))
         return (walk.labels.append(labels) or (labels, terms) for labels, terms in products(view, degree, grading))
 
-    monkeypatch.setattr(kernel._Tables, "least", tabling)
+    monkeypatch.setattr(kernel._Decisions, "_decide", tabling)
     monkeypatch.setattr(kernel._Tables, "walk", viewing)
     monkeypatch.setattr(kernel, "_products", walking)
     return found

@@ -249,7 +249,7 @@ class TestGenerators:
     def test_equal_sets_hash_equal_and_share_cache_entries(self):
         # the hash is taken once, at construction, from n, k and the labels; a set built
         # apart from polynomials built apart is equal, hashes equal and reads the same
-        # cached tables: packed rows, walk views and least-monomial tables
+        # cached tables and records: packed rows, walk views and decisions
         first = generators(3, 2).without("H1,1")
         amb = Ambient(3, 2)
         second = GeneratorSet(3, 2, tuple((label, parse(str(p), amb)) for label, p in first))
@@ -262,7 +262,7 @@ class TestGenerators:
             rows = tables.generators(degree)
             assert all(a is b for a, b in zip(kernel_tables(second, degree).generators(degree), rows, strict=True))
             assert kernel_tables(second, degree).walk(degree) is tables.walk(degree)
-            assert kernel_tables(second, degree).least(degree, runs) is tables.least(degree, runs)
+            assert kernel._decisions(second, runs) is kernel._decisions(first, runs)
         # the same labels with other polynomials hash alike but are another key
         other = GeneratorSet(3, 2, tuple((label, -p) for label, p in first))
         assert hash(other) == hash(first) and other != first

@@ -1,3 +1,4 @@
+import gc
 import io
 import itertools
 import json
@@ -5,6 +6,7 @@ import pickle
 import random
 import sys
 import threading
+import weakref
 from collections import defaultdict
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -559,10 +561,10 @@ class TestGeneratorProducts:
 
 
 def _walk_and_least(gens, degree, runs):
-    """The walk view of `degree`, each reach row cut to the entries the degree reads, and its least-monomial table."""
+    """The walk view of `degree`, each reach row cut to the entries the degree reads, and the generators' least-monomial sums of the degree."""
     tables = kernel_tables(gens, degree)
     steps, top = tables.walk(degree)
-    return [(label, d, g, row[: degree + 1], terms) for label, d, g, row, terms in steps], top, tables.least(degree, runs)
+    return [(label, d, g, row[: degree + 1], terms) for label, d, g, row, terms in steps], top, tables._generator_sums(degree, runs)[degree]
 
 
 class TestGrownTables:
@@ -1214,13 +1216,13 @@ class TestCompleteness:
                 value = value * gens.value(label)
             values[key].append(value)
         leads = {key: {min(packing.pack(exps) for exps, _ in value.items()) for value in found} for key, found in values.items()}
-        unpruned = kernel_tables(gens, degree).least(degree, tuple((i, i + 1) for i in range(n)))
+        unpruned = kernel_tables(gens, degree)._generator_sums(degree, tuple((i, i + 1) for i in range(n)))[degree]
         assert unpruned == set().union(*leads.values())
 
         def representative(block_degrees):
             return all(block_degrees[i] <= block_degrees[i + 1] for i in stable)
 
-        table = kernel_tables(gens, degree).least(degree, kernel._symmetry_runs(n, k, exclude))
+        table = kernel_tables(gens, degree)._generator_sums(degree, kernel._symmetry_runs(n, k, exclude))[degree]
         assert table == {s for s in unpruned if representative(packing.read_grading(s >> packing.shift)[0])}
         for key in piece_keys(n, k, degree):
             if representative(key.block_degrees):
@@ -1251,11 +1253,12 @@ class TestCompleteness:
         amb = Ambient(n, k)
         stable = _stable_swaps(gens)
         tables = []
-        least = kernel._Tables.least
+        decide = kernel._Decisions._decide
         clear_kernel_caches()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(kernel, "_base_complete", lambda k, degree: False)
-            patch.setattr(kernel._Tables, "least", lambda self, *args: tables.append((args[0], least(self, *args))) or tables[-1][1])
+            # a copy of the level counted: the decision adds the items it finds to it in place
+            patch.setattr(kernel._Decisions, "_decide", lambda self, d, *args: tables.append((d, set(args[1][d]))) or decide(self, d, *args))
             completeness_check(n, k, degree, exclude=exclude)
         assert [d for d, _ in tables] == list(range(degree + 1))
         for d, table in tables:
@@ -1462,6 +1465,29 @@ class TestCarriedLeastMonomials:
         assert _verify_stdout("--n", "3", "--k", "2", "--max-degree", "8") == (0, "".join(lines[:9] + lines[-1:]))
         assert built == [(4, 7), (5, 8)]
         assert [table.degree for table in spy.tables] == list(range(9))
+
+    def test_no_count_outlives_its_call(self, monkeypatch):
+        # the least-monomial sums live only in the call that decides with them: after
+        # verify --n 3 --k 2 --max-degree 12 (two packings: levels 0..7 and 0..12) and
+        # verify --n 4 --k 2 --max-degree 6 --exclude H2,3 (levels 0..6, with items
+        # carried in place), every one of the 28 level sets built is freed. The caches
+        # keep the tables (rows, reach rows, walk views, bases) and the records
+        # (decisions and items), none of which holds a level set
+        built = []
+        sums = kernel._Tables._generator_sums
+
+        def building(self, top, runs):
+            levels = sums(self, top, runs)
+            built.extend(weakref.ref(level) for level in levels)
+            return levels
+
+        monkeypatch.setattr(kernel._Tables, "_generator_sums", building)
+        clear_kernel_caches()
+        assert _verify_stdout("--n", "3", "--k", "2", "--max-degree", "12")[0] == 0
+        assert _verify_stdout("--n", "4", "--k", "2", "--max-degree", "6", "--exclude", "H2,3")[0] == 1
+        gc.collect()
+        assert len(built) == 28
+        assert [ref for ref in built if ref() is not None] == []
 
     def test_threads_deciding_one_label_set_decide_each_degree_once(self, spy):
         # threads that ask one label set's degrees at once, each in its own order with a
